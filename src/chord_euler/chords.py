@@ -98,6 +98,24 @@ class ChordUniverse:
                     masks[b] |= 1 << a
         return tuple(masks)
 
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """incidence[v] has bit k set iff vertex v is an endpoint of chord k."""
+        inc = [0] * self.polygon.n
+        for k, c in enumerate(self.chords):
+            inc[c.i] |= 1 << k
+            inc[c.j] |= 1 << k
+        return tuple(inc)
+
+    def span_mask(self, vertices: Iterable[int]) -> int:
+        """Chords with both endpoints in ``vertices``."""
+        inside = set(vertices)
+        mask = self.full_mask()
+        for v, inc in enumerate(self.incidence):
+            if v not in inside:
+                mask &= ~inc
+        return mask
+
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
@@ -233,11 +251,7 @@ def forbidden_star(polygon: Polygon, i: int) -> ChordSet:
     if not 0 <= i < n:
         raise IndexError(i)
     uni = universe_of(polygon)
-    mask = 0
-    for k, c in enumerate(uni.chords):
-        if i in (c.i, c.j):
-            mask |= 1 << k
-    return ChordSet(uni, mask)
+    return ChordSet(uni, uni.incidence[i])
 
 
 def ear_chord(polygon: Polygon, i: int) -> ChordSet:

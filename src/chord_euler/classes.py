@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .chords import ChordKind, ear_chord, forbidden_star, universe_of
-from .geometry import Polygon, angle_exceeds_pi
+from .geometry import Polygon, PolygonError, angle_exceeds_pi
 from .nc_euler import f_vector
 from .partition import (
     Pocket,
@@ -121,7 +121,7 @@ def is_class5(poly: Polygon, i: int) -> bool:
     rest = [poly.vertices[t] for t in range(n) if t != i]
     try:
         reduced = Polygon(rest)
-    except Exception:
+    except PolygonError:
         return False
     return reduced.is_convex
 
@@ -137,9 +137,8 @@ def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
     if not rest or not rest <= set(range(2, n - 1)):
         return None
     uni = universe_of(poly)
-    for k, c in enumerate(uni.chords):
-        if i in (c.i, c.j) and uni.kinds[k] is not ChordKind.DIAGONAL:
-            return None
+    if uni.incidence[i] & ~uni.kind_mask(ChordKind.DIAGONAL):
+        return None
     p = 1
     while p + 1 in rest:
         p += 1

@@ -530,12 +530,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_join_negative_ranges(list(argv)))
     try:
         return args.func(args)
+    except (CapExceeded, InstanceTooLarge) as exc:
+        # First: InstanceTooLarge is a ValueError, which the next clause takes.
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except (CliInputError, PolygonError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (CapExceeded, InstanceTooLarge) as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except GeneratorError as exc:
         print(f"generator failure: {exc}", file=sys.stderr)
         return EXIT_GENERATOR

@@ -193,12 +193,6 @@ class QSqrt3:
         return cls(r, s)
 
 
-SQRT3 = QSqrt3(0, 1)
-ZERO = QSqrt3(0)
-ONE = QSqrt3(1)
-HALF = QSqrt3(Fraction(1, 2))
-
-
 def qs_sign(x: QSqrt3) -> int:
     """Sign of ``x`` as a free function (predicate entry point)."""
     return x.sign()

@@ -124,10 +124,6 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
     return t1.sign() >= 0 and t2.sign() <= 0
 
 
-def point_on_segment(p: Point, s: Segment) -> bool:
-    return orientation(s.a, s.b, p) == 0 and _on_segment(p, s.a, s.b)
-
-
 def segments_properly_cross(s1: Segment, s2: Segment) -> bool:
     """Whether the open segments intersect transversally in one point.
 

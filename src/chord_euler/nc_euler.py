@@ -282,10 +282,7 @@ def find_heart(polygon: Polygon, side: str) -> ChordSet | None:
         return None
     if side == "d":
         v = min(polygon.reflex_vertices)
-        mask = 0
-        for k, c in enumerate(uni.chords):
-            if v in (c.i, c.j) and uni.kinds[k] is _chords.ChordKind.DIAGONAL:
-                mask |= 1 << k
+        mask = uni.incidence[v] & uni.kind_mask(_chords.ChordKind.DIAGONAL)
         if mask == 0:
             raise AssertionError("reflex vertex without incident diagonal")
         return ChordSet(uni, mask)

@@ -6,6 +6,17 @@ decided by exact angular "window" constraints: a subset fails exactly when
 some merged fan of faces at some vertex spans more than pi, so NC_c[J] is the
 family of hitting sets of the minimal bad windows.  The direct
 subdivide-and-test route is kept as an independent check.
+
+The product formulas (Lemma 1, the factorized product, the pocket product)
+never build a polygon or a chord universe for a face.  Let a non-crossing
+diagonal set I cut P into faces.  The diagonals of a face F are exactly the
+diagonals of P with both endpoints on F, less the chords of I among them,
+which are F's own edges.  This holds because each cut chord separates P: a
+diagonal of P with both endpoints on one side cannot cross the cut chord and
+come back.  Two diagonals of F cross in F iff they cross in P, since they are
+the same segments.  So a face family is the mask ``D & span(F) & ~I`` over
+the parent universe, and its chi comes from the parent's shared
+:class:`EulerEngine` memo.
 """
 
 from __future__ import annotations
@@ -192,6 +203,28 @@ def _iter_submasks(m: int) -> Iterator[int]:
         sub = (sub - 1) & m
 
 
+def _split_subsets(poly: Polygon, j_set: ChordSet) -> tuple[list[int], list[int]]:
+    """Masks of NC_c[J] and of NC_nc[J], each in descending submask order."""
+    if len(j_set) > LATTICE_CAP:
+        raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
+    constraints, feasible = convexity_constraints(poly, j_set)
+    if not feasible:
+        constraints = [0]  # no subset meets the empty constraint
+    members_c: list[int] = []
+    members_nc: list[int] = []
+    jm = sub = j_set.mask
+    while True:
+        for c in constraints:
+            if not sub & c:
+                members_nc.append(sub)
+                break
+        else:
+            members_c.append(sub)
+        if sub == 0:
+            return members_c, members_nc
+        sub = (sub - 1) & jm
+
+
 @dataclass(frozen=True)
 class ConvexLattice:
     """All subsets of J classified by whether they cut into convex faces."""
@@ -211,16 +244,7 @@ class ConvexLattice:
 
 
 def convex_lattice(poly: Polygon, j_set: ChordSet) -> ConvexLattice:
-    if len(j_set) > LATTICE_CAP:
-        raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
-    constraints, feasible = convexity_constraints(poly, j_set)
-    members_c: list[int] = []
-    members_nc: list[int] = []
-    for sub in _iter_submasks(j_set.mask):
-        if feasible and all(sub & c for c in constraints):
-            members_c.append(sub)
-        else:
-            members_nc.append(sub)
+    members_c, members_nc = _split_subsets(poly, j_set)
     # members_c is an up-set and members_nc a down-set, so minimality and
     # maximality reduce to single-bit tests.
     cset = set(members_c)
@@ -271,14 +295,8 @@ def chi_removed_direct(poly: Polygon, removed: ChordSet, side: str) -> int:
 
 def chi_removed_theorem2(poly: Polygon, j_set: ChordSet) -> int:
     """(-1)^(|P|+1) * sum over NC_c[J] of (-1)^|I|."""
-    if len(j_set) > LATTICE_CAP:
-        raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
-    constraints, feasible = convexity_constraints(poly, j_set)
-    total = 0
-    if feasible:
-        for sub in _iter_submasks(j_set.mask):
-            if all(sub & c for c in constraints):
-                total += -1 if sub.bit_count() & 1 else 1
+    members_c, _ = _split_subsets(poly, j_set)
+    total = sum(-1 if m.bit_count() & 1 else 1 for m in members_c)
     return (-1) ** (poly.n + 1) * total
 
 
@@ -286,39 +304,34 @@ def chi_removed_lemma_d2(poly: Polygon, j_set: ChordSet) -> int:
     """(-1)^|P| * sum over NC_nc[J] of (-1)^|I|; requires J nonempty."""
     if j_set.mask == 0:
         raise PartitionError("the J = {} case is outside this identity's hypothesis")
-    if len(j_set) > LATTICE_CAP:
-        raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
-    constraints, feasible = convexity_constraints(poly, j_set)
-    total = 0
-    for sub in _iter_submasks(j_set.mask):
-        if not (feasible and all(sub & c for c in constraints)):
-            total += -1 if sub.bit_count() & 1 else 1
+    _, members_nc = _split_subsets(poly, j_set)
+    total = sum(-1 if m.bit_count() & 1 else 1 for m in members_nc)
     return (-1) ** poly.n * total
 
 
-def diagonal_chi(poly: Polygon) -> int:
-    """chi of the full diagonal family of a polygon."""
-    uni = universe_of(poly)
-    return _engine(uni).chi(uni.kind_mask(ChordKind.DIAGONAL))
-
-
 def chi_removed_lemma1(poly: Polygon, j_set: ChordSet) -> int:
-    """Sum over I subset of J of the product of sub-polygon diagonal chis."""
+    """Sum over I subset of J of the product of the faces' diagonal chis.
+
+    The diagonal family of a face F of the cut by I is ``D & span(F) & ~I``
+    over the parent universe (see the module docstring), so every face is
+    evaluated on the parent's shared engine memo.
+    """
     _check_noncrossing_diagonals(poly, j_set)
     if len(j_set) > LATTICE_CAP:
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
-    uni = universe_of(poly)
-    part_chi: dict[tuple[int, ...], int] = {}
+    uni = j_set.universe
+    eng = _engine(uni)
+    d_mask = uni.kind_mask(ChordKind.DIAGONAL)
+    # The chords of I that a face spans are its own edges, so a face's value
+    # does not depend on the rest of I and is cached by its vertex tuple.
+    face_chi: dict[tuple[int, ...], int] = {}
     total = 0
     for sub in _iter_submasks(j_set.mask):
-        res = subdivide(poly, ChordSet(uni, sub))
         prod = 1
-        for part in res.parts:
-            val = part_chi.get(part)
+        for part in subdivide(poly, ChordSet(uni, sub)).parts:
+            val = face_chi.get(part)
             if val is None:
-                vs = poly.vertices
-                val = diagonal_chi(Polygon._trusted([vs[i] for i in part]))
-                part_chi[part] = val
+                val = face_chi[part] = eng.chi(d_mask & uni.span_mask(part) & ~sub)
             prod *= val
             if prod == 0:
                 break
@@ -326,21 +339,13 @@ def chi_removed_lemma1(poly: Polygon, j_set: ChordSet) -> int:
     return total
 
 
-def _host_part(parts: Sequence[tuple[int, ...]], c: Chord) -> int:
-    for k, part in enumerate(parts):
-        if c.i in part and c.j in part:
-            a, b = part.index(c.i), part.index(c.j)
-            d = abs(a - b)
-            if 2 <= d <= len(part) - 2:
-                return k
-    raise AssertionError(f"no host part for chord {c}")
-
-
 def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) -> int:
     """Product formula over the sub-polygons cut by a forced subset j_prime.
 
     Requires j_set to cut the polygon into convex faces and j_prime to be
-    contained in every member of NC_c[j_set].
+    contained in every member of NC_c[j_set].  The factor of a face F of the
+    cut by j_prime is chi of F's diagonals less the chords of J, which is the
+    parent-universe mask ``D & span(F) & ~J`` (see the module docstring).
     """
     _check_noncrossing_diagonals(poly, j_set)
     if not is_convex_partition(poly, j_set):
@@ -352,22 +357,12 @@ def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) ->
             forced |= c
     if not feasible or j_prime.mask & ~forced:
         raise PartitionError("j_prime is not contained in every convex-partition subset")
-    res = subdivide(poly, j_prime)
-    vs = poly.vertices
-    rest = [c for c in ChordSet(j_set.universe, j_set.mask & ~j_prime.mask)]
-    per_part: dict[int, list[Chord]] = {}
-    for c in rest:
-        per_part.setdefault(_host_part(res.parts, c), []).append(c)
+    uni = j_set.universe
+    eng = _engine(uni)
+    fam = uni.kind_mask(ChordKind.DIAGONAL) & ~j_set.mask
     prod = 1
-    for k, part in enumerate(res.parts):
-        sub_poly = Polygon._trusted([vs[i] for i in part])
-        sub_uni = universe_of(sub_poly)
-        removed = 0
-        for c in per_part.get(k, []):
-            local = Chord.of(part.index(c.i), part.index(c.j))
-            removed |= 1 << sub_uni.index[local]
-        fam = sub_uni.kind_mask(ChordKind.DIAGONAL) & ~removed
-        prod *= _engine(sub_uni).chi(fam)
+    for part in subdivide(poly, j_prime).parts:
+        prod *= eng.chi(fam & uni.span_mask(part))
         if prod == 0:
             break
     return prod
@@ -379,9 +374,6 @@ class Pocket:
 
     hull_chord: Chord
     path: tuple[int, ...]  # parent indices from hull_chord.i side, polygon order
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.path)
 
 
 def pockets(poly: Polygon) -> list[Pocket]:
@@ -414,14 +406,10 @@ def chi_epigonal_pockets(poly: Polygon, removed: ChordSet) -> int:
     if removed.universe is not uni:
         raise PartitionError("chord set belongs to a different polygon")
     eng = _engine(uni)
+    fam = uni.kind_mask(ChordKind.EPIGONAL) & ~removed.mask
     prod = 1
     for pocket in pockets(poly):
-        vset = pocket.vertex_set()
-        mask = 0
-        for k, c in enumerate(uni.chords):
-            if uni.kinds[k] is ChordKind.EPIGONAL and c.i in vset and c.j in vset:
-                mask |= 1 << k
-        prod *= eng.chi(mask & ~removed.mask)
+        prod *= eng.chi(fam & uni.span_mask(pocket.path))
         if prod == 0:
             break
     return prod

@@ -13,7 +13,7 @@ from chord_euler.classes import (
     verify_theorem3,
 )
 from chord_euler.generators import class_exemplar, convex_ngon, random_simple_polygon
-from chord_euler.geometry import validate_polygon
+from chord_euler.geometry import Polygon, SelfIntersection, validate_polygon
 from conftest import pt
 
 EXEMPLAR_SIZES = {1: (5, 7, 9), 2: (5, 7, 8), 3: (5, 7, 9), 4: (6, 7, 9), 5: (5, 6, 8), 6: (7, 8, 9)}
@@ -66,6 +66,18 @@ def test_class2_and_class5_disjoint():
         for n in EXEMPLAR_SIZES[kind]:
             poly = class_exemplar(kind, 0, n)
             assert is_class2(poly, 0) != is_class5(poly, 0)
+
+
+def test_class5_reduced_polygon_self_intersects():
+    # A simple polygon with one reflex vertex is star-shaped, and deleting
+    # that vertex leaves a simple polygon, so only a closed path that is not
+    # simple reaches this case: a pentagram with one vertex inserted on an
+    # edge, the only right turn of the path.
+    path = Polygon._trusted([pt(0, 10), pt(-2, 1), pt(-6, -8), pt(10, 3), pt(-10, 3), pt(6, -8)])
+    assert path.reflex_vertices == frozenset({1})
+    with pytest.raises(SelfIntersection):
+        Polygon([v for k, v in enumerate(path.vertices) if k != 1])
+    assert not is_class5(path, 1)
 
 
 def test_two_reflex_pentagon_is_not_class1():

@@ -104,6 +104,19 @@ def test_exit_cap(capsys):
     assert code == EXIT_CAP and "cap" in err
 
 
+def test_exit_cap_from_library_limit(capsys, monkeypatch):
+    # InstanceTooLarge is a ValueError; it must still map to the cap exit.
+    import chord_euler.cli as cli
+    from chord_euler.partition import InstanceTooLarge
+
+    def too_large(args):
+        raise InstanceTooLarge("|J| = 21 exceeds the 2^|J| cap 20")
+
+    monkeypatch.setattr(cli, "_verify_theorem2", too_large)
+    code, _, err = run(capsys, "verify", "theorem2")
+    assert code == EXIT_CAP and err.startswith("cap exceeded:")
+
+
 def test_exit_generator_failure(capsys):
     code, _, _ = run(capsys, "generate", "zigzag", "--l", "1")
     assert code == EXIT_GENERATOR

@@ -3,7 +3,7 @@ import pytest
 from chord_euler.chords import Chord, ChordKind, diagonals, universe_of
 from chord_euler.generators import convex_ngon, random_simple_polygon, zigzag_chi_target
 from chord_euler.geometry import Polygon
-from chord_euler.nc_euler import euler_recursive, iter_nc_masks
+from chord_euler.nc_euler import EulerEngine, euler_brute, euler_recursive, iter_nc_masks
 from chord_euler.partition import (
     InstanceTooLarge,
     PartitionError,
@@ -175,9 +175,49 @@ def test_unique_minimal_cut_values(dart):
                     assert chi_removed_direct(poly, j, "d") == 0
 
 
+def _part_chi_oracle(poly, part, removed_chords, cache):
+    """chi of a face's own diagonals minus the given parent chords, by DFS.
+
+    The face is classified from its own geometry, in its own universe, which
+    is the route the parent-universe product formulas replace.  ``cache``
+    holds one face polygon per part and one value per query.
+    """
+    local = tuple(sorted(Chord.of(part.index(c.i), part.index(c.j)) for c in removed_chords))
+    key = (part, local)
+    if key not in cache:
+        if part not in cache:
+            cache[part] = Polygon._trusted([poly.vertices[i] for i in part])
+        sub_poly = cache[part]
+        cache[key] = euler_brute(diagonals(sub_poly) - universe_of(sub_poly).set_of(local))
+    return cache[key]
+
+
+def test_lemma1_faces_match_own_geometry():
+    # Every face of every I subset of J: the parent-universe face family
+    # D & span(face) & ~I has the chi of the face's own diagonal family.
+    for seed in range(20):
+        poly = random_simple_polygon(5 + seed % 4, seed + 1000)
+        uni = universe_of(poly)
+        d_mask = uni.kind_mask(ChordKind.DIAGONAL)
+        eng = EulerEngine(uni.crossing_masks)
+        cache = {}
+        for j in nc_diagonal_subsets(poly):
+            total = 0
+            for sub in iter_nc_masks(uni.crossing_masks, j.mask):
+                prod = 1
+                for part in subdivide(poly, uni.set_of_mask(sub)).parts:
+                    want = _part_chi_oracle(poly, part, [], cache)
+                    assert eng.chi(d_mask & uni.span_mask(part) & ~sub) == want
+                    prod *= want
+                total += prod
+            assert chi_removed_lemma1(poly, j) == total
+
+
 def test_factorized_product():
     for seed in range(25):
         poly = random_simple_polygon(6 + seed % 3, seed + 500)
+        uni = universe_of(poly)
+        cache = {}
         for j in nc_diagonal_subsets(poly):
             if not is_convex_partition(poly, j):
                 continue
@@ -186,12 +226,17 @@ def test_factorized_product():
             for c in constraints:
                 if c.bit_count() == 1:
                     forced |= c
-            uni = universe_of(poly)
-            jp = uni.set_of_mask(forced & j.mask)
-            got = chi_removed_factorized(poly, j, jp)
-            assert got == chi_removed_direct(poly, j, "d")
-            # jp = empty set reduces to the direct value.
-            assert chi_removed_factorized(poly, j, empty(poly)) == got
+            direct = chi_removed_direct(poly, j, "d")
+            # Every forced subset J', the empty one and the full one included.
+            for jp_mask in iter_nc_masks(uni.crossing_masks, forced & j.mask):
+                jp = uni.set_of_mask(jp_mask)
+                got = chi_removed_factorized(poly, j, jp)
+                assert got == direct
+                want = 1
+                for part in subdivide(poly, jp).parts:
+                    inside = [c for c in j - jp if c.i in part and c.j in part]
+                    want *= _part_chi_oracle(poly, part, inside, cache)
+                assert got == want
 
 
 def test_factorized_precondition(dart):
