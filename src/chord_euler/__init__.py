@@ -1,6 +1,6 @@
 """Exact Euler characteristics of non-crossing chord families of simple polygons."""
 
-from .exact_scalar import QSqrt3, Rat, qs_sign
+from .exact_scalar import QSqrt3, Rat
 from .geometry import (
     CollinearTriple,
     DuplicateVertex,
@@ -68,7 +68,6 @@ from .classes import (
     verify_theorem3,
 )
 from .catalan import (
-    DTable,
     alternating_sum_check,
     brute_a_diagonal_fvector,
     d_closed,

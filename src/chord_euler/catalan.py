@@ -31,20 +31,6 @@ def d_closed(n: int, k: int, a: int) -> int:
     return q
 
 
-class DTable:
-    """Memoized view of d_k(n, a)."""
-
-    def __init__(self):
-        self._cache: dict[tuple[int, int, int], int] = {}
-
-    def __call__(self, n: int, k: int, a: int) -> int:
-        key = (n, k, a)
-        val = self._cache.get(key)
-        if val is None:
-            val = self._cache[key] = d_closed(n, k, a)
-        return val
-
-
 def d_recurrence_check(n: int, k: int, a: int) -> bool:
     """Whether the convolution recurrence reproduces the closed form.
 

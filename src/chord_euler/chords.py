@@ -4,16 +4,29 @@ A chord joins two non-consecutive vertices.  Each chord of a valid polygon is
 exactly one of: a diagonal (interior), an epigonal (exterior), or boundary
 crossing.  Chord sets are bit vectors over the polygon's fixed, lexicographic
 chord universe, so set algebra is integer arithmetic and deterministic.
+
+Geometry enters once per universe, as the orientation table of the vertex
+triples (the polygon's order type): ``left[i*n + j]`` has bit k set iff
+v_i -> v_j -> v_k turns counter-clockwise.  Everything else is read from it.
+
+* Two segments with four distinct endpoints in general position cross iff
+  each one's endpoints lie on opposite sides of the other's line.
+* A chord (i, j) that crosses no edge lies wholly inside or wholly outside
+  the polygon, and near v_i it runs along v_i -> v_j.  So it is a diagonal iff
+  v_j lies in the interior cone at v_i, the counter-clockwise sweep from
+  v_i -> v_{i+1} to v_i -> v_{i-1}.  At a convex vertex the cone is the convex
+  angle; at a reflex vertex it is everything outside the convex exterior
+  cone.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact_scalar import QSqrt3
-from .geometry import Point, Polygon, Segment, point_in_polygon, segments_properly_cross
+from .geometry import Polygon, Segment, orientation
 
 
 class Chord(NamedTuple):
@@ -41,17 +54,12 @@ class ChordKind(Enum):
     BOUNDARY_CROSSING = "boundary-crossing"
 
 
-def _midpoint(a: Point, b: Point) -> Point:
-    half = QSqrt3(1) / 2
-    return Point((a.x + b.x) * half, (a.y + b.y) * half)
-
-
 class ChordUniverse:
     """All chords of one polygon, in lexicographic (i, j) order.
 
-    Owns the per-chord classification and the pairwise crossing masks; every
-    :class:`ChordSet` over the polygon shares this object, which keeps bit
-    positions and memo keys stable.
+    Owns the orientation table, the per-chord classification and the
+    pairwise crossing masks; every :class:`ChordSet` over the polygon shares
+    this object, which keeps bit positions and memo keys stable.
     """
 
     def __init__(self, polygon: Polygon):
@@ -71,29 +79,60 @@ class ChordUniverse:
         return Segment(vs[c.i], vs[c.j])
 
     @cached_property
+    def left(self) -> tuple[int, ...]:
+        """left[i*n + j] has bit k set iff v_i -> v_j -> v_k turns CCW."""
+        vs = self.polygon.vertices
+        n = self.polygon.n
+        left = [0] * (n * n)
+        for i, j, k in combinations(range(n), 3):
+            if orientation(vs[i], vs[j], vs[k]) > 0:
+                left[i * n + j] |= 1 << k
+                left[j * n + k] |= 1 << i
+                left[k * n + i] |= 1 << j
+            else:
+                left[j * n + i] |= 1 << k
+                left[k * n + j] |= 1 << i
+                left[i * n + k] |= 1 << j
+        return tuple(left)
+
+    def ccw(self, i: int, j: int, k: int) -> bool:
+        return bool(self.left[i * self.polygon.n + j] >> k & 1)
+
+    def _cross(self, i: int, j: int, k: int, m: int) -> bool:
+        # Segments v_i v_j and v_k v_m, four distinct endpoints: each
+        # straddles the other's line.
+        return (
+            self.ccw(i, j, k) != self.ccw(i, j, m)
+            and self.ccw(k, m, i) != self.ccw(k, m, j)
+        )
+
+    @cached_property
     def kinds(self) -> tuple[ChordKind, ...]:
         return tuple(self._classify(c) for c in self.chords)
 
     def _classify(self, c: Chord) -> ChordKind:
-        poly = self.polygon
-        seg = self.segment(c)
-        for a, b in poly.edges():
-            if a in (c.i, c.j) or b in (c.i, c.j):
-                continue
-            if segments_properly_cross(seg, Segment(poly.vertices[a], poly.vertices[b])):
+        n = self.polygon.n
+        i, j = c
+        for a in range(n):
+            b = (a + 1) % n
+            if a not in c and b not in c and self._cross(i, j, a, b):
                 return ChordKind.BOUNDARY_CROSSING
-        if point_in_polygon(_midpoint(seg.a, seg.b), poly):
-            return ChordKind.DIAGONAL
-        return ChordKind.EPIGONAL
+        prev, nxt = (i - 1) % n, (i + 1) % n
+        if self.ccw(prev, i, nxt):
+            inside = self.ccw(i, nxt, j) and self.ccw(i, j, prev)
+        else:
+            inside = not (self.ccw(i, prev, j) and self.ccw(i, j, nxt))
+        return ChordKind.DIAGONAL if inside else ChordKind.EPIGONAL
 
     @cached_property
     def crossing_masks(self) -> tuple[int, ...]:
         """crossing_masks[k] has bit m set iff chords k and m properly cross."""
-        segs = [self.segment(c) for c in self.chords]
+        chords = self.chords
         masks = [0] * self.size
-        for a in range(self.size):
+        for a, (i, j) in enumerate(chords):
             for b in range(a + 1, self.size):
-                if segments_properly_cross(segs[a], segs[b]):
+                k, m = chords[b]
+                if len({i, j, k, m}) == 4 and self._cross(i, j, k, m):
                     masks[a] |= 1 << b
                     masks[b] |= 1 << a
         return tuple(masks)

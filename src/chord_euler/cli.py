@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .catalan import (
@@ -32,7 +31,7 @@ from .generators import (
     verify_zigzag_structure,
     zigzag_chi_target,
 )
-from .nc_euler import euler_brute, euler_recursive, f_vector
+from .nc_euler import euler_recursive, f_vector
 from .partition import (
     InstanceTooLarge,
     chi_epigonal_pockets,
@@ -94,23 +93,13 @@ def _dump_json(doc: dict, out) -> None:
     out.write("\n")
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("CHORD_EULER_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise CliInputError(f"CHORD_EULER_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise CliInputError("CHORD_EULER_THREADS must be >= 1")
-    return cap
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise CliInputError(f"empty range {text!r}: {lo} > {hi}")
+        return lo, hi
     v = int(text)
     return v, v
 
@@ -297,7 +286,6 @@ def _verify_zigzag(args) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    _thread_cap()  # validates the env var; campaigns run serially
     runners = {
         "theorem1": _verify_theorem1,
         "theorem2": _verify_theorem2,

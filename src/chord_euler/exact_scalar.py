@@ -191,8 +191,3 @@ class QSqrt3:
             if m.group("sign") == "-":
                 s = -s
         return cls(r, s)
-
-
-def qs_sign(x: QSqrt3) -> int:
-    """Sign of ``x`` as a free function (predicate entry point)."""
-    return x.sign()

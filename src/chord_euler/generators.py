@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .chords import Chord, ChordKind, ChordSet, universe_of
 from .exact_scalar import QSqrt3
-from .geometry import Point, Polygon, PolygonError, validate_polygon
+from .geometry import Point, Polygon, PolygonError, first_crossing_edges, validate_polygon
 from .partition import convexity_constraints
 from . import classes as _classes
 
@@ -68,39 +68,24 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
         ]
         if len({(p.x, p.y) for p in pts}) < n:
             continue
-        order = _untangle(pts)
-        if order is None:
+        untangled = _untangle(pts)
+        if untangled is None:
             continue
         try:
-            return validate_polygon([pts[k] for k in order])
+            return validate_polygon(untangled)
         except PolygonError:
             continue
     raise GeneratorError(f"could not build a random simple polygon (n={n}, seed={seed})")
 
 
-def _untangle(pts: list[Point]) -> list[int] | None:
-    from .geometry import Segment, segments_properly_cross
-
-    n = len(pts)
-    order = list(range(n))
-    for _ in range(40 * n * n):
-        crossing = None
-        for i in range(n):
-            a, b = pts[order[i]], pts[order[(i + 1) % n]]
-            sa = Segment(a, b)
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                c, d = pts[order[j]], pts[order[(j + 1) % n]]
-                if segments_properly_cross(sa, Segment(c, d)):
-                    crossing = (i, j)
-                    break
-            if crossing:
-                break
+def _untangle(pts: list[Point]) -> list[Point] | None:
+    pts = list(pts)
+    for _ in range(40 * len(pts) ** 2):
+        crossing = first_crossing_edges(pts)
         if crossing is None:
-            return order
+            return pts
         i, j = crossing
-        order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
+        pts[i + 1:j + 1] = reversed(pts[i + 1:j + 1])
     return None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact_scalar import QSqrt3
 
@@ -158,12 +158,6 @@ class Polygon:
         # For sub-polygons whose invariants are inherited from a parent.
         return cls(vertices, _validated=True)
 
-    def vertex(self, i: int) -> Point:
-        return self.vertices[i % self.n]
-
-    def edges(self) -> Iterable[tuple[int, int]]:
-        return ((i, (i + 1) % self.n) for i in range(self.n))
-
     def rotated(self, shift: int) -> Polygon:
         """Same polygon with vertex ``shift`` relabeled as vertex 0."""
         shift %= self.n
@@ -210,6 +204,21 @@ class Polygon:
         return f"Polygon[{self.n}]({', '.join(map(repr, self.vertices))})"
 
 
+def first_crossing_edges(vs: Sequence[Point]) -> tuple[int, int] | None:
+    """First (i, j), i < j, whose edges v_i v_{i+1} and v_j v_{j+1} properly cross.
+
+    Non-adjacent edge pairs are scanned with i, then j, ascending; None means
+    the closed path does not cross itself.
+    """
+    n = len(vs)
+    for i in range(n):
+        si = Segment(vs[i], vs[(i + 1) % n])
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            if segments_properly_cross(si, Segment(vs[j], vs[(j + 1) % n])):
+                return i, j
+    return None
+
+
 def _validate(vs: tuple[Point, ...]) -> tuple[Point, ...]:
     n = len(vs)
     if n < 3:
@@ -222,14 +231,10 @@ def _validate(vs: tuple[Point, ...]) -> tuple[Point, ...]:
     for i, j, k in combinations(range(n), 3):
         if orientation(vs[i], vs[j], vs[k]) == 0:
             raise CollinearTriple(i, j, k)
-    for i in range(n):
-        si = Segment(vs[i], vs[(i + 1) % n])
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            sj = Segment(vs[j], vs[(j + 1) % n])
-            if segments_properly_cross(si, sj):
-                raise SelfIntersection((i, (i + 1) % n), (j, (j + 1) % n))
+    pair = first_crossing_edges(vs)
+    if pair is not None:
+        i, j = pair
+        raise SelfIntersection((i, (i + 1) % n), (j, (j + 1) % n))
     # CCW normalization; area is nonzero since no three vertices are collinear.
     total = QSqrt3(0)
     o = vs[0]

@@ -190,10 +190,6 @@ class EulerEngine:
         self.adj = adj
         self._memo: dict[int, int] = {}
 
-    @classmethod
-    def for_polygon(cls, polygon: Polygon) -> EulerEngine:
-        return cls(_chords.universe_of(polygon).crossing_masks)
-
     def chi(self, mask: int) -> int:
         return _chi(self.adj, mask, self._memo)
 

@@ -4,8 +4,12 @@ The central object is the family NC_c[J] of subsets of a non-crossing
 diagonal set J that cut the polygon into convex pieces.  Membership is
 decided by exact angular "window" constraints: a subset fails exactly when
 some merged fan of faces at some vertex spans more than pi, so NC_c[J] is the
-family of hitting sets of the minimal bad windows.  The direct
-subdivide-and-test route is kept as an independent check.
+family of hitting sets of the minimal bad windows.  The windows are read from
+the chord universe's orientation table: the chords of J at a vertex come in
+the cyclic order of their far endpoints (each one cuts off the boundary chain
+it spans), and a window spans more than pi iff its two bounding rays turn
+clockwise.  The direct subdivide-and-test route, on coordinates, is kept as
+an independent check.
 
 The product formulas (Lemma 1, the factorized product, the pocket product)
 never build a polygon or a chord universe for a face.  Let a non-crossing
@@ -22,7 +26,6 @@ the parent universe, and its chi comes from the parent's shared
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -122,28 +125,6 @@ def is_convex_partition(poly: Polygon, cut: ChordSet) -> bool:
     return all(_part_is_convex(poly.vertices, p) for p in res.parts)
 
 
-def _ccw_sort(base: tuple, dirs: list) -> list[int]:
-    # Sorts direction indices by CCW angle from ``base`` in (0, 2*pi).
-    def half(d) -> int:
-        s = (base[0] * d[1] - base[1] * d[0]).sign()
-        if s > 0:
-            return 0
-        if s < 0:
-            return 2
-        # Same or opposite direction as base; opposite = angle pi.
-        return 3 if (base[0] * d[0] + base[1] * d[1]).sign() < 0 else 0
-
-    def cmp(i: int, j: int) -> int:
-        hi, hj = half(dirs[i]), half(dirs[j])
-        if hi != hj:
-            return -1 if hi < hj else 1
-        di, dj = dirs[i], dirs[j]
-        s = (di[0] * dj[1] - di[1] * dj[0]).sign()
-        return -s
-
-    return sorted(range(len(dirs)), key=cmp_to_key(cmp))
-
-
 def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bool]:
     """Minimal hitting constraints characterizing NC_c[j_set].
 
@@ -151,40 +132,35 @@ def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bo
     polygon into convex faces iff I intersects every constraint mask.  When
     ``feasible`` is False some face angle exceeds pi no matter what, so even
     the full set fails and NC_c is empty.
+
+    At a vertex v the rays v -> v+1, then the chords of J at v, then
+    v -> v-1 run counter-clockwise through the interior angle.  Each diagonal
+    v-w cuts off the boundary chain v+1..w-1, so the chords come in the order
+    of (w - v) mod n.  A window from ray s to ray t spans more than pi iff
+    v -> w_s -> w_t turns clockwise.
     """
     _check_noncrossing_diagonals(poly, j_set)
     uni = j_set.universe
-    vs = poly.vertices
     n = poly.n
     at: dict[int, list[tuple[int, int]]] = {}
     for c in j_set:
         k = uni.index[c]
-        at.setdefault(c.i, []).append((k, c.j))
-        at.setdefault(c.j, []).append((k, c.i))
+        at.setdefault(c.i, []).append((c.j, k))
+        at.setdefault(c.j, []).append((c.i, k))
     constraints: list[int] = []
     feasible = True
     for v in range(n):
-        o = vs[v]
-        base = (vs[(v + 1) % n].x - o.x, vs[(v + 1) % n].y - o.y)
-        inc = at.get(v, [])
-        dirs = [(vs[w].x - o.x, vs[w].y - o.y) for _, w in inc]
-        order = _ccw_sort(base, dirs)
-        ray_dirs = [base] + [dirs[t] for t in order] + [
-            (vs[(v - 1) % n].x - o.x, vs[(v - 1) % n].y - o.y)
-        ]
-        ray_bits = [0] + [1 << inc[t][0] for t in order] + [0]
-        r = len(ray_dirs)
-        for s in range(r - 1):
-            ds = ray_dirs[s]
+        inc = sorted(at.get(v, []), key=lambda wk: (wk[0] - v) % n)
+        rays = [((v + 1) % n, 0)] + [(w, 1 << k) for w, k in inc] + [((v - 1) % n, 0)]
+        for s, (ws, _) in enumerate(rays[:-1]):
             mask = 0
-            for t in range(s + 1, r):
-                dt = ray_dirs[t]
-                if (ds[0] * dt[1] - ds[1] * dt[0]).sign() < 0:
+            for wt, bit in rays[s + 1:]:
+                if not uni.ccw(v, ws, wt):
                     if mask == 0:
                         feasible = False
                     constraints.append(mask)
                     break
-                mask |= ray_bits[t]
+                mask |= bit
     # Keep only inclusion-minimal constraint masks.
     constraints = sorted(set(constraints), key=lambda m: m.bit_count())
     minimal: list[int] = []
@@ -235,12 +211,6 @@ class ConvexLattice:
     members_nc: tuple[int, ...]
     minimal_c: tuple[int, ...]
     maximal_nc: tuple[int, ...]
-
-    def sets_c(self) -> list[ChordSet]:
-        return [ChordSet(self.j_set.universe, m) for m in self.members_c]
-
-    def sets_nc(self) -> list[ChordSet]:
-        return [ChordSet(self.j_set.universe, m) for m in self.members_nc]
 
 
 def convex_lattice(poly: Polygon, j_set: ChordSet) -> ConvexLattice:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from chord_euler.generators import class_exemplar, zigzag_chi_target
 from chord_euler.geometry import Point, Polygon, Segment, segments_properly_cross, validate_polygon
 
 
@@ -19,6 +20,16 @@ def square() -> Polygon:
 @pytest.fixture
 def dart() -> Polygon:
     return validate_polygon([pt(0, 0), pt(4, 0), pt(1, 1), pt(0, 4)])
+
+
+def exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3, 4, 5, -5, 7)) -> list[Polygon]:
+    """Class exemplars 1-6 for n = 5..10, then zigzag polygons (sqrt 3 coordinates)."""
+    polys = [
+        class_exemplar(kind, 0, n)
+        for kind in range(1, 7)
+        for n in range(6 if kind == 6 else 5, 11)
+    ]
+    return polys + [zigzag_chi_target(l).polygon for l in zigzag_ls]
 
 
 def brute_nc_counts(segments: list[Segment]) -> list[int]:

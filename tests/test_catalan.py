@@ -1,7 +1,6 @@
 import pytest
 
 from chord_euler.catalan import (
-    DTable,
     alternating_sum_check,
     brute_a_diagonal_fvector,
     d_closed,
@@ -33,12 +32,6 @@ def test_exact_division_guard_never_fires():
         for a in range(0, 9):
             for k in range(0, n + 1):
                 d_closed(n, k, a)
-
-
-def test_dtable_memoizes():
-    table = DTable()
-    assert table(2, 1, 1) == 5 == table(2, 1, 1)
-    assert (2, 1, 1) in table._cache
 
 
 def test_recurrence():

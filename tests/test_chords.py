@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chord_euler.chords import (
     Chord,
@@ -12,8 +14,16 @@ from chord_euler.chords import (
     universe_of,
 )
 from chord_euler.generators import convex_ngon, random_simple_polygon
-from conftest import pt
-from chord_euler.geometry import validate_polygon
+from conftest import exemplar_and_zigzag_polygons, pt
+from chord_euler.geometry import (
+    Point,
+    Segment,
+    orientation,
+    point_in_polygon,
+    segments_properly_cross,
+    validate_polygon,
+)
+from chord_euler.nc_euler import crossing_masks
 
 
 def test_classify_dart(dart):
@@ -106,3 +116,44 @@ def test_chord_text_round_trip():
     c = Chord.of(7, 2)
     assert c == Chord(2, 7)
     assert Chord.parse(str(c)) == c
+
+
+def _kind_by_coordinates(poly, seg, c):
+    # Independent route: test the segment against every edge it does not
+    # touch, then ray-cast its midpoint.
+    vs, n = poly.vertices, poly.n
+    for a in range(n):
+        b = (a + 1) % n
+        if a not in c and b not in c and segments_properly_cross(seg, Segment(vs[a], vs[b])):
+            return ChordKind.BOUNDARY_CROSSING
+    mid = Point((seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2)
+    return ChordKind.DIAGONAL if point_in_polygon(mid, poly) else ChordKind.EPIGONAL
+
+
+def _assert_table_matches_coordinates(poly):
+    uni = universe_of(poly)
+    segs = [uni.segment(c) for c in uni.chords]
+    assert uni.kinds == tuple(_kind_by_coordinates(poly, s, c) for s, c in zip(segs, uni.chords))
+    assert list(uni.crossing_masks) == crossing_masks(segs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 12), st.integers(0, 2**32))
+def test_table_matches_coordinates_random(n, seed):
+    _assert_table_matches_coordinates(random_simple_polygon(n, seed))
+
+
+def test_table_matches_coordinates_exemplars_and_zigzags():
+    for poly in exemplar_and_zigzag_polygons():
+        _assert_table_matches_coordinates(poly)
+
+
+def test_orientation_table():
+    poly = random_simple_polygon(9, 3)
+    uni = universe_of(poly)
+    vs = poly.vertices
+    for i in range(poly.n):
+        for j in range(poly.n):
+            for k in range(poly.n):
+                want = len({i, j, k}) == 3 and orientation(vs[i], vs[j], vs[k]) > 0
+                assert uni.ccw(i, j, k) == want

@@ -145,11 +145,17 @@ def test_verify_targets_pass(capsys):
     assert run(capsys, "verify", "lemmae", "--n", "4..7", "--random", "10")[0] == EXIT_OK
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("CHORD_EULER_THREADS", "not-a-number")
-    assert run(capsys, "verify", "zigzag", "--l", "2..2")[0] == EXIT_INPUT
-    monkeypatch.setenv("CHORD_EULER_THREADS", "4")
-    assert run(capsys, "verify", "zigzag", "--l", "2..2")[0] == EXIT_OK
+def test_reversed_range_is_bad_input(capsys):
+    # lo > hi used to crash (6..5), build a polygon past the cap (30..5) or
+    # check nothing and pass (5..-5).
+    for argv in (
+        ("theorem3", "--n", "6..5"),
+        ("theorem3", "--n", "30..5"),
+        ("zigzag", "--l", "5..-5"),
+        ("catalan", "--n", "2", "--a", "3..1"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == EXIT_INPUT and out == "" and "empty range" in err, argv
 
 
 def test_catalan_subcommand(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chord_euler.exact_scalar import QSqrt3, qs_sign
+from chord_euler.exact_scalar import QSqrt3
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=16
@@ -31,9 +31,9 @@ def test_sign_examples():
     assert QSqrt3(0, -1).sign() == -1
     # 3*sqrt(3) > 5 because 27 > 25: frozen from the squaring oracle.
     assert 3 * 3 * 3 > 5 * 5
-    assert qs_sign(QSqrt3(-5, 3)) == 1
-    assert qs_sign(QSqrt3(5, -3)) == -1
-    assert qs_sign(QSqrt3(-7, 4)) == -1  # 48 < 49
+    assert QSqrt3(-5, 3).sign() == 1
+    assert QSqrt3(5, -3).sign() == -1
+    assert QSqrt3(-7, 4).sign() == -1  # 48 < 49
 
 
 @given(scalars, scalars, scalars)

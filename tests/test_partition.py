@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chord_euler.chords import Chord, ChordKind, diagonals, universe_of
 from chord_euler.generators import convex_ngon, random_simple_polygon, zigzag_chi_target
@@ -23,6 +25,7 @@ from chord_euler.partition import (
     subdivide,
     xi,
 )
+from conftest import exemplar_and_zigzag_polygons
 
 
 def cs(poly, *pairs):
@@ -84,21 +87,34 @@ def test_convex_partition_convex_polygon_all_subsets():
         assert is_convex_partition(poly, j)
 
 
+def _assert_constraints_match_direct(poly):
+    # The window constraints, read from the orientation table, must match
+    # subdivide + coordinate convexity on every subset of a triangulation.
+    tri = extend_to_triangulation(poly, empty(poly))
+    uni = universe_of(poly)
+    constraints, feasible = convexity_constraints(poly, tri)
+    sub = tri.mask
+    while True:
+        j = uni.set_of_mask(sub)
+        expected = feasible and all(sub & c for c in constraints)
+        assert is_convex_partition(poly, j) == expected
+        if sub == 0:
+            break
+        sub = (sub - 1) & tri.mask
+
+
 def test_constraints_agree_with_direct_route():
-    # The window-constraint characterization must match subdivide+convexity.
-    for seed in range(20):
-        poly = random_simple_polygon(5 + seed % 4, seed + 50)
-        tri = extend_to_triangulation(poly, empty(poly))
-        uni = universe_of(poly)
-        constraints, feasible = convexity_constraints(poly, tri)
-        sub = tri.mask
-        while True:
-            j = uni.set_of_mask(sub)
-            expected = feasible and all(sub & c for c in constraints)
-            assert is_convex_partition(poly, j) == expected
-            if sub == 0:
-                break
-            sub = (sub - 1) & tri.mask
+    corpus = [random_simple_polygon(5 + seed % 4, seed + 50) for seed in range(20)]
+    # Zigzags up to n = 13: a triangulation has at most 2^10 subsets.
+    corpus += exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3, 4))
+    for poly in corpus:
+        _assert_constraints_match_direct(poly)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 10), st.integers(0, 2**32))
+def test_constraints_agree_with_direct_route_random(n, seed):
+    _assert_constraints_match_direct(random_simple_polygon(n, seed))
 
 
 def test_chi_removed_direct_baselines(dart):
