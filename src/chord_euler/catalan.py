@@ -7,7 +7,9 @@ convex polygon with a*(n+1)+2 vertices.  The closed form is
 
 and the division is always exact; an explicit guard raises if it ever is not
 (that would indicate misuse, not rounding).  The only independent ground
-truth here is the geometric brute force over an actual convex polygon.
+truth here is the geometric route over an actual convex polygon: its
+a-diagonals are classified from the polygon's orientation table and counted
+by :func:`nc_euler.f_vector`, which shares no code with the closed form.
 """
 
 from __future__ import annotations
@@ -84,7 +86,13 @@ def identity14_check(n: int, i: int, a: int) -> bool:
 
 
 def brute_a_diagonal_fvector(poly: Polygon, a: int) -> FVector:
-    """Geometric oracle: enumerate non-crossing a-diagonal sets of a convex polygon."""
+    """Geometric oracle: count non-crossing a-diagonal sets of a convex polygon.
+
+    The a-diagonals come from the polygon's chord classification and are
+    counted by :func:`f_vector`'s interval DP, which reaches polygons far
+    larger than an enumeration does.  The route stays independent of
+    :func:`d_closed`.
+    """
     if not poly.is_convex:
         raise ValueError("the a-diagonal counting theorem is about convex polygons")
     if (poly.n - 2) % a != 0 or (poly.n - 2) // a < 1:

@@ -21,6 +21,7 @@ v_i -> v_j -> v_k turns counter-clockwise.  Everything else is read from it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
@@ -234,6 +235,27 @@ class ChordSet:
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(c) for c in self) + "}"
+
+
+@dataclass(frozen=True)
+class Pocket:
+    """A bounded face between the polygon and its convex hull."""
+
+    hull_chord: Chord
+    path: tuple[int, ...]  # parent indices from hull_chord.i side, polygon order
+
+
+def pockets(poly: Polygon) -> list[Pocket]:
+    hull = poly.hull_indices
+    n = poly.n
+    out = []
+    for t in range(len(hull)):
+        a, b = hull[t], hull[(t + 1) % len(hull)]
+        if (b - a) % n == 1:
+            continue
+        path = tuple((a + s) % n for s in range((b - a) % n + 1))
+        out.append(Pocket(Chord.of(a, b), path))
+    return out
 
 
 def universe_of(polygon: Polygon) -> ChordUniverse:

@@ -14,16 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .chords import ChordKind, ear_chord, forbidden_star, universe_of
+from .chords import ChordKind, Pocket, ear_chord, forbidden_star, pockets, universe_of
 from .geometry import Polygon, PolygonError, angle_exceeds_pi
 from .nc_euler import f_vector
-from .partition import (
-    Pocket,
-    chi_removed_direct,
-    pocket_polygon,
-    pockets,
-    subdivide,
-)
+from .partition import chi_removed_direct, pocket_polygon, subdivide
 
 CLASS_NAMES = ("Class1", "Class2", "Class3", "Class4", "Class5", "Class6")
 

@@ -286,6 +286,8 @@ def _verify_zigzag(args) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    if args.random < 0:
+        raise CliInputError(f"--random must be >= 0, got {args.random}")
     runners = {
         "theorem1": _verify_theorem1,
         "theorem2": _verify_theorem2,

@@ -5,9 +5,22 @@ disjoint (shared endpoints allowed).  ``f_i`` counts the i-element
 non-crossing subsets; the Euler characteristic is the alternating sum, i.e.
 the independence polynomial of the crossing graph at -1.
 
-Two independent evaluation routes are kept deliberately separate:
+The engine for f-vectors is an interval DP over the polygon's boundary
+cycle and the cycles of its pockets (:func:`f_vector` on a chord set with no
+boundary-crossing chord).  In general position two diagonals of a simple
+polygon cross iff their endpoints interleave along the boundary, so the
+non-crossing subsets of a diagonal family split along the face on a base
+chord, and the DP needs only the chord kinds and indices: no crossing masks
+and no coordinates.  Every epigonal is a diagonal of one pocket polygon (the
+region between a boundary chain and its hull chord) or that hull chord, and
+diagonals and epigonals never cross, so the f-polynomial of a family is the
+product of its diagonal part and of one part per pocket.
 
-* ``euler_brute``  - alternating sum of a full DFS enumeration;
+Two slower routes are kept as independent oracles:
+
+* ``euler_brute``  - alternating sum of a full DFS enumeration
+  (``_nc_counts``) on the crossing masks; :func:`f_vector` also uses the DFS
+  for segment lists and for sets holding a boundary-crossing chord;
 * ``euler_recursive`` - the deletion identity chi(A) = chi(A - v) - chi(A_v)
   with connected-component factorization and memoization.
 """
@@ -17,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chords import ChordSet
+from .chords import Chord, ChordKind, ChordSet, ChordUniverse, pockets
 from .geometry import Point, Polygon, Segment, convex_hull_points, no_three_collinear, segments_properly_cross
 from . import chords as _chords
 
@@ -101,10 +114,97 @@ def _nc_counts(adj: Sequence[int], live: int) -> list[int]:
     return counts
 
 
-def f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
-    """Exact non-crossing family counts via output-sensitive DFS."""
+def _dfs_f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
     fam = _as_family(family)
     return FVector(tuple(_nc_counts(fam.adj, fam.live)))
+
+
+# The DP's polynomials are packed into one integer each: the coefficient of
+# x^k sits in bits [k*width, (k+1)*width).  Every coefficient of every
+# intermediate polynomial counts distinct non-crossing subsets of the family
+# by size, so it is below 2^|family| and ``width = |family| + 1`` bits never
+# carry into the next coefficient.  Polynomial sums and products are then
+# integer sums and products, and a factor x is a shift by ``width``.
+
+
+def _cycle_poly(uni: ChordUniverse, fam: int, cycle: Sequence[int], width: int) -> int:
+    """Packed f-polynomial of the chords of ``fam`` strictly inside ``cycle``.
+
+    ``cycle`` lists polygon vertices in boundary order; its first and last
+    vertex span the base chord, which is not counted.  F[p][q] (positions
+    p < q - 1) sums, over chains p = u_0 < ... < u_t = q with t >= 2, the
+    product of the step weights: 1 for a boundary step u + 1, x * F[u][v] for
+    a chord (u, v) of ``fam`` and 0 otherwise.  The chain is the face on the
+    chord (p, q), and the chords of its steps split the rest.
+    """
+    length = len(cycle)
+    index = uni.index
+    ends: list[list[int]] = []  # ends[p]: the v > p + 1 with (p, v) a chord of fam
+    for p in range(length):
+        row = []
+        for v in range(p + 2, length):
+            k = index.get(Chord.of(cycle[p], cycle[v]))
+            if k is not None and fam >> k & 1:
+                row.append(v)
+        ends.append(row)
+    f_chord: dict[tuple[int, int], int] = {}  # F[u][v] for the chords (u, v) of fam
+    f_pq = 1  # a triangle holds no chord
+    for q in range(2, length):
+        # walk[v]: the chains v = u_0 < ... < u_t = q with t >= 1, weighted;
+        # F[p][q] is walk[p] less the direct step p -> q.
+        walk = [0] * (q + 1)
+        walk[q] = walk[q - 1] = 1
+        for p in range(q - 2, -1, -1):
+            f_pq = walk[p + 1]
+            for v in ends[p]:
+                if v >= q:
+                    break
+                f_pq += (f_chord[p, v] << width) * walk[v]
+            walk[p] = f_pq
+            if q in ends[p]:
+                f_chord[p, q] = f_pq
+                walk[p] += f_pq << width
+    return f_pq
+
+
+def _dp_f_vector(family: ChordSet) -> FVector:
+    """The interval DP of the module docstring; needs no boundary-crossing chord."""
+    uni = family.universe
+    poly = uni.polygon
+    fam = family.mask
+    d_fam = fam & uni.kind_mask(ChordKind.DIAGONAL)
+    e_fam = fam & ~d_fam
+    width = fam.bit_count() + 1
+    total = _cycle_poly(uni, d_fam, range(poly.n), width)
+    if e_fam:  # a diagonal family needs no hull walk (on coordinates)
+        covered = 0
+        for pocket in pockets(poly):
+            covered |= uni.span_mask(pocket.path)
+            part = _cycle_poly(uni, e_fam, pocket.path, width)
+            if e_fam >> uni.index[pocket.hull_chord] & 1:
+                part += part << width  # the hull chord crosses nothing: times (1 + x)
+            total *= part
+        assert e_fam & ~covered == 0, "an epigonal outside every pocket"
+    counts = []
+    low = (1 << width) - 1
+    while total:
+        counts.append(total & low)
+        total >>= width
+    return FVector(tuple(counts))
+
+
+def f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
+    """Exact non-crossing family counts (f_0, f_1, ...).
+
+    A chord set with no boundary-crossing chord is counted by the interval
+    DP (see the module docstring), in O(n^3) polynomial products.  Segment
+    lists and chord sets holding a boundary-crossing chord are enumerated by
+    the output-sensitive DFS on their crossing masks.
+    """
+    if isinstance(family, ChordSet):
+        if not family.mask & family.universe.kind_mask(ChordKind.BOUNDARY_CROSSING):
+            return _dp_f_vector(family)
+    return _dfs_f_vector(family)
 
 
 def iter_nc_masks(adj: Sequence[int], live: int):
@@ -127,8 +227,12 @@ def iter_nc_masks(adj: Sequence[int], live: int):
 
 
 def euler_brute(family: ChordSet | Sequence[Segment]) -> int:
-    """Alternating sum of the enumerated f-vector (the slow oracle)."""
-    return f_vector(family).euler
+    """Alternating sum of the DFS-enumerated f-vector (the slow oracle).
+
+    It always enumerates, on the crossing masks, and never takes the DP
+    route of :func:`f_vector`, so the two can be compared.
+    """
+    return _dfs_f_vector(family).euler
 
 
 def _chi(adj: Sequence[int], live: int, memo: dict[int, int]) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .chords import Chord, ChordKind, ChordSet, ChordUniverse, universe_of
+from .chords import Chord, ChordKind, ChordSet, ChordUniverse, Pocket, pockets, universe_of
 from .geometry import Point, Polygon, cross
 from .nc_euler import EulerEngine
 
@@ -336,27 +336,6 @@ def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) ->
         if prod == 0:
             break
     return prod
-
-
-@dataclass(frozen=True)
-class Pocket:
-    """A bounded face between the polygon and its convex hull."""
-
-    hull_chord: Chord
-    path: tuple[int, ...]  # parent indices from hull_chord.i side, polygon order
-
-
-def pockets(poly: Polygon) -> list[Pocket]:
-    hull = poly.hull_indices
-    n = poly.n
-    out = []
-    for t in range(len(hull)):
-        a, b = hull[t], hull[(t + 1) % len(hull)]
-        if (b - a) % n == 1:
-            continue
-        path = tuple((a + s) % n for s in range((b - a) % n + 1))
-        out.append(Pocket(Chord.of(a, b), path))
-    return out
 
 
 def pocket_polygon(poly: Polygon, pocket: Pocket) -> Polygon:

@@ -7,7 +7,7 @@ from chord_euler.catalan import (
     d_recurrence_check,
     identity14_check,
 )
-from chord_euler.chords import diagonals
+from chord_euler.chords import a_diagonals, diagonals
 from chord_euler.generators import convex_ngon
 from chord_euler.nc_euler import f_vector
 
@@ -79,6 +79,22 @@ def test_geometric_oracle_matches_closed_form():
                 assert count == d_closed(n, k, a)
             assert fv.euler == (-1) ** n * d_closed(n, n, a - 1)
             n += 1
+
+
+def test_dp_matches_closed_form_past_the_brute_force():
+    # The 54 cases a(n+1)+2 <= 32, a = 1..3, n >= 0, from the 4-gon on:
+    # the interval DP reaches the 32-gon, where the DFS stopped at 12.
+    polys = {size: convex_ngon(size) for size in range(4, 33)}
+    cases = 0
+    for a in (1, 2, 3):
+        for n in range(0, 30):
+            size = a * (n + 1) + 2
+            if size not in polys:
+                continue
+            fv = f_vector(a_diagonals(polys[size], a))
+            assert list(fv.counts) == [d_closed(n, k, a) for k in range(n + 1)], (a, n)
+            cases += 1
+    assert cases == 54
 
 
 def test_a_one_matches_plain_diagonal_counts():

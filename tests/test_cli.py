@@ -158,6 +158,16 @@ def test_reversed_range_is_bad_input(capsys):
         assert code == EXIT_INPUT and out == "" and "empty range" in err, argv
 
 
+def test_negative_random_is_bad_input(capsys):
+    # range(-3) is empty, so a negative count used to check no polygon and
+    # pass.  Zero stays valid: theorem1 still checks its convex polygons.
+    for target in ("theorem1", "theorem2", "theorem3", "lemmae"):
+        code, out, err = run(capsys, "verify", target, "--random", "-3")
+        assert code == EXIT_INPUT and out == "" and "--random" in err, target
+    code, out, _ = run(capsys, "verify", "theorem1", "--n", "3..6", "--random", "0")
+    assert code == EXIT_OK and out == "PASS theorem1\n"
+
+
 def test_catalan_subcommand(capsys):
     code, out, _ = run(capsys, "catalan", "--n", "2", "--k", "1", "--a", "1")
     assert code == EXIT_OK and out.strip() == "5"

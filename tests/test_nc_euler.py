@@ -1,11 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chord_euler.chords import Chord, diagonals, epigonals, universe_of
-from chord_euler.generators import convex_ngon, random_simple_polygon
+from chord_euler.chords import (
+    Chord,
+    ChordKind,
+    ChordSet,
+    diagonals,
+    ear_chord,
+    epigonals,
+    forbidden_star,
+    universe_of,
+)
+from chord_euler.generators import convex_ngon, random_simple_polygon, zigzag_chi_target
 from chord_euler.geometry import Point, Segment
 from chord_euler.nc_euler import (
+    _nc_counts,
     chi_point_family,
     euler_brute,
     euler_recursive,
@@ -14,7 +26,7 @@ from chord_euler.nc_euler import (
     hull_edge_in,
     is_heart,
 )
-from conftest import brute_euler, brute_nc_counts, pt
+from conftest import brute_euler, brute_nc_counts, exemplar_and_zigzag_polygons, pt
 
 
 def segs_of(polygon, chord_set):
@@ -35,9 +47,22 @@ def test_f_vector_convex_small():
     # d_3 = 14 is the hexagon triangulation count (Catalan number C_4).
 
 
-def test_f_vector_edge_cases():
+def test_f_vector_edge_cases(dart):
     assert f_vector([Segment(pt(0, 0), pt(1, 0))]).counts == (1, 1)
     assert f_vector([]).counts == (1,)
+    triangle = convex_ngon(3)
+    assert f_vector(diagonals(triangle)).counts == (1,)
+    assert f_vector(epigonals(triangle)).counts == (1,)
+    # The dart's one pocket is the triangle 1, 2, 3 on its hull chord 1-3.
+    uni = universe_of(dart)
+    hull_chord = uni.set_of([Chord.of(1, 3)])
+    assert f_vector(epigonals(dart)).counts == (1, 1)
+    assert f_vector(epigonals(dart) - hull_chord).counts == (1,)
+    # The DP's packed polynomial of an empty family over a big universe is 1:
+    # no trailing zero coefficients.
+    big = convex_ngon(12)
+    assert f_vector(ChordSet(universe_of(big), 0)).counts == (1,)
+    assert f_vector(universe_of(big).set_of([Chord.of(0, 5)])).counts == (1, 1)
 
 
 def test_f_vector_monotone_vanishing():
@@ -46,6 +71,67 @@ def test_f_vector_monotone_vanishing():
         fv = f_vector(diagonals(poly))
         assert fv.counts[0] == 1
         assert all(c > 0 for c in fv.counts)  # trimmed, so no internal zeros
+
+
+def _dp_families(poly, rng) -> list[ChordSet]:
+    """Diagonals and epigonals: whole, random sub-masks, a star and an ear removed."""
+    uni = universe_of(poly)
+    out = [diagonals(poly) | epigonals(poly)]
+    for fam in (diagonals(poly), epigonals(poly)):
+        out.append(fam)
+        out += [ChordSet(uni, fam.mask & rng.getrandbits(uni.size)) for _ in range(2)]
+        if poly.n >= 5:
+            i = rng.randrange(poly.n)
+            out += [fam - forbidden_star(poly, i), fam - ear_chord(poly, i)]
+    return out
+
+
+def _assert_dp_matches_dfs(poly, rng) -> None:
+    # Two routes that share no code with the DP: the DFS on the universe's
+    # crossing masks, and the DFS on the plain segment list, whose crossing
+    # masks come from coordinates rather than the orientation table.
+    uni = universe_of(poly)
+    for fam in _dp_families(poly, rng):
+        dp = f_vector(fam)
+        assert list(dp.counts) == _nc_counts(uni.crossing_masks, fam.mask), fam
+        assert dp == f_vector(segs_of(poly, fam)), fam
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 11), st.integers(0, 2**32))
+def test_dp_matches_dfs_random(n, seed):
+    _assert_dp_matches_dfs(random_simple_polygon(n, seed), random.Random(seed))
+
+
+def test_dp_matches_dfs_exemplars_and_zigzags():
+    rng = random.Random(4)
+    for poly in exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3)):
+        _assert_dp_matches_dfs(poly, rng)
+    # Where the DFS is slow (the l = 4 zigzag has 4.5e4 non-crossing diagonal
+    # sets, l = 7 has 1.2e8), the deletion recursion checks the alternating sums.
+    for poly in [zigzag_chi_target(l).polygon for l in (4, 5, -5, 7)]:
+        for fam in (diagonals(poly), epigonals(poly)):
+            assert f_vector(fam).euler == euler_recursive(fam)
+
+
+def test_boundary_crossing_sets_use_the_dfs():
+    for seed in range(10):
+        poly = random_simple_polygon(6, seed)
+        uni = universe_of(poly)
+        full = ChordSet(uni, uni.full_mask())
+        if not full.mask & uni.kind_mask(ChordKind.BOUNDARY_CROSSING):
+            continue
+        assert f_vector(full) == f_vector(segs_of(poly, full))
+
+
+def test_theorem1_tails_past_the_dfs():
+    # Non-convex polygons far past the DFS's reach (n <= 13): both
+    # alternating tails equal 1 (Theorem 1).
+    for n, seed in ((14, 1), (20, 2), (27, 3), (33, 4), (40, 5)):
+        poly = random_simple_polygon(n, seed)
+        assert not poly.is_convex
+        assert f_vector(diagonals(poly)).alternating_tail() == 1
+        assert f_vector(epigonals(poly)).alternating_tail() == 1
 
 
 def test_euler_values(square, dart):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chord_euler.chords import Chord, ChordKind, diagonals, universe_of
+from chord_euler.chords import Chord, ChordKind, diagonals, pockets, universe_of
 from chord_euler.generators import convex_ngon, random_simple_polygon, zigzag_chi_target
 from chord_euler.geometry import Polygon
 from chord_euler.nc_euler import EulerEngine, euler_brute, euler_recursive, iter_nc_masks
@@ -21,7 +21,6 @@ from chord_euler.partition import (
     extend_to_triangulation,
     find_diagonal,
     is_convex_partition,
-    pockets,
     subdivide,
     xi,
 )
