@@ -9,8 +9,20 @@ Geometry enters once per universe, as the orientation table of the vertex
 triples (the polygon's order type): ``left[i*n + j]`` has bit k set iff
 v_i -> v_j -> v_k turns counter-clockwise.  Everything else is read from it.
 
+The table itself is one integer determinant per vertex triple: coordinates
+are lifted to integer pairs over Z[sqrt 3] with a common denominator, and the
+sign of each a + b*sqrt(3) is decided by ``exact_scalar.sqrt3_sign``.  The
+chord kinds and the crossing masks are then whole-mask operations on n-bit
+vertex masks and m-bit chord masks, with no loop over chord pairs.
+
 * Two segments with four distinct endpoints in general position cross iff
-  each one's endpoints lie on opposite sides of the other's line.
+  each one's endpoints lie on opposite sides of the other's line.  For an
+  edge a -> a+1 against chord (i, j), that is bit a of
+  ``side ^ rotate(side)``, with ``side = left[i*n + j]``, and of
+  ``edge_left[i] ^ edge_left[j]``, where ``edge_left[v]`` is the mask of the
+  edges that have v on their left.  For two chords it is one endpoint in
+  ``side`` and the other in the rest, and v_i, v_j on opposite sides of the
+  other chord's line (``around[i] ^ around[j]``).
 * A chord (i, j) that crosses no edge lies wholly inside or wholly outside
   the polygon, and near v_i it runs along v_i -> v_j.  So it is a diagonal iff
   v_j lies in the interior cone at v_i, the counter-clockwise sweep from
@@ -27,7 +39,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .geometry import Polygon, Segment, orientation
+from .exact_scalar import lift, sqrt3_sign
+from .geometry import Polygon, Segment
 
 
 class Chord(NamedTuple):
@@ -82,60 +95,93 @@ class ChordUniverse:
     @cached_property
     def left(self) -> tuple[int, ...]:
         """left[i*n + j] has bit k set iff v_i -> v_j -> v_k turns CCW."""
-        vs = self.polygon.vertices
         n = self.polygon.n
+        lifted = lift([c for p in self.polygon.vertices for c in (p.x, p.y)])
+        xs, ys = lifted[0::2], lifted[1::2]
+        # det_a[i*n + j] + det_b[i*n + j]*sqrt(3) is x_i*y_j - x_j*y_i (times
+        # the common denominator squared), for i < j.
+        det_a = [0] * (n * n)
+        det_b = [0] * (n * n)
+        for i, j in combinations(range(n), 2):
+            (xia, xib), (yja, yjb) = xs[i], ys[j]
+            (xja, xjb), (yia, yib) = xs[j], ys[i]
+            det_a[i * n + j] = xia * yja + 3 * xib * yjb - xja * yia - 3 * xjb * yib
+            det_b[i * n + j] = xia * yjb + xib * yja - xja * yib - xjb * yia
         left = [0] * (n * n)
         for i, j, k in combinations(range(n), 3):
-            if orientation(vs[i], vs[j], vs[k]) > 0:
-                left[i * n + j] |= 1 << k
-                left[j * n + k] |= 1 << i
+            # The cross product (v_j - v_i) x (v_k - v_i).
+            ij, ik, jk = i * n + j, i * n + k, j * n + k
+            a = det_a[jk] - det_a[ik] + det_a[ij]
+            b = det_b[jk] - det_b[ik] + det_b[ij]
+            if sqrt3_sign(a, b) > 0:
+                left[ij] |= 1 << k
+                left[jk] |= 1 << i
                 left[k * n + i] |= 1 << j
             else:
                 left[j * n + i] |= 1 << k
                 left[k * n + j] |= 1 << i
-                left[i * n + k] |= 1 << j
+                left[ik] |= 1 << j
         return tuple(left)
 
     def ccw(self, i: int, j: int, k: int) -> bool:
         return bool(self.left[i * self.polygon.n + j] >> k & 1)
 
-    def _cross(self, i: int, j: int, k: int, m: int) -> bool:
-        # Segments v_i v_j and v_k v_m, four distinct endpoints: each
-        # straddles the other's line.
-        return (
-            self.ccw(i, j, k) != self.ccw(i, j, m)
-            and self.ccw(k, m, i) != self.ccw(k, m, j)
-        )
-
     @cached_property
     def kinds(self) -> tuple[ChordKind, ...]:
-        return tuple(self._classify(c) for c in self.chords)
-
-    def _classify(self, c: Chord) -> ChordKind:
         n = self.polygon.n
-        i, j = c
+        left = self.left
+        ccw = self.ccw
+        # edge_left[v] has bit a set iff v lies left of edge v_a -> v_{a+1}.
+        edge_left = [0] * n
         for a in range(n):
-            b = (a + 1) % n
-            if a not in c and b not in c and self._cross(i, j, a, b):
-                return ChordKind.BOUNDARY_CROSSING
-        prev, nxt = (i - 1) % n, (i + 1) % n
-        if self.ccw(prev, i, nxt):
-            inside = self.ccw(i, nxt, j) and self.ccw(i, j, prev)
-        else:
-            inside = not (self.ccw(i, prev, j) and self.ccw(i, j, nxt))
-        return ChordKind.DIAGONAL if inside else ChordKind.EPIGONAL
+            side = left[a * n + (a + 1) % n]
+            for v in range(n):
+                if side >> v & 1:
+                    edge_left[v] |= 1 << a
+        out = []
+        for i, j in self.chords:
+            # Bit a of side ^ (side rotated by one) is set iff v_a and v_{a+1}
+            # lie on opposite sides of line ij; edges i-1, i, j-1 and j touch
+            # the chord and are left out.
+            side = left[i * n + j]
+            straddled = side ^ (side >> 1 | (side & 1) << (n - 1))
+            touching = 1 << (i - 1) % n | 1 << i | 1 << j - 1 | 1 << j
+            if straddled & (edge_left[i] ^ edge_left[j]) & ~touching:
+                out.append(ChordKind.BOUNDARY_CROSSING)
+                continue
+            prev, nxt = (i - 1) % n, i + 1
+            if ccw(prev, i, nxt):
+                inside = ccw(i, nxt, j) and ccw(i, j, prev)
+            else:
+                inside = not (ccw(i, prev, j) and ccw(i, j, nxt))
+            out.append(ChordKind.DIAGONAL if inside else ChordKind.EPIGONAL)
+        return tuple(out)
 
     @cached_property
     def crossing_masks(self) -> tuple[int, ...]:
         """crossing_masks[k] has bit m set iff chords k and m properly cross."""
-        chords = self.chords
-        masks = [0] * self.size
-        for a, (i, j) in enumerate(chords):
-            for b in range(a + 1, self.size):
-                k, m = chords[b]
-                if len({i, j, k, m}) == 4 and self._cross(i, j, k, m):
-                    masks[a] |= 1 << b
-                    masks[b] |= 1 << a
+        n = self.polygon.n
+        left = self.left
+        inc = self.incidence
+        # around[v] has bit c set iff v lies left of the line of chord c.
+        around = [0] * n
+        for c, (k, m) in enumerate(self.chords):
+            side = left[k * n + m]
+            for v in range(n):
+                if side >> v & 1:
+                    around[v] |= 1 << c
+        masks = []
+        for i, j in self.chords:
+            # The XOR of the incidence masks over the vertices left of line ij
+            # holds the chords with exactly one endpoint there; those that do
+            # not touch v_i or v_j have their other endpoint right of it.
+            side = left[i * n + j]
+            odd = 0
+            while side:
+                low = side & -side
+                odd ^= inc[low.bit_length() - 1]
+                side ^= low
+            masks.append(odd & ~(inc[i] | inc[j]) & (around[i] ^ around[j]))
         return tuple(masks)
 
     @cached_property

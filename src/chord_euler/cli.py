@@ -85,6 +85,8 @@ def load_polygon(path: str) -> Polygon:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliInputError(f"cannot read polygon file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliInputError(str(exc)) from exc
     return polygon_from_json(doc)
 
 
@@ -94,14 +96,17 @@ def _dump_json(doc: dict, out) -> None:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise CliInputError(f"empty range {text!r}: {lo} > {hi}")
-        return lo, hi
-    v = int(text)
-    return v, v
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            lo, hi = int(lo), int(hi)
+        else:
+            lo = hi = int(text)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
+    if lo > hi:
+        raise CliInputError(f"empty range {text!r}: {lo} > {hi}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +439,11 @@ def render_svg(poly: Polygon, chords: list[Chord]) -> str:
 
 
 def cmd_catalan(args) -> int:
-    print(d_closed(args.n, args.k, args.a))
+    try:
+        value = d_closed(args.n, args.k, args.a)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
+    print(value)
     return EXIT_OK
 
 
@@ -521,10 +530,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CapExceeded, InstanceTooLarge) as exc:
-        # First: InstanceTooLarge is a ValueError, which the next clause takes.
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (CliInputError, PolygonError, ValueError) as exc:
+    except (CliInputError, PolygonError) as exc:
+        # A ValueError from user input is wrapped as CliInputError where it
+        # is raised; any other ValueError is a fault and is not bad input.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GeneratorError as exc:

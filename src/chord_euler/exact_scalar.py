@@ -2,15 +2,18 @@
 
 Every coordinate in this library is a ``QSqrt3`` value (a + b*sqrt(3))/q with
 integer a, b and positive integer q.  Plain rationals embed with b = 0, so a
-single exact sign routine decides every geometric predicate.  No floating
-point is used anywhere in a decision path.
+single exact sign routine, ``sqrt3_sign``, decides every geometric predicate,
+whether it is evaluated on ``QSqrt3`` objects or on coordinates ``lift``-ed to
+integer pairs over a common denominator.  No floating point is used anywhere
+in a decision path.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from typing import Sequence
 
 # Rationals are plain ``fractions.Fraction``: always reduced, positive
 # denominator, structural equality and hashing.
@@ -21,6 +24,32 @@ _SQRT3_RE = re.compile(
         (?:(?P<sign>[+-])\s*(?P<s>\d+(?:/\d+)?)\s*\*\s*sqrt3)?\s*$""",
     re.VERBOSE,
 )
+
+
+def sqrt3_sign(a: int, b: int) -> int:
+    """Exact sign of a + b*sqrt(3) for integers a, b, in {-1, 0, +1}."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    sa = 1 if a > 0 else -1
+    sb = 1 if b > 0 else -1
+    if sa == sb:
+        return sa
+    # Opposite signs: |a| vs |b|*sqrt(3) decided by squaring.
+    aa = a * a
+    bb3 = 3 * b * b
+    if aa == bb3:  # would mean sqrt(3) rational
+        raise ArithmeticError("impossible equality a^2 == 3 b^2 with b != 0")
+    return sa if aa > bb3 else sb
+
+
+def lift(values: Sequence[QSqrt3]) -> list[tuple[int, int]]:
+    """Integer pairs (a, b) with value = (a + b*sqrt(3)) / d, one d > 0 for all."""
+    d = 1
+    for v in values:
+        d = lcm(d, v._q)
+    return [(v._a * (d // v._q), v._b * (d // v._q)) for v in values]
 
 
 class QSqrt3:
@@ -135,21 +164,7 @@ class QSqrt3:
 
     def sign(self) -> int:
         """Exact sign of the real value, in {-1, 0, +1}."""
-        a, b = self._a, self._b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        # Opposite signs: |a| vs |b|*sqrt(3) decided by squaring.
-        aa = a * a
-        bb3 = 3 * b * b
-        if aa == bb3:  # would mean sqrt(3) rational
-            raise ArithmeticError("impossible equality a^2 == 3 b^2 with b != 0")
-        return sa if aa > bb3 else sb
+        return sqrt3_sign(self._a, self._b)
 
     def __lt__(self, other: QSqrt3 | int | Rat) -> bool:
         return (self - other).sign() < 0

@@ -148,12 +148,48 @@ def test_table_matches_coordinates_exemplars_and_zigzags():
         _assert_table_matches_coordinates(poly)
 
 
-def test_orientation_table():
-    poly = random_simple_polygon(9, 3)
+def _relabeled_structure(poly, label):
+    # Kinds and crossing pairs of poly's universe, with each vertex v named
+    # label(v), so that two labelings of one polygon compare equal.
     uni = universe_of(poly)
-    vs = poly.vertices
-    for i in range(poly.n):
-        for j in range(poly.n):
-            for k in range(poly.n):
-                want = len({i, j, k}) == 3 and orientation(vs[i], vs[j], vs[k]) > 0
-                assert uni.ccw(i, j, k) == want
+    name = [frozenset((label(c.i), label(c.j))) for c in uni.chords]
+    kinds = dict(zip(name, uni.kinds))
+    crossings = {
+        frozenset((name[a], name[b]))
+        for a, mask in enumerate(uni.crossing_masks)
+        for b in range(uni.size)
+        if mask >> b & 1
+    }
+    return kinds, crossings
+
+
+def test_table_matches_coordinates_past_hypothesis_range():
+    # n = 16..24 (the hypothesis test draws n <= 12): the edge masks wrap at
+    # n - 1 -> 0 with more vertices and chords than it reaches.  Rotation and
+    # mirror image relabel the vertices; kinds and crossings must follow.
+    for n in range(16, 25):
+        poly = random_simple_polygon(n, n)
+        _assert_table_matches_coordinates(poly)
+        want = _relabeled_structure(poly, lambda v: v)
+        for s in (1, n // 2, n - 1):
+            assert _relabeled_structure(poly.rotated(s), lambda v: (v + s) % n) == want
+        # Mirror (x -> -x) and reverse the order, which keeps it CCW.
+        mirror = validate_polygon([Point(-p.x, p.y) for p in reversed(poly.vertices)])
+        assert mirror.vertices[0] == Point(-poly.vertices[-1].x, poly.vertices[-1].y)
+        assert _relabeled_structure(mirror, lambda v: n - 1 - v) == want
+
+
+def test_orientation_table():
+    # Integer, rational (convex n-gons on the unit circle) and sqrt(3)
+    # (zigzags) coordinates, against the QSqrt3 predicate.
+    corpus = [random_simple_polygon(9, 3)]
+    corpus += [convex_ngon(n) for n in range(5, 13)]
+    corpus += exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3, 4))
+    for poly in corpus:
+        uni = universe_of(poly)
+        vs = poly.vertices
+        for i in range(poly.n):
+            for j in range(poly.n):
+                for k in range(poly.n):
+                    want = len({i, j, k}) == 3 and orientation(vs[i], vs[j], vs[k]) > 0
+                    assert uni.ccw(i, j, k) == want

@@ -117,6 +117,39 @@ def test_exit_cap_from_library_limit(capsys, monkeypatch):
     assert code == EXIT_CAP and err.startswith("cap exceeded:")
 
 
+def test_internal_value_error_is_not_bad_input(capsys, monkeypatch):
+    # A ValueError raised inside the library is a fault, not bad input: it
+    # propagates instead of exiting 2.
+    import chord_euler.cli as cli
+
+    def faulty(poly, i):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "verify_theorem3", faulty)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["verify", "theorem3", "--n", "5..6", "--random", "1"])
+
+
+def test_user_value_errors_stay_bad_input(tmp_path, capsys, dart):
+    path = tmp_path / "dart.json"
+    path.write_text(json.dumps(polygon_to_json(dart)))
+    side = tmp_path / "chords.json"
+    side.write_text(json.dumps({"chords": ["3-3"]}))
+    code, out, err = run(capsys, "render", str(path), "--chords", str(side))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: cannot read chord sidecar: chord endpoints must differ\n"
+    code, out, err = run(capsys, "analyze", str(path), "--cut", "3-3")
+    assert (code, err) == (EXIT_INPUT, "error: bad cut: chord endpoints must differ\n")
+    code, out, err = run(capsys, "verify", "theorem3", "--n", "3..x")
+    assert (code, err) == (EXIT_INPUT, "error: invalid literal for int() with base 10: 'x'\n")
+    code, out, err = run(capsys, "catalan", "--n", "-1", "--k", "2", "--a", "2")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: n, k, a must be non-negative\n")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, "analyze", str(binary))
+    assert code == EXIT_INPUT and err.startswith("error: 'utf-8' codec can't decode")
+
+
 def test_exit_generator_failure(capsys):
     code, _, _ = run(capsys, "generate", "zigzag", "--l", "1")
     assert code == EXIT_GENERATOR

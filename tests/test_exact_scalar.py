@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chord_euler.exact_scalar import QSqrt3
+from chord_euler.exact_scalar import QSqrt3, lift, sqrt3_sign
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=16
@@ -43,6 +44,35 @@ def test_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert a * b == b * a
+
+
+def _sign_by_integer_bounds(a, b):
+    # For b != 0, 3b^2 is not a square, so r = isqrt(3b^2) < |b|*sqrt(3) < r + 1.
+    if b == 0:
+        return (a > 0) - (a < 0)
+    r = isqrt(3 * b * b)
+    if b > 0:
+        return 1 if a >= -r else -1
+    return 1 if a >= r + 1 else -1
+
+
+def test_sqrt3_sign_grid():
+    # a = 0 with b < 0, and both outcomes of the squaring comparison for
+    # opposite signs (|a| on each side of |b|*sqrt(3)), all lie in the grid.
+    cases = [(a, b) for a in range(-60, 61) for b in range(-35, 36)]
+    cases += [(-97, 56), (97, -56), (-168, 97), (168, -97)]  # near a^2 = 3b^2
+    for a, b in cases:
+        want = _sign_by_integer_bounds(a, b)
+        assert sqrt3_sign(a, b) == want, (a, b)
+        assert QSqrt3(a, b).sign() == want, (a, b)
+
+
+def test_lift_common_denominator():
+    values = [QSqrt3(Fraction(1, 6), Fraction(-3, 4)), QSqrt3(5), QSqrt3(0, Fraction(2, 9))]
+    lifted = lift(values)
+    d = lifted[1][0] // 5
+    assert d > 0
+    assert [QSqrt3(Fraction(a, d), Fraction(b, d)) for a, b in lifted] == values
 
 
 @given(scalars)
