@@ -29,6 +29,10 @@ vertex masks and m-bit chord masks, with no loop over chord pairs.
   v_i -> v_{i+1} to v_i -> v_{i-1}.  At a convex vertex the cone is the convex
   angle; at a reflex vertex it is everything outside the convex exterior
   cone.
+* a -> b is an edge of the convex hull, traversed counter-clockwise, iff
+  every other vertex lies left of it: ``left[a*n + b] | 1 << a | 1 << b`` is
+  the full vertex mask (Knuth, *Axioms and Hulls*).  The pockets, the regions
+  between the polygon and its hull, follow from the hull chords.
 """
 
 from __future__ import annotations
@@ -127,6 +131,37 @@ class ChordUniverse:
         return bool(self.left[i * self.polygon.n + j] >> k & 1)
 
     @cached_property
+    def hull(self) -> tuple[int, ...]:
+        """Convex-hull vertex indices, CCW, starting at the smallest."""
+        n = self.polygon.n
+        left = self.left
+        full = (1 << n) - 1
+        succ = {}
+        for a in range(n):
+            for b in range(n):
+                if b != a and left[a * n + b] | 1 << a | 1 << b == full:
+                    succ[a] = b
+                    break
+        out = [min(succ)]
+        while (b := succ[out[-1]]) != out[0]:
+            out.append(b)
+        return tuple(out)
+
+    @cached_property
+    def pockets(self) -> tuple[Pocket, ...]:
+        """One pocket per hull edge that is not a polygon edge, in hull order."""
+        hull = self.hull
+        n = self.polygon.n
+        out = []
+        for t in range(len(hull)):
+            a, b = hull[t], hull[(t + 1) % len(hull)]
+            if (b - a) % n == 1:
+                continue
+            path = tuple((a + s) % n for s in range((b - a) % n + 1))
+            out.append(Pocket(Chord.of(a, b), path))
+        return tuple(out)
+
+    @cached_property
     def kinds(self) -> tuple[ChordKind, ...]:
         n = self.polygon.n
         left = self.left
@@ -205,12 +240,15 @@ class ChordUniverse:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
+    @cached_property
+    def _kind_masks(self) -> dict[ChordKind, int]:
+        masks = dict.fromkeys(ChordKind, 0)
+        for k, kind in enumerate(self.kinds):
+            masks[kind] |= 1 << k
+        return masks
+
     def kind_mask(self, kind: ChordKind) -> int:
-        mask = 0
-        for k, kk in enumerate(self.kinds):
-            if kk is kind:
-                mask |= 1 << k
-        return mask
+        return self._kind_masks[kind]
 
     def set_of(self, chords: Iterable[Chord]) -> ChordSet:
         mask = 0
@@ -292,16 +330,7 @@ class Pocket:
 
 
 def pockets(poly: Polygon) -> list[Pocket]:
-    hull = poly.hull_indices
-    n = poly.n
-    out = []
-    for t in range(len(hull)):
-        a, b = hull[t], hull[(t + 1) % len(hull)]
-        if (b - a) % n == 1:
-            continue
-        path = tuple((a + s) % n for s in range((b - a) % n + 1))
-        out.append(Pocket(Chord.of(a, b), path))
-    return out
+    return list(universe_of(poly).pockets)
 
 
 def universe_of(polygon: Polygon) -> ChordUniverse:

@@ -1,12 +1,16 @@
 """Detectors for the six forbidden-position polygon classes and the theorem verifiers.
 
-Each detector is a pure exact-predicate test (reflex patterns, angle signs,
-pocket shapes) and never computes an Euler characteristic, so the
-biconditional checks in :func:`verify_theorem3` compare two genuinely
-independent computations.
+Each detector is a pure test on the polygon's order type (reflex patterns,
+angle signs, pocket shapes) and never computes an Euler characteristic, so
+the biconditional checks in :func:`verify_theorem3` compare two genuinely
+independent computations.  The reflex set comes from the coordinates (it
+needs only n triples); every other sign is read from the chord universe's
+orientation table, which the chi routes build anyway.  The tests check each
+detector against its coordinate version.
 
 Index conventions: the special vertex is ``i``; all index arithmetic is mod n;
-"angle XAY exceeds pi" is the CCW angle at A from ray A->X to ray A->Y.
+"angle XAY exceeds pi" is the CCW angle at A from ray A->X to ray A->Y, which
+in general position is ``not ccw(A, X, Y)``.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .chords import ChordKind, Pocket, ear_chord, forbidden_star, pockets, universe_of
-from .geometry import Polygon, PolygonError, angle_exceeds_pi
+from .chords import ChordKind, ChordUniverse, ear_chord, forbidden_star, pockets, universe_of
+from .geometry import Polygon
 from .nc_euler import f_vector
-from .partition import chi_removed_direct, pocket_polygon, subdivide
+from .partition import chi_removed_direct
 
 CLASS_NAMES = ("Class1", "Class2", "Class3", "Class4", "Class5", "Class6")
 
@@ -27,26 +31,42 @@ def _require_size(poly: Polygon, smallest: int) -> None:
         raise ValueError(f"needs n >= {smallest}, got {poly.n}")
 
 
+def _convex_without(uni: ChordUniverse, i: int) -> bool:
+    """Whether the cycle of all vertices but i is a convex polygon.
+
+    It is iff every edge of the cycle has all of the cycle's other vertices on
+    its left; a cycle that winds around twice fails this too.
+    """
+    n = uni.polygon.n
+    left = uni.left
+    full = (1 << n) - 1
+    rest = [t for t in range(n) if t != i]
+    return all(
+        left[a * n + b] | 1 << a | 1 << b | 1 << i == full
+        for a, b in zip(rest, rest[1:] + rest[:1])
+    )
+
+
 def is_class1(poly: Polygon, i: int) -> bool:
     """One reflex vertex at i, with the two-step angle profile around it."""
     _require_size(poly, 5)
     n = poly.n
-    if poly.reflex_vertices != frozenset({i % n}):
+    i %= n
+    if poly.reflex_vertices != frozenset({i}):
         return False
-    vs = poly.vertices
-    a = vs[i % n]
-    nxt1, nxt2 = vs[(i + 1) % n], vs[(i + 2) % n]
-    prv1, prv2 = vs[(i - 1) % n], vs[(i - 2) % n]
-    if angle_exceeds_pi(a, nxt2, prv2):
+    ccw = universe_of(poly).ccw
+    nxt1, nxt2 = (i + 1) % n, (i + 2) % n
+    prv1, prv2 = (i - 1) % n, (i - 2) % n
+    if not ccw(i, nxt2, prv2):
         return False
-    return angle_exceeds_pi(a, nxt2, prv1) == angle_exceeds_pi(a, nxt1, prv2)
+    return ccw(i, nxt2, prv1) == ccw(i, nxt1, prv2)
 
 
 def is_class2(poly: Polygon, i: int, allow_degenerate_quad: bool = False) -> bool:
     """Reflex everywhere except the three consecutive vertices i-1, i, i+1.
 
     n = 4 degenerates to a dart with its reflex vertex opposite i; accepted
-    only with the explicit flag (used by the pocket analysis of Class 3).
+    only with the explicit flag.
     """
     _require_size(poly, 4 if allow_degenerate_quad else 5)
     n = poly.n
@@ -55,14 +75,21 @@ def is_class2(poly: Polygon, i: int, allow_degenerate_quad: bool = False) -> boo
     return poly.reflex_vertices == expected
 
 
-def _pocket_is_class2_shaped(poly: Polygon, pocket: Pocket, apex_parent: int) -> bool:
-    sub = pocket_polygon(poly, pocket)
-    if sub.n == 3:
-        return True
-    # pocket_polygon reverses the path, so the apex sits at one end.
-    rev = tuple(reversed(pocket.path))
-    apex = rev.index(apex_parent)
-    return is_class2(sub, apex, allow_degenerate_quad=True)
+def _pocket_is_class2_shaped(uni: ChordUniverse, path: tuple[int, ...], apex: int) -> bool:
+    """Whether the pocket region is a triangle or a Class-2 region at ``apex``.
+
+    The region runs the path backwards, so its reflex vertices are the path
+    vertices p[s] with p[s-1] -> p[s] -> p[s+1] counter-clockwise, taken
+    cyclically: the hull chord closes the cycle.  Class 2 (down to the dart)
+    asks for them everywhere but at the apex and its two neighbours.
+    """
+    k = len(path)
+    a = path.index(apex)
+    ccw = uni.ccw
+    return all(
+        ccw(path[s - 1], path[s], path[(s + 1) % k]) != ((s - a) % k in (0, 1, k - 1))
+        for s in range(k)
+    )
 
 
 def is_class3(poly: Polygon, i: int) -> bool:
@@ -76,15 +103,14 @@ def is_class3(poly: Polygon, i: int) -> bool:
     i %= n
     if poly.is_convex or i in poly.reflex_vertices:
         return False
-    pks = pockets(poly)
+    uni = universe_of(poly)
+    pks = uni.pockets
     if not pks:
         return False
-    for p in pks:
-        if i not in (p.hull_chord.i, p.hull_chord.j):
-            return False
-        if not _pocket_is_class2_shaped(poly, p, i):
-            return False
-    return True
+    return all(
+        i in (p.hull_chord.i, p.hull_chord.j) and _pocket_is_class2_shaped(uni, p.path, i)
+        for p in pks
+    )
 
 
 def is_class4(poly: Polygon, i: int) -> bool:
@@ -92,17 +118,15 @@ def is_class4(poly: Polygon, i: int) -> bool:
     _require_size(poly, 5)
     n = poly.n
     i %= n
-    if poly.is_convex:
+    # A vertex other than i-1, i and i+1 has the same neighbours in P as in
+    # the convex remainder, and i is a corner of the triangle: only i-1 and
+    # i+1 can be reflex.
+    if poly.is_convex or not poly.reflex_vertices <= {(i - 1) % n, (i + 1) % n}:
         return False
     uni = universe_of(poly)
-    ear = ear_chord(poly, i)
-    (chord,) = ear.chords()
-    if uni.kinds[uni.index[chord]] is not ChordKind.DIAGONAL:
+    if not ear_chord(poly, i).mask & uni.kind_mask(ChordKind.DIAGONAL):
         return False
-    parts = subdivide(poly, ear).parts
-    far = next(p for p in parts if i not in p)
-    sub = Polygon._trusted([poly.vertices[t] for t in far])
-    return sub.is_convex
+    return _convex_without(uni, i)
 
 
 def is_class5(poly: Polygon, i: int) -> bool:
@@ -112,12 +136,7 @@ def is_class5(poly: Polygon, i: int) -> bool:
     i %= n
     if poly.reflex_vertices != frozenset({i}):
         return False
-    rest = [poly.vertices[t] for t in range(n) if t != i]
-    try:
-        reduced = Polygon(rest)
-    except PolygonError:
-        return False
-    return reduced.is_convex
+    return _convex_without(universe_of(poly), i)
 
 
 def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
@@ -141,21 +160,17 @@ def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
         q -= 1
     if rest != set(range(2, p + 1)) | set(range(q, n - 1)) or p >= q - 1:
         return None
-    vs = poly.vertices
-    v0, vp, vq = vs[i], vs[rel(p)], vs[rel(q)]
-    if not angle_exceeds_pi(v0, vp, vq):
+    ccw = uni.ccw
+    if ccw(i, rel(p), rel(q)):
         return None
     # The middle fan [i, p..q] must be reflex only at the apex.
-    if angle_exceeds_pi(vp, vs[rel(p + 1)], v0):
-        return None
-    if angle_exceeds_pi(vq, v0, vs[rel(q - 1)]):
+    if not ccw(rel(p), rel(p + 1), i) or not ccw(rel(q), i, rel(q - 1)):
         return None
     if q - p >= 3:
         # Proper middle polygon: the one-reflex-vertex profile at the apex.
-        nxt2, prv2 = vs[rel(p + 1)], vs[rel(q - 1)]
-        if angle_exceeds_pi(v0, nxt2, prv2):
+        if not ccw(i, rel(p + 1), rel(q - 1)):
             return None
-        if angle_exceeds_pi(v0, nxt2, vq) != angle_exceeds_pi(v0, vp, prv2):
+        if ccw(i, rel(p + 1), rel(q)) != ccw(i, rel(p), rel(q - 1)):
             return None
     middle = tuple(rel(t) for t in range(p, q + 1))
     outer_lo = tuple(rel(t) for t in range(0, p + 1)) if p > 1 else ()

@@ -416,7 +416,10 @@ def render_svg(poly: Polygon, chords: list[Chord]) -> str:
         ChordKind.BOUNDARY_CROSSING: 'stroke="#777777" stroke-dasharray="8 3 2 3"',
     }
     for c in sorted(chords):
-        kind = uni.kinds[uni.index[Chord.of(c.i, c.j)]]
+        k = uni.index.get(Chord.of(c.i, c.j))
+        if k is None:
+            raise CliInputError(f"chord {c} is not a chord of the {poly.n}-gon")
+        kind = uni.kinds[k]
         a, b = poly.vertices[c.i], poly.vertices[c.j]
         out.append(
             f'<line x1="{sx(_svg_coord(a.x)):.3f}" y1="{sy(_svg_coord(a.y)):.3f}" '

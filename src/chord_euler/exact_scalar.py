@@ -199,10 +199,11 @@ class QSqrt3:
         m = _SQRT3_RE.match(text)
         if not m:
             raise ValueError(f"not a Q(sqrt3) scalar: {text!r}")
-        r = Fraction(m.group("r"))
-        s = Fraction(0)
-        if m.group("s") is not None:
-            s = Fraction(m.group("s"))
-            if m.group("sign") == "-":
-                s = -s
+        try:
+            r = Fraction(m.group("r"))
+            s = Fraction(m.group("s") or 0)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in Q(sqrt3) scalar: {text!r}") from exc
+        if m.group("sign") == "-":
+            s = -s
         return cls(r, s)

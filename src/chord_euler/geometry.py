@@ -185,15 +185,6 @@ class Polygon:
     def is_convex(self) -> bool:
         return not self.reflex_vertices
 
-    @cached_property
-    def hull_indices(self) -> tuple[int, ...]:
-        """Indices of the convex-hull vertices, CCW, starting at the smallest."""
-        hull_pts = convex_hull_points(self.vertices)
-        index_of = {p: i for i, p in enumerate(self.vertices)}
-        idx = [index_of[p] for p in hull_pts]
-        m = idx.index(min(idx))
-        return tuple(idx[m:] + idx[:m])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
 

@@ -176,7 +176,7 @@ def _dp_f_vector(family: ChordSet) -> FVector:
     e_fam = fam & ~d_fam
     width = fam.bit_count() + 1
     total = _cycle_poly(uni, d_fam, range(poly.n), width)
-    if e_fam:  # a diagonal family needs no hull walk (on coordinates)
+    if e_fam:  # a diagonal family needs no pockets
         covered = 0
         for pocket in pockets(poly):
             covered |= uni.span_mask(pocket.path)
@@ -386,13 +386,9 @@ def find_heart(polygon: Polygon, side: str) -> ChordSet | None:
         if mask == 0:
             raise AssertionError("reflex vertex without incident diagonal")
         return ChordSet(uni, mask)
-    hull = polygon.hull_indices
-    n = polygon.n
-    for t in range(len(hull)):
-        a, b = hull[t], hull[(t + 1) % len(hull)]
-        if (b - a) % n != 1 and (a - b) % n != 1:
-            return uni.set_of([_chords.Chord.of(a, b)])
-    raise AssertionError("non-convex polygon without hull-edge epigonal")
+    if not uni.pockets:
+        raise AssertionError("non-convex polygon without hull-edge epigonal")
+    return uni.set_of([uni.pockets[0].hull_chord])
 
 
 def chi_point_family(points: Sequence[Point], segments: Sequence[Segment]) -> int:

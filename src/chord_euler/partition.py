@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .chords import Chord, ChordKind, ChordSet, ChordUniverse, Pocket, pockets, universe_of
+from .chords import Chord, ChordKind, ChordSet, ChordUniverse, pockets, universe_of
 from .geometry import Point, Polygon, cross
 from .nc_euler import EulerEngine
 
@@ -336,12 +336,6 @@ def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) ->
         if prod == 0:
             break
     return prod
-
-
-def pocket_polygon(poly: Polygon, pocket: Pocket) -> Polygon:
-    # Reversed: the pocket region lies on the far side of the polygon path.
-    vs = poly.vertices
-    return Polygon._trusted([vs[i] for i in reversed(pocket.path)])
 
 
 def chi_epigonal_pockets(poly: Polygon, removed: ChordSet) -> int:

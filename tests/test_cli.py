@@ -99,6 +99,26 @@ def test_exit_input_error(tmp_path, capsys):
     assert run(capsys, "analyze", str(bad_scalar))[0] == EXIT_INPUT
 
 
+def test_zero_denominator_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"vertices": [{"x": "1/0", "y": "0/1"}]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: malformed polygon document: zero denominator in Q(sqrt3) scalar: '1/0'\n"
+
+
+@pytest.mark.parametrize("n,chord", [(7, "0-1"), (7, "0-6"), (8, "1-8")])
+def test_render_sidecar_chord_outside_universe_is_bad_input(tmp_path, capsys, n, chord):
+    # An edge, the closing edge and an index past the last vertex.
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(polygon_to_json(convex_ngon(n))))
+    side = tmp_path / "chords.json"
+    side.write_text(json.dumps({"chords": [chord]}))
+    code, out, err = run(capsys, "render", str(path), "--chords", str(side))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: chord {chord} is not a chord of the {n}-gon\n"
+
+
 def test_exit_cap(capsys):
     code, _, err = run(capsys, "verify", "theorem2", "--n", "4..20", "--random", "1")
     assert code == EXIT_CAP and "cap" in err

@@ -112,6 +112,13 @@ def test_parse_forms():
         QSqrt3.parse("sqrt2")
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "1/2+3/0*sqrt3", "-5/0-1/1*sqrt3"])
+def test_parse_zero_denominator_is_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator") as info:
+        QSqrt3.parse(text)
+    assert not isinstance(info.value, ZeroDivisionError)
+
+
 def test_canonical_representation_and_hash():
     a = QSqrt3(Fraction(2, 4), Fraction(6, 8))
     b = QSqrt3(Fraction(1, 2), Fraction(3, 4))
