@@ -5,14 +5,11 @@ exactly one of: a diagonal (interior), an epigonal (exterior), or boundary
 crossing.  Chord sets are bit vectors over the polygon's fixed, lexicographic
 chord universe, so set algebra is integer arithmetic and deterministic.
 
-Geometry enters once per universe, as the orientation table of the vertex
-triples (the polygon's order type): ``left[i*n + j]`` has bit k set iff
-v_i -> v_j -> v_k turns counter-clockwise.  Everything else is read from it.
-
-The table itself is one integer determinant per vertex triple: coordinates
-are lifted to integer pairs over Z[sqrt 3] with a common denominator, and the
-sign of each a + b*sqrt(3) is decided by ``exact_scalar.sqrt3_sign``.  The
-chord kinds and the crossing masks are then whole-mask operations on n-bit
+Geometry enters once per polygon, as the orientation table of its vertex
+triples (``Polygon.left``, the polygon's order type, built by
+``geometry.orientation_table``): ``left[i*n + j]`` has bit k set iff
+v_i -> v_j -> v_k turns counter-clockwise.  Everything here is read from it.
+The chord kinds and the crossing masks are whole-mask operations on n-bit
 vertex masks and m-bit chord masks, with no loop over chord pairs.
 
 * Two segments with four distinct endpoints in general position cross iff
@@ -30,9 +27,9 @@ vertex masks and m-bit chord masks, with no loop over chord pairs.
   angle; at a reflex vertex it is everything outside the convex exterior
   cone.
 * a -> b is an edge of the convex hull, traversed counter-clockwise, iff
-  every other vertex lies left of it: ``left[a*n + b] | 1 << a | 1 << b`` is
-  the full vertex mask (Knuth, *Axioms and Hulls*).  The pockets, the regions
-  between the polygon and its hull, follow from the hull chords.
+  every other vertex lies left of it (``geometry.hull_successors``; Knuth,
+  *Axioms and Hulls*).  The pockets, the regions between the polygon and its
+  hull, follow from the hull chords.
 """
 
 from __future__ import annotations
@@ -40,11 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact_scalar import lift, sqrt3_sign
-from .geometry import Polygon, Segment
+from .geometry import Polygon, Segment, hull_successors
 
 
 class Chord(NamedTuple):
@@ -75,9 +70,10 @@ class ChordKind(Enum):
 class ChordUniverse:
     """All chords of one polygon, in lexicographic (i, j) order.
 
-    Owns the orientation table, the per-chord classification and the
-    pairwise crossing masks; every :class:`ChordSet` over the polygon shares
-    this object, which keeps bit positions and memo keys stable.
+    Owns the per-chord classification and the pairwise crossing masks, both
+    read from the polygon's orientation table; every :class:`ChordSet` over
+    the polygon shares this object, which keeps bit positions and memo keys
+    stable.
     """
 
     def __init__(self, polygon: Polygon):
@@ -97,51 +93,9 @@ class ChordUniverse:
         return Segment(vs[c.i], vs[c.j])
 
     @cached_property
-    def left(self) -> tuple[int, ...]:
-        """left[i*n + j] has bit k set iff v_i -> v_j -> v_k turns CCW."""
-        n = self.polygon.n
-        lifted = lift([c for p in self.polygon.vertices for c in (p.x, p.y)])
-        xs, ys = lifted[0::2], lifted[1::2]
-        # det_a[i*n + j] + det_b[i*n + j]*sqrt(3) is x_i*y_j - x_j*y_i (times
-        # the common denominator squared), for i < j.
-        det_a = [0] * (n * n)
-        det_b = [0] * (n * n)
-        for i, j in combinations(range(n), 2):
-            (xia, xib), (yja, yjb) = xs[i], ys[j]
-            (xja, xjb), (yia, yib) = xs[j], ys[i]
-            det_a[i * n + j] = xia * yja + 3 * xib * yjb - xja * yia - 3 * xjb * yib
-            det_b[i * n + j] = xia * yjb + xib * yja - xja * yib - xjb * yia
-        left = [0] * (n * n)
-        for i, j, k in combinations(range(n), 3):
-            # The cross product (v_j - v_i) x (v_k - v_i).
-            ij, ik, jk = i * n + j, i * n + k, j * n + k
-            a = det_a[jk] - det_a[ik] + det_a[ij]
-            b = det_b[jk] - det_b[ik] + det_b[ij]
-            if sqrt3_sign(a, b) > 0:
-                left[ij] |= 1 << k
-                left[jk] |= 1 << i
-                left[k * n + i] |= 1 << j
-            else:
-                left[j * n + i] |= 1 << k
-                left[k * n + j] |= 1 << i
-                left[ik] |= 1 << j
-        return tuple(left)
-
-    def ccw(self, i: int, j: int, k: int) -> bool:
-        return bool(self.left[i * self.polygon.n + j] >> k & 1)
-
-    @cached_property
     def hull(self) -> tuple[int, ...]:
         """Convex-hull vertex indices, CCW, starting at the smallest."""
-        n = self.polygon.n
-        left = self.left
-        full = (1 << n) - 1
-        succ = {}
-        for a in range(n):
-            for b in range(n):
-                if b != a and left[a * n + b] | 1 << a | 1 << b == full:
-                    succ[a] = b
-                    break
+        succ = hull_successors(self.polygon.left, self.polygon.n)
         out = [min(succ)]
         while (b := succ[out[-1]]) != out[0]:
             out.append(b)
@@ -164,8 +118,8 @@ class ChordUniverse:
     @cached_property
     def kinds(self) -> tuple[ChordKind, ...]:
         n = self.polygon.n
-        left = self.left
-        ccw = self.ccw
+        left = self.polygon.left
+        ccw = self.polygon.ccw
         # edge_left[v] has bit a set iff v lies left of edge v_a -> v_{a+1}.
         edge_left = [0] * n
         for a in range(n):
@@ -196,7 +150,7 @@ class ChordUniverse:
     def crossing_masks(self) -> tuple[int, ...]:
         """crossing_masks[k] has bit m set iff chords k and m properly cross."""
         n = self.polygon.n
-        left = self.left
+        left = self.polygon.left
         inc = self.incidence
         # around[v] has bit c set iff v lies left of the line of chord c.
         around = [0] * n

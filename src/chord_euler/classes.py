@@ -3,10 +3,10 @@
 Each detector is a pure test on the polygon's order type (reflex patterns,
 angle signs, pocket shapes) and never computes an Euler characteristic, so
 the biconditional checks in :func:`verify_theorem3` compare two genuinely
-independent computations.  The reflex set comes from the coordinates (it
-needs only n triples); every other sign is read from the chord universe's
-orientation table, which the chi routes build anyway.  The tests check each
-detector against its coordinate version.
+independent computations.  The reflex set and every other sign are read from
+the polygon's orientation table, which the chi routes read too; the hull and
+the pockets come from the chord universe.  The tests check each detector
+against its coordinate version.
 
 Index conventions: the special vertex is ``i``; all index arithmetic is mod n;
 "angle XAY exceeds pi" is the CCW angle at A from ray A->X to ray A->Y, which
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .chords import ChordKind, ChordUniverse, ear_chord, forbidden_star, pockets, universe_of
+from .chords import ChordKind, ear_chord, forbidden_star, pockets, universe_of
 from .geometry import Polygon
 from .nc_euler import f_vector
 from .partition import chi_removed_direct
@@ -31,14 +31,14 @@ def _require_size(poly: Polygon, smallest: int) -> None:
         raise ValueError(f"needs n >= {smallest}, got {poly.n}")
 
 
-def _convex_without(uni: ChordUniverse, i: int) -> bool:
+def _convex_without(poly: Polygon, i: int) -> bool:
     """Whether the cycle of all vertices but i is a convex polygon.
 
     It is iff every edge of the cycle has all of the cycle's other vertices on
     its left; a cycle that winds around twice fails this too.
     """
-    n = uni.polygon.n
-    left = uni.left
+    n = poly.n
+    left = poly.left
     full = (1 << n) - 1
     rest = [t for t in range(n) if t != i]
     return all(
@@ -54,7 +54,7 @@ def is_class1(poly: Polygon, i: int) -> bool:
     i %= n
     if poly.reflex_vertices != frozenset({i}):
         return False
-    ccw = universe_of(poly).ccw
+    ccw = poly.ccw
     nxt1, nxt2 = (i + 1) % n, (i + 2) % n
     prv1, prv2 = (i - 1) % n, (i - 2) % n
     if not ccw(i, nxt2, prv2):
@@ -62,20 +62,16 @@ def is_class1(poly: Polygon, i: int) -> bool:
     return ccw(i, nxt2, prv1) == ccw(i, nxt1, prv2)
 
 
-def is_class2(poly: Polygon, i: int, allow_degenerate_quad: bool = False) -> bool:
-    """Reflex everywhere except the three consecutive vertices i-1, i, i+1.
-
-    n = 4 degenerates to a dart with its reflex vertex opposite i; accepted
-    only with the explicit flag.
-    """
-    _require_size(poly, 4 if allow_degenerate_quad else 5)
+def is_class2(poly: Polygon, i: int) -> bool:
+    """Reflex everywhere except the three consecutive vertices i-1, i, i+1."""
+    _require_size(poly, 5)
     n = poly.n
     i %= n
     expected = frozenset(range(n)) - {(i - 1) % n, i, (i + 1) % n}
     return poly.reflex_vertices == expected
 
 
-def _pocket_is_class2_shaped(uni: ChordUniverse, path: tuple[int, ...], apex: int) -> bool:
+def _pocket_is_class2_shaped(poly: Polygon, path: tuple[int, ...], apex: int) -> bool:
     """Whether the pocket region is a triangle or a Class-2 region at ``apex``.
 
     The region runs the path backwards, so its reflex vertices are the path
@@ -85,7 +81,7 @@ def _pocket_is_class2_shaped(uni: ChordUniverse, path: tuple[int, ...], apex: in
     """
     k = len(path)
     a = path.index(apex)
-    ccw = uni.ccw
+    ccw = poly.ccw
     return all(
         ccw(path[s - 1], path[s], path[(s + 1) % k]) != ((s - a) % k in (0, 1, k - 1))
         for s in range(k)
@@ -103,12 +99,11 @@ def is_class3(poly: Polygon, i: int) -> bool:
     i %= n
     if poly.is_convex or i in poly.reflex_vertices:
         return False
-    uni = universe_of(poly)
-    pks = uni.pockets
+    pks = universe_of(poly).pockets
     if not pks:
         return False
     return all(
-        i in (p.hull_chord.i, p.hull_chord.j) and _pocket_is_class2_shaped(uni, p.path, i)
+        i in (p.hull_chord.i, p.hull_chord.j) and _pocket_is_class2_shaped(poly, p.path, i)
         for p in pks
     )
 
@@ -123,10 +118,9 @@ def is_class4(poly: Polygon, i: int) -> bool:
     # i+1 can be reflex.
     if poly.is_convex or not poly.reflex_vertices <= {(i - 1) % n, (i + 1) % n}:
         return False
-    uni = universe_of(poly)
-    if not ear_chord(poly, i).mask & uni.kind_mask(ChordKind.DIAGONAL):
+    if not ear_chord(poly, i).mask & universe_of(poly).kind_mask(ChordKind.DIAGONAL):
         return False
-    return _convex_without(uni, i)
+    return _convex_without(poly, i)
 
 
 def is_class5(poly: Polygon, i: int) -> bool:
@@ -136,7 +130,7 @@ def is_class5(poly: Polygon, i: int) -> bool:
     i %= n
     if poly.reflex_vertices != frozenset({i}):
         return False
-    return _convex_without(universe_of(poly), i)
+    return _convex_without(poly, i)
 
 
 def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
@@ -160,7 +154,7 @@ def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
         q -= 1
     if rest != set(range(2, p + 1)) | set(range(q, n - 1)) or p >= q - 1:
         return None
-    ccw = uni.ccw
+    ccw = poly.ccw
     if ccw(i, rel(p), rel(q)):
         return None
     # The middle fan [i, p..q] must be reflex only at the apex.

@@ -31,7 +31,7 @@ from .generators import (
     verify_zigzag_structure,
     zigzag_chi_target,
 )
-from .nc_euler import euler_recursive, f_vector
+from .nc_euler import f_vector
 from .partition import (
     InstanceTooLarge,
     chi_epigonal_pockets,
@@ -133,12 +133,14 @@ def cmd_analyze(args) -> int:
         except (KeyError, ValueError, PartitionError) as exc:
             raise CliInputError(f"bad cut: {exc}") from exc
         report["partition"] = [" ".join(map(str, part)) for part in res.parts]
+    if args.fvector or args.chi:
+        fd, fe = f_vector(diagonals(poly)), f_vector(epigonals(poly))
     if args.fvector:
-        report["f_vector_d"] = list(f_vector(diagonals(poly)).counts)
-        report["f_vector_e"] = list(f_vector(epigonals(poly)).counts)
+        report["f_vector_d"] = list(fd.counts)
+        report["f_vector_e"] = list(fe.counts)
     if args.chi:
-        report["chi_d"] = euler_recursive(diagonals(poly))
-        report["chi_e"] = euler_recursive(epigonals(poly))
+        report["chi_d"] = fd.euler
+        report["chi_e"] = fe.euler
     if args.classes:
         if poly.n < 5 or args.vertex is None:
             raise CliInputError("--classes needs n >= 5 and --vertex")

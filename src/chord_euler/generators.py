@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .chords import Chord, ChordKind, ChordSet, universe_of
 from .exact_scalar import QSqrt3
-from .geometry import Point, Polygon, PolygonError, first_crossing_edges, validate_polygon
+from .geometry import Point, Polygon, PolygonError, validate_polygon
+from .geometry import first_crossing_edges, orientation_table
 from .partition import convexity_constraints
 from . import classes as _classes
 
@@ -68,24 +69,25 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
         ]
         if len({(p.x, p.y) for p in pts}) < n:
             continue
-        untangled = _untangle(pts)
-        if untangled is None:
-            continue
         try:
-            return validate_polygon(untangled)
+            untangled = _untangle(pts)
+            if untangled is not None:
+                return validate_polygon(untangled)
         except PolygonError:
             continue
     raise GeneratorError(f"could not build a random simple polygon (n={n}, seed={seed})")
 
 
 def _untangle(pts: list[Point]) -> list[Point] | None:
-    pts = list(pts)
+    # 2-opt on one orientation table (CollinearTriple if three points are collinear).
+    left = orientation_table(pts)
+    order = list(range(len(pts)))
     for _ in range(40 * len(pts) ** 2):
-        crossing = first_crossing_edges(pts)
+        crossing = first_crossing_edges(left, order)
         if crossing is None:
-            return pts
+            return [pts[k] for k in order]
         i, j = crossing
-        pts[i + 1:j + 1] = reversed(pts[i + 1:j + 1])
+        order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
     return None
 
 
@@ -215,10 +217,18 @@ def _zigzag_raw(L: int) -> tuple[list[Point], dict[str, tuple[int, int]]]:
     return points, labels
 
 
-def _expected_constraint_pairs(L: int) -> list[tuple[str, str]]:
-    pairs = [(f"e{k}", f"e{k + 1}") for k in range(1, 3 * L - 4 + 1)]
-    pairs += [(f"e{3 * k - 2}", f"e{3 * k}") for k in range(1, L)]
-    return pairs
+def _constraints_match(poly: Polygon, j_set: ChordSet, labels: dict[str, Chord], L: int) -> bool:
+    """Whether J is feasible with exactly the expected convex-partition constraints.
+
+    They are the adjacent label pairs (e_k, e_{k+1}) and the pairs
+    (e_{3k-2}, e_{3k}).
+    """
+    pairs = [(k, k + 1) for k in range(1, 3 * L - 3)]
+    pairs += [(3 * k - 2, 3 * k) for k in range(1, L)]
+    uni = j_set.universe
+    expected = {1 << uni.index[labels[f"e{p}"]] | 1 << uni.index[labels[f"e{q}"]] for p, q in pairs}
+    got, feasible = convexity_constraints(poly, j_set)
+    return feasible and set(got) == expected
 
 
 def zigzag_a_sequence(L: int) -> list[int]:
@@ -272,14 +282,7 @@ def zigzag_chi_target(l: int) -> ZigzagInstance:
             if uni.crossing_masks[k] & mask:
                 return False
             mask |= 1 << k
-        j = ChordSet(uni, mask)
-        got, feasible = convexity_constraints(poly, j)
-        if not feasible:
-            return False
-        expected = set()
-        for p1, p2 in _expected_constraint_pairs(L):
-            expected.add((1 << uni.index[labels0[p1]]) | (1 << uni.index[labels0[p2]]))
-        return set(got) == expected
+        return _constraints_match(poly, ChordSet(uni, mask), labels0, L)
 
     poly = perturb_to_general_position(points, structural_check=structural)
     uni = universe_of(poly)
@@ -306,14 +309,7 @@ def verify_zigzag_structure(z: ZigzagInstance) -> ZigzagStructureReport:
     an extra factor (-1)^|J|, which is folded into (iii).
     """
     L = abs(z.target)
-    uni = z.j_set.universe
-    got, feasible = convexity_constraints(z.polygon, z.j_set)
-    expected = set()
-    for p1, p2 in _expected_constraint_pairs(L):
-        expected.add(
-            (1 << uni.index[z.labels[p1]]) | (1 << uni.index[z.labels[p2]])
-        )
-    constraints_match = feasible and set(got) == expected
+    constraints_match = _constraints_match(z.polygon, z.j_set, z.labels, L)
     a = zigzag_a_sequence(L)
     closed = True
     for k in range(0, L + 1):

@@ -1,9 +1,10 @@
 """Exact planar predicates and simple-polygon structure.
 
-All predicates decide on ``QSqrt3.sign()``; there is no floating point and no
-epsilon anywhere.  Polygons are stored counter-clockwise with vertices in
-general position (no three collinear), matching the standing assumption of
-the underlying combinatorics.
+A polygon's geometry enters once, as its :func:`orientation_table`; its
+validation, reflex set and chord universe read that table.  The point and
+segment predicates decide on ``QSqrt3.sign()``.  No decision uses floating
+point.  Polygons are stored counter-clockwise with vertices in general
+position (no three collinear), the standing assumption of the combinatorics.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
-from .exact_scalar import QSqrt3
+from .exact_scalar import QSqrt3, lift, sqrt3_sign
 
 Coord = QSqrt3 | int | Fraction
 
@@ -149,7 +150,9 @@ class Polygon:
     def __init__(self, vertices: Sequence[Point], _validated: bool = False):
         vs = tuple(vertices)
         if not _validated:
-            vs = _validate(vs)
+            # Validation builds the orientation table but keeps only the
+            # reflex set; ``left`` rebuilds the table on first use.
+            vs, self.reflex_vertices = _validate(vs)
         self.vertices = vs
         self.n = len(vs)
 
@@ -173,13 +176,18 @@ class Polygon:
         return total
 
     @cached_property
+    def left(self) -> tuple[int, ...]:
+        """The vertices' :func:`orientation_table`."""
+        return orientation_table(self.vertices)
+
+    def ccw(self, i: int, j: int, k: int) -> bool:
+        """Whether v_i -> v_j -> v_k turns counter-clockwise."""
+        return bool(self.left[i * self.n + j] >> k & 1)
+
+    @cached_property
     def reflex_vertices(self) -> frozenset[int]:
-        vs = self.vertices
         n = self.n
-        return frozenset(
-            i for i in range(n)
-            if orientation(vs[i - 1], vs[i], vs[(i + 1) % n]) == -1
-        )
+        return frozenset(i for i in range(n) if not self.ccw((i - 1) % n, i, (i + 1) % n))
 
     @property
     def is_convex(self) -> bool:
@@ -195,22 +203,82 @@ class Polygon:
         return f"Polygon[{self.n}]({', '.join(map(repr, self.vertices))})"
 
 
-def first_crossing_edges(vs: Sequence[Point]) -> tuple[int, int] | None:
-    """First (i, j), i < j, whose edges v_i v_{i+1} and v_j v_{j+1} properly cross.
+def orientation_table(points: Sequence[Point]) -> tuple[int, ...]:
+    """The order type of a point sequence, as n*n bit masks.
 
-    Non-adjacent edge pairs are scanned with i, then j, ascending; None means
-    the closed path does not cross itself.
+    ``left[i*n + j]`` has bit k set iff p_i -> p_j -> p_k turns
+    counter-clockwise.  The coordinates are lifted once to integer pairs over
+    Z[sqrt 3] with one common denominator, so each of the C(n, 3) orientations
+    is one integer determinant, summed from precomputed 2x2 minors, and the
+    exact sign of a + b*sqrt(3).  Raises :class:`CollinearTriple` at the first
+    collinear (i, j, k) in ``combinations`` order.
     """
-    n = len(vs)
-    for i in range(n):
-        si = Segment(vs[i], vs[(i + 1) % n])
+    n = len(points)
+    lifted = lift([c for p in points for c in (p.x, p.y)])
+    xs, ys = lifted[0::2], lifted[1::2]
+    # det_a[i*n + j] + det_b[i*n + j]*sqrt(3) is x_i*y_j - x_j*y_i (times the
+    # common denominator squared), for i < j.
+    det_a = [0] * (n * n)
+    det_b = [0] * (n * n)
+    for i, j in combinations(range(n), 2):
+        (xia, xib), (yja, yjb) = xs[i], ys[j]
+        (xja, xjb), (yia, yib) = xs[j], ys[i]
+        det_a[i * n + j] = xia * yja + 3 * xib * yjb - xja * yia - 3 * xjb * yib
+        det_b[i * n + j] = xia * yjb + xib * yja - xja * yib - xjb * yia
+    left = [0] * (n * n)
+    for i, j, k in combinations(range(n), 3):
+        # The cross product (p_j - p_i) x (p_k - p_i).
+        ij, ik, jk = i * n + j, i * n + k, j * n + k
+        sign = sqrt3_sign(det_a[jk] - det_a[ik] + det_a[ij], det_b[jk] - det_b[ik] + det_b[ij])
+        if sign > 0:
+            left[ij] |= 1 << k
+            left[jk] |= 1 << i
+            left[k * n + i] |= 1 << j
+        elif sign < 0:
+            left[j * n + i] |= 1 << k
+            left[k * n + j] |= 1 << i
+            left[ik] |= 1 << j
+        else:
+            raise CollinearTriple(i, j, k)
+    return tuple(left)
+
+
+def hull_successors(left: Sequence[int], n: int) -> dict[int, int]:
+    """The counter-clockwise hull edges a -> b as {a: b}: every other point is left of them."""
+    full = (1 << n) - 1
+    succ = {}
+    for a in range(n):
+        for b in range(n):
+            if left[a * n + b] | 1 << a | 1 << b == full:
+                succ[a] = b
+                break
+    return succ
+
+
+def first_crossing_edges(left: Sequence[int], order: Sequence[int]) -> tuple[int, int] | None:
+    """First (i, j), i < j, whose edges along the closed path ``order`` properly cross.
+
+    ``order`` visits every point of the orientation table ``left`` once, and
+    edge i runs from ``order[i]`` to ``order[i+1]``.  Two edges with four
+    distinct endpoints in general position cross iff each one's endpoints lie
+    on opposite sides of the other's line.  Non-adjacent edge pairs are
+    scanned with i, then j, ascending; None means the path does not cross
+    itself.
+    """
+    n = len(order)
+    ends = [(order[a], order[(a + 1) % n]) for a in range(n)]
+    for i, (p, q) in enumerate(ends):
+        side = left[p * n + q]
         for j in range(i + 2, n - 1 if i == 0 else n):
-            if segments_properly_cross(si, Segment(vs[j], vs[(j + 1) % n])):
+            r, s = ends[j]
+            other = left[r * n + s]
+            if (side >> r ^ side >> s) & (other >> p ^ other >> q) & 1:
                 return i, j
     return None
 
 
-def _validate(vs: tuple[Point, ...]) -> tuple[Point, ...]:
+def _validate(vs: tuple[Point, ...]) -> tuple[tuple[Point, ...], frozenset[int]]:
+    """The CCW vertex tuple and its reflex set, or the violated invariant."""
     n = len(vs)
     if n < 3:
         raise TooFewVertices(f"{n} vertices")
@@ -219,21 +287,17 @@ def _validate(vs: tuple[Point, ...]) -> tuple[Point, ...]:
         if p in seen:
             raise DuplicateVertex(seen[p], i)
         seen[p] = i
-    for i, j, k in combinations(range(n), 3):
-        if orientation(vs[i], vs[j], vs[k]) == 0:
-            raise CollinearTriple(i, j, k)
-    pair = first_crossing_edges(vs)
+    left = orientation_table(vs)
+    pair = first_crossing_edges(left, range(n))
     if pair is not None:
         i, j = pair
         raise SelfIntersection((i, (i + 1) % n), (j, (j + 1) % n))
-    # CCW normalization; area is nonzero since no three vertices are collinear.
-    total = QSqrt3(0)
-    o = vs[0]
-    for i in range(1, n - 1):
-        total = total + cross(o, vs[i], vs[i + 1])
-    if total.sign() < 0:
-        vs = vs[::-1]
-    return vs
+    turns = [left[(v - 1) % n * n + v] >> (v + 1) % n & 1 for v in range(n)]
+    # CCW normalization: at a vertex of its convex hull a simple polygon turns
+    # the way it runs round.
+    if turns[min(hull_successors(left, n))]:
+        return vs, frozenset(v for v in range(n) if not turns[v])
+    return vs[::-1], frozenset(n - 1 - v for v in range(n) if turns[v])
 
 
 def validate_polygon(vertices: Sequence[Point]) -> Polygon:

@@ -5,7 +5,7 @@ diagonal set J that cut the polygon into convex pieces.  Membership is
 decided by exact angular "window" constraints: a subset fails exactly when
 some merged fan of faces at some vertex spans more than pi, so NC_c[J] is the
 family of hitting sets of the minimal bad windows.  The windows are read from
-the chord universe's orientation table: the chords of J at a vertex come in
+the polygon's orientation table: the chords of J at a vertex come in
 the cyclic order of their far endpoints (each one cuts off the boundary chain
 it spans), and a window spans more than pi iff its two bounding rays turn
 clockwise.  The direct subdivide-and-test route, on coordinates, is kept as
@@ -155,7 +155,7 @@ def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bo
         for s, (ws, _) in enumerate(rays[:-1]):
             mask = 0
             for wt, bit in rays[s + 1:]:
-                if not uni.ccw(v, ws, wt):
+                if not poly.ccw(v, ws, wt):
                     if mask == 0:
                         feasible = False
                     constraints.append(mask)

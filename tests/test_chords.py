@@ -186,10 +186,9 @@ def test_orientation_table():
     corpus += [convex_ngon(n) for n in range(5, 13)]
     corpus += exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3, 4))
     for poly in corpus:
-        uni = universe_of(poly)
         vs = poly.vertices
         for i in range(poly.n):
             for j in range(poly.n):
                 for k in range(poly.n):
                     want = len({i, j, k}) == 3 and orientation(vs[i], vs[j], vs[k]) > 0
-                    assert uni.ccw(i, j, k) == want
+                    assert poly.ccw(i, j, k) == want

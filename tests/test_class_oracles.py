@@ -1,6 +1,6 @@
 """The class detectors, the hull and the pockets against coordinate routes.
 
-The library reads them from the chord universe's orientation table.  The
+The library reads them from the polygon's orientation table.  The
 oracles below decide the same questions on the coordinates alone, with the
 ``QSqrt3`` predicates: ``angle_exceeds_pi``, ``convex_hull_points``, the
 reflex set of a pocket polygon, and the validation of the polygon left by
@@ -82,10 +82,12 @@ def class3_oracle(poly, i):
             return False
         if len(path) == 3:
             continue
-        # The pocket region runs the path backwards.
+        # The pocket region runs the path backwards; down to the dart, it is
+        # reflex everywhere but at the apex i and its two neighbours.
         rev = tuple(reversed(path))
         sub = Polygon._trusted([poly.vertices[t] for t in rev])
-        if not is_class2(sub, rev.index(i), allow_degenerate_quad=True):
+        k, a = len(rev), rev.index(i)
+        if _reflex(sub) != set(range(k)) - {(a - 1) % k, a, (a + 1) % k}:
             return False
     return True
 

@@ -46,8 +46,6 @@ def test_exemplar_vertex_rotation():
 def test_class2_degenerate_quad(dart):
     with pytest.raises(ValueError):
         is_class2(dart, 0)
-    assert is_class2(dart, 0, allow_degenerate_quad=True)
-    assert not is_class2(dart, 1, allow_degenerate_quad=True)
 
 
 def test_convex_excludes_nonconvex_classes():

@@ -50,6 +50,16 @@ def test_analyze_dart_chi(tmp_path, capsys, dart):
     assert code == EXIT_OK and doc["chi_d"] == 0 and doc["chi_e"] == 0
 
 
+def test_analyze_chi_on_a_convex_40_gon(tmp_path, capsys):
+    # chi is read from the f-vector; the deletion recursion did not finish
+    # on this polygon in 20 s.
+    path = tmp_path / "convex40.json"
+    path.write_text(json.dumps(polygon_to_json(convex_ngon(40))))
+    code, out, _ = run(capsys, "analyze", str(path), "--chi", "--json")
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["chi_d"] == -1 and doc["chi_e"] == 1
+
+
 def test_byte_identical_invocations(tmp_path, capsys):
     poly = zigzag_chi_target(2).polygon
     path = tmp_path / "z.json"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chord_euler.geometry import (
@@ -7,11 +7,13 @@ from chord_euler.geometry import (
     DuplicateVertex,
     Point,
     PointOnBoundary,
+    PolygonError,
     Segment,
     SelfIntersection,
     TooFewVertices,
     angle_exceeds_pi,
     convex_hull,
+    cross,
     orientation,
     point_in_polygon,
     segments_properly_cross,
@@ -108,6 +110,54 @@ def test_validate_rejections():
         validate_polygon([pt(0, 0), pt(1, 0), pt(0, 0), pt(1, 1)])
     with pytest.raises(TooFewVertices):
         validate_polygon([pt(0, 0), pt(1, 0)])
+
+
+def _validate_on_coordinates(vs):
+    """The validator's outcome decided on QSqrt3 predicates alone."""
+    n = len(vs)
+    if n < 3:
+        return ("TooFewVertices", None)
+    for j in range(n):
+        for i in range(j):
+            if vs[i] == vs[j]:
+                return ("DuplicateVertex", (i, j))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if orientation(vs[i], vs[j], vs[k]) == 0:
+                    return ("CollinearTriple", (i, j, k))
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            (a, b), (c, d) = edges[i], edges[j]
+            if segments_properly_cross(Segment(vs[a], vs[b]), Segment(vs[c], vs[d])):
+                return ("SelfIntersection", (edges[i], edges[j]))
+    area = cross(vs[0], vs[1], vs[2])
+    for i in range(2, n - 1):
+        area = area + cross(vs[0], vs[i], vs[i + 1])
+    if area.sign() < 0:
+        vs = vs[::-1]
+    reflex = {i for i in range(n) if orientation(vs[i - 1], vs[i], vs[(i + 1) % n]) < 0}
+    return ("ok", (tuple(vs), reflex))
+
+
+grid = st.integers(min_value=0, max_value=6)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.builds(pt, grid, grid), min_size=2, max_size=9))
+def test_validate_matches_coordinate_route(vs):
+    # Validation reads one orientation table; the route above shares no code
+    # with it.  A cold copy rebuilds the reflex set from the table.
+    want = _validate_on_coordinates(vs)
+    try:
+        poly = validate_polygon(vs)
+    except PolygonError as exc:
+        got = (type(exc).__name__, getattr(exc, "indices", None) or getattr(exc, "edges", None))
+    else:
+        got = ("ok", (poly.vertices, set(poly.reflex_vertices)))
+        assert set(poly.rotated(0).reflex_vertices) == got[1][1]
+    assert got == want
 
 
 def test_reflex_vertices(square, dart):

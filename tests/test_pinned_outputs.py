@@ -1,0 +1,88 @@
+"""Generator and validator outputs pinned across commits.
+
+Every benchmark workload, campaign and demo is built from these outputs, so a
+change that alters them changes what is measured and printed.  Each corpus is
+rendered as text and compared by its sha256 digest; the digests were recorded
+from the implementation that decided every predicate on ``QSqrt3``
+coordinates.  A mismatch names the corpus, and the rendering helpers below
+reproduce it line by line.
+"""
+
+import hashlib
+import random
+
+from chord_euler.generators import class_exemplar, random_simple_polygon, zigzag_chi_target
+from chord_euler.geometry import Point, PolygonError, validate_polygon
+
+PINNED = {
+    "random": "92c609aba757a660853215a7e436b216d7a7732f616b06a7bbfb5e3441ca1a0d",
+    "exemplars": "7d1c59421791b317e1ce421b5577f5958adadcb6beccbcf0ce5f19a4c973ba86",
+    "zigzags": "d258caa15edfda186218abf6761597ae56b46b6a30c3b0d6f997a3bea2cf76d3",
+    "validator": "38e489a53b991b395c47194df7413c0af6fb2e1a2c399e71bf897e748e56ec8c",
+}
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _render(poly) -> str:
+    coords = " ".join(f"{p.x},{p.y}" for p in poly.vertices)
+    return f"{coords} reflex={sorted(poly.reflex_vertices)}"
+
+
+def random_lines():
+    for n in range(3, 17):
+        for seed in range(20):
+            yield f"n={n} seed={seed} {_render(random_simple_polygon(n, seed))}"
+
+
+def exemplar_lines():
+    for kind in range(1, 7):
+        for n in range(6 if kind == 6 else 5, 11):
+            for i in (0, 2):
+                yield f"class{kind} n={n} i={i} {_render(class_exemplar(kind, i, n))}"
+    for n in (7, 9):
+        yield f"class1 III n={n} {_render(class_exemplar(1, 0, n, region='III'))}"
+        yield f"class3 2 pockets n={n} {_render(class_exemplar(3, 0, n, pockets=2))}"
+
+
+def zigzag_lines():
+    for l in (2, -2, 3, -3, 4):
+        z = zigzag_chi_target(l)
+        labels = sorted((name, str(c)) for name, c in z.labels.items())
+        yield f"l={l} {_render(z.polygon)} J={z.j_set} labels={labels}"
+
+
+def grid_path(seed: int) -> list[Point]:
+    """A seeded closed path of 2..8 points on the 6 x 6 integer grid."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    return [Point(rng.randrange(6), rng.randrange(6)) for _ in range(n)]
+
+
+def validator_lines():
+    for seed in range(1000):
+        try:
+            poly = validate_polygon(grid_path(seed))
+        except PolygonError as exc:
+            where = getattr(exc, "indices", None) or getattr(exc, "edges", None)
+            yield f"{seed} {type(exc).__name__} {where} {exc}"
+        else:
+            yield f"{seed} ok {_render(poly)}"
+
+
+def test_random_simple_polygons_pinned():
+    assert _digest(random_lines()) == PINNED["random"]
+
+
+def test_class_exemplars_pinned():
+    assert _digest(exemplar_lines()) == PINNED["exemplars"]
+
+
+def test_zigzags_pinned():
+    assert _digest(zigzag_lines()) == PINNED["zigzags"]
+
+
+def test_validator_errors_pinned():
+    assert _digest(validator_lines()) == PINNED["validator"]
