@@ -62,6 +62,9 @@ class QSqrt3:
     __slots__ = ("_a", "_b", "_q")
 
     def __init__(self, a: int | Rat | QSqrt3 = 0, b: int | Rat = 0):
+        if type(a) is int and b == 0:  # an integer is already in lowest terms
+            self._a, self._b, self._q = a, 0, 1
+            return
         if isinstance(a, QSqrt3):
             if b:
                 raise TypeError("cannot combine QSqrt3 with an sqrt3 coefficient")

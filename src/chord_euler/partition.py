@@ -5,11 +5,17 @@ diagonal set J that cut the polygon into convex pieces.  Membership is
 decided by exact angular "window" constraints: a subset fails exactly when
 some merged fan of faces at some vertex spans more than pi, so NC_c[J] is the
 family of hitting sets of the minimal bad windows.  The windows are read from
-the polygon's orientation table: the chords of J at a vertex come in
-the cyclic order of their far endpoints (each one cuts off the boundary chain
-it spans), and a window spans more than pi iff its two bounding rays turn
-clockwise.  The direct subdivide-and-test route, on coordinates, is kept as
-an independent check.
+the polygon's orientation table: the chords of J at a vertex v, the bits of
+``J & incidence[v]``, come in the cyclic order of their far endpoints (each
+one cuts off the boundary chain it spans), and a window spans more than pi
+iff its two bounding rays turn clockwise.  The direct subdivide-and-test
+route, on coordinates, is kept as an independent check.
+
+A face of a cut by non-crossing diagonals visits its vertices in increasing
+cyclic order, so a face is its vertex bit mask.  Two faces share at most the
+two ends of a side of both, so a diagonal (i, j), i < j, not yet cut has both
+ends on exactly one face F, which it splits into ``F & [i..j]`` and
+``F & ~(i..j)``.
 
 The product formulas (Lemma 1, the factorized product, the pocket product)
 never build a polygon or a chord universe for a face.  Let a non-crossing
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .chords import Chord, ChordKind, ChordSet, ChordUniverse, pockets, universe_of
 from .geometry import Point, Polygon, cross
@@ -81,33 +87,44 @@ def _check_noncrossing_diagonals(poly: Polygon, cut: ChordSet) -> None:
             raise PartitionError(f"cut contains a crossing pair at {uni.chords[k]}")
 
 
+def _cut(faces: list[int], i: int, j: int) -> list[int]:
+    """Split the one face holding both ends of a new diagonal (i, j), i < j."""
+    ends = 1 << i | 1 << j
+    inner = (1 << j) - (2 << i)  # the vertices strictly between i and j
+    for p, f in enumerate(faces):
+        if f & ends == ends:
+            return faces[:p] + [f & (inner | ends), f & ~inner] + faces[p + 1:]
+    raise AssertionError(f"no host face for chord {i}-{j}")
+
+
+def _faces(uni: ChordUniverse, cut: int) -> list[int]:
+    """Vertex masks of the faces of the cut by the chord mask ``cut``."""
+    faces = [(1 << uni.polygon.n) - 1]
+    while cut:
+        k = (cut & -cut).bit_length() - 1
+        cut &= cut - 1
+        faces = _cut(faces, *uni.chords[k])
+    return faces
+
+
+def _span(mask: int, incidence: Sequence[int], face: int) -> int:
+    """The chords of ``mask`` with both endpoints on the face."""
+    for v, inc in enumerate(incidence):
+        if not face >> v & 1:
+            mask &= ~inc
+    return mask
+
+
 def subdivide(poly: Polygon, cut: ChordSet) -> PartitionResult:
     """Split the polygon along pairwise non-crossing diagonals.
 
-    Parts are cyclic parent-index tuples in CCW order, each rotated to start
-    at its smallest index, listed lexicographically.
+    Parts are the faces' vertex masks (see the module docstring) as index
+    tuples in increasing, hence CCW, order, listed lexicographically.
     """
     _check_noncrossing_diagonals(poly, cut)
-    parts: list[list[int]] = [list(range(poly.n))]
-    for c in cut:
-        for p, part in enumerate(parts):
-            if c.i in part and c.j in part:
-                a, b = part.index(c.i), part.index(c.j)
-                if a > b:
-                    a, b = b, a
-                if b - a < 2 or b - a > len(part) - 2:
-                    continue  # endpoints adjacent here: chord lives in the other part
-                parts[p] = part[a:b + 1]
-                parts.append(part[b:] + part[:a + 1])
-                break
-        else:
-            raise AssertionError(f"no host part for chord {c}")
-    normal = []
-    for part in parts:
-        m = part.index(min(part))
-        normal.append(tuple(part[m:] + part[:m]))
-    normal.sort()
-    return PartitionResult(poly, cut, tuple(normal))
+    faces = _faces(cut.universe, cut.mask)
+    parts = sorted(tuple(v for v in range(poly.n) if f >> v & 1) for f in faces)
+    return PartitionResult(poly, cut, tuple(parts))
 
 
 def _part_is_convex(vs: Sequence[Point], part: Sequence[int]) -> bool:
@@ -141,42 +158,49 @@ def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bo
     """
     _check_noncrossing_diagonals(poly, j_set)
     uni = j_set.universe
-    n = poly.n
-    at: dict[int, list[tuple[int, int]]] = {}
-    for c in j_set:
-        k = uni.index[c]
-        at.setdefault(c.i, []).append((c.j, k))
-        at.setdefault(c.j, []).append((c.i, k))
+    n, left, chords, jm = poly.n, poly.left, uni.chords, j_set.mask
+    incidence, reflex = uni.incidence, poly.reflex_vertices
     constraints: list[int] = []
     feasible = True
     for v in range(n):
-        inc = sorted(at.get(v, []), key=lambda wk: (wk[0] - v) % n)
-        rays = [((v + 1) % n, 0)] + [(w, 1 << k) for w, k in inc] + [((v - 1) % n, 0)]
-        for s, (ws, _) in enumerate(rays[:-1]):
+        at = jm & incidence[v]
+        if not at:
+            # The only window is the interior angle at v itself.
+            if v in reflex:
+                feasible = False
+                constraints.append(0)
+            continue
+        # Bit order lists the chords (w, v), w < v, first; (w - v) mod n, last.
+        below: list[tuple[int, int]] = []
+        rays: list[tuple[int, int]] = [((v + 1) % n, 0)]
+        while at:
+            low = at & -at
+            at ^= low
+            i, j = chords[low.bit_length() - 1]
+            if j == v:
+                below.append((i, low))
+            else:
+                rays.append((j, low))
+        rays += [*below, ((v - 1) % n, 0)]
+        for s in range(len(rays) - 1):
+            row = left[v * n + rays[s][0]]
             mask = 0
             for wt, bit in rays[s + 1:]:
-                if not poly.ccw(v, ws, wt):
+                if not row >> wt & 1:
                     if mask == 0:
                         feasible = False
                     constraints.append(mask)
                     break
                 mask |= bit
     # Keep only inclusion-minimal constraint masks.
-    constraints = sorted(set(constraints), key=lambda m: m.bit_count())
     minimal: list[int] = []
-    for m in constraints:
-        if not any(q & ~m == 0 for q in minimal):
+    for m in sorted(set(constraints), key=int.bit_count):
+        for q in minimal:
+            if not q & ~m:
+                break
+        else:
             minimal.append(m)
     return minimal, feasible
-
-
-def _iter_submasks(m: int) -> Iterator[int]:
-    sub = m
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & m
 
 
 def _split_subsets(poly: Polygon, j_set: ChordSet) -> tuple[list[int], list[int]]:
@@ -282,31 +306,37 @@ def chi_removed_lemma_d2(poly: Polygon, j_set: ChordSet) -> int:
 def chi_removed_lemma1(poly: Polygon, j_set: ChordSet) -> int:
     """Sum over I subset of J of the product of the faces' diagonal chis.
 
-    The diagonal family of a face F of the cut by I is ``D & span(F) & ~I``
-    over the parent universe (see the module docstring), so every face is
-    evaluated on the parent's shared engine memo.
+    The subsets I come from a depth-first walk over J's chords that carries
+    the faces of I as vertex masks, one split per I.  A face F's diagonal
+    family is ``D & span(F) & ~I`` over the parent universe (see the module
+    docstring), evaluated on the parent's shared engine memo.
     """
     _check_noncrossing_diagonals(poly, j_set)
     if len(j_set) > LATTICE_CAP:
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
     uni = j_set.universe
     eng = _engine(uni)
-    d_mask = uni.kind_mask(ChordKind.DIAGONAL)
+    d_mask, incidence = uni.kind_mask(ChordKind.DIAGONAL), uni.incidence
+    cut = [(1 << k, uni.chords[k]) for k in range(uni.size) if j_set.mask >> k & 1]
     # The chords of I that a face spans are its own edges, so a face's value
-    # does not depend on the rest of I and is cached by its vertex tuple.
-    face_chi: dict[tuple[int, ...], int] = {}
-    total = 0
-    for sub in _iter_submasks(j_set.mask):
-        prod = 1
-        for part in subdivide(poly, ChordSet(uni, sub)).parts:
-            val = face_chi.get(part)
-            if val is None:
-                val = face_chi[part] = eng.chi(d_mask & uni.span_mask(part) & ~sub)
-            prod *= val
-            if prod == 0:
-                break
-        total += prod
-    return total
+    # does not depend on the rest of I and is cached by its vertex mask.
+    face_chi: dict[int, int] = {}
+
+    def walk(t: int, faces: list[int], sub: int) -> int:
+        if t == len(cut):
+            prod = 1
+            for f in faces:
+                val = face_chi.get(f)
+                if val is None:
+                    val = face_chi[f] = eng.chi(_span(d_mask & ~sub, incidence, f))
+                prod *= val
+                if prod == 0:
+                    break
+            return prod
+        bit, (i, j) = cut[t]
+        return walk(t + 1, faces, sub) + walk(t + 1, _cut(faces, i, j), sub | bit)
+
+    return walk(0, [(1 << poly.n) - 1], 0)
 
 
 def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) -> int:
@@ -330,9 +360,10 @@ def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) ->
     uni = j_set.universe
     eng = _engine(uni)
     fam = uni.kind_mask(ChordKind.DIAGONAL) & ~j_set.mask
+    _check_noncrossing_diagonals(poly, j_prime)
     prod = 1
-    for part in subdivide(poly, j_prime).parts:
-        prod *= eng.chi(fam & uni.span_mask(part))
+    for face in _faces(uni, j_prime.mask):
+        prod *= eng.chi(_span(fam, uni.incidence, face))
         if prod == 0:
             break
     return prod
@@ -446,20 +477,17 @@ def extend_to_triangulation(poly: Polygon, j_set: ChordSet) -> ChordSet:
     """A triangulation (n-3 pairwise non-crossing diagonals) containing J."""
     _check_noncrossing_diagonals(poly, j_set)
     uni = universe_of(poly)
-    vs = poly.vertices
-    mask = j_set.mask
-    stack = [p for p in subdivide(poly, j_set).parts if len(p) > 3]
+    vs, n, mask = poly.vertices, poly.n, j_set.mask
+    # find_diagonal's choice depends on the vertex a face's list starts at:
+    # the least one for a face of J, else an end of the cut that made it.
+    stack = [(f, (f & -f).bit_length() - 1) for f in _faces(uni, mask) if f.bit_count() > 3]
     while stack:
-        part = stack.pop()
-        sub = Polygon._trusted([vs[i] for i in part])
-        local = find_diagonal(sub)
-        parent = Chord.of(part[local.i], part[local.j])
-        mask |= 1 << uni.index[parent]
-        left = part[local.i:local.j + 1]
-        right = part[local.j:] + part[:local.i + 1]
-        for piece in (left, right):
-            if len(piece) > 3:
-                stack.append(tuple(piece))
+        face, start = stack.pop()
+        part = [(start + s) % n for s in range(n) if face >> (start + s) % n & 1]
+        local = find_diagonal(Polygon._trusted([vs[i] for i in part]))
+        lo, hi = sorted((part[local.i], part[local.j]))
+        mask |= 1 << uni.index[Chord(lo, hi)]
+        stack += [(f, v) for f, v in zip(_cut([face], lo, hi), (lo, hi)) if f.bit_count() > 3]
     out = ChordSet(uni, mask)
     if len(out) != poly.n - 3:
         raise AssertionError("triangulation size mismatch")

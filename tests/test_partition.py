@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,39 @@ def nc_diagonal_subsets(poly):
     uni = universe_of(poly)
     dm = uni.kind_mask(ChordKind.DIAGONAL)
     return [uni.set_of_mask(m) for m in iter_nc_masks(uni.crossing_masks, dm)]
+
+
+def subdivide_oracle(poly, cut):
+    """Faces of a cut by splitting vertex lists, not vertex masks.
+
+    Each chord splits the one list that holds both its ends, not adjacent;
+    the parts are then listed as ``subdivide`` lists them.
+    """
+    parts = [list(range(poly.n))]
+    for c in cut:
+        for p, part in enumerate(parts):
+            if c.i in part and c.j in part:
+                a, b = sorted((part.index(c.i), part.index(c.j)))
+                if 2 <= b - a <= len(part) - 2:
+                    parts[p] = part[a:b + 1]
+                    parts.append(part[b:] + part[:a + 1])
+                    break
+        else:
+            raise AssertionError(f"no host part for chord {c}")
+    normal = []
+    for part in parts:
+        m = part.index(min(part))
+        normal.append(tuple(part[m:] + part[:m]))
+    return tuple(sorted(normal))
+
+
+def test_subdivide_matches_list_oracle():
+    # Every non-crossing diagonal set of each polygon, the empty one included.
+    corpus = [random_simple_polygon(n, seed) for n in range(4, 11) for seed in range(3)]
+    corpus += exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3, 4, -4))
+    for poly in corpus:
+        for j in nc_diagonal_subsets(poly):
+            assert subdivide(poly, j).parts == subdivide_oracle(poly, j), (poly, j)
 
 
 def test_subdivide_examples(dart):
@@ -161,6 +196,43 @@ def test_identities_random_sweep():
                 assert chi_removed_lemma_d2(poly, j) == direct
 
 
+def _random_nc_diagonals(poly, rng):
+    """A random non-crossing diagonal set: greedy over the shuffled diagonals."""
+    uni = universe_of(poly)
+    ks = [k for k in range(uni.size) if uni.kinds[k] is ChordKind.DIAGONAL]
+    rng.shuffle(ks)
+    mask = 0
+    for k in ks:
+        if rng.random() < 0.6 and not uni.crossing_masks[k] & mask:
+            mask |= 1 << k
+    return uni.set_of_mask(mask)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 9), st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 8))
+def test_theorem2_routes_invariant_under_rotation(n, seed, j_seed, k):
+    # The routes read labels (chord bit order, vertex order, cyclic windows),
+    # but chi(D - J) does not depend on where the labels start.
+    poly = random_simple_polygon(n, seed)
+    j = _random_nc_diagonals(poly, random.Random(j_seed))
+    rot = poly.rotated(k)
+    j_rot = universe_of(rot).set_of([Chord.of((c.i - k) % n, (c.j - k) % n) for c in j])
+    want = euler_brute(diagonals(poly) - j)
+    routes = [chi_removed_theorem2, chi_removed_lemma1]
+    if len(j):
+        routes.append(chi_removed_lemma_d2)
+    for route in routes:
+        assert route(poly, j) == route(rot, j_rot) == want, route.__name__
+    # The windows themselves, as chord sets in the original labels.
+    back = {c: Chord.of((c.i + k) % n, (c.j + k) % n) for c in universe_of(rot).chords}
+    cons, feasible = convexity_constraints(poly, j)
+    cons_rot, feasible_rot = convexity_constraints(rot, j_rot)
+    assert feasible == feasible_rot
+    assert {frozenset(back[c] for c in universe_of(rot).set_of_mask(m)) for m in cons_rot} == {
+        frozenset(universe_of(poly).set_of_mask(m)) for m in cons
+    }
+
+
 def test_nonconvex_part_vanishing():
     # Any cut leaving a non-convex face forces chi to zero.
     for seed in range(10):
@@ -220,7 +292,7 @@ def test_lemma1_faces_match_own_geometry():
             total = 0
             for sub in iter_nc_masks(uni.crossing_masks, j.mask):
                 prod = 1
-                for part in subdivide(poly, uni.set_of_mask(sub)).parts:
+                for part in subdivide_oracle(poly, uni.set_of_mask(sub)):
                     want = _part_chi_oracle(poly, part, [], cache)
                     assert eng.chi(d_mask & uni.span_mask(part) & ~sub) == want
                     prod *= want
@@ -248,7 +320,7 @@ def test_factorized_product():
                 got = chi_removed_factorized(poly, j, jp)
                 assert got == direct
                 want = 1
-                for part in subdivide(poly, jp).parts:
+                for part in subdivide_oracle(poly, jp):
                     inside = [c for c in j - jp if c.i in part and c.j in part]
                     want *= _part_chi_oracle(poly, part, inside, cache)
                 assert got == want
