@@ -87,6 +87,8 @@ class ChordUniverse:
         )
         self.index: dict[Chord, int] = {c: k for k, c in enumerate(self.chords)}
         self.size = len(self.chords)
+        # Filled by ``nc_euler.star_ear_chis``: per vertex, Theorem 3's four chis.
+        self.star_ear_rows: tuple[tuple[int, int, int, int], ...] | None = None
 
     def segment(self, c: Chord) -> Segment:
         vs = self.polygon.vertices

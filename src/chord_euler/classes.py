@@ -4,9 +4,11 @@ Each detector is a pure test on the polygon's order type (reflex patterns,
 angle signs, pocket shapes) and never computes an Euler characteristic, so
 the biconditional checks in :func:`verify_theorem3` compare two genuinely
 independent computations.  The reflex set and every other sign are read from
-the polygon's orientation table, which the chi routes read too; the hull and
-the pockets come from the chord universe.  The tests check each detector
-against its coordinate version.
+the polygon's orientation table; the hull and the pockets come from the
+chord universe.  The chis come from the chord kinds alone, through the
+x = -1 interval tables of :func:`~chord_euler.nc_euler.star_ear_chis`.  The
+tests check each detector against its coordinate version and the tables
+against the DFS and the deletion recursion.
 
 Index conventions: the special vertex is ``i``; all index arithmetic is mod n;
 "angle XAY exceeds pi" is the CCW angle at A from ray A->X to ray A->Y, which
@@ -18,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .chords import ChordKind, ear_chord, forbidden_star, pockets, universe_of
+from .chords import ChordKind, ear_chord, pockets, universe_of
 from .geometry import Polygon
-from .nc_euler import f_vector
-from .partition import chi_removed_direct
+from .nc_euler import f_vector, star_ear_chis
 
 CLASS_NAMES = ("Class1", "Class2", "Class3", "Class4", "Class5", "Class6")
 
@@ -272,15 +273,15 @@ class Theorem3Report:
 
 
 def verify_theorem3(poly: Polygon, i: int) -> Theorem3Report:
-    """Test all four forbidden-position biconditionals at vertex i."""
+    """Test all four forbidden-position biconditionals at vertex i.
+
+    The four chis are row i of the universe's x = -1 interval tables
+    (:func:`~chord_euler.nc_euler.star_ear_chis`); the detectors read the
+    orientation signs.
+    """
     _require_size(poly, 5)
     i %= poly.n
-    star = forbidden_star(poly, i)
-    ear = ear_chord(poly, i)
-    chi_d_star = chi_removed_direct(poly, star, "d")
-    chi_e_star = chi_removed_direct(poly, star, "e")
-    chi_d_ear = chi_removed_direct(poly, ear, "d")
-    chi_e_ear = chi_removed_direct(poly, ear, "e")
+    chi_d_star, chi_e_star, chi_d_ear, chi_e_ear = star_ear_chis(universe_of(poly))[i]
     convex = poly.is_convex
     det_a = is_class1(poly, i) or is_class2(poly, i) or is_class6(poly, i)
     det_b = convex or is_class3(poly, i)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .chords import Chord, ChordKind, ChordSet, universe_of
 from .exact_scalar import QSqrt3
 from .geometry import Point, Polygon, PolygonError, validate_polygon
-from .geometry import first_crossing_edges, orientation_table
+from .geometry import first_crossing_edges, orientation_table, validate_path
 from .partition import convexity_constraints
 from . import classes as _classes
 
@@ -70,22 +70,24 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
         if len({(p.x, p.y) for p in pts}) < n:
             continue
         try:
-            untangled = _untangle(pts)
-            if untangled is not None:
-                return validate_polygon(untangled)
+            # One orientation table (CollinearTriple if three points are
+            # collinear) serves the untangling and the validation.
+            left = orientation_table(pts)
+            order = _untangle(left, n)
+            if order is not None:
+                return validate_path(pts, left, order)
         except PolygonError:
             continue
     raise GeneratorError(f"could not build a random simple polygon (n={n}, seed={seed})")
 
 
-def _untangle(pts: list[Point]) -> list[Point] | None:
-    # 2-opt on one orientation table (CollinearTriple if three points are collinear).
-    left = orientation_table(pts)
-    order = list(range(len(pts)))
-    for _ in range(40 * len(pts) ** 2):
+def _untangle(left: tuple[int, ...], n: int) -> list[int] | None:
+    # 2-opt: reverse the path between two crossing edges until none cross.
+    order = list(range(n))
+    for _ in range(40 * n**2):
         crossing = first_crossing_edges(left, order)
         if crossing is None:
-            return [pts[k] for k in order]
+            return order
         i, j = crossing
         order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
     return None

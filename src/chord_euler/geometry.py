@@ -152,7 +152,7 @@ class Polygon:
         if not _validated:
             # Validation builds the orientation table but keeps only the
             # reflex set; ``left`` rebuilds the table on first use.
-            vs, self.reflex_vertices = _validate(vs)
+            vs, self.reflex_vertices = _validate(vs, _distinct_table(vs), range(len(vs)))
         self.vertices = vs
         self.n = len(vs)
 
@@ -277,25 +277,36 @@ def first_crossing_edges(left: Sequence[int], order: Sequence[int]) -> tuple[int
     return None
 
 
-def _validate(vs: tuple[Point, ...]) -> tuple[tuple[Point, ...], frozenset[int]]:
-    """The CCW vertex tuple and its reflex set, or the violated invariant."""
-    n = len(vs)
-    if n < 3:
-        raise TooFewVertices(f"{n} vertices")
+def _distinct_table(vs: tuple[Point, ...]) -> tuple[int, ...]:
+    """The orientation table of three or more distinct points, or the violated invariant."""
+    if len(vs) < 3:
+        raise TooFewVertices(f"{len(vs)} vertices")
     seen: dict[Point, int] = {}
     for i, p in enumerate(vs):
         if p in seen:
             raise DuplicateVertex(seen[p], i)
         seen[p] = i
-    left = orientation_table(vs)
-    pair = first_crossing_edges(left, range(n))
+    return orientation_table(vs)
+
+
+def _validate(
+    points: Sequence[Point], left: Sequence[int], order: Sequence[int]
+) -> tuple[tuple[Point, ...], frozenset[int]]:
+    """The CCW vertex tuple of the closed path ``order`` and its reflex set.
+
+    ``left`` is the orientation table of ``points``, and the path visits the
+    point ``order[v]`` as its vertex v.  Raises the violated invariant.
+    """
+    n = len(order)
+    pair = first_crossing_edges(left, order)
     if pair is not None:
         i, j = pair
         raise SelfIntersection((i, (i + 1) % n), (j, (j + 1) % n))
-    turns = [left[(v - 1) % n * n + v] >> (v + 1) % n & 1 for v in range(n)]
+    turns = [left[order[v - 1] * n + order[v]] >> order[(v + 1) % n] & 1 for v in range(n)]
+    vs = tuple(points[k] for k in order)
     # CCW normalization: at a vertex of its convex hull a simple polygon turns
     # the way it runs round.
-    if turns[min(hull_successors(left, n))]:
+    if turns[order.index(min(hull_successors(left, n)))]:
         return vs, frozenset(v for v in range(n) if not turns[v])
     return vs[::-1], frozenset(n - 1 - v for v in range(n) if turns[v])
 
@@ -303,6 +314,18 @@ def _validate(vs: tuple[Point, ...]) -> tuple[tuple[Point, ...], frozenset[int]]
 def validate_polygon(vertices: Sequence[Point]) -> Polygon:
     """Build a CCW simple polygon or raise the specific violated invariant."""
     return Polygon(vertices)
+
+
+def validate_path(points: Sequence[Point], left: Sequence[int], order: Sequence[int]) -> Polygon:
+    """The polygon visiting distinct ``points`` in ``order``, validated on their table ``left``.
+
+    Equals ``validate_polygon([points[k] for k in order])`` without building
+    the orientation table again.
+    """
+    vs, reflex = _validate(points, left, order)
+    poly = Polygon._trusted(vs)
+    poly.reflex_vertices = reflex
+    return poly
 
 
 def point_in_polygon(pt: Point, poly: Polygon) -> bool:

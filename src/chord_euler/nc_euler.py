@@ -16,6 +16,31 @@ region between a boundary chain and its hull chord) or that hull chord, and
 diagonals and epigonals never cross, so the f-polynomial of a family is the
 product of its diagonal part and of one part per pocket.
 
+Theorem 3 asks, at every vertex i, for chi of the diagonals D and of the
+epigonals E less the star of i (the chords at i) and less its ear chord
+(i-1, i+1).  :func:`star_ear_chis` reads all 4n values from one interval
+table at x = -1 per family F, built once per universe in O(n^3).  V(p, q)
+sums (-1)^|S| over the non-crossing sets S of F-chords with both ends in the
+cyclic interval p..q, leaving out the chord (p, q) itself.  Split on the
+chord at p with the farthest other end v:
+
+    V(p, p+1) = 1,
+    V(p, q) = w(p+1, q) V(p+1, q) - sum over (p, v) in F, p+1 < v < q,
+              of V(p, v) w(v, q) V(v, q),
+
+where w(a, b) is 0 if (a, b) is in F and 1 otherwise: a chord that spans
+its whole interval crosses nothing in it, so it contributes a factor
+1 - 1.  The recurrence needs crossing to be interleaving along the boundary.
+That holds for D, and for E too: two epigonals in different pockets lie on
+disjoint boundary arcs, and inside one pocket they are chords of the pocket
+polygon.  With inner = V(i+1, i-1) (no chord at i, no ear) and
+chi(F) = V(i+1, i), the ear crosses exactly the chords at i, so
+
+    chi(F - star(i)) = 0 if ear(i) is in F, else inner,
+    chi(F - ear(i))  = chi(F) + inner if ear(i) is in F, else chi(F),
+
+the second by the deletion identity chi(A - e) = chi(A) + chi(A - N[e]).
+
 Two slower routes are kept as independent oracles:
 
 * ``euler_brute``  - alternating sum of a full DFS enumeration
@@ -30,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chords import Chord, ChordKind, ChordSet, ChordUniverse, pockets
+from .chords import ChordKind, ChordSet, ChordUniverse, pockets
 from .geometry import Point, Polygon, Segment, convex_hull_points, no_three_collinear, segments_properly_cross
 from . import chords as _chords
 
@@ -127,27 +152,37 @@ def _dfs_f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
 # integer sums and products, and a factor x is a shift by ``width``.
 
 
-def _cycle_poly(uni: ChordUniverse, fam: int, cycle: Sequence[int], width: int) -> int:
-    """Packed f-polynomial of the chords of ``fam`` strictly inside ``cycle``.
+def _neighbours(uni: ChordUniverse, fam: int) -> list[int]:
+    """Per vertex v, the vertex mask of the w with (v, w) a chord of ``fam``."""
+    nbr = [0] * uni.polygon.n
+    chords = uni.chords
+    while fam:
+        low = fam & -fam
+        fam ^= low
+        i, j = chords[low.bit_length() - 1]
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    return nbr
 
-    ``cycle`` lists polygon vertices in boundary order; its first and last
-    vertex span the base chord, which is not counted.  F[p][q] (positions
-    p < q - 1) sums, over chains p = u_0 < ... < u_t = q with t >= 2, the
-    product of the step weights: 1 for a boundary step u + 1, x * F[u][v] for
-    a chord (u, v) of ``fam`` and 0 otherwise.  The chain is the face on the
-    chord (p, q), and the chords of its steps split the rest.
+
+def _cycle_poly(nbr: Sequence[int], cycle: Sequence[int], width: int) -> int:
+    """Packed f-polynomial of the family's chords strictly inside ``cycle``.
+
+    ``nbr`` is the family's :func:`_neighbours`.  ``cycle`` lists polygon
+    vertices in boundary order; its first and last vertex span the base
+    chord, which is not counted.  F[p][q] (positions p < q - 1) sums, over
+    chains p = u_0 < ... < u_t = q with t >= 2, the product of the step
+    weights: 1 for a boundary step u + 1, x * F[u][v] for a chord (u, v) of
+    the family and 0 otherwise.  The chain is the face on the chord (p, q),
+    and the chords of its steps split the rest.
     """
     length = len(cycle)
-    index = uni.index
-    ends: list[list[int]] = []  # ends[p]: the v > p + 1 with (p, v) a chord of fam
-    for p in range(length):
-        row = []
-        for v in range(p + 2, length):
-            k = index.get(Chord.of(cycle[p], cycle[v]))
-            if k is not None and fam >> k & 1:
-                row.append(v)
-        ends.append(row)
-    f_chord: dict[tuple[int, int], int] = {}  # F[u][v] for the chords (u, v) of fam
+    # ends[p]: the v > p + 1 with (p, v) a chord of the family
+    ends = [
+        [v for v in range(p + 2, length) if nbr[cycle[p]] >> cycle[v] & 1]
+        for p in range(length)
+    ]
+    f_chord: dict[tuple[int, int], int] = {}  # F[u][v] for the family's chords (u, v)
     f_pq = 1  # a triangle holds no chord
     for q in range(2, length):
         # walk[v]: the chains v = u_0 < ... < u_t = q with t >= 1, weighted;
@@ -175,12 +210,13 @@ def _dp_f_vector(family: ChordSet) -> FVector:
     d_fam = fam & uni.kind_mask(ChordKind.DIAGONAL)
     e_fam = fam & ~d_fam
     width = fam.bit_count() + 1
-    total = _cycle_poly(uni, d_fam, range(poly.n), width)
+    total = _cycle_poly(_neighbours(uni, d_fam), range(poly.n), width)
     if e_fam:  # a diagonal family needs no pockets
         covered = 0
+        e_nbr = _neighbours(uni, e_fam)
         for pocket in pockets(poly):
             covered |= uni.span_mask(pocket.path)
-            part = _cycle_poly(uni, e_fam, pocket.path, width)
+            part = _cycle_poly(e_nbr, pocket.path, width)
             if e_fam >> uni.index[pocket.hull_chord] & 1:
                 part += part << width  # the hull chord crosses nothing: times (1 + x)
             total *= part
@@ -205,6 +241,50 @@ def f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
         if not family.mask & family.universe.kind_mask(ChordKind.BOUNDARY_CROSSING):
             return _dp_f_vector(family)
     return _dfs_f_vector(family)
+
+
+def _star_ear(nbr: Sequence[int]) -> list[tuple[int, int]]:
+    """Per vertex i: chi(F - star(i)) and chi(F - ear(i)) for the family ``nbr``.
+
+    ``table[p][L]`` is V(p, p + L) of the module docstring, for L = 1 .. n - 1.
+    """
+    n = len(nbr)
+    # ends[p]: the offsets d with (p, p + d) a chord of the family
+    ends = [[d for d in range(2, n - 1) if nbr[p] >> (p + d) % n & 1] for p in range(n)]
+    table = [[0, 1] + [0] * (n - 2) for _ in range(n)]
+    for length in range(2, n):
+        for p in range(n):
+            q = (p + length) % n
+            a = (p + 1) % n
+            val = 0 if nbr[a] >> q & 1 else table[a][length - 1]
+            for d in ends[p]:
+                if d >= length:
+                    break
+                v = (p + d) % n
+                if not nbr[v] >> q & 1:
+                    val -= table[p][d] * table[v][length - d]
+            table[p][length] = val
+    out = []
+    for i in range(n):
+        a = (i + 1) % n
+        inner, whole = table[a][n - 2], table[a][n - 1]
+        out.append((0, whole + inner) if nbr[a] >> (i - 1) % n & 1 else (inner, whole))
+    return out
+
+
+def star_ear_chis(uni: ChordUniverse) -> tuple[tuple[int, int, int, int], ...]:
+    """Per vertex i: chi of D and E less star(i), then of D and E less ear(i).
+
+    Read from one x = -1 interval table per family (module docstring) and
+    cached on the universe.
+    """
+    if uni.star_ear_rows is None:
+        d, e = (
+            _star_ear(_neighbours(uni, uni.kind_mask(kind)))
+            for kind in (ChordKind.DIAGONAL, ChordKind.EPIGONAL)
+        )
+        uni.star_ear_rows = tuple((ds, es, de, ee) for (ds, de), (es, ee) in zip(d, e))
+    return uni.star_ear_rows
 
 
 def iter_nc_masks(adj: Sequence[int], live: int):
@@ -286,7 +366,7 @@ class EulerEngine:
     """Caller-owned evaluator sharing one memo across many subfamilies.
 
     Intended for querying many subsets of a single chord universe (for
-    example all the forbidden-position families of one polygon); results are
+    example all the faces of one polygon's Theorem-2 routes); results are
     identical to :func:`euler_recursive`.
     """
 

@@ -137,7 +137,12 @@ def _part_is_convex(vs: Sequence[Point], part: Sequence[int]) -> bool:
 
 
 def is_convex_partition(poly: Polygon, cut: ChordSet) -> bool:
-    """Direct route: subdivide and test each face for convexity."""
+    """Direct route: subdivide and test each face for convexity.
+
+    The formulas decide the same from the orientation table: J cuts the
+    polygon into convex faces iff ``convexity_constraints(poly, J)`` is
+    feasible.  This coordinate route is kept as their test oracle.
+    """
     res = subdivide(poly, cut)
     return all(_part_is_convex(poly.vertices, p) for p in res.parts)
 
@@ -148,7 +153,9 @@ def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bo
     Returns (constraint masks, feasible).  A subset I of ``j_set`` cuts the
     polygon into convex faces iff I intersects every constraint mask.  When
     ``feasible`` is False some face angle exceeds pi no matter what, so even
-    the full set fails and NC_c is empty.
+    the full set fails and NC_c is empty; otherwise every constraint is a
+    nonempty subset of J, so ``feasible`` says whether J itself cuts the
+    polygon into convex faces.
 
     At a vertex v the rays v -> v+1, then the chords of J at v, then
     v -> v-1 run counter-clockwise through the interior angle.  Each diagonal
@@ -347,15 +354,14 @@ def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) ->
     cut by j_prime is chi of F's diagonals less the chords of J, which is the
     parent-universe mask ``D & span(F) & ~J`` (see the module docstring).
     """
-    _check_noncrossing_diagonals(poly, j_set)
-    if not is_convex_partition(poly, j_set):
-        raise PartitionError("J does not provide a convex partition")
     constraints, feasible = convexity_constraints(poly, j_set)
+    if not feasible:
+        raise PartitionError("J does not provide a convex partition")
     forced = 0
     for c in constraints:
         if c.bit_count() == 1:
             forced |= c
-    if not feasible or j_prime.mask & ~forced:
+    if j_prime.mask & ~forced:
         raise PartitionError("j_prime is not contained in every convex-partition subset")
     uni = j_set.universe
     eng = _engine(uni)
@@ -393,7 +399,7 @@ def xi(poly: Polygon, j_set: ChordSet, subset: ChordSet) -> int:
     """Indicator of {empty, J} among subsets of a convex-partition J."""
     if poly.is_convex:
         raise PartitionError("xi is defined for non-convex polygons")
-    if not is_convex_partition(poly, j_set):
+    if not convexity_constraints(poly, j_set)[1]:
         raise PartitionError("J does not provide a convex partition")
     if subset.mask & ~j_set.mask:
         raise PartitionError("I must be a subset of J")
@@ -406,7 +412,7 @@ def chi_inclusion_exclusion(poly: Polygon, j_set: ChordSet, mode: str) -> int:
         raise ValueError("mode must be 'minimal' or 'maximal'")
     if poly.is_convex:
         raise PartitionError("defined for non-convex polygons")
-    if not is_convex_partition(poly, j_set):
+    if not convexity_constraints(poly, j_set)[1]:
         raise PartitionError("J does not provide a convex partition")
     if len(j_set) > IE_CAP:
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the cap {IE_CAP}")

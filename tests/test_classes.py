@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chord_euler.chords import ChordKind, universe_of
 from chord_euler.classes import (
@@ -13,7 +17,7 @@ from chord_euler.classes import (
     verify_theorem3,
 )
 from chord_euler.generators import class_exemplar, convex_ngon, random_simple_polygon
-from chord_euler.geometry import Polygon, SelfIntersection, validate_polygon
+from chord_euler.geometry import Point, Polygon, SelfIntersection, validate_polygon
 from conftest import pt
 
 EXEMPLAR_SIZES = {1: (5, 7, 9), 2: (5, 7, 8), 3: (5, 7, 9), 4: (6, 7, 9), 5: (5, 6, 8), 6: (7, 8, 9)}
@@ -162,6 +166,40 @@ def test_star_side_consistency():
                     if i in (c.i, c.j):
                         assert uni.kinds[k] is ChordKind.DIAGONAL
     assert found > 0
+
+
+def _reflected(poly: Polygon) -> Polygon:
+    # x -> -x turns the polygon clockwise; validation reverses it, so vertex
+    # i of ``poly`` becomes vertex n - 1 - i.
+    return validate_polygon([Point(-v.x, v.y) for v in poly.vertices])
+
+
+def _theorem3_view(poly: Polygon, i: int) -> tuple:
+    rep = verify_theorem3(poly, i)
+    return replace(rep, vertex=0), tuple(det(poly, i) for det in DETECTORS.values())
+
+
+def _assert_relabeling_invariant(poly: Polygon, shift: int) -> None:
+    n = poly.n
+    rotated, reflected = poly.rotated(shift), _reflected(poly)
+    assert reflected.vertices[n - 1] == Point(-poly.vertices[0].x, poly.vertices[0].y)
+    for i in range(n):
+        view = _theorem3_view(poly, i)
+        assert view == _theorem3_view(rotated, (i - shift) % n), (poly, i, shift)
+        assert view == _theorem3_view(reflected, n - 1 - i), (poly, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(5, 10), st.integers(0, 2**32), st.integers(1, 9))
+def test_theorem3_relabeling_invariance_random(n, seed, shift):
+    _assert_relabeling_invariant(random_simple_polygon(n, seed), shift)
+
+
+def test_theorem3_relabeling_invariance_exemplars():
+    for kind in range(1, 7):
+        for n in range(6 if kind == 6 else 5, 10):
+            for i in (0, 2):
+                _assert_relabeling_invariant(class_exemplar(kind, i, n), kind + n)
 
 
 def test_class_report(dart):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chord_euler.geometry import (
@@ -15,8 +15,10 @@ from chord_euler.geometry import (
     convex_hull,
     cross,
     orientation,
+    orientation_table,
     point_in_polygon,
     segments_properly_cross,
+    validate_path,
     validate_polygon,
 )
 from conftest import pt
@@ -158,6 +160,28 @@ def test_validate_matches_coordinate_route(vs):
         got = ("ok", (poly.vertices, set(poly.reflex_vertices)))
         assert set(poly.rotated(0).reflex_vertices) == got[1][1]
     assert got == want
+
+
+def _outcome(make):
+    try:
+        poly = make()
+    except PolygonError as exc:
+        return type(exc).__name__, getattr(exc, "edges", None)
+    return "ok", poly.vertices, poly.reflex_vertices, poly.rotated(0).reflex_vertices
+
+
+@settings(max_examples=300)
+@given(st.lists(st.builds(pt, grid, grid), min_size=3, max_size=8, unique=True), st.randoms())
+def test_validate_path_matches_validate_polygon(pts, rng):
+    # The generator's route: validate an index order on the point set's table.
+    try:
+        left = orientation_table(pts)
+    except CollinearTriple:
+        assume(False)
+    order = list(range(len(pts)))
+    rng.shuffle(order)
+    got = _outcome(lambda: validate_path(pts, left, order))
+    assert got == _outcome(lambda: validate_polygon([pts[k] for k in order]))
 
 
 def test_reflex_vertices(square, dart):

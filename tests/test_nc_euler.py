@@ -14,9 +14,15 @@ from chord_euler.chords import (
     forbidden_star,
     universe_of,
 )
-from chord_euler.generators import convex_ngon, random_simple_polygon, zigzag_chi_target
+from chord_euler.generators import (
+    class_exemplar,
+    convex_ngon,
+    random_simple_polygon,
+    zigzag_chi_target,
+)
 from chord_euler.geometry import Point, Segment
 from chord_euler.nc_euler import (
+    EulerEngine,
     _nc_counts,
     chi_point_family,
     euler_brute,
@@ -25,6 +31,7 @@ from chord_euler.nc_euler import (
     find_heart,
     hull_edge_in,
     is_heart,
+    star_ear_chis,
 )
 from conftest import brute_euler, brute_nc_counts, exemplar_and_zigzag_polygons, pt
 
@@ -132,6 +139,56 @@ def test_theorem1_tails_past_the_dfs():
         assert not poly.is_convex
         assert f_vector(diagonals(poly)).alternating_tail() == 1
         assert f_vector(epigonals(poly)).alternating_tail() == 1
+
+
+def _assert_star_ear_chis(poly, brute: bool = True) -> None:
+    # The x = -1 tables against the deletion recursion and (where it is fast
+    # enough) the DFS, both on the crossing masks, at every vertex.
+    uni = universe_of(poly)
+    eng = EulerEngine(uni.crossing_masks)
+    d_mask, e_mask = diagonals(poly).mask, epigonals(poly).mask
+    rows = star_ear_chis(uni)
+    assert len(rows) == poly.n
+    for i, row in enumerate(rows):
+        star, ear = forbidden_star(poly, i).mask, ear_chord(poly, i).mask
+        masks = (d_mask & ~star, e_mask & ~star, d_mask & ~ear, e_mask & ~ear)
+        assert row == tuple(eng.chi(m) for m in masks), (poly, i)
+        if brute:
+            assert row == tuple(euler_brute(ChordSet(uni, m)) for m in masks), (poly, i)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(5, 12), st.integers(0, 2**32))
+def test_star_ear_chis_match_oracles_random(n, seed):
+    _assert_star_ear_chis(random_simple_polygon(n, seed))
+
+
+def test_star_ear_chis_match_oracles_convex():
+    # The DFS meets 1.0e5 non-crossing sets per family at n = 10 and five
+    # times as many at n = 11; past that only the recursion checks.
+    for n in range(5, 15):
+        _assert_star_ear_chis(convex_ngon(n), brute=n <= 10)
+
+
+def test_star_ear_chis_match_oracles_exemplars_and_zigzags():
+    for kind in range(1, 7):
+        for n in range(6 if kind == 6 else 5, 11):
+            for i in (0, 2):
+                _assert_star_ear_chis(class_exemplar(kind, i, n))
+    # The l = -5 zigzag takes the DFS 25 s.
+    for l in (2, -2, 3, -3, 4, -4, 5, -5):
+        _assert_star_ear_chis(zigzag_chi_target(l).polygon, brute=abs(l) <= 4)
+
+
+def test_star_ear_chis_cached_on_the_universe():
+    poly = random_simple_polygon(9, 3)
+    uni = universe_of(poly)
+    assert uni.star_ear_rows is None
+    rows = star_ear_chis(uni)
+    assert uni.star_ear_rows is rows and star_ear_chis(uni) is rows
+    # A convex polygon has no epigonals: chi of the empty family is 1.
+    for row in star_ear_chis(universe_of(convex_ngon(7))):
+        assert row[1] == row[3] == 1
 
 
 def test_euler_values(square, dart):

@@ -151,6 +151,25 @@ def test_constraints_agree_with_direct_route_random(n, seed):
     _assert_constraints_match_direct(random_simple_polygon(n, seed))
 
 
+def _assert_feasible_is_convex_partition(poly):
+    # The formulas' precondition: J cuts P into convex faces iff its window
+    # constraints are feasible, on every non-crossing diagonal set J.
+    for j in nc_diagonal_subsets(poly):
+        assert is_convex_partition(poly, j) == convexity_constraints(poly, j)[1], (poly, j)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(4, 9), st.integers(0, 2**32))
+def test_feasible_agrees_with_convex_partition_random(n, seed):
+    _assert_feasible_is_convex_partition(random_simple_polygon(n, seed))
+
+
+def test_feasible_agrees_with_convex_partition_exemplars():
+    for poly in exemplar_and_zigzag_polygons(zigzag_ls=()):
+        if poly.n <= 9:
+            _assert_feasible_is_convex_partition(poly)
+
+
 def test_chi_removed_direct_baselines(dart):
     for n in range(4, 9):
         poly = convex_ngon(n)
