@@ -184,14 +184,16 @@ class ChordUniverse:
             inc[c.j] |= 1 << k
         return tuple(inc)
 
-    def span_mask(self, vertices: Iterable[int]) -> int:
-        """Chords with both endpoints in ``vertices``."""
-        inside = set(vertices)
-        mask = self.full_mask()
-        for v, inc in enumerate(self.incidence):
-            if v not in inside:
-                mask &= ~inc
-        return mask
+    def span_mask(self, vertices: int) -> int:
+        """Chords with both endpoints in the vertex bit mask ``vertices``."""
+        inc = self.incidence
+        absent = ((1 << len(inc)) - 1) & ~vertices
+        touched = 0
+        while absent:
+            low = absent & -absent
+            absent ^= low
+            touched |= inc[low.bit_length() - 1]
+        return self.full_mask() & ~touched
 
     def full_mask(self) -> int:
         return (1 << self.size) - 1
@@ -283,10 +285,6 @@ class Pocket:
 
     hull_chord: Chord
     path: tuple[int, ...]  # parent indices from hull_chord.i side, polygon order
-
-
-def pockets(poly: Polygon) -> list[Pocket]:
-    return list(universe_of(poly).pockets)
 
 
 def universe_of(polygon: Polygon) -> ChordUniverse:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .chords import ChordKind, ear_chord, pockets, universe_of
+from .chords import ChordKind, ear_chord, universe_of
 from .geometry import Polygon
 from .nc_euler import f_vector, star_ear_chis
 
@@ -214,7 +214,8 @@ def class_report(poly: Polygon, i: int) -> ClassReport:
             memberships.add(name)
     if "Class3" in memberships:
         witnesses["pockets"] = [
-            {"hull_chord": str(p.hull_chord), "path": list(p.path)} for p in pockets(poly)
+            {"hull_chord": str(p.hull_chord), "path": list(p.path)}
+            for p in universe_of(poly).pockets
         ]
     split = _class6_split(poly, i) if poly.n >= 5 else None
     if split is not None:
@@ -283,10 +284,11 @@ def verify_theorem3(poly: Polygon, i: int) -> Theorem3Report:
     i %= poly.n
     chi_d_star, chi_e_star, chi_d_ear, chi_e_ear = star_ear_chis(universe_of(poly))[i]
     convex = poly.is_convex
-    det_a = is_class1(poly, i) or is_class2(poly, i) or is_class6(poly, i)
+    class2 = is_class2(poly, i)
+    det_a = is_class1(poly, i) or class2 or is_class6(poly, i)
     det_b = convex or is_class3(poly, i)
     det_c = is_class4(poly, i)
-    det_d = convex or is_class2(poly, i) or is_class5(poly, i)
+    det_d = convex or class2 or is_class5(poly, i)
     clauses = (
         (chi_d_star != 0) == det_a,
         (chi_e_star != 0) == det_b,

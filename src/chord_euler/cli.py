@@ -144,6 +144,8 @@ def cmd_analyze(args) -> int:
     if args.classes:
         if poly.n < 5 or args.vertex is None:
             raise CliInputError("--classes needs n >= 5 and --vertex")
+        if not 0 <= args.vertex < poly.n:
+            raise CliInputError(f"--vertex {args.vertex} is not in 0..{poly.n - 1}")
         cr = class_report(poly, args.vertex)
         report["classes"] = sorted(cr.memberships)
         report["theorem3"] = _theorem3_json(verify_theorem3(poly, args.vertex))

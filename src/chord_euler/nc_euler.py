@@ -3,43 +3,51 @@
 A family of segments is non-crossing when segment interiors are pairwise
 disjoint (shared endpoints allowed).  ``f_i`` counts the i-element
 non-crossing subsets; the Euler characteristic is the alternating sum, i.e.
-the independence polynomial of the crossing graph at -1.
+the f-polynomial sum f_i x^i at x = -1.
 
-The engine for f-vectors is an interval DP over the polygon's boundary
-cycle and the cycles of its pockets (:func:`f_vector` on a chord set with no
-boundary-crossing chord).  In general position two diagonals of a simple
-polygon cross iff their endpoints interleave along the boundary, so the
-non-crossing subsets of a diagonal family split along the face on a base
-chord, and the DP needs only the chord kinds and indices: no crossing masks
-and no coordinates.  Every epigonal is a diagonal of one pocket polygon (the
-region between a boundary chain and its hull chord) or that hull chord, and
-diagonals and epigonals never cross, so the f-polynomial of a family is the
-product of its diagonal part and of one part per pocket.
+One interval recurrence gives both the f-polynomials of :func:`f_vector`
+and Theorem 3's chis (:func:`star_ear_chis`).  It needs crossing to be
+interleaving along the boundary cycle.  In general position two diagonals
+of a simple polygon cross iff their endpoints interleave.  So do two
+epigonals: those of different pockets (the regions between the polygon and
+its hull) lie on disjoint boundary arcs, and inside one pocket they are
+chords of the pocket polygon.  A diagonal and an epigonal never cross,
+though they may interleave, so the f-polynomial of a family is the product
+of those of its diagonal part and of its epigonal part.  The recurrence
+reads only the chord kinds and ends: no crossing masks, no coordinates.
 
-Theorem 3 asks, at every vertex i, for chi of the diagonals D and of the
-epigonals E less the star of i (the chords at i) and less its ear chord
-(i-1, i+1).  :func:`star_ear_chis` reads all 4n values from one interval
-table at x = -1 per family F, built once per universe in O(n^3).  V(p, q)
-sums (-1)^|S| over the non-crossing sets S of F-chords with both ends in the
-cyclic interval p..q, leaving out the chord (p, q) itself.  Split on the
-chord at p with the farthest other end v:
+For a family F, V(p, q) sums x^|S| over the non-crossing sets S of
+F-chords with both ends in the interval p..q of the boundary cycle, leaving
+out the chord (p, q) itself.  Split on the chord of S at p with the
+farthest other end v, which splits S into its parts inside p..v and v..q
+(the interval decomposition of Flajolet and Noy, "Analytic combinatorics of
+non-crossing configurations", Discrete Math. 204, 1999):
 
     V(p, p+1) = 1,
-    V(p, q) = w(p+1, q) V(p+1, q) - sum over (p, v) in F, p+1 < v < q,
+    V(p, q) = w(p+1, q) V(p+1, q) + x * sum over (p, v) in F, p+1 < v < q,
               of V(p, v) w(v, q) V(v, q),
 
-where w(a, b) is 0 if (a, b) is in F and 1 otherwise: a chord that spans
-its whole interval crosses nothing in it, so it contributes a factor
-1 - 1.  The recurrence needs crossing to be interleaving along the boundary.
-That holds for D, and for E too: two epigonals in different pockets lie on
-disjoint boundary arcs, and inside one pocket they are chords of the pocket
-polygon.  With inner = V(i+1, i-1) (no chord at i, no ear) and
-chi(F) = V(i+1, i), the ear crosses exactly the chords at i, so
+where w(a, b) is 1 + x if (a, b) is in F and 1 otherwise: a chord that
+spans its whole interval crosses nothing in it.  :func:`_intervals` builds
+the table in O(n^3) ring operations at one of two points:
 
-    chi(F - star(i)) = 0 if ear(i) is in F, else inner,
-    chi(F - ear(i))  = chi(F) + inner if ear(i) is in F, else chi(F),
+* x = 2^width, for :func:`f_vector`, on the intervals p..q with p < q (the
+  cycle cut open between n-1 and 0); V(0, n-1) is the f-polynomial.  A
+  polynomial is packed into one integer, the coefficient of x^k in bits
+  [k*width, (k+1)*width).  Every coefficient of every intermediate
+  polynomial counts distinct non-crossing subsets of the family by size, so
+  it is below 2^|family| and ``width = |family| + 1`` bits never carry into
+  the next coefficient.
+* x = -1, for :func:`star_ear_chis`, on every cyclic interval.  Theorem 3
+  asks, at every vertex i, for chi of the diagonals D and of the epigonals
+  E less the star of i (the chords at i) and less its ear chord
+  (i-1, i+1).  With inner = V(i+1, i-1) (no chord at i, no ear) and
+  chi(F) = V(i+1, i), the ear crosses exactly the chords at i, so
 
-the second by the deletion identity chi(A - e) = chi(A) + chi(A - N[e]).
+      chi(F - star(i)) = 0 if ear(i) is in F, else inner,
+      chi(F - ear(i))  = chi(F) + inner if ear(i) is in F, else chi(F),
+
+  the second by the deletion identity chi(A - e) = chi(A) + chi(A - N[e]).
 
 Two slower routes are kept as independent oracles:
 
@@ -55,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chords import ChordKind, ChordSet, ChordUniverse, pockets
+from .chords import ChordKind, ChordSet, ChordUniverse
 from .geometry import Point, Polygon, Segment, convex_hull_points, no_three_collinear, segments_properly_cross
 from . import chords as _chords
 
@@ -144,14 +152,6 @@ def _dfs_f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
     return FVector(tuple(_nc_counts(fam.adj, fam.live)))
 
 
-# The DP's polynomials are packed into one integer each: the coefficient of
-# x^k sits in bits [k*width, (k+1)*width).  Every coefficient of every
-# intermediate polynomial counts distinct non-crossing subsets of the family
-# by size, so it is below 2^|family| and ``width = |family| + 1`` bits never
-# carry into the next coefficient.  Polynomial sums and products are then
-# integer sums and products, and a factor x is a shift by ``width``.
-
-
 def _neighbours(uni: ChordUniverse, fam: int) -> list[int]:
     """Per vertex v, the vertex mask of the w with (v, w) a chord of ``fam``."""
     nbr = [0] * uni.polygon.n
@@ -165,62 +165,42 @@ def _neighbours(uni: ChordUniverse, fam: int) -> list[int]:
     return nbr
 
 
-def _cycle_poly(nbr: Sequence[int], cycle: Sequence[int], width: int) -> int:
-    """Packed f-polynomial of the family's chords strictly inside ``cycle``.
+def _intervals(nbr: Sequence[int], x: int, cyclic: bool) -> list[list[int]]:
+    """``table[p][L]`` = V(p, p + L) of the module docstring, at ``x``.
 
-    ``nbr`` is the family's :func:`_neighbours`.  ``cycle`` lists polygon
-    vertices in boundary order; its first and last vertex span the base
-    chord, which is not counted.  F[p][q] (positions p < q - 1) sums, over
-    chains p = u_0 < ... < u_t = q with t >= 2, the product of the step
-    weights: 1 for a boundary step u + 1, x * F[u][v] for a chord (u, v) of
-    the family and 0 otherwise.  The chain is the face on the chord (p, q),
-    and the chords of its steps split the rest.
+    ``nbr`` is the family's :func:`_neighbours`.  The intervals run over the
+    whole cycle if ``cyclic``, else only those with p + L < n.
     """
-    length = len(cycle)
-    # ends[p]: the v > p + 1 with (p, v) a chord of the family
-    ends = [
-        [v for v in range(p + 2, length) if nbr[cycle[p]] >> cycle[v] & 1]
-        for p in range(length)
-    ]
-    f_chord: dict[tuple[int, int], int] = {}  # F[u][v] for the family's chords (u, v)
-    f_pq = 1  # a triangle holds no chord
-    for q in range(2, length):
-        # walk[v]: the chains v = u_0 < ... < u_t = q with t >= 1, weighted;
-        # F[p][q] is walk[p] less the direct step p -> q.
-        walk = [0] * (q + 1)
-        walk[q] = walk[q - 1] = 1
-        for p in range(q - 2, -1, -1):
-            f_pq = walk[p + 1]
-            for v in ends[p]:
-                if v >= q:
-                    break
-                f_pq += (f_chord[p, v] << width) * walk[v]
-            walk[p] = f_pq
-            if q in ends[p]:
-                f_chord[p, q] = f_pq
-                walk[p] += f_pq << width
-    return f_pq
+    n = len(nbr)
+    table = [[0, 1] + [0] * (n - 2) for _ in range(n)]
+    weighted = [[0, 1] + [0] * (n - 2) for _ in range(n)]  # w(p, p + L) V(p, p + L)
+    rows = weighted * 2  # rows[p + d] is row (p + d) mod n
+    ends: list[list[int]] = [[] for _ in range(n)]  # the d < L with (p, p + d) in F
+    for length in range(2, n):
+        for p in range(n if cyclic else n - length):
+            row = table[p]
+            val = rows[p + 1][length - 1]
+            if ends[p]:
+                split = 0
+                for d in ends[p]:
+                    split += row[d] * rows[p + d][length - d]
+                val += x * split
+            row[length] = weighted[p][length] = val
+            if nbr[p] >> (p + length) % n & 1:
+                weighted[p][length] *= 1 + x
+                ends[p].append(length)
+    return table
 
 
 def _dp_f_vector(family: ChordSet) -> FVector:
     """The interval DP of the module docstring; needs no boundary-crossing chord."""
     uni = family.universe
-    poly = uni.polygon
-    fam = family.mask
-    d_fam = fam & uni.kind_mask(ChordKind.DIAGONAL)
-    e_fam = fam & ~d_fam
-    width = fam.bit_count() + 1
-    total = _cycle_poly(_neighbours(uni, d_fam), range(poly.n), width)
-    if e_fam:  # a diagonal family needs no pockets
-        covered = 0
-        e_nbr = _neighbours(uni, e_fam)
-        for pocket in pockets(poly):
-            covered |= uni.span_mask(pocket.path)
-            part = _cycle_poly(e_nbr, pocket.path, width)
-            if e_fam >> uni.index[pocket.hull_chord] & 1:
-                part += part << width  # the hull chord crosses nothing: times (1 + x)
-            total *= part
-        assert e_fam & ~covered == 0, "an epigonal outside every pocket"
+    d_mask = uni.kind_mask(ChordKind.DIAGONAL)
+    width = family.mask.bit_count() + 1
+    total = 1
+    for part in (family.mask & d_mask, family.mask & ~d_mask):
+        if part:
+            total *= _intervals(_neighbours(uni, part), 1 << width, cyclic=False)[0][-1]
     counts = []
     low = (1 << width) - 1
     while total:
@@ -233,9 +213,11 @@ def f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
     """Exact non-crossing family counts (f_0, f_1, ...).
 
     A chord set with no boundary-crossing chord is counted by the interval
-    DP (see the module docstring), in O(n^3) polynomial products.  Segment
-    lists and chord sets holding a boundary-crossing chord are enumerated by
-    the output-sensitive DFS on their crossing masks.
+    recurrence of the module docstring at the packed x: once for its
+    diagonal part and once for its epigonal part, each in O(n^3) polynomial
+    products, and the two polynomials multiply.  Segment lists and chord
+    sets holding a boundary-crossing chord are enumerated by the
+    output-sensitive DFS on their crossing masks.
     """
     if isinstance(family, ChordSet):
         if not family.mask & family.universe.kind_mask(ChordKind.BOUNDARY_CROSSING):
@@ -244,26 +226,9 @@ def f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
 
 
 def _star_ear(nbr: Sequence[int]) -> list[tuple[int, int]]:
-    """Per vertex i: chi(F - star(i)) and chi(F - ear(i)) for the family ``nbr``.
-
-    ``table[p][L]`` is V(p, p + L) of the module docstring, for L = 1 .. n - 1.
-    """
+    """Per vertex i: chi(F - star(i)) and chi(F - ear(i)) for the family ``nbr``."""
     n = len(nbr)
-    # ends[p]: the offsets d with (p, p + d) a chord of the family
-    ends = [[d for d in range(2, n - 1) if nbr[p] >> (p + d) % n & 1] for p in range(n)]
-    table = [[0, 1] + [0] * (n - 2) for _ in range(n)]
-    for length in range(2, n):
-        for p in range(n):
-            q = (p + length) % n
-            a = (p + 1) % n
-            val = 0 if nbr[a] >> q & 1 else table[a][length - 1]
-            for d in ends[p]:
-                if d >= length:
-                    break
-                v = (p + d) % n
-                if not nbr[v] >> q & 1:
-                    val -= table[p][d] * table[v][length - d]
-            table[p][length] = val
+    table = _intervals(nbr, -1, cyclic=True)
     out = []
     for i in range(n):
         a = (i + 1) % n

@@ -25,8 +25,8 @@ which are F's own edges.  This holds because each cut chord separates P: a
 diagonal of P with both endpoints on one side cannot cross the cut chord and
 come back.  Two diagonals of F cross in F iff they cross in P, since they are
 the same segments.  So a face family is the mask ``D & span(F) & ~I`` over
-the parent universe, and its chi comes from the parent's shared
-:class:`EulerEngine` memo.
+the parent universe, with span(F) = ``ChordUniverse.span_mask(F)``, and its
+chi comes from the parent's shared :class:`EulerEngine` memo.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .chords import Chord, ChordKind, ChordSet, ChordUniverse, pockets, universe_of
+from .chords import Chord, ChordKind, ChordSet, ChordUniverse, universe_of
 from .geometry import Point, Polygon, cross
 from .nc_euler import EulerEngine
 
@@ -105,14 +105,6 @@ def _faces(uni: ChordUniverse, cut: int) -> list[int]:
         cut &= cut - 1
         faces = _cut(faces, *uni.chords[k])
     return faces
-
-
-def _span(mask: int, incidence: Sequence[int], face: int) -> int:
-    """The chords of ``mask`` with both endpoints on the face."""
-    for v, inc in enumerate(incidence):
-        if not face >> v & 1:
-            mask &= ~inc
-    return mask
 
 
 def subdivide(poly: Polygon, cut: ChordSet) -> PartitionResult:
@@ -323,7 +315,7 @@ def chi_removed_lemma1(poly: Polygon, j_set: ChordSet) -> int:
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
     uni = j_set.universe
     eng = _engine(uni)
-    d_mask, incidence = uni.kind_mask(ChordKind.DIAGONAL), uni.incidence
+    d_mask = uni.kind_mask(ChordKind.DIAGONAL)
     cut = [(1 << k, uni.chords[k]) for k in range(uni.size) if j_set.mask >> k & 1]
     # The chords of I that a face spans are its own edges, so a face's value
     # does not depend on the rest of I and is cached by its vertex mask.
@@ -335,7 +327,7 @@ def chi_removed_lemma1(poly: Polygon, j_set: ChordSet) -> int:
             for f in faces:
                 val = face_chi.get(f)
                 if val is None:
-                    val = face_chi[f] = eng.chi(_span(d_mask & ~sub, incidence, f))
+                    val = face_chi[f] = eng.chi(d_mask & ~sub & uni.span_mask(f))
                 prod *= val
                 if prod == 0:
                     break
@@ -369,7 +361,7 @@ def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) ->
     _check_noncrossing_diagonals(poly, j_prime)
     prod = 1
     for face in _faces(uni, j_prime.mask):
-        prod *= eng.chi(_span(fam, uni.incidence, face))
+        prod *= eng.chi(fam & uni.span_mask(face))
         if prod == 0:
             break
     return prod
@@ -388,8 +380,8 @@ def chi_epigonal_pockets(poly: Polygon, removed: ChordSet) -> int:
     eng = _engine(uni)
     fam = uni.kind_mask(ChordKind.EPIGONAL) & ~removed.mask
     prod = 1
-    for pocket in pockets(poly):
-        prod *= eng.chi(fam & uni.span_mask(pocket.path))
+    for pocket in uni.pockets:
+        prod *= eng.chi(fam & uni.span_mask(sum(1 << v for v in pocket.path)))
         if prod == 0:
             break
     return prod

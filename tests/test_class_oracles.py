@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chord_euler.chords import ChordKind, ear_chord, pockets, universe_of
+from chord_euler.chords import ChordKind, ear_chord, universe_of
 from chord_euler.classes import (
     is_class1,
     is_class2,
@@ -150,7 +150,7 @@ ORACLES = (class1_oracle, class2_oracle, class3_oracle, class4_oracle, class5_or
 def assert_matches_oracles(poly):
     uni = universe_of(poly)
     assert uni.hull == hull_oracle(poly)
-    assert [(tuple(p.hull_chord), p.path) for p in pockets(poly)] == pockets_oracle(poly)
+    assert [(tuple(p.hull_chord), p.path) for p in uni.pockets] == pockets_oracle(poly)
     for i in range(poly.n):
         for det, oracle in zip(DETECTORS, ORACLES):
             assert det(poly, i) == oracle(poly, i), (det.__name__, i, poly)

@@ -234,3 +234,12 @@ def test_negative_random_is_bad_input(capsys):
 def test_catalan_subcommand(capsys):
     code, out, _ = run(capsys, "catalan", "--n", "2", "--k", "1", "--a", "1")
     assert code == EXIT_OK and out.strip() == "5"
+
+
+@pytest.mark.parametrize("vertex", ["7", "100", "-1"])
+def test_out_of_range_vertex_is_bad_input(tmp_path, capsys, vertex):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(polygon_to_json(random_simple_polygon(7, 1))))
+    code, out, err = run(capsys, "analyze", str(path), "--classes", "--vertex", vertex)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: --vertex {vertex} is not in 0..6\n"

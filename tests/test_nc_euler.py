@@ -112,13 +112,26 @@ def test_dp_matches_dfs_random(n, seed):
 
 def test_dp_matches_dfs_exemplars_and_zigzags():
     rng = random.Random(4)
-    for poly in exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3)):
+    two_pockets = [class_exemplar(3, 0, n, pockets=2) for n in range(7, 11)]
+    for poly in exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3)) + two_pockets:
         _assert_dp_matches_dfs(poly, rng)
     # Where the DFS is slow (the l = 4 zigzag has 4.5e4 non-crossing diagonal
     # sets, l = 7 has 1.2e8), the deletion recursion checks the alternating sums.
     for poly in [zigzag_chi_target(l).polygon for l in (4, 5, -5, 7)]:
         for fam in (diagonals(poly), epigonals(poly)):
             assert f_vector(fam).euler == euler_recursive(fam)
+
+
+def test_f_vector_reads_no_hull_or_pockets():
+    # The epigonals interleave along the boundary cycle like the diagonals,
+    # so their f-vector needs the chord kinds only.
+    for seed in range(5):
+        poly = random_simple_polygon(9, seed)
+        uni = universe_of(poly)
+        fam = epigonals(poly)
+        assert not poly.is_convex and "hull" not in vars(uni)
+        assert list(f_vector(fam).counts) == _nc_counts(uni.crossing_masks, fam.mask)
+        assert "hull" not in vars(uni) and "pockets" not in vars(uni)
 
 
 def test_boundary_crossing_sets_use_the_dfs():
