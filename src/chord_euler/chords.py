@@ -30,10 +30,22 @@ vertex masks and m-bit chord masks, with no loop over chord pairs.
   every other vertex lies left of it (``geometry.hull_successors``; Knuth,
   *Axioms and Hulls*).  The pockets, the regions between the polygon and its
   hull, follow from the hull chords.
+
+Ownership.  A polygon owns its universe: :func:`universe_of` fills the slot
+that ``Polygon`` declares.  The universe owns every cache derived from the
+chords: the cached kinds, crossing masks, incidence, hull and pockets,
+Theorem 3's ``star_ear_rows`` (filled by ``nc_euler.star_ear_chis``) and the
+chi engine of the Theorem-2 routes (``euler_engine``, filled by
+``partition``).  It copies the polygon's n, vertices and orientation table
+and holds the polygon itself only through a weak reference, so it reads
+nothing through the polygon and a :class:`ChordSet` keeps working after its
+polygon is gone.  No reference cycle forms, and reference counting alone
+frees a polygon together with its universe and caches.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -71,14 +83,16 @@ class ChordUniverse:
     """All chords of one polygon, in lexicographic (i, j) order.
 
     Owns the per-chord classification and the pairwise crossing masks, both
-    read from the polygon's orientation table; every :class:`ChordSet` over
-    the polygon shares this object, which keeps bit positions and memo keys
-    stable.
+    read from its copy of the polygon's orientation table; every
+    :class:`ChordSet` over the polygon shares this object, which keeps bit
+    positions and memo keys stable.
     """
 
     def __init__(self, polygon: Polygon):
-        self.polygon = polygon
-        n = polygon.n
+        self._polygon = weakref.ref(polygon)
+        self.n = n = polygon.n
+        self.vertices = polygon.vertices
+        self.left = polygon.left
         self.chords: tuple[Chord, ...] = tuple(
             Chord(i, j)
             for i in range(n)
@@ -89,15 +103,22 @@ class ChordUniverse:
         self.size = len(self.chords)
         # Filled by ``nc_euler.star_ear_chis``: per vertex, Theorem 3's four chis.
         self.star_ear_rows: tuple[tuple[int, int, int, int], ...] | None = None
+        # Filled by ``partition``: an ``nc_euler.EulerEngine`` on the crossing
+        # masks, whose memo the Theorem-2 routes share.
+        self.euler_engine = None
+
+    @property
+    def polygon(self) -> Polygon | None:
+        """The polygon, while it is alive (held through a weak reference)."""
+        return self._polygon()
 
     def segment(self, c: Chord) -> Segment:
-        vs = self.polygon.vertices
-        return Segment(vs[c.i], vs[c.j])
+        return Segment(self.vertices[c.i], self.vertices[c.j])
 
     @cached_property
     def hull(self) -> tuple[int, ...]:
         """Convex-hull vertex indices, CCW, starting at the smallest."""
-        succ = hull_successors(self.polygon.left, self.polygon.n)
+        succ = hull_successors(self.left, self.n)
         out = [min(succ)]
         while (b := succ[out[-1]]) != out[0]:
             out.append(b)
@@ -107,7 +128,7 @@ class ChordUniverse:
     def pockets(self) -> tuple[Pocket, ...]:
         """One pocket per hull edge that is not a polygon edge, in hull order."""
         hull = self.hull
-        n = self.polygon.n
+        n = self.n
         out = []
         for t in range(len(hull)):
             a, b = hull[t], hull[(t + 1) % len(hull)]
@@ -119,9 +140,11 @@ class ChordUniverse:
 
     @cached_property
     def kinds(self) -> tuple[ChordKind, ...]:
-        n = self.polygon.n
-        left = self.polygon.left
-        ccw = self.polygon.ccw
+        n, left = self.n, self.left
+
+        def ccw(i: int, j: int, k: int) -> bool:
+            return bool(left[i * n + j] >> k & 1)
+
         # edge_left[v] has bit a set iff v lies left of edge v_a -> v_{a+1}.
         edge_left = [0] * n
         for a in range(n):
@@ -151,8 +174,7 @@ class ChordUniverse:
     @cached_property
     def crossing_masks(self) -> tuple[int, ...]:
         """crossing_masks[k] has bit m set iff chords k and m properly cross."""
-        n = self.polygon.n
-        left = self.polygon.left
+        n, left = self.n, self.left
         inc = self.incidence
         # around[v] has bit c set iff v lies left of the line of chord c.
         around = [0] * n
@@ -178,7 +200,7 @@ class ChordUniverse:
     @cached_property
     def incidence(self) -> tuple[int, ...]:
         """incidence[v] has bit k set iff vertex v is an endpoint of chord k."""
-        inc = [0] * self.polygon.n
+        inc = [0] * self.n
         for k, c in enumerate(self.chords):
             inc[c.i] |= 1 << k
             inc[c.j] |= 1 << k
@@ -289,10 +311,9 @@ class Pocket:
 
 def universe_of(polygon: Polygon) -> ChordUniverse:
     """The polygon's chord universe (cached on the polygon)."""
-    uni = getattr(polygon, "_chord_universe", None)
+    uni = polygon._chord_universe
     if uni is None:
-        uni = ChordUniverse(polygon)
-        polygon._chord_universe = uni
+        uni = polygon._chord_universe = ChordUniverse(polygon)
     return uni
 
 

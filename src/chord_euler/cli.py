@@ -289,7 +289,7 @@ def _verify_zigzag(args) -> list[str]:
         rep = verify_zigzag_structure(z)
         if not rep.ok:
             failures.append(f"l={l} structure")
-        if abs(l) <= 5 and chi_removed_direct(z.polygon, z.j_set, "d") != l:
+        if chi_removed_direct(z.polygon, z.j_set, "d") != l:
             failures.append(f"l={l} direct chi")
     return failures
 
@@ -333,6 +333,8 @@ def cmd_generate(args) -> int:
             "target": z.target,
         }
     elif args.kind.startswith("class"):
+        if not 0 <= args.i < args.n:
+            raise CliInputError(f"--i {args.i} is not in 0..{args.n - 1}")
         kind = int(args.kind[5:])
         options = {}
         if args.pockets is not None:

@@ -20,11 +20,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chords import Chord, ChordKind, ChordSet, universe_of
+from .chords import Chord, ChordSet, universe_of
 from .exact_scalar import QSqrt3
 from .geometry import Point, Polygon, PolygonError, validate_polygon
 from .geometry import first_crossing_edges, orientation_table, validate_path
-from .partition import convexity_constraints
+from .partition import PartitionError, convexity_constraints
 from . import classes as _classes
 
 
@@ -97,20 +97,17 @@ def _untangle(left: tuple[int, ...], n: int) -> list[int] | None:
 # General-position perturbation
 
 
-def perturb_to_general_position(
-    points: list[Point],
-    budget: Fraction = Fraction(1, 128),
-    structural_check=None,
-) -> Polygon:
+PERTURB_BUDGET = Fraction(1, 128)  # eps of the first attempt, kept below 1/100
+
+
+def perturb_to_general_position(points: list[Point], structural_check=None) -> Polygon:
     """Nudge vertices out of collinear triples, deterministically.
 
     Offsets vertex k of each collinear triple by (eps/(k+1), eps/(k+2)^2),
-    halving eps (and then flipping its sign) until the polygon validates and
-    the caller's structural check accepts.  Inputs already in general
-    position are returned unchanged.
+    starting from eps = ``PERTURB_BUDGET`` and halving eps (and then flipping
+    its sign) until the polygon validates and the caller's structural check
+    accepts.  Inputs already in general position are returned unchanged.
     """
-    if budget > Fraction(1, 100):
-        raise ValueError("perturbation budget must stay below 1/100")
     from .geometry import orientation
 
     n = len(points)
@@ -126,7 +123,7 @@ def perturb_to_general_position(
             raise GeneratorError("input fails the structural check and needs no perturbation")
         return poly
     for sign in (1, -1):
-        eps = budget * sign
+        eps = PERTURB_BUDGET * sign
         for _ in range(10):
             moved = list(points)
             for k in sorted(bad):
@@ -275,16 +272,12 @@ def zigzag_chi_target(l: int) -> ZigzagInstance:
     labels0 = {name: Chord.of(a - 1, b - 1) for name, (a, b) in labels1.items()}
 
     def structural(poly: Polygon) -> bool:
-        uni = universe_of(poly)
-        mask = 0
-        for c in labels0.values():
-            k = uni.index.get(c)
-            if k is None or uni.kinds[k] is not ChordKind.DIAGONAL:
-                return False
-            if uni.crossing_masks[k] & mask:
-                return False
-            mask |= 1 << k
-        return _constraints_match(poly, ChordSet(uni, mask), labels0, L)
+        # A label that is an edge, not a diagonal, or crosses another label
+        # makes ``set_of`` or the constraint check raise.
+        try:
+            return _constraints_match(poly, universe_of(poly).set_of(labels0.values()), labels0, L)
+        except (KeyError, PartitionError):
+            return False
 
     poly = perturb_to_general_position(points, structural_check=structural)
     uni = universe_of(poly)

@@ -155,6 +155,8 @@ class Polygon:
             vs, self.reflex_vertices = _validate(vs, _distinct_table(vs), range(len(vs)))
         self.vertices = vs
         self.n = len(vs)
+        # Filled by ``chords.universe_of``; the universe holds this polygon weakly.
+        self._chord_universe = None
 
     @classmethod
     def _trusted(cls, vertices: Sequence[Point]) -> Polygon:

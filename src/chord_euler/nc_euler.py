@@ -107,59 +107,50 @@ class FVector:
         return sum((-1) ** (i - 1) * c for i, c in enumerate(self.counts) if i >= 1)
 
 
-class _Family:
-    """Internal view: adjacency masks plus the live mask of a family."""
-
-    __slots__ = ("adj", "live")
-
-    def __init__(self, adj: Sequence[int], live: int):
-        self.adj = adj
-        self.live = live
-
-
-def _as_family(family: ChordSet | Sequence[Segment]) -> _Family:
+def _adjacency(family: ChordSet | Sequence[Segment]) -> tuple[Sequence[int], int]:
+    """The crossing masks of a family and the mask of its members."""
     if isinstance(family, ChordSet):
-        return _Family(family.universe.crossing_masks, family.mask)
+        return family.universe.crossing_masks, family.mask
     segs = list(family)
-    return _Family(crossing_masks(segs), (1 << len(segs)) - 1)
+    return crossing_masks(segs), (1 << len(segs)) - 1
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bit positions of ``mask``, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def _nc_counts(adj: Sequence[int], live: int) -> list[int]:
-    order = []
-    m = live
-    while m:
-        k = (m & -m).bit_length() - 1
-        m &= m - 1
-        order.append(k)
-    counts = [0] * (len(order) + 1)
+    """Non-crossing subsets of ``live`` by size, enumerated depth first."""
+    order = _bits(live)
+    bits = [1 << k for k in order]
     sub_adj = [adj[k] & live for k in order]
-
-    def rec(pos: int, size: int, banned: int) -> None:
+    counts = [0] * (len(order) + 1)
+    stack = [(0, 0, 0)]  # a set: first position it may extend by, size, crossed mask
+    while stack:
+        pos, size, banned = stack.pop()
         counts[size] += 1
         for t in range(pos, len(order)):
-            k = order[t]
-            if not banned >> k & 1:
-                rec(t + 1, size + 1, banned | sub_adj[t])
-
-    rec(0, 0, 0)
+            if not banned & bits[t]:
+                stack.append((t + 1, size + 1, banned | sub_adj[t]))
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return counts
 
 
 def _dfs_f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
-    fam = _as_family(family)
-    return FVector(tuple(_nc_counts(fam.adj, fam.live)))
+    return FVector(tuple(_nc_counts(*_adjacency(family))))
 
 
 def _neighbours(uni: ChordUniverse, fam: int) -> list[int]:
     """Per vertex v, the vertex mask of the w with (v, w) a chord of ``fam``."""
-    nbr = [0] * uni.polygon.n
-    chords = uni.chords
-    while fam:
-        low = fam & -fam
-        fam ^= low
-        i, j = chords[low.bit_length() - 1]
+    nbr = [0] * uni.n
+    for k in _bits(fam):
+        i, j = uni.chords[k]
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
     return nbr
@@ -253,22 +244,22 @@ def star_ear_chis(uni: ChordUniverse) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def iter_nc_masks(adj: Sequence[int], live: int):
-    """Yield the bit mask of every non-crossing subfamily of ``live``."""
-    order = []
-    m = live
-    while m:
-        k = (m & -m).bit_length() - 1
-        m &= m - 1
-        order.append(k)
+    """Yield the bit mask of every non-crossing subfamily of ``live``.
 
-    def rec(pos: int, chosen: int, banned: int):
+    The order is depth first: a set, then each of its extensions by one
+    higher member, lowest first, with all of that one's extensions before
+    the next.  The stack holds the pending sets, the lowest extension on top.
+    """
+    order = _bits(live)
+    bits = [1 << k for k in order]
+    sub_adj = [adj[k] & live for k in order]
+    stack = [(0, 0, 0)]
+    while stack:
+        pos, chosen, banned = stack.pop()
         yield chosen
-        for t in range(pos, len(order)):
-            k = order[t]
-            if not banned >> k & 1:
-                yield from rec(t + 1, chosen | (1 << k), banned | (adj[k] & live))
-
-    yield from rec(0, 0, 0)
+        for t in range(len(order) - 1, pos - 1, -1):
+            if not banned & bits[t]:
+                stack.append((t + 1, chosen | bits[t], banned | sub_adj[t]))
 
 
 def euler_brute(family: ChordSet | Sequence[Segment]) -> int:
@@ -323,8 +314,7 @@ def _chi(adj: Sequence[int], live: int, memo: dict[int, int]) -> int:
 
 def euler_recursive(family: ChordSet | Sequence[Segment]) -> int:
     """Deletion-identity evaluation with per-call memoization."""
-    fam = _as_family(family)
-    return _chi(fam.adj, fam.live, {})
+    return _chi(*_adjacency(family), {})
 
 
 class EulerEngine:
@@ -343,40 +333,28 @@ class EulerEngine:
         return _chi(self.adj, mask, self._memo)
 
 
+def _bron_kerbosch(compat: Sequence[int], r: int, p: int, x: int, out: list[int]) -> None:
+    """Append to ``out`` every maximal compatible set r + S with S in p, none of x."""
+    if p == 0 and x == 0:
+        out.append(r)
+        return
+    # Pivot on the u in p | x that leaves the fewest candidates p & ~compat[u].
+    best = p
+    for u in _bits(p | x):
+        cand = p & ~compat[u]
+        if cand.bit_count() < best.bit_count():
+            best = cand
+    for v in _bits(best):
+        _bron_kerbosch(compat, r | 1 << v, p & compat[v], x & compat[v], out)
+        p &= ~(1 << v)
+        x |= 1 << v
+
+
 def maximal_nc_masks(adj: Sequence[int], live: int) -> list[int]:
     """All maximal non-crossing subfamilies of ``live`` (Bron-Kerbosch)."""
-    compat = {}
-
-    def compat_of(v: int) -> int:
-        c = compat.get(v)
-        if c is None:
-            c = compat[v] = live & ~adj[v] & ~(1 << v)
-        return c
-
+    compat = [live & ~a & ~(1 << v) for v, a in enumerate(adj)]
     out: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        px = p | x
-        u = (px & -px).bit_length() - 1
-        best = p & ~compat_of(u)
-        pu = px
-        while pu:
-            w = (pu & -pu).bit_length() - 1
-            pu &= pu - 1
-            cand = p & ~compat_of(w)
-            if cand.bit_count() < best.bit_count():
-                best, u = cand, w
-        cand = best
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            bk(r | (1 << v), p & compat_of(v), x & compat_of(v))
-            p &= ~(1 << v)
-            x |= 1 << v
-    bk(0, live, 0)
+    _bron_kerbosch(compat, 0, live, 0, out)
     return out
 
 
@@ -404,12 +382,8 @@ def is_heart(family: ChordSet | Sequence[Segment], heart: ChordSet | Sequence[Se
             hmask |= 1 << k
         adj = crossing_masks(segs)
         live = (1 << len(segs)) - 1
-    h = hmask
-    while h:
-        k = (h & -h).bit_length() - 1
-        h &= h - 1
-        if adj[k] & hmask:
-            raise ValueError("heart members must be pairwise non-crossing")
+    if any(adj[k] & hmask for k in _bits(hmask)):
+        raise ValueError("heart members must be pairwise non-crossing")
     return all(m & hmask for m in maximal_nc_masks(adj, live))
 
 

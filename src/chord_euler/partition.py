@@ -53,10 +53,9 @@ class InstanceTooLarge(PartitionError):
 
 
 def _engine(uni: ChordUniverse) -> EulerEngine:
-    eng = getattr(uni, "_euler_engine", None)
+    eng = uni.euler_engine
     if eng is None:
-        eng = EulerEngine(uni.crossing_masks)
-        uni._euler_engine = eng
+        eng = uni.euler_engine = EulerEngine(uni.crossing_masks)
     return eng
 
 
@@ -99,7 +98,7 @@ def _cut(faces: list[int], i: int, j: int) -> list[int]:
 
 def _faces(uni: ChordUniverse, cut: int) -> list[int]:
     """Vertex masks of the faces of the cut by the chord mask ``cut``."""
-    faces = [(1 << uni.polygon.n) - 1]
+    faces = [(1 << uni.n) - 1]
     while cut:
         k = (cut & -cut).bit_length() - 1
         cut &= cut - 1
@@ -306,9 +305,10 @@ def chi_removed_lemma1(poly: Polygon, j_set: ChordSet) -> int:
     """Sum over I subset of J of the product of the faces' diagonal chis.
 
     The subsets I come from a depth-first walk over J's chords that carries
-    the faces of I as vertex masks, one split per I.  A face F's diagonal
-    family is ``D & span(F) & ~I`` over the parent universe (see the module
-    docstring), evaluated on the parent's shared engine memo.
+    the faces of I as vertex masks, one split per I: a stack entry is the
+    next chord of J to decide, the faces so far and I so far.  A face F's
+    diagonal family is ``D & span(F) & ~I`` over the parent universe (see the
+    module docstring), evaluated on the parent's shared engine memo.
     """
     _check_noncrossing_diagonals(poly, j_set)
     if len(j_set) > LATTICE_CAP:
@@ -320,22 +320,25 @@ def chi_removed_lemma1(poly: Polygon, j_set: ChordSet) -> int:
     # The chords of I that a face spans are its own edges, so a face's value
     # does not depend on the rest of I and is cached by its vertex mask.
     face_chi: dict[int, int] = {}
-
-    def walk(t: int, faces: list[int], sub: int) -> int:
-        if t == len(cut):
-            prod = 1
-            for f in faces:
-                val = face_chi.get(f)
-                if val is None:
-                    val = face_chi[f] = eng.chi(d_mask & ~sub & uni.span_mask(f))
-                prod *= val
-                if prod == 0:
-                    break
-            return prod
-        bit, (i, j) = cut[t]
-        return walk(t + 1, faces, sub) + walk(t + 1, _cut(faces, i, j), sub | bit)
-
-    return walk(0, [(1 << poly.n) - 1], 0)
+    total = 0
+    stack = [(0, [(1 << poly.n) - 1], 0)]
+    while stack:
+        t, faces, sub = stack.pop()
+        if t < len(cut):
+            bit, (i, j) = cut[t]
+            # Pushed last, the branch without chord t is walked first.
+            stack += [(t + 1, _cut(faces, i, j), sub | bit), (t + 1, faces, sub)]
+            continue
+        prod = 1
+        for f in faces:
+            val = face_chi.get(f)
+            if val is None:
+                val = face_chi[f] = eng.chi(d_mask & ~sub & uni.span_mask(f))
+            prod *= val
+            if prod == 0:
+                break
+        total += prod
+    return total
 
 
 def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) -> int:

@@ -243,3 +243,12 @@ def test_out_of_range_vertex_is_bad_input(tmp_path, capsys, vertex):
     code, out, err = run(capsys, "analyze", str(path), "--classes", "--vertex", vertex)
     assert (code, out) == (EXIT_INPUT, "")
     assert err == f"error: --vertex {vertex} is not in 0..6\n"
+
+
+@pytest.mark.parametrize("n, i", [(7, 100), (7, -1), (7, 7)])
+def test_out_of_range_generate_index_is_bad_input(tmp_path, capsys, n, i):
+    out = tmp_path / "poly.json"
+    code, stdout, err = run(capsys, "generate", "class1", "--n", str(n), "--i", str(i), "--out", str(out))
+    assert (code, stdout) == (EXIT_INPUT, "")
+    assert err == f"error: --i {i} is not in 0..{n - 1}\n"
+    assert not out.exists()

@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -50,11 +49,6 @@ def test_perturb_fixes_collinear_triples():
     assert not no_three_collinear(points)
     poly = perturb_to_general_position(points)
     assert poly.n == 5
-
-
-def test_perturb_budget_guard():
-    with pytest.raises(ValueError):
-        perturb_to_general_position([pt(0, 0), pt(1, 0), pt(2, 0)], budget=Fraction(1, 50))
 
 
 def test_perturb_shrinks_until_structural_check_passes():

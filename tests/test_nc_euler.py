@@ -31,6 +31,8 @@ from chord_euler.nc_euler import (
     find_heart,
     hull_edge_in,
     is_heart,
+    iter_nc_masks,
+    maximal_nc_masks,
     star_ear_chis,
 )
 from conftest import brute_euler, brute_nc_counts, exemplar_and_zigzag_polygons, pt
@@ -120,6 +122,40 @@ def test_dp_matches_dfs_exemplars_and_zigzags():
     for poly in [zigzag_chi_target(l).polygon for l in (4, 5, -5, 7)]:
         for fam in (diagonals(poly), epigonals(poly)):
             assert f_vector(fam).euler == euler_recursive(fam)
+
+
+
+def _iter_nc_masks_recursive(adj, live):
+    """Reference for ``iter_nc_masks``: the same depth-first order, recursively."""
+    order = [k for k in range(len(adj)) if live >> k & 1]
+
+    def rec(pos, chosen, banned):
+        yield chosen
+        for t in range(pos, len(order)):
+            k = order[t]
+            if not banned >> k & 1:
+                yield from rec(t + 1, chosen | (1 << k), banned | (adj[k] & live))
+
+    yield from rec(0, 0, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 8), st.integers(0, 2**32))
+def test_iter_nc_masks_matches_the_recursive_order(n, seed):
+    # perfbench samples its sets J by index into this sequence, so the order
+    # is part of the contract, not only the set of masks.
+    poly = random_simple_polygon(n, seed)
+    uni = universe_of(poly)
+    adj = uni.crossing_masks
+    for live in (diagonals(poly).mask, epigonals(poly).mask, uni.full_mask()):
+        masks = list(iter_nc_masks(adj, live))
+        assert masks == list(_iter_nc_masks_recursive(adj, live))
+        # A set is maximal iff every chord of ``live`` outside it crosses it.
+        maximal = [
+            m for m in masks
+            if all(adj[k] & m for k in range(len(adj)) if (live & ~m) >> k & 1)
+        ]
+        assert sorted(maximal_nc_masks(adj, live)) == sorted(maximal)
 
 
 def test_f_vector_reads_no_hull_or_pockets():
