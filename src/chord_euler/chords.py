@@ -13,19 +13,23 @@ The chord kinds and the crossing masks are whole-mask operations on n-bit
 vertex masks and m-bit chord masks, with no loop over chord pairs.
 
 * Two segments with four distinct endpoints in general position cross iff
-  each one's endpoints lie on opposite sides of the other's line.  For an
-  edge a -> a+1 against chord (i, j), that is bit a of
-  ``side ^ rotate(side)``, with ``side = left[i*n + j]``, and of
-  ``edge_left[i] ^ edge_left[j]``, where ``edge_left[v]`` is the mask of the
-  edges that have v on their left.  For two chords it is one endpoint in
-  ``side`` and the other in the rest, and v_i, v_j on opposite sides of the
-  other chord's line (``around[i] ^ around[j]``).
+  each one's endpoints lie on opposite sides of the other's line.  Chord
+  (i, w) crosses an edge a -> a+1 that touches neither end iff bit w is set
+  in ``left[a*n + i] ^ left[(a+1)*n + i]`` (v_a, v_{a+1} straddle line i-w)
+  and in the side of the edge's line away from v_i.  The OR over the edges
+  is the boundary-crossing partners of i.  For two chords it is one endpoint
+  in ``side = left[i*n + j]`` and the other in the rest, and v_i, v_j on
+  opposite sides of the other chord's line (``around[i] ^ around[j]``).
 * A chord (i, j) that crosses no edge lies wholly inside or wholly outside
   the polygon, and near v_i it runs along v_i -> v_j.  So it is a diagonal iff
   v_j lies in the interior cone at v_i, the counter-clockwise sweep from
-  v_i -> v_{i+1} to v_i -> v_{i-1}.  At a convex vertex the cone is the convex
-  angle; at a reflex vertex it is everything outside the convex exterior
-  cone.
+  v_i -> v_{i+1} to v_i -> v_{i-1}: ``left[(i-1)*n + i] & left[i*n + i+1]``
+  at a convex vertex, the two sides' union at a reflex one.
+* So the kinds are two tuples of vertex masks, ``diag[i]`` and ``epi[i]``,
+  the partners of i across a diagonal and an epigonal.  In the lexicographic
+  order the chords (i, j), j > i + 1, are one run of bits, so a kind's chord
+  mask is one shift of ``diag[i]`` or ``epi[i]`` per row; the ``kinds``
+  tuple and the chord tuple itself are built only when asked for.
 * a -> b is an edge of the convex hull, traversed counter-clockwise, iff
   every other vertex lies left of it (``geometry.hull_successors``; Knuth,
   *Axioms and Hulls*).  The pockets, the regions between the polygon and its
@@ -33,14 +37,15 @@ vertex masks and m-bit chord masks, with no loop over chord pairs.
 
 Ownership.  A polygon owns its universe: :func:`universe_of` fills the slot
 that ``Polygon`` declares.  The universe owns every cache derived from the
-chords: the cached kinds, crossing masks, incidence, hull and pockets,
-Theorem 3's ``star_ear_rows`` (filled by ``nc_euler.star_ear_chis``) and the
-chi engine of the Theorem-2 routes (``euler_engine``, filled by
-``partition``).  It copies the polygon's n, vertices and orientation table
-and holds the polygon itself only through a weak reference, so it reads
-nothing through the polygon and a :class:`ChordSet` keeps working after its
-polygon is gone.  No reference cycle forms, and reference counting alone
-frees a polygon together with its universe and caches.
+chords: the vertex kind masks ``diag`` and ``epi``, the cached chord tuple,
+kinds, crossing masks, incidence, hull and pockets, Theorem 3's
+``star_ear_rows`` (filled by ``nc_euler.star_ear_chis``) and the chi engine
+of the Theorem-2 routes (``euler_engine``, filled by ``partition``).  It
+copies the polygon's n, vertices and orientation table and holds the polygon
+itself only through a weak reference, so it reads nothing through the
+polygon and a :class:`ChordSet` keeps working after its polygon is gone.
+No reference cycle forms, and reference counting alone frees a polygon
+together with its universe and caches.
 """
 
 from __future__ import annotations
@@ -79,10 +84,32 @@ class ChordKind(Enum):
     BOUNDARY_CROSSING = "boundary-crossing"
 
 
+def _vertex_kinds(n: int, left: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per vertex i, the vertex masks of its diagonal and its epigonal partners."""
+    full = (1 << n) - 1
+    diag, epi = [], []
+    for i in range(n):
+        p, q = (i - 1) % n, (i + 1) % n
+        into, out = left[p * n + i], left[i * n + q]
+        cone = into & out if into >> q & 1 else into | out
+        crossing = 0
+        for t in range(i + 1, i + n - 1):  # the edges a -> b that miss v_i
+            a, b = t % n, (t + 1) % n
+            # The w with v_a, v_b on both sides of line i-w, across line a-b from v_i.
+            side = left[a * n + b]
+            if side >> i & 1:
+                side ^= full ^ (1 << a | 1 << b)
+            crossing |= (left[a * n + i] ^ left[b * n + i]) & side
+        chord = full & ~(1 << p | 1 << i | 1 << q | crossing)
+        diag.append(chord & cone)
+        epi.append(chord & ~cone)
+    return tuple(diag), tuple(epi)
+
+
 class ChordUniverse:
     """All chords of one polygon, in lexicographic (i, j) order.
 
-    Owns the per-chord classification and the pairwise crossing masks, both
+    Owns the chord classification and the pairwise crossing masks, both
     read from its copy of the polygon's orientation table; every
     :class:`ChordSet` over the polygon shares this object, which keeps bit
     positions and memo keys stable.
@@ -93,19 +120,23 @@ class ChordUniverse:
         self.n = n = polygon.n
         self.vertices = polygon.vertices
         self.left = polygon.left
-        self.chords: tuple[Chord, ...] = tuple(
-            Chord(i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if j - i != 1 and not (i == 0 and j == n - 1)
-        )
-        self.index: dict[Chord, int] = {c: k for k, c in enumerate(self.chords)}
-        self.size = len(self.chords)
+        self.size = n * (n - 3) // 2
+        # Per vertex v, the vertex masks of the w with (v, w) a diagonal, an epigonal.
+        self.diag, self.epi = _vertex_kinds(n, polygon.left)
         # Filled by ``nc_euler.star_ear_chis``: per vertex, Theorem 3's four chis.
         self.star_ear_rows: tuple[tuple[int, int, int, int], ...] | None = None
         # Filled by ``partition``: an ``nc_euler.EulerEngine`` on the crossing
         # masks, whose memo the Theorem-2 routes share.
         self.euler_engine = None
+
+    @cached_property
+    def chords(self) -> tuple[Chord, ...]:
+        n = self.n
+        return tuple(Chord(i, j) for i in range(n) for j in range(i + 2, n - (i == 0)))
+
+    @cached_property
+    def index(self) -> dict[Chord, int]:
+        return {c: k for k, c in enumerate(self.chords)}
 
     @property
     def polygon(self) -> Polygon | None:
@@ -140,36 +171,8 @@ class ChordUniverse:
 
     @cached_property
     def kinds(self) -> tuple[ChordKind, ...]:
-        n, left = self.n, self.left
-
-        def ccw(i: int, j: int, k: int) -> bool:
-            return bool(left[i * n + j] >> k & 1)
-
-        # edge_left[v] has bit a set iff v lies left of edge v_a -> v_{a+1}.
-        edge_left = [0] * n
-        for a in range(n):
-            side = left[a * n + (a + 1) % n]
-            for v in range(n):
-                if side >> v & 1:
-                    edge_left[v] |= 1 << a
-        out = []
-        for i, j in self.chords:
-            # Bit a of side ^ (side rotated by one) is set iff v_a and v_{a+1}
-            # lie on opposite sides of line ij; edges i-1, i, j-1 and j touch
-            # the chord and are left out.
-            side = left[i * n + j]
-            straddled = side ^ (side >> 1 | (side & 1) << (n - 1))
-            touching = 1 << (i - 1) % n | 1 << i | 1 << j - 1 | 1 << j
-            if straddled & (edge_left[i] ^ edge_left[j]) & ~touching:
-                out.append(ChordKind.BOUNDARY_CROSSING)
-                continue
-            prev, nxt = (i - 1) % n, i + 1
-            if ccw(prev, i, nxt):
-                inside = ccw(i, nxt, j) and ccw(i, j, prev)
-            else:
-                inside = not (ccw(i, prev, j) and ccw(i, j, nxt))
-            out.append(ChordKind.DIAGONAL if inside else ChordKind.EPIGONAL)
-        return tuple(out)
+        masks = self._kind_masks.items()
+        return tuple(next(kind for kind, m in masks if m >> k & 1) for k in range(self.size))
 
     @cached_property
     def crossing_masks(self) -> tuple[int, ...]:
@@ -222,10 +225,14 @@ class ChordUniverse:
 
     @cached_property
     def _kind_masks(self) -> dict[ChordKind, int]:
-        masks = dict.fromkeys(ChordKind, 0)
-        for k, kind in enumerate(self.kinds):
-            masks[kind] |= 1 << k
-        return masks
+        n, d, e = self.n, 0, 0
+        at = 0  # row i, the chords (i, j) with j > i + 1, starts at bit ``at``
+        for i in range(n - 2):
+            d |= self.diag[i] >> i + 2 << at
+            e |= self.epi[i] >> i + 2 << at
+            at += n - i - 2 - (i == 0)
+        bc = self.full_mask() & ~(d | e)
+        return {ChordKind.DIAGONAL: d, ChordKind.EPIGONAL: e, ChordKind.BOUNDARY_CROSSING: bc}
 
     def kind_mask(self, kind: ChordKind) -> int:
         return self._kind_masks[kind]
@@ -344,9 +351,10 @@ def a_diagonals(polygon: Polygon, a: int) -> ChordSet:
         raise ValueError(f"|P| = {n_total} is not of the form a*(n+1)+2 for a={a}")
     n = (n_total - 2) // a - 1
     uni = universe_of(polygon)
+    d_mask = uni.kind_mask(ChordKind.DIAGONAL)
     mask = 0
     for k, c in enumerate(uni.chords):
-        if uni.kinds[k] is not ChordKind.DIAGONAL:
+        if not d_mask >> k & 1:
             continue
         between = c.j - c.i - 1
         if between % a == 0 and 1 <= between // a <= n:

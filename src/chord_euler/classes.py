@@ -4,11 +4,13 @@ Each detector is a pure test on the polygon's order type (reflex patterns,
 angle signs, pocket shapes) and never computes an Euler characteristic, so
 the biconditional checks in :func:`verify_theorem3` compare two genuinely
 independent computations.  The reflex set and every other sign are read from
-the polygon's orientation table; the hull and the pockets come from the
-chord universe.  The chis come from the chord kinds alone, through the
-x = -1 interval tables of :func:`~chord_euler.nc_euler.star_ear_chis`.  The
-tests check each detector against its coordinate version and the tables
-against the DFS and the deletion recursion.
+the polygon's orientation table; the hull, the pockets and the per-vertex
+kind masks ``diag`` and ``epi`` come from the chord universe.  The chis come
+from those vertex masks alone, through the x = -1 interval tables of
+:func:`~chord_euler.nc_euler.star_ear_chis`, so Theorem 3 never builds the
+chord tuple, its index or a chord kind.  The tests check each detector
+against its coordinate version and the tables against the DFS and the
+deletion recursion.
 
 Index conventions: the special vertex is ``i``; all index arithmetic is mod n;
 "angle XAY exceeds pi" is the CCW angle at A from ray A->X to ray A->Y, which
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .chords import ChordKind, ear_chord, universe_of
+from .chords import universe_of
 from .geometry import Polygon
 from .nc_euler import f_vector, star_ear_chis
 
@@ -119,7 +121,8 @@ def is_class4(poly: Polygon, i: int) -> bool:
     # i+1 can be reflex.
     if poly.is_convex or not poly.reflex_vertices <= {(i - 1) % n, (i + 1) % n}:
         return False
-    if not ear_chord(poly, i).mask & universe_of(poly).kind_mask(ChordKind.DIAGONAL):
+    # The ear chord (i-1, i+1) is a diagonal.
+    if not universe_of(poly).diag[(i - 1) % n] >> (i + 1) % n & 1:
         return False
     return _convex_without(poly, i)
 
@@ -144,8 +147,8 @@ def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
     rest = reflex_rel - {0}
     if not rest or not rest <= set(range(2, n - 1)):
         return None
-    uni = universe_of(poly)
-    if uni.incidence[i] & ~uni.kind_mask(ChordKind.DIAGONAL):
+    # Every chord at i is a diagonal: i's diagonal partners are all but i-1, i, i+1.
+    if universe_of(poly).diag[i] | 1 << rel(-1) | 1 << i | 1 << rel(1) != (1 << n) - 1:
         return None
     p = 1
     while p + 1 in rest:

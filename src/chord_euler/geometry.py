@@ -231,7 +231,10 @@ def orientation_table(points: Sequence[Point]) -> tuple[int, ...]:
     for i, j, k in combinations(range(n), 3):
         # The cross product (p_j - p_i) x (p_k - p_i).
         ij, ik, jk = i * n + j, i * n + k, j * n + k
-        sign = sqrt3_sign(det_a[jk] - det_a[ik] + det_a[ij], det_b[jk] - det_b[ik] + det_b[ij])
+        sign = det_a[jk] - det_a[ik] + det_a[ij]
+        root = det_b[jk] - det_b[ik] + det_b[ij]
+        if root:  # integer and rational coordinates never get here
+            sign = sqrt3_sign(sign, root)
         if sign > 0:
             left[ij] |= 1 << k
             left[jk] |= 1 << i

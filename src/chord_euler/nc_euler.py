@@ -14,7 +14,8 @@ its hull) lie on disjoint boundary arcs, and inside one pocket they are
 chords of the pocket polygon.  A diagonal and an epigonal never cross,
 though they may interleave, so the f-polynomial of a family is the product
 of those of its diagonal part and of its epigonal part.  The recurrence
-reads only the chord kinds and ends: no crossing masks, no coordinates.
+reads only, per vertex, the mask of its partners in the family (for a whole
+kind, the universe's ``diag`` or ``epi``): no crossing masks, no coordinates.
 
 For a family F, V(p, q) sums x^|S| over the non-crossing sets S of
 F-chords with both ends in the interval p..q of the boundary cycle, leaving
@@ -66,6 +67,13 @@ from typing import Sequence
 from .chords import ChordKind, ChordSet, ChordUniverse
 from .geometry import Point, Polygon, Segment, convex_hull_points, no_three_collinear, segments_properly_cross
 from . import chords as _chords
+
+
+class InstanceTooLarge(ValueError):
+    """An instance past a size limit; the CLI exits 3 on it.
+
+    The limits are the caps on |J| and the interpreter's recursion limit.
+    """
 
 
 def crossing_masks(segments: Sequence[Segment]) -> list[int]:
@@ -186,12 +194,15 @@ def _intervals(nbr: Sequence[int], x: int, cyclic: bool) -> list[list[int]]:
 def _dp_f_vector(family: ChordSet) -> FVector:
     """The interval DP of the module docstring; needs no boundary-crossing chord."""
     uni = family.universe
-    d_mask = uni.kind_mask(ChordKind.DIAGONAL)
     width = family.mask.bit_count() + 1
     total = 1
-    for part in (family.mask & d_mask, family.mask & ~d_mask):
+    for kind, nbr in ((ChordKind.DIAGONAL, uni.diag), (ChordKind.EPIGONAL, uni.epi)):
+        whole = uni.kind_mask(kind)
+        part = family.mask & whole
         if part:
-            total *= _intervals(_neighbours(uni, part), 1 << width, cyclic=False)[0][-1]
+            if part != whole:
+                nbr = _neighbours(uni, part)
+            total *= _intervals(nbr, 1 << width, cyclic=False)[0][-1]
     counts = []
     low = (1 << width) - 1
     while total:
@@ -231,14 +242,12 @@ def _star_ear(nbr: Sequence[int]) -> list[tuple[int, int]]:
 def star_ear_chis(uni: ChordUniverse) -> tuple[tuple[int, int, int, int], ...]:
     """Per vertex i: chi of D and E less star(i), then of D and E less ear(i).
 
-    Read from one x = -1 interval table per family (module docstring) and
-    cached on the universe.
+    Read from one x = -1 interval table per family (module docstring), on
+    the universe's vertex kind masks ``diag`` and ``epi``, and cached on the
+    universe.
     """
     if uni.star_ear_rows is None:
-        d, e = (
-            _star_ear(_neighbours(uni, uni.kind_mask(kind)))
-            for kind in (ChordKind.DIAGONAL, ChordKind.EPIGONAL)
-        )
+        d, e = _star_ear(uni.diag), _star_ear(uni.epi)
         uni.star_ear_rows = tuple((ds, es, de, ee) for (ds, de), (es, ee) in zip(d, e))
     return uni.star_ear_rows
 
@@ -312,9 +321,19 @@ def _chi(adj: Sequence[int], live: int, memo: dict[int, int]) -> int:
     return total
 
 
+def _chi_within_limit(adj: Sequence[int], live: int, memo: dict[int, int]) -> int:
+    try:
+        return _chi(adj, live, memo)
+    except RecursionError:  # the memo holds finished values only and stays valid
+        raise InstanceTooLarge(f"recursion too deep: {live.bit_count()} segments") from None
+
+
 def euler_recursive(family: ChordSet | Sequence[Segment]) -> int:
-    """Deletion-identity evaluation with per-call memoization."""
-    return _chi(*_adjacency(family), {})
+    """Deletion-identity evaluation with per-call memoization.
+
+    Raises :class:`InstanceTooLarge` past the interpreter's recursion limit.
+    """
+    return _chi_within_limit(*_adjacency(family), {})
 
 
 class EulerEngine:
@@ -322,7 +341,7 @@ class EulerEngine:
 
     Intended for querying many subsets of a single chord universe (for
     example all the faces of one polygon's Theorem-2 routes); results are
-    identical to :func:`euler_recursive`.
+    identical to :func:`euler_recursive`, and so is the size error.
     """
 
     def __init__(self, adj: Sequence[int]):
@@ -330,7 +349,7 @@ class EulerEngine:
         self._memo: dict[int, int] = {}
 
     def chi(self, mask: int) -> int:
-        return _chi(self.adj, mask, self._memo)
+        return _chi_within_limit(self.adj, mask, self._memo)
 
 
 def _bron_kerbosch(compat: Sequence[int], r: int, p: int, x: int, out: list[int]) -> None:

@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .chords import Chord, ChordKind, ChordSet, ChordUniverse, universe_of
 from .geometry import Point, Polygon, cross
-from .nc_euler import EulerEngine
+from .nc_euler import EulerEngine, InstanceTooLarge
 
 
 LATTICE_CAP = 20
@@ -45,10 +45,6 @@ IE_CAP = 16
 
 
 class PartitionError(ValueError):
-    pass
-
-
-class InstanceTooLarge(PartitionError):
     pass
 
 
@@ -76,11 +72,12 @@ def _check_noncrossing_diagonals(poly: Polygon, cut: ChordSet) -> None:
     uni = universe_of(poly)
     if cut.universe is not uni:
         raise PartitionError("cut belongs to a different polygon")
+    d_mask = uni.kind_mask(ChordKind.DIAGONAL)
     m = cut.mask
     while m:
         k = (m & -m).bit_length() - 1
         m &= m - 1
-        if uni.kinds[k] is not ChordKind.DIAGONAL:
+        if not d_mask >> k & 1:
             raise PartitionError(f"chord {uni.chords[k]} is not a diagonal")
         if uni.crossing_masks[k] & cut.mask:
             raise PartitionError(f"cut contains a crossing pair at {uni.chords[k]}")
@@ -444,9 +441,8 @@ def find_diagonal(poly: Polygon) -> Chord:
     uni = universe_of(poly)
     v = min(set(range(n)) - poly.reflex_vertices)
     prev, nxt = (v - 1) % n, (v + 1) % n
-    ear = Chord.of(prev, nxt)
-    if uni.kinds[uni.index[ear]] is ChordKind.DIAGONAL:
-        return ear
+    if uni.diag[prev] >> nxt & 1:
+        return Chord.of(prev, nxt)
     vs = poly.vertices
     a, b, c = vs[prev], vs[v], vs[nxt]
     tri_or = cross(a, b, c).sign()
@@ -469,7 +465,7 @@ def find_diagonal(poly: Polygon) -> Chord:
     if best is None:
         raise AssertionError("ear blocked but triangle empty")
     out = Chord.of(v, best)
-    if uni.kinds[uni.index[out]] is not ChordKind.DIAGONAL:
+    if not uni.diag[v] >> best & 1:
         raise AssertionError(f"constructed chord {out} is not a diagonal")
     return out
 

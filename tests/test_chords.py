@@ -179,6 +179,54 @@ def test_table_matches_coordinates_past_hypothesis_range():
         assert _relabeled_structure(mirror, lambda v: n - 1 - v) == want
 
 
+def _assert_vertex_kinds_match_coordinates(poly):
+    # diag[i] and epi[i] are symmetric and hold, mapped to chords, the kinds
+    # of the coordinate oracle.
+    uni, n = universe_of(poly), poly.n
+    want = {ChordKind.DIAGONAL: [0] * n, ChordKind.EPIGONAL: [0] * n}
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):
+            kind = _kind_by_coordinates(poly, uni.segment(Chord(i, j)), Chord(i, j))
+            if kind in want:
+                want[kind][i] |= 1 << j
+                want[kind][j] |= 1 << i
+    for masks in (uni.diag, uni.epi):
+        assert all(masks[i] >> j & 1 == masks[j] >> i & 1 for i in range(n) for j in range(n))
+    assert uni.diag == tuple(want[ChordKind.DIAGONAL])
+    assert uni.epi == tuple(want[ChordKind.EPIGONAL])
+
+
+def _relabeled_vertex_kinds(poly, label):
+    uni, n = universe_of(poly), poly.n
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return tuple(
+        frozenset(frozenset((label(i), label(j))) for i, j in pairs if masks[i] >> j & 1)
+        for masks in (uni.diag, uni.epi)
+    )
+
+
+def _assert_vertex_kinds_under_relabeling(poly, shift):
+    n = poly.n
+    _assert_vertex_kinds_match_coordinates(poly)
+    want = _relabeled_vertex_kinds(poly, lambda v: v)
+    rot = poly.rotated(shift)
+    mirror = validate_polygon([Point(-p.x, p.y) for p in reversed(poly.vertices)])
+    for image, label in ((rot, lambda v: (v + shift) % n), (mirror, lambda v: n - 1 - v)):
+        _assert_vertex_kinds_match_coordinates(image)
+        assert _relabeled_vertex_kinds(image, label) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 14), st.integers(0, 2**32), st.integers(1, 13))
+def test_vertex_kinds_match_coordinates_random(n, seed, shift):
+    _assert_vertex_kinds_under_relabeling(random_simple_polygon(n, seed), shift % n)
+
+
+def test_vertex_kinds_match_coordinates_exemplars_and_zigzags():
+    for poly in exemplar_and_zigzag_polygons():
+        _assert_vertex_kinds_under_relabeling(poly, poly.n // 2)
+
+
 def test_orientation_table():
     # Integer, rational (convex n-gons on the unit circle) and sqrt(3)
     # (zigzags) coordinates, against the QSqrt3 predicate.

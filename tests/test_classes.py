@@ -152,6 +152,17 @@ def test_theorem3_random_campaign_small():
             assert rep.ok, (seed, i, rep)
 
 
+def test_theorem3_builds_no_chord_tuple():
+    # The chis and the detectors read the orientation table, the vertex kind
+    # masks and the hull: no chord tuple, index, incidence masks or kinds.
+    polys = [random_simple_polygon(5 + k % 8, k + 7000) for k in range(40)]
+    polys += [class_exemplar(kind, 0, 7) for kind in range(1, 7)] + [convex_ngon(8)]
+    for poly in polys:
+        for i in range(poly.n):
+            verify_theorem3(poly, i)
+        assert not {"chords", "index", "kinds", "incidence"} & vars(universe_of(poly)).keys()
+
+
 def test_star_side_consistency():
     # chi(M_d minus star) != 0 forces every chord at the vertex to be a diagonal.
     found = 0

@@ -240,6 +240,24 @@ def test_star_ear_chis_cached_on_the_universe():
         assert row[1] == row[3] == 1
 
 
+def test_deep_deletion_recursion_is_a_size_error():
+    # Member v of a path crosses only v - 1 and v + 1.  With 3,000 members
+    # the recursion runs about 1,000 deep, past the default limit: it ends
+    # in the size error the CLI maps to exit 3, not a RecursionError.
+    from chord_euler.partition import InstanceTooLarge
+
+    m = 3000
+    path = [(1 << v >> 1) | (1 << v + 1 if v < m - 1 else 0) for v in range(m)]
+    eng = EulerEngine(path)
+    with pytest.raises(InstanceTooLarge):
+        eng.chi((1 << m) - 1)
+    # The memo holds only finished values: later answers are still exact.
+    short = (1 << 30) - 1
+    assert eng.chi(short) == EulerEngine(path).chi(short) == euler_recursive(
+        [Segment(pt(2 * v, 2 * (v & 1)), pt(2 * v + 3, 2 - 2 * (v & 1))) for v in range(30)]
+    )
+
+
 def test_euler_values(square, dart):
     assert euler_brute(diagonals(square)) == -1
     assert euler_recursive(diagonals(square)) == -1

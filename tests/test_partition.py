@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from chord_euler.chords import Chord, ChordKind, diagonals, universe_of
 from chord_euler.generators import convex_ngon, random_simple_polygon, zigzag_chi_target
-from chord_euler.geometry import Polygon
+from chord_euler.geometry import Point, Polygon, validate_polygon
 from chord_euler.nc_euler import EulerEngine, euler_brute, euler_recursive, iter_nc_masks
 from chord_euler.partition import (
     InstanceTooLarge,
@@ -227,29 +227,45 @@ def _random_nc_diagonals(poly, rng):
     return uni.set_of_mask(mask)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(4, 9), st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 8))
-def test_theorem2_routes_invariant_under_rotation(n, seed, j_seed, k):
+def _assert_routes_follow_relabeling(poly, j, image, label):
     # The routes read labels (chord bit order, vertex order, cyclic windows),
-    # but chi(D - J) does not depend on where the labels start.
-    poly = random_simple_polygon(n, seed)
-    j = _random_nc_diagonals(poly, random.Random(j_seed))
-    rot = poly.rotated(k)
-    j_rot = universe_of(rot).set_of([Chord.of((c.i - k) % n, (c.j - k) % n) for c in j])
+    # but chi(D - J) does not depend on them.  ``label`` maps the vertices
+    # of ``image`` to those of ``poly``.
+    back = {c: Chord.of(label(c.i), label(c.j)) for c in universe_of(image).chords}
+    j_image = universe_of(image).set_of([c for c, orig in back.items() if orig in j])
     want = euler_brute(diagonals(poly) - j)
     routes = [chi_removed_theorem2, chi_removed_lemma1]
     if len(j):
         routes.append(chi_removed_lemma_d2)
     for route in routes:
-        assert route(poly, j) == route(rot, j_rot) == want, route.__name__
+        assert route(poly, j) == route(image, j_image) == want, route.__name__
     # The windows themselves, as chord sets in the original labels.
-    back = {c: Chord.of((c.i + k) % n, (c.j + k) % n) for c in universe_of(rot).chords}
     cons, feasible = convexity_constraints(poly, j)
-    cons_rot, feasible_rot = convexity_constraints(rot, j_rot)
-    assert feasible == feasible_rot
-    assert {frozenset(back[c] for c in universe_of(rot).set_of_mask(m)) for m in cons_rot} == {
+    cons_image, feasible_image = convexity_constraints(image, j_image)
+    assert feasible == feasible_image
+    assert {frozenset(back[c] for c in universe_of(image).set_of_mask(m)) for m in cons_image} == {
         frozenset(universe_of(poly).set_of_mask(m)) for m in cons
     }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 9), st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 8))
+def test_theorem2_routes_invariant_under_rotation(n, seed, j_seed, k):
+    poly = random_simple_polygon(n, seed)
+    j = _random_nc_diagonals(poly, random.Random(j_seed))
+    _assert_routes_follow_relabeling(poly, j, poly.rotated(k), lambda v: (v + k) % n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 9), st.integers(0, 2**32), st.integers(0, 2**32))
+def test_theorem2_routes_invariant_under_reflection(n, seed, j_seed):
+    # x -> -x turns the polygon clockwise; validation reverses it, so vertex
+    # v of the mirror image is vertex n - 1 - v of the polygon.
+    poly = random_simple_polygon(n, seed)
+    j = _random_nc_diagonals(poly, random.Random(j_seed))
+    mirror = validate_polygon([Point(-v.x, v.y) for v in poly.vertices])
+    assert mirror.vertices[0] == Point(-poly.vertices[-1].x, poly.vertices[-1].y)
+    _assert_routes_follow_relabeling(poly, j, mirror, lambda v: n - 1 - v)
 
 
 def test_nonconvex_part_vanishing():
