@@ -39,7 +39,8 @@ Ownership.  A polygon owns its universe: :func:`universe_of` fills the slot
 that ``Polygon`` declares.  The universe owns every cache derived from the
 chords: the vertex kind masks ``diag`` and ``epi``, the cached chord tuple,
 kinds, crossing masks, incidence, hull and pockets, Theorem 3's
-``star_ear_rows`` (filled by ``nc_euler.star_ear_chis``) and the chi engine
+``star_ear_rows`` (filled by ``nc_euler.star_ear_chis``) and ``class_masks``
+(filled by ``classes._class_masks``), and the chi engine
 of the Theorem-2 routes (``euler_engine``, filled by ``partition``).  It
 copies the polygon's n, vertices and orientation table and holds the polygon
 itself only through a weak reference, so it reads nothing through the
@@ -125,6 +126,9 @@ class ChordUniverse:
         self.diag, self.epi = _vertex_kinds(n, polygon.left)
         # Filled by ``nc_euler.star_ear_chis``: per vertex, Theorem 3's four chis.
         self.star_ear_rows: tuple[tuple[int, int, int, int], ...] | None = None
+        # Filled by ``classes._class_masks``: per class 1..6, the vertex mask
+        # of the i at which the polygon is in that class.
+        self.class_masks: tuple[int, ...] | None = None
         # Filled by ``partition``: an ``nc_euler.EulerEngine`` on the crossing
         # masks, whose memo the Theorem-2 routes share.
         self.euler_engine = None

@@ -12,6 +12,17 @@ chord tuple, its index or a chord kind.  The tests check each detector
 against its coordinate version and the tables against the DFS and the
 deletion recursion.
 
+The classes are six n-bit vertex masks, built once per polygon by
+:func:`_class_masks` and cached on the universe: bit i of mask k is set iff
+the polygon is in Class k at vertex i.  The reflex mask R names the
+candidates, and the full tests run only there.  A convex polygon (R = 0) is
+in no class.  Classes 1 and 5 need R = {r} and are tested at r.  Class 2
+holds at i iff R is every vertex but i-1, i and i+1.  Class 4 is tested at
+the i with R inside {i-1, i+1}, Class 3 at the convex vertices that end every
+pocket's hull chord (at most two), Class 6 at the reflex vertices.  The
+detectors ``is_class1`` .. ``is_class6``, :func:`verify_theorem3` and
+:func:`class_report` read bits.
+
 Index conventions: the special vertex is ``i``; all index arithmetic is mod n;
 "angle XAY exceeds pi" is the CCW angle at A from ray A->X to ray A->Y, which
 in general position is ``not ccw(A, X, Y)``.
@@ -20,11 +31,11 @@ in general position is ``not ccw(A, X, Y)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .chords import universe_of
 from .geometry import Polygon
-from .nc_euler import f_vector, star_ear_chis
+from .nc_euler import _bits, f_vector, star_ear_chis
 
 CLASS_NAMES = ("Class1", "Class2", "Class3", "Class4", "Class5", "Class6")
 
@@ -38,40 +49,18 @@ def _convex_without(poly: Polygon, i: int) -> bool:
     """Whether the cycle of all vertices but i is a convex polygon.
 
     It is iff every edge of the cycle has all of the cycle's other vertices on
-    its left; a cycle that winds around twice fails this too.
+    its left; a cycle that winds around twice fails this too.  The cycle
+    starts with the new edge i-1 -> i+1, which fails first when i-1 or i+1
+    is reflex in it.
     """
     n = poly.n
     left = poly.left
     full = (1 << n) - 1
-    rest = [t for t in range(n) if t != i]
+    rest = [(i + s) % n for s in range(-1, n - 1) if s]
     return all(
         left[a * n + b] | 1 << a | 1 << b | 1 << i == full
         for a, b in zip(rest, rest[1:] + rest[:1])
     )
-
-
-def is_class1(poly: Polygon, i: int) -> bool:
-    """One reflex vertex at i, with the two-step angle profile around it."""
-    _require_size(poly, 5)
-    n = poly.n
-    i %= n
-    if poly.reflex_vertices != frozenset({i}):
-        return False
-    ccw = poly.ccw
-    nxt1, nxt2 = (i + 1) % n, (i + 2) % n
-    prv1, prv2 = (i - 1) % n, (i - 2) % n
-    if not ccw(i, nxt2, prv2):
-        return False
-    return ccw(i, nxt2, prv1) == ccw(i, nxt1, prv2)
-
-
-def is_class2(poly: Polygon, i: int) -> bool:
-    """Reflex everywhere except the three consecutive vertices i-1, i, i+1."""
-    _require_size(poly, 5)
-    n = poly.n
-    i %= n
-    expected = frozenset(range(n)) - {(i - 1) % n, i, (i + 1) % n}
-    return poly.reflex_vertices == expected
 
 
 def _pocket_is_class2_shaped(poly: Polygon, path: tuple[int, ...], apex: int) -> bool:
@@ -91,60 +80,11 @@ def _pocket_is_class2_shaped(poly: Polygon, path: tuple[int, ...], apex: int) ->
     )
 
 
-def is_class3(poly: Polygon, i: int) -> bool:
-    """Convex-at-i polygon whose hull pockets all hang off vertex i.
-
-    Every hull edge that is not a polygon edge must be a chord at i, and each
-    pocket must be a triangle or a Class-2 region with apex i.
-    """
-    _require_size(poly, 5)
-    n = poly.n
-    i %= n
-    if poly.is_convex or i in poly.reflex_vertices:
-        return False
-    pks = universe_of(poly).pockets
-    if not pks:
-        return False
-    return all(
-        i in (p.hull_chord.i, p.hull_chord.j) and _pocket_is_class2_shaped(poly, p.path, i)
-        for p in pks
-    )
-
-
-def is_class4(poly: Polygon, i: int) -> bool:
-    """Triangle at i glued to a convex remainder along the ear chord."""
-    _require_size(poly, 5)
-    n = poly.n
-    i %= n
-    # A vertex other than i-1, i and i+1 has the same neighbours in P as in
-    # the convex remainder, and i is a corner of the triangle: only i-1 and
-    # i+1 can be reflex.
-    if poly.is_convex or not poly.reflex_vertices <= {(i - 1) % n, (i + 1) % n}:
-        return False
-    # The ear chord (i-1, i+1) is a diagonal.
-    if not universe_of(poly).diag[(i - 1) % n] >> (i + 1) % n & 1:
-        return False
-    return _convex_without(poly, i)
-
-
-def is_class5(poly: Polygon, i: int) -> bool:
-    """Deleting vertex i leaves a convex polygon (triangle cut from convex)."""
-    _require_size(poly, 5)
-    n = poly.n
-    i %= n
-    if poly.reflex_vertices != frozenset({i}):
-        return False
-    return _convex_without(poly, i)
-
-
 def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
+    """The Class-6 split at the reflex vertex i, or None if there is none."""
     n = poly.n
-    i %= n
     rel = lambda t: (i + t) % n  # noqa: E731 - local index relabeling
-    reflex_rel = {(v - i) % n for v in poly.reflex_vertices}
-    if 0 not in reflex_rel:
-        return None
-    rest = reflex_rel - {0}
+    rest = {(v - i) % n for v in poly.reflex_vertices} - {0}
     if not rest or not rest <= set(range(2, n - 1)):
         return None
     # Every chord at i is a diagonal: i's diagonal partners are all but i-1, i, i+1.
@@ -181,6 +121,97 @@ def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
     }
 
 
+def _class_masks(poly: Polygon) -> tuple[int, ...]:
+    """Per class k = 1..6, the vertex mask of the i at which P is in Class k.
+
+    Built once per polygon and cached on its universe (``class_masks``).
+    """
+    uni = universe_of(poly)
+    if uni.class_masks is None:
+        uni.class_masks = _nonconvex_masks(poly) if poly.reflex_vertices else (0,) * 6
+    return uni.class_masks
+
+
+def _nonconvex_masks(poly: Polygon) -> tuple[int, ...]:
+    """The class masks of a non-convex polygon, tested at the candidates only.
+
+    Class 4 needs no ear-chord test.  Let Q be the cycle without i.  Once
+    ``_convex_without(poly, i)`` holds, Q is a convex CCW polygon with all its
+    other vertices left of the line i-1 -> i+1.  With R inside {i-1, i+1}, i is
+    convex and so lies right of that line.  The triangle (i-1, i, i+1) and Q
+    then meet only along the segment from i-1 to i+1, which lies inside P: it
+    is a diagonal.
+    """
+    n = poly.n
+    full = (1 << n) - 1
+    reflex = sum(1 << r for r in poly.reflex_vertices)
+    masks = [0] * 6
+    if reflex & reflex - 1 == 0:
+        # Classes 1 and 5: at the one reflex vertex r.
+        r = reflex.bit_length() - 1
+        ccw = poly.ccw
+        nxt1, nxt2, prv1, prv2 = (r + 1) % n, (r + 2) % n, (r - 1) % n, (r - 2) % n
+        if ccw(r, nxt2, prv2) and ccw(r, nxt2, prv1) == ccw(r, nxt1, prv2):
+            masks[0] = reflex
+        if _convex_without(poly, r):
+            masks[4] = reflex
+    for i in range(n):
+        sides = 1 << (i - 1) % n | 1 << (i + 1) % n
+        # Class 2: reflex everywhere but at i-1, i and i+1.
+        if reflex == full ^ sides ^ 1 << i:
+            masks[1] |= 1 << i
+        # Class 4: only i-1 and i+1 may be reflex, and P less i is convex.
+        if not reflex & ~sides and _convex_without(poly, i):
+            masks[3] |= 1 << i
+    # Class 3: at a convex end of every pocket's hull chord, at most two vertices.
+    pockets = universe_of(poly).pockets
+    ends = full ^ reflex
+    for p in pockets:
+        ends &= 1 << p.hull_chord.i | 1 << p.hull_chord.j
+    for i in _bits(ends):
+        if all(_pocket_is_class2_shaped(poly, p.path, i) for p in pockets):
+            masks[2] |= 1 << i
+    # Class 6: at a reflex vertex.
+    for i in _bits(reflex):
+        if _class6_split(poly, i) is not None:
+            masks[5] |= 1 << i
+    return tuple(masks)
+
+
+def _in_class(poly: Polygon, i: int, k: int) -> bool:
+    _require_size(poly, 5)
+    return bool(_class_masks(poly)[k - 1] >> i % poly.n & 1)
+
+
+def is_class1(poly: Polygon, i: int) -> bool:
+    """One reflex vertex at i, with the two-step angle profile around it."""
+    return _in_class(poly, i, 1)
+
+
+def is_class2(poly: Polygon, i: int) -> bool:
+    """Reflex everywhere except the three consecutive vertices i-1, i, i+1."""
+    return _in_class(poly, i, 2)
+
+
+def is_class3(poly: Polygon, i: int) -> bool:
+    """Convex-at-i polygon whose hull pockets all hang off vertex i.
+
+    Every hull edge that is not a polygon edge must be a chord at i, and each
+    pocket must be a triangle or a Class-2 region with apex i.
+    """
+    return _in_class(poly, i, 3)
+
+
+def is_class4(poly: Polygon, i: int) -> bool:
+    """Triangle at i glued to a convex remainder along the ear chord."""
+    return _in_class(poly, i, 4)
+
+
+def is_class5(poly: Polygon, i: int) -> bool:
+    """Deleting vertex i leaves a convex polygon (triangle cut from convex)."""
+    return _in_class(poly, i, 5)
+
+
 def is_class6(poly: Polygon, i: int) -> bool:
     """A reflex-apex gluing of a one-reflex-vertex region between reflex fans.
 
@@ -188,8 +219,7 @@ def is_class6(poly: Polygon, i: int) -> bool:
     anchored at i+2 and i-2; the leftover middle fan exceeds pi at i and
     carries the Class-1 angle profile (or is a reflex quad).
     """
-    _require_size(poly, 5)
-    return _class6_split(poly, i) is not None
+    return _in_class(poly, i, 6)
 
 
 @dataclass(frozen=True)
@@ -200,29 +230,19 @@ class ClassReport:
 
 
 def class_report(poly: Polygon, i: int) -> ClassReport:
-    memberships = set()
+    _require_size(poly, 5)
+    at = i % poly.n
+    memberships = {name for name, m in zip(CLASS_NAMES, _class_masks(poly)) if m >> at & 1}
     witnesses: dict[str, Any] = {"reflex": sorted(poly.reflex_vertices)}
     if poly.is_convex:
         memberships.add("Convex")
-    detectors = {
-        "Class1": is_class1,
-        "Class2": is_class2,
-        "Class3": is_class3,
-        "Class4": is_class4,
-        "Class5": is_class5,
-        "Class6": is_class6,
-    }
-    for name, det in detectors.items():
-        if det(poly, i):
-            memberships.add(name)
     if "Class3" in memberships:
         witnesses["pockets"] = [
             {"hull_chord": str(p.hull_chord), "path": list(p.path)}
             for p in universe_of(poly).pockets
         ]
-    split = _class6_split(poly, i) if poly.n >= 5 else None
-    if split is not None:
-        witnesses["class6"] = split
+    if "Class6" in memberships:
+        witnesses["class6"] = _class6_split(poly, at)
     return ClassReport(i, frozenset(memberships), witnesses)
 
 
@@ -258,8 +278,7 @@ def verify_theorem1(poly: Polygon) -> Theorem1Report:
     )
 
 
-@dataclass(frozen=True)
-class Theorem3Report:
+class Theorem3Report(NamedTuple):
     vertex: int
     chi_d_star: int
     chi_e_star: int
@@ -280,25 +299,24 @@ def verify_theorem3(poly: Polygon, i: int) -> Theorem3Report:
     """Test all four forbidden-position biconditionals at vertex i.
 
     The four chis are row i of the universe's x = -1 interval tables
-    (:func:`~chord_euler.nc_euler.star_ear_chis`); the detectors read the
-    orientation signs.
+    (:func:`~chord_euler.nc_euler.star_ear_chis`); the detectors are bit i of
+    the class masks.
     """
     _require_size(poly, 5)
     i %= poly.n
-    chi_d_star, chi_e_star, chi_d_ear, chi_e_ear = star_ear_chis(universe_of(poly))[i]
+    d_star, e_star, d_ear, e_ear = star_ear_chis(universe_of(poly))[i]
+    m1, m2, m3, m4, m5, m6 = _class_masks(poly)
     convex = poly.is_convex
-    class2 = is_class2(poly, i)
-    det_a = is_class1(poly, i) or class2 or is_class6(poly, i)
-    det_b = convex or is_class3(poly, i)
-    det_c = is_class4(poly, i)
-    det_d = convex or class2 or is_class5(poly, i)
+    det_a = (m1 | m2 | m6) >> i & 1 == 1
+    det_b = convex or m3 >> i & 1 == 1
+    det_c = m4 >> i & 1 == 1
+    det_d = convex or (m2 | m5) >> i & 1 == 1
     clauses = (
-        (chi_d_star != 0) == det_a,
-        (chi_e_star != 0) == det_b,
-        (chi_d_ear != 0) == det_c,
-        (chi_e_ear != 0) == det_d,
+        (d_star != 0) == det_a,
+        (e_star != 0) == det_b,
+        (d_ear != 0) == det_c,
+        (e_ear != 0) == det_d,
     )
     return Theorem3Report(
-        i, chi_d_star, chi_e_star, chi_d_ear, chi_e_ear,
-        det_a, det_b, det_c, det_d, clauses, all(clauses),
+        i, d_star, e_star, d_ear, e_ear, det_a, det_b, det_c, det_d, clauses, all(clauses)
     )

@@ -163,7 +163,7 @@ def assert_hull_follows_rotation(poly):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(5, 12), st.integers(0, 2**32))
+@given(st.integers(5, 16), st.integers(0, 2**32))
 def test_detectors_match_oracles_random(n, seed):
     poly = random_simple_polygon(n, seed)
     assert_matches_oracles(poly)
@@ -179,7 +179,7 @@ def test_detectors_match_oracles_exemplars_and_zigzags():
 @pytest.mark.parametrize("kind", range(1, 7))
 def test_detectors_match_oracles_class_exemplars(kind):
     hits = 0
-    for n in range(5, 13):
+    for n in range(5, 17):
         for v in (0, 2):
             try:
                 poly = class_exemplar(kind, v, n)

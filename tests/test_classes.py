@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,7 +185,7 @@ def _reflected(poly: Polygon) -> Polygon:
 
 def _theorem3_view(poly: Polygon, i: int) -> tuple:
     rep = verify_theorem3(poly, i)
-    return replace(rep, vertex=0), tuple(det(poly, i) for det in DETECTORS.values())
+    return rep._replace(vertex=0), tuple(det(poly, i) for det in DETECTORS.values())
 
 
 def _assert_relabeling_invariant(poly: Polygon, shift: int) -> None:

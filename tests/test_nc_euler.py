@@ -14,6 +14,15 @@ from chord_euler.chords import (
     forbidden_star,
     universe_of,
 )
+from chord_euler.classes import (
+    is_class1,
+    is_class2,
+    is_class3,
+    is_class4,
+    is_class5,
+    is_class6,
+    verify_theorem3,
+)
 from chord_euler.generators import (
     class_exemplar,
     convex_ngon,
@@ -238,6 +247,22 @@ def test_star_ear_chis_cached_on_the_universe():
     # A convex polygon has no epigonals: chi of the empty family is 1.
     for row in star_ear_chis(universe_of(convex_ngon(7))):
         assert row[1] == row[3] == 1
+
+
+@pytest.mark.parametrize(
+    "first", [verify_theorem3, is_class1, is_class2, is_class3, is_class4, is_class5, is_class6]
+)
+def test_class_masks_cached_on_the_universe(first):
+    poly = random_simple_polygon(9, 3)
+    uni = universe_of(poly)
+    assert uni.class_masks is None
+    first(poly, 4)
+    masks = uni.class_masks
+    assert len(masks) == 6
+    for i in range(poly.n):
+        verify_theorem3(poly, i)
+        assert is_class6(poly, i) == bool(masks[5] >> i & 1)
+    assert uni.class_masks is masks
 
 
 def test_deep_deletion_recursion_is_a_size_error():

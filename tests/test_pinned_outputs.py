@@ -1,16 +1,18 @@
-"""Generator and validator outputs pinned across commits.
+"""Generator, validator and Theorem-3 outputs pinned across commits.
 
 Every benchmark workload, campaign and demo is built from these outputs, so a
 change that alters them changes what is measured and printed.  Each corpus is
-rendered as text and compared by its sha256 digest; the digests were recorded
-from the implementation that decided every predicate on ``QSqrt3``
-coordinates.  A mismatch names the corpus, and the rendering helpers below
-reproduce it line by line.
+rendered as text and compared by its sha256 digest; the generator and
+validator digests were recorded from the implementation that decided every
+predicate on ``QSqrt3`` coordinates, and the Theorem-3 digest from the one
+that ran the six class detectors at each vertex.  A mismatch names the
+corpus, and the rendering helpers below reproduce it line by line.
 """
 
 import hashlib
 import random
 
+from chord_euler.classes import class_report, verify_theorem3
 from chord_euler.generators import class_exemplar, random_simple_polygon, zigzag_chi_target
 from chord_euler.geometry import Point, PolygonError, validate_polygon
 
@@ -19,6 +21,7 @@ PINNED = {
     "exemplars": "7d1c59421791b317e1ce421b5577f5958adadcb6beccbcf0ce5f19a4c973ba86",
     "zigzags": "d258caa15edfda186218abf6761597ae56b46b6a30c3b0d6f997a3bea2cf76d3",
     "validator": "38e489a53b991b395c47194df7413c0af6fb2e1a2c399e71bf897e748e56ec8c",
+    "theorem3": "921158409da94b8b31be0eaad0175d989eae461a7847fee0fc59a3bf2a9bc097",
 }
 
 
@@ -37,14 +40,19 @@ def random_lines():
             yield f"n={n} seed={seed} {_render(random_simple_polygon(n, seed))}"
 
 
-def exemplar_lines():
+def exemplars():
     for kind in range(1, 7):
         for n in range(6 if kind == 6 else 5, 11):
             for i in (0, 2):
-                yield f"class{kind} n={n} i={i} {_render(class_exemplar(kind, i, n))}"
+                yield f"class{kind} n={n} i={i}", class_exemplar(kind, i, n)
     for n in (7, 9):
-        yield f"class1 III n={n} {_render(class_exemplar(1, 0, n, region='III'))}"
-        yield f"class3 2 pockets n={n} {_render(class_exemplar(3, 0, n, pockets=2))}"
+        yield f"class1 III n={n}", class_exemplar(1, 0, n, region="III")
+        yield f"class3 2 pockets n={n}", class_exemplar(3, 0, n, pockets=2)
+
+
+def exemplar_lines():
+    for label, poly in exemplars():
+        yield f"{label} {_render(poly)}"
 
 
 def zigzag_lines():
@@ -59,6 +67,20 @@ def grid_path(seed: int) -> list[Point]:
     rng = random.Random(seed)
     n = rng.randint(2, 8)
     return [Point(rng.randrange(6), rng.randrange(6)) for _ in range(n)]
+
+
+def theorem3_lines():
+    """Per polygon and vertex: the Theorem-3 report and the class report."""
+    corpus = [
+        (f"n={n} seed={seed}", random_simple_polygon(n, seed))
+        for n in range(5, 17)
+        for seed in range(20)
+    ]
+    for label, poly in corpus + list(exemplars()):
+        for i in range(poly.n):
+            cr = class_report(poly, i)
+            witnesses = sorted(cr.witnesses.items())
+            yield f"{label} i={i} {verify_theorem3(poly, i)!r} {sorted(cr.memberships)} {witnesses}"
 
 
 def validator_lines():
@@ -82,6 +104,10 @@ def test_class_exemplars_pinned():
 
 def test_zigzags_pinned():
     assert _digest(zigzag_lines()) == PINNED["zigzags"]
+
+
+def test_theorem3_reports_pinned():
+    assert _digest(theorem3_lines()) == PINNED["theorem3"]
 
 
 def test_validator_errors_pinned():
