@@ -40,8 +40,9 @@ that ``Polygon`` declares.  The universe owns every cache derived from the
 chords: the vertex kind masks ``diag`` and ``epi``, the cached chord tuple,
 kinds, crossing masks, incidence, hull and pockets, Theorem 3's
 ``star_ear_rows`` (filled by ``nc_euler.star_ear_chis``) and ``class_masks``
-(filled by ``classes._class_masks``), and the chi engine
-of the Theorem-2 routes (``euler_engine``, filled by ``partition``).  It
+(filled by ``classes._class_masks``), and, filled by ``partition``, the chi
+engine of the Theorem-2 routes (``euler_engine``), Lemma 1's face chis
+(``face_chis``) and the last split of a J (``last_split``).  It
 copies the polygon's n, vertices and orientation table and holds the polygon
 itself only through a weak reference, so it reads nothing through the
 polygon and a :class:`ChordSet` keeps working after its polygon is gone.
@@ -129,9 +130,11 @@ class ChordUniverse:
         # Filled by ``classes._class_masks``: per class 1..6, the vertex mask
         # of the i at which the polygon is in that class.
         self.class_masks: tuple[int, ...] | None = None
-        # Filled by ``partition``: an ``nc_euler.EulerEngine`` on the crossing
-        # masks, whose memo the Theorem-2 routes share.
+        # Filled by ``partition``: the Theorem-2 routes' shared chi engine (an
+        # ``nc_euler.EulerEngine``), Lemma 1's face chis and the last J split.
         self.euler_engine = None
+        self.face_chis: dict[int, int] | None = None
+        self.last_split: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
 
     @cached_property
     def chords(self) -> tuple[Chord, ...]:

@@ -19,7 +19,7 @@ from .catalan import (
     d_recurrence_check,
     identity14_check,
 )
-from .chords import Chord, ChordKind, diagonals, epigonals, universe_of
+from .chords import Chord, ChordKind, ChordSet, diagonals, epigonals, universe_of
 from .classes import class_report, verify_theorem1, verify_theorem3
 from .exact_scalar import QSqrt3
 from .geometry import Point, Polygon, PolygonError, validate_polygon
@@ -200,6 +200,12 @@ def _verify_theorem1(args) -> list[str]:
     return failures
 
 
+def _set_failure(args, idx: int, poly: Polygon, j: ChordSet) -> str:
+    """A failure line for a set J, with the polygon and J's mask to rebuild it."""
+    return (f"item={idx} seed={args.seed + idx} n={poly.n} J={j} J_mask={j.mask:#x} "
+            f"polygon={json.dumps(polygon_to_json(poly))}")
+
+
 def _verify_theorem2(args) -> list[str]:
     n_lo, n_hi = _parse_range(args.n)
     if n_hi > CAPS["theorem2_n"]:
@@ -216,9 +222,7 @@ def _verify_theorem2(args) -> list[str]:
             if j_mask:
                 ok = ok and chi_removed_lemma_d2(poly, j) == direct
             if not ok:
-                failures.append(
-                    f"item={idx} seed={args.seed + idx} n={poly.n} J={j}"
-                )
+                failures.append(_set_failure(args, idx, poly, j))
     return failures
 
 
@@ -249,7 +253,7 @@ def _verify_lemmae(args) -> list[str]:
         for j_mask in iter_nc_masks(uni.crossing_masks, e_mask):
             j = uni.set_of_mask(j_mask)
             if chi_epigonal_pockets(poly, j) != chi_removed_direct(poly, j, "e"):
-                failures.append(f"item={idx} seed={args.seed + idx} n={poly.n} J={j}")
+                failures.append(_set_failure(args, idx, poly, j))
     return failures
 
 

@@ -27,6 +27,12 @@ come back.  Two diagonals of F cross in F iff they cross in P, since they are
 the same segments.  So a face family is the mask ``D & span(F) & ~I`` over
 the parent universe, with span(F) = ``ChordUniverse.span_mask(F)``, and its
 chi comes from the parent's shared :class:`EulerEngine` memo.
+
+The mask depends on F alone: it is ``D & span(F) & ~edges(F)``, edges(F) being
+the chords between consecutive vertices of F, as each side of F is a polygon
+edge or a chord of I.  So ``ChordUniverse.face_chis`` keeps one Lemma-1 chi per
+face for every I and J, and ``last_split`` keeps the last split of a J into
+NC_c[J] and NC_nc[J], so the routes asked about one J in turn split it once.
 """
 
 from __future__ import annotations
@@ -198,16 +204,20 @@ def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bo
     return minimal, feasible
 
 
-def _split_subsets(poly: Polygon, j_set: ChordSet) -> tuple[list[int], list[int]]:
+def _split_subsets(poly: Polygon, j_set: ChordSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Masks of NC_c[J] and of NC_nc[J], each in descending submask order."""
+    _check_noncrossing_diagonals(poly, j_set)
     if len(j_set) > LATTICE_CAP:
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
+    uni, jm = j_set.universe, j_set.mask
+    if uni.last_split is not None and uni.last_split[0] == jm:
+        return uni.last_split[1:]
     constraints, feasible = convexity_constraints(poly, j_set)
     if not feasible:
         constraints = [0]  # no subset meets the empty constraint
     members_c: list[int] = []
     members_nc: list[int] = []
-    jm = sub = j_set.mask
+    sub = jm
     while True:
         for c in constraints:
             if not sub & c:
@@ -216,7 +226,8 @@ def _split_subsets(poly: Polygon, j_set: ChordSet) -> tuple[list[int], list[int]
         else:
             members_c.append(sub)
         if sub == 0:
-            return members_c, members_nc
+            uni.last_split = (jm, tuple(members_c), tuple(members_nc))
+            return uni.last_split[1:]
         sub = (sub - 1) & jm
 
 
@@ -305,7 +316,7 @@ def chi_removed_lemma1(poly: Polygon, j_set: ChordSet) -> int:
     the faces of I as vertex masks, one split per I: a stack entry is the
     next chord of J to decide, the faces so far and I so far.  A face F's
     diagonal family is ``D & span(F) & ~I`` over the parent universe (see the
-    module docstring), evaluated on the parent's shared engine memo.
+    module docstring), evaluated on the parent's engine once per polygon face.
     """
     _check_noncrossing_diagonals(poly, j_set)
     if len(j_set) > LATTICE_CAP:
@@ -314,9 +325,10 @@ def chi_removed_lemma1(poly: Polygon, j_set: ChordSet) -> int:
     eng = _engine(uni)
     d_mask = uni.kind_mask(ChordKind.DIAGONAL)
     cut = [(1 << k, uni.chords[k]) for k in range(uni.size) if j_set.mask >> k & 1]
-    # The chords of I that a face spans are its own edges, so a face's value
-    # does not depend on the rest of I and is cached by its vertex mask.
-    face_chi: dict[int, int] = {}
+    # A face's value does not depend on I or J (see the module docstring).
+    face_chi = uni.face_chis
+    if face_chi is None:
+        face_chi = uni.face_chis = {}
     total = 0
     stack = [(0, [(1 << poly.n) - 1], 0)]
     while stack:

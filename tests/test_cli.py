@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from chord_euler.chords import universe_of
 from chord_euler.cli import (
     EXIT_CAP,
     EXIT_FAIL,
@@ -198,6 +200,31 @@ def test_exit_property_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_verify_theorem1", broken)
     code, out, _ = run(capsys, "verify", "theorem1")
     assert code == EXIT_FAIL and "planted failure" in out
+
+
+@pytest.mark.parametrize(
+    "target, route", [("theorem2", "chi_removed_lemma1"), ("lemmae", "chi_epigonal_pockets")]
+)
+def test_campaign_failure_lines_rebuild_their_instance(capsys, monkeypatch, target, route):
+    # A failure line carries the polygon and J's mask: they rebuild the
+    # campaign's own instance without rerunning the campaign.
+    import chord_euler.cli as cli
+
+    real = getattr(cli, route)
+    monkeypatch.setattr(cli, route, lambda poly, j: real(poly, j) + 1)
+    code, out, _ = run(capsys, "verify", target, "--n", "6..7", "--random", "2", "--seed", "5")
+    assert code == EXIT_FAIL
+    items = set()
+    for line in out.splitlines():
+        m = re.fullmatch(
+            r"FAIL item=(\d) seed=(\d+) n=(\d) J=(\{.*?\}) J_mask=(0x[0-9a-f]+) polygon=(.*)", line
+        )
+        assert m, line
+        poly = polygon_from_json(json.loads(m[6]))
+        assert poly == random_simple_polygon(int(m[3]), int(m[2])) and int(m[2]) == 5 + int(m[1])
+        assert str(universe_of(poly).set_of_mask(int(m[5], 16))) == m[4]
+        items.add(m[1])
+    assert items == {"0", "1"}
 
 
 def test_verify_targets_pass(capsys):

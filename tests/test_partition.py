@@ -336,6 +336,24 @@ def test_lemma1_faces_match_own_geometry():
             assert chi_removed_lemma1(poly, j) == total
 
 
+def test_lemma1_face_family_depends_on_the_face_alone():
+    # D & ~I & span(F) == D & span(F) & ~edges(F) for every face F of every
+    # I: one table entry per face serves every I and every J of the polygon.
+    for seed in range(100):
+        poly = random_simple_polygon(4 + seed % 6, seed + 3000)
+        uni = universe_of(poly)
+        d_mask = uni.kind_mask(ChordKind.DIAGONAL)
+        for i_set in nc_diagonal_subsets(poly):
+            for part in subdivide_oracle(poly, i_set):
+                edges = 0
+                for a, b in zip(part, part[1:] + part[:1]):
+                    k = uni.index.get(Chord.of(a, b))
+                    if k is not None:
+                        edges |= 1 << k
+                span = uni.span_mask(sum(1 << v for v in part))
+                assert d_mask & ~i_set.mask & span == d_mask & span & ~edges
+
+
 def test_factorized_product():
     for seed in range(25):
         poly = random_simple_polygon(6 + seed % 3, seed + 500)
@@ -451,3 +469,67 @@ def test_lattice_cap():
         convex_lattice(poly, tri)
     with pytest.raises(InstanceTooLarge):
         chi_removed_theorem2(poly, tri)
+
+
+def test_bad_j_is_bad_input_before_the_cap():
+    # 21 diagonals of a convex 9-gon: past the 2^|J| cap, and crossing.  Every
+    # route reports the bad J, which the CLI maps to exit 2, not exit 3.
+    poly = convex_ngon(9)
+    j = universe_of(poly).set_of(list(diagonals(poly))[:21])
+    for route in (chi_removed_theorem2, chi_removed_lemma_d2, convex_lattice, chi_removed_lemma1):
+        with pytest.raises(PartitionError, match="crossing pair"):
+            route(poly, j)
+
+
+def _route_values(poly, j1, j2):
+    """Every route on J1, with Lemma D2 on J2 asked between two routes on J1."""
+    t2 = chi_removed_theorem2(poly, j1)
+    d2_next = chi_removed_lemma_d2(poly, j2) if j2.mask else None
+    d2 = chi_removed_lemma_d2(poly, j1) if j1.mask else None
+    lat = convex_lattice(poly, j1)
+    lattice = (lat.members_c, lat.members_nc, lat.minimal_c, lat.maximal_nc)
+    direct = chi_removed_direct(poly, j1, "d")
+    return (direct, t2, chi_removed_lemma1(poly, j1), d2, lattice), d2_next
+
+
+def test_theorem2_routes_warm_equal_cold():
+    # The face table and the last split on the universe give every route the
+    # values it computes on a fresh copy of the polygon, whatever came before.
+    poly = random_simple_polygon(8, 11)
+    uni = universe_of(poly)
+    masks = [j.mask for j in nc_diagonal_subsets(poly)]
+    cold = {}
+    for m in masks:
+        twin = poly.rotated(0)
+        j = universe_of(twin).set_of_mask(m)
+        cold[m] = _route_values(twin, j, j)[0]
+    order = masks + masks[::-1]
+    for m1, m2 in zip(order, order[1:] + order[:1]):
+        got, d2_next = _route_values(poly, uni.set_of_mask(m1), uni.set_of_mask(m2))
+        assert got == cold[m1], bin(m1)
+        assert d2_next == cold[m2][3], bin(m2)
+
+
+@pytest.mark.parametrize(
+    "first", [chi_removed_theorem2, chi_removed_lemma_d2, convex_lattice, chi_removed_lemma1]
+)
+def test_theorem2_state_cached_on_the_universe(first):
+    poly = random_simple_polygon(8, 11)
+    uni = universe_of(poly)
+    assert uni.face_chis is None and uni.last_split is None
+    js = [j for j in nc_diagonal_subsets(poly) if len(j) >= 2]
+    first(poly, js[0])
+    if first is chi_removed_lemma1:
+        assert uni.face_chis and uni.last_split is None
+    else:
+        assert uni.last_split[0] == js[0].mask and uni.face_chis is None
+    chi_removed_lemma1(poly, js[0])
+    faces = uni.face_chis
+    for j in js:
+        chi_removed_theorem2(poly, j)
+        chi_removed_lemma1(poly, j)
+    assert uni.face_chis is faces and uni.last_split[0] == js[-1].mask
+    # A hit still checks J: the same mask over another universe is refused.
+    twin = poly.rotated(0)
+    with pytest.raises(PartitionError, match="different polygon"):
+        chi_removed_theorem2(poly, universe_of(twin).set_of_mask(js[-1].mask))
