@@ -26,10 +26,13 @@ vertex masks and m-bit chord masks, with no loop over chord pairs.
   v_i -> v_{i+1} to v_i -> v_{i-1}: ``left[(i-1)*n + i] & left[i*n + i+1]``
   at a convex vertex, the two sides' union at a reflex one.
 * So the kinds are two tuples of vertex masks, ``diag[i]`` and ``epi[i]``,
-  the partners of i across a diagonal and an epigonal.  In the lexicographic
-  order the chords (i, j), j > i + 1, are one run of bits, so a kind's chord
-  mask is one shift of ``diag[i]`` or ``epi[i]`` per row; the ``kinds``
-  tuple and the chord tuple itself are built only when asked for.
+  the partners of i across a diagonal and an epigonal.
+* In the lexicographic order, row k holds the chords (k, l), l >= k + 2,
+  less (0, n - 1), as one run of bits, so one shift places a vertex mask of
+  k's partners: a kind's chord mask is one shift of ``diag[k]`` or ``epi[k]``
+  per row, and ``incidence`` is built from the rows.  ``around[v]``, the
+  chords whose line has v on its left, is the OR over the rows k of the
+  bits l of ``left[v*n + k]``, since ccw(k, l, v) = ccw(v, k, l).
 * a -> b is an edge of the convex hull, traversed counter-clockwise, iff
   every other vertex lies left of it (``geometry.hull_successors``; Knuth,
   *Axioms and Hulls*).  The pockets, the regions between the polygon and its
@@ -37,17 +40,18 @@ vertex masks and m-bit chord masks, with no loop over chord pairs.
 
 Ownership.  A polygon owns its universe: :func:`universe_of` fills the slot
 that ``Polygon`` declares.  The universe owns every cache derived from the
-chords: the vertex kind masks ``diag`` and ``epi``, the cached chord tuple,
-kinds, crossing masks, incidence, hull and pockets, Theorem 3's
-``star_ear_rows`` (filled by ``nc_euler.star_ear_chis``) and ``class_masks``
-(filled by ``classes._class_masks``), and, filled by ``partition``, the chi
-engine of the Theorem-2 routes (``euler_engine``), Lemma 1's face chis
-(``face_chis``) and the last split of a J (``last_split``).  It
-copies the polygon's n, vertices and orientation table and holds the polygon
-itself only through a weak reference, so it reads nothing through the
-polygon and a :class:`ChordSet` keeps working after its polygon is gone.
-No reference cycle forms, and reference counting alone frees a polygon
-together with its universe and caches.
+chords: the vertex kind masks ``diag`` and ``epi``, the chord tuple (built
+only for callers that name chords: ``ChordSet`` iteration, ``partition``'s
+cuts and :func:`a_diagonals`), kinds, crossing masks, incidence, hull and
+pockets, Theorem 3's ``star_ear_rows`` (filled by ``nc_euler.star_ear_chis``)
+and ``class_masks`` (filled by ``classes._class_masks``), and, filled by
+``partition``, the chi engine of the Theorem-2 routes (``euler_engine``),
+Lemma 1's face chis (``face_chis``) and the last split of a J
+(``last_split``).  It copies the polygon's n, vertices and orientation table
+and holds the polygon itself only through a weak reference, so it reads
+nothing through the polygon and a :class:`ChordSet` keeps working after its
+polygon is gone.  No reference cycle forms, and reference counting alone
+frees a polygon together with its universe and caches.
 """
 
 from __future__ import annotations
@@ -84,6 +88,15 @@ class ChordKind(Enum):
     DIAGONAL = "diagonal"
     EPIGONAL = "epigonal"
     BOUNDARY_CROSSING = "boundary-crossing"
+
+
+def _rows(n: int) -> Iterator[tuple[int, int, int]]:
+    """Per row k of the chord order: k, the row's first bit and its width."""
+    at = 0
+    for k in range(n - 2):
+        width = n - k - 2 - (k == 0)
+        yield k, at, width
+        at += width
 
 
 def _vertex_kinds(n: int, left: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -186,34 +199,34 @@ class ChordUniverse:
         """crossing_masks[k] has bit m set iff chords k and m properly cross."""
         n, left = self.n, self.left
         inc = self.incidence
-        # around[v] has bit c set iff v lies left of the line of chord c.
-        around = [0] * n
-        for c, (k, m) in enumerate(self.chords):
-            side = left[k * n + m]
+        around = [0] * n  # around[v]: the chords whose line has v on its left
+        for k, at, width in _rows(n):
+            low = (1 << width) - 1
             for v in range(n):
-                if side >> v & 1:
-                    around[v] |= 1 << c
+                around[v] |= (left[v * n + k] >> k + 2 & low) << at
         masks = []
-        for i, j in self.chords:
-            # The XOR of the incidence masks over the vertices left of line ij
-            # holds the chords with exactly one endpoint there; those that do
-            # not touch v_i or v_j have their other endpoint right of it.
-            side = left[i * n + j]
-            odd = 0
-            while side:
-                low = side & -side
-                odd ^= inc[low.bit_length() - 1]
-                side ^= low
-            masks.append(odd & ~(inc[i] | inc[j]) & (around[i] ^ around[j]))
+        for i, _, width in _rows(n):
+            for j in range(i + 2, i + 2 + width):
+                # The XOR of the incidence masks over the vertices left of line ij
+                # holds the chords with exactly one endpoint there; those that do
+                # not touch v_i or v_j have their other endpoint right of it.
+                side = left[i * n + j]
+                odd = 0
+                while side:
+                    low = side & -side
+                    odd ^= inc[low.bit_length() - 1]
+                    side ^= low
+                masks.append(odd & ~(inc[i] | inc[j]) & (around[i] ^ around[j]))
         return tuple(masks)
 
     @cached_property
     def incidence(self) -> tuple[int, ...]:
         """incidence[v] has bit k set iff vertex v is an endpoint of chord k."""
         inc = [0] * self.n
-        for k, c in enumerate(self.chords):
-            inc[c.i] |= 1 << k
-            inc[c.j] |= 1 << k
+        for k, at, width in _rows(self.n):
+            inc[k] |= (1 << width) - 1 << at
+            for b in range(width):
+                inc[k + 2 + b] |= 1 << at + b
         return tuple(inc)
 
     def span_mask(self, vertices: int) -> int:
@@ -232,12 +245,10 @@ class ChordUniverse:
 
     @cached_property
     def _kind_masks(self) -> dict[ChordKind, int]:
-        n, d, e = self.n, 0, 0
-        at = 0  # row i, the chords (i, j) with j > i + 1, starts at bit ``at``
-        for i in range(n - 2):
+        d = e = 0
+        for i, at, _ in _rows(self.n):
             d |= self.diag[i] >> i + 2 << at
             e |= self.epi[i] >> i + 2 << at
-            at += n - i - 2 - (i == 0)
         bc = self.full_mask() & ~(d | e)
         return {ChordKind.DIAGONAL: d, ChordKind.EPIGONAL: e, ChordKind.BOUNDARY_CROSSING: bc}
 

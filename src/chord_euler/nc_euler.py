@@ -55,8 +55,10 @@ Two slower routes are kept as independent oracles:
 * ``euler_brute``  - alternating sum of a full DFS enumeration
   (``_nc_counts``) on the crossing masks; :func:`f_vector` also uses the DFS
   for segment lists and for sets holding a boundary-crossing chord;
-* ``euler_recursive`` - the deletion identity chi(A) = chi(A - v) - chi(A_v)
-  with connected-component factorization and memoization.
+* ``euler_recursive`` - the deletion identity chi(A) = chi(A - v) - chi(A_v),
+  memoized per connected component.  chi of a disjoint union is the product
+  of its parts' chis, so one pass finds every component first, and an
+  isolated member (chi 0) returns 0 before any recursion.
 """
 
 from __future__ import annotations
@@ -281,40 +283,36 @@ def euler_brute(family: ChordSet | Sequence[Segment]) -> int:
 
 
 def _chi(adj: Sequence[int], live: int, memo: dict[int, int]) -> int:
-    if live == 0:
-        return 1
-    total = 1
+    # Every component first, each with its pivot: highest degree, lowest on ties.
+    comps = []
     rem = live
     while rem:
         v = (rem & -rem).bit_length() - 1
-        comp = 1 << v
-        frontier = adj[v] & live & ~comp
+        comp = frontier = 1 << v
+        best_d, best_v = -1, v
         while frontier:
-            comp |= frontier
             nxt = 0
-            f = frontier
-            while f:
-                u = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= adj[u] & live
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                u = low.bit_length() - 1
+                nbrs = adj[u] & live
+                d = nbrs.bit_count()
+                if d > best_d or d == best_d and u < best_v:
+                    best_d, best_v = d, u
+                nxt |= nbrs
             frontier = nxt & ~comp
-        rem &= ~comp
+            comp |= frontier
         if comp & (comp - 1) == 0:
             return 0  # isolated segment: chi({v}) = 0 kills the product
+        rem &= ~comp
+        comps.append((comp, best_v))
+    total = 1
+    for comp, v in comps:
         val = memo.get(comp)
         if val is None:
-            best_v = -1
-            best_d = -1
-            c = comp
-            while c:
-                u = (c & -c).bit_length() - 1
-                c &= c - 1
-                d = (adj[u] & comp).bit_count()
-                if d > best_d:
-                    best_d, best_v = d, u
-            without = comp & ~(1 << best_v)
-            val = _chi(adj, without, memo) - _chi(adj, without & ~adj[best_v], memo)
-            memo[comp] = val
+            without = comp & ~(1 << v)
+            val = memo[comp] = _chi(adj, without, memo) - _chi(adj, without & ~adj[v], memo)
         if val == 0:
             return 0
         total *= val
@@ -341,7 +339,9 @@ class EulerEngine:
 
     Intended for querying many subsets of a single chord universe (for
     example all the faces of one polygon's Theorem-2 routes); results are
-    identical to :func:`euler_recursive`, and so is the size error.
+    identical to :func:`euler_recursive`, and so is the size error.  The
+    memo holds finished values only, one per component; components come
+    first, so a query with an isolated member returns 0 before recursing.
     """
 
     def __init__(self, adj: Sequence[int]):

@@ -416,12 +416,16 @@ def chi_inclusion_exclusion(poly: Polygon, j_set: ChordSet, mode: str) -> int:
         raise ValueError("mode must be 'minimal' or 'maximal'")
     if poly.is_convex:
         raise PartitionError("defined for non-convex polygons")
-    if not convexity_constraints(poly, j_set)[1]:
+    jm = j_set.mask
+    if len(j_set) > IE_CAP:  # no 2^|J| split before the cap error
+        feasible = convexity_constraints(poly, j_set)[1]
+    else:  # J is feasible iff J is in NC_c[J]
+        lat = convex_lattice(poly, j_set)
+        feasible = lat.members_c[-1:] == (jm,)
+    if not feasible:
         raise PartitionError("J does not provide a convex partition")
     if len(j_set) > IE_CAP:
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the cap {IE_CAP}")
-    lat = convex_lattice(poly, j_set)
-    jm = j_set.mask
     if mode == "minimal":
         sets = lat.minimal_c
         total = 0

@@ -23,7 +23,7 @@ from chord_euler.geometry import (
     segments_properly_cross,
     validate_polygon,
 )
-from chord_euler.nc_euler import crossing_masks
+from chord_euler.nc_euler import crossing_masks, euler_recursive
 
 
 def test_classify_dart(dart):
@@ -177,6 +177,39 @@ def test_table_matches_coordinates_past_hypothesis_range():
         mirror = validate_polygon([Point(-p.x, p.y) for p in reversed(poly.vertices)])
         assert mirror.vertices[0] == Point(-poly.vertices[-1].x, poly.vertices[-1].y)
         assert _relabeled_structure(mirror, lambda v: n - 1 - v) == want
+
+
+def test_row_built_incidence_matches_its_definition():
+    # Rows' edge cases: n = 3 has no chord, and row 0 stops before (0, n - 1).
+    for n in range(3, 25):
+        for poly in (convex_ngon(n), random_simple_polygon(n, n + 300)):
+            uni = universe_of(poly)
+            inc = uni.incidence
+            want = [sum(1 << k for k, c in enumerate(uni.chords) if v in c) for v in range(n)]
+            assert list(inc) == want
+            assert uni.size == len(uni.chords)
+
+
+def test_row_built_crossing_masks_match_coordinates():
+    # Row 0's last vertex bit (0, n - 1) must not spill into row 1 of around.
+    polys = [random_simple_polygon(n, seed) for n in (4, 5) for seed in range(30)]
+    polys += [random_simple_polygon(n, seed) for n in range(6, 17) for seed in range(2)]
+    polys += [convex_ngon(n) for n in range(4, 13)]
+    for poly in polys:
+        uni = universe_of(poly)
+        masks = uni.crossing_masks
+        assert list(masks) == crossing_masks([uni.segment(c) for c in uni.chords])
+
+
+def test_deletion_recursion_builds_no_chord_tuple():
+    # The crossing masks come from the orientation table by rows: no chord
+    # tuple, index or kinds.
+    polys = [random_simple_polygon(5 + k % 8, k + 7100) for k in range(30)]
+    polys += [convex_ngon(9)]
+    for poly in polys:
+        euler_recursive(diagonals(poly))
+        euler_recursive(epigonals(poly))
+        assert not {"chords", "index", "kinds"} & vars(universe_of(poly)).keys()
 
 
 def _assert_vertex_kinds_match_coordinates(poly):

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -281,6 +282,76 @@ def test_deep_deletion_recursion_is_a_size_error():
     assert eng.chi(short) == EulerEngine(path).chi(short) == euler_recursive(
         [Segment(pt(2 * v, 2 * (v & 1)), pt(2 * v + 3, 2 - 2 * (v & 1))) for v in range(30)]
     )
+
+
+def _crossing_graph(m, seed, density):
+    # A random symmetric crossing relation on m members; most are drawn by no
+    # polygon's chords.
+    rng = random.Random(seed)
+    adj = [0] * m
+    for a in range(m):
+        for b in range(a + 1, m):
+            if rng.random() < density:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return adj
+
+
+def _dfs_chi(adj, live):
+    return sum((-1) ** k * c for k, c in enumerate(_nc_counts(adj, live)))
+
+
+def _recursive_chi(adj, live):
+    # euler_recursive reads a chord set's universe only for its crossing masks.
+    return euler_recursive(ChordSet(SimpleNamespace(crossing_masks=adj), live))
+
+
+_densities = st.sampled_from([0.08, 0.15, 0.3, 0.5, 0.8])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 18), st.integers(0, 2**32), _densities)
+def test_chi_matches_dfs_on_random_crossing_graphs(m, seed, density):
+    adj = _crossing_graph(m, seed, density)
+    live = (1 << m) - 1
+    want = _dfs_chi(adj, live)
+    assert _recursive_chi(adj, live) == EulerEngine(adj).chi(live) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 17), st.integers(0, 2**32), _densities, st.integers(1, 3))
+def test_singleton_after_a_large_component_returns_before_recursing(m, seed, density, extra):
+    # The components are found before any recursion, so an isolated member
+    # (chi 0) zeroes the product at once, wherever it sits in bit order.
+    import chord_euler.nc_euler as nc
+
+    adj = _crossing_graph(m, seed, density)
+    path = [(1 << v >> 1 | 1 << v + 1) & (1 << m) - 1 for v in range(m)]  # connected
+    adj = [a | p for a, p in zip(adj, path)]
+    adj += [0] * extra  # isolated members above the component
+    live = (1 << m + extra) - 1
+    calls = []
+    real = nc._chi
+    nc._chi = lambda *a: calls.append(a) or real(*a)
+    try:
+        got = EulerEngine(adj).chi(live)
+    finally:
+        nc._chi = real
+    assert got == 0 == _dfs_chi(adj, live)
+    assert len(calls) == 1
+    assert _recursive_chi(adj, live) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 18), st.integers(0, 2**32), _densities)
+def test_shared_engine_matches_fresh_engines(m, seed, density):
+    adj = _crossing_graph(m, seed, density)
+    rng = random.Random(seed)
+    shared = EulerEngine(adj)
+    for _ in range(12):
+        live = rng.getrandbits(m) | rng.getrandbits(m)
+        want = EulerEngine(adj).chi(live)
+        assert shared.chi(live) == want == _dfs_chi(adj, live)
 
 
 def test_euler_values(square, dart):

@@ -429,6 +429,70 @@ def test_inclusion_exclusion_agrees_with_direct():
             assert chi_inclusion_exclusion(poly, j, "maximal") == direct
 
 
+def test_inclusion_exclusion_builds_the_constraints_once(monkeypatch):
+    import chord_euler.partition as part
+
+    calls = []
+    real = part.convexity_constraints
+    monkeypatch.setattr(part, "convexity_constraints", lambda *a: calls.append(a) or real(*a))
+    checked = infeasible = 0
+    for seed in range(12):
+        poly = random_simple_polygon(6 + seed % 3, seed + 700)
+        if poly.is_convex:
+            continue
+        for j in nc_diagonal_subsets(poly):
+            for mode in ("minimal", "maximal"):
+                cold = poly.rotated(0)  # a copy starts with no cached split
+                cold_j = universe_of(cold).set_of_mask(j.mask)
+                calls.clear()
+                try:
+                    got = chi_inclusion_exclusion(cold, cold_j, mode)
+                except PartitionError:
+                    infeasible += 1
+                    assert not is_convex_partition(poly, j)
+                else:
+                    assert got == chi_removed_direct(poly, j, "d")
+                assert len(calls) == 1
+                checked += 1
+    assert checked > 100 and infeasible > 10
+
+
+def test_inclusion_exclusion_error_order(monkeypatch):
+    # A bad or infeasible J is reported (PartitionError) before |J| > IE_CAP
+    # (InstanceTooLarge), and no 2^|J| split runs before the cap error.
+    import chord_euler.partition as part
+
+    def no_split(*_):
+        raise AssertionError("the 2^|J| split ran past the cap")
+
+    monkeypatch.setattr(part, "_split_subsets", no_split)
+    n = part.IE_CAP + 5  # a triangulation less one diagonal is still past the cap
+    cases = {"feasible": 0, "infeasible": 0, "crossing": 0}
+    for seed in range(10):
+        poly = random_simple_polygon(n, seed + 7100)
+        if poly.is_convex:
+            continue
+        uni = universe_of(poly)
+        tri = extend_to_triangulation(poly, uni.set_of_mask(0))
+        assert len(tri) > part.IE_CAP
+        with pytest.raises(InstanceTooLarge):
+            chi_inclusion_exclusion(poly, tri, "minimal")
+        cases["feasible"] += 1
+        for k in range(uni.size):
+            bit = 1 << k
+            if tri.mask & bit:
+                j = uni.set_of_mask(tri.mask & ~bit)
+                if len(j) > part.IE_CAP and not convexity_constraints(poly, j)[1]:
+                    with pytest.raises(PartitionError):
+                        chi_inclusion_exclusion(poly, j, "maximal")
+                    cases["infeasible"] += 1
+            elif uni.crossing_masks[k] & tri.mask:
+                with pytest.raises(PartitionError):
+                    chi_inclusion_exclusion(poly, uni.set_of_mask(tri.mask | bit), "minimal")
+                cases["crossing"] += 1
+    assert min(cases.values()) > 0
+
+
 def test_find_diagonal(dart):
     assert find_diagonal(dart) == Chord(0, 2)
     sq = convex_ngon(4)
