@@ -90,9 +90,20 @@ def load_polygon(path: str) -> Polygon:
     return polygon_from_json(doc)
 
 
-def _dump_json(doc: dict, out) -> None:
-    json.dump(doc, out, indent=2, sort_keys=True)
-    out.write("\n")
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -150,7 +161,7 @@ def cmd_analyze(args) -> int:
         report["classes"] = sorted(cr.memberships)
         report["theorem3"] = _theorem3_json(verify_theorem3(poly, args.vertex))
     if args.json:
-        _dump_json(report, sys.stdout)
+        sys.stdout.write(_json_text(report))
     else:
         for key in sorted(report):
             if key == "partition":
@@ -352,19 +363,10 @@ def cmd_generate(args) -> int:
         poly = class_exemplar(kind, args.i, args.n, **options)
     else:
         raise CliInputError(f"unknown kind {args.kind}")
-    doc = polygon_to_json(poly)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _dump_json(doc, fh)
-    else:
-        _dump_json(doc, sys.stdout)
+    _emit(_json_text(polygon_to_json(poly)), args.out)
     if sidecar_doc is not None:
         side_path = args.sidecar or (args.out + ".chords.json" if args.out else None)
-        if side_path:
-            with open(side_path, "w", encoding="utf-8") as fh:
-                _dump_json(sidecar_doc, fh)
-        else:
-            _dump_json(sidecar_doc, sys.stdout)
+        _emit(_json_text(sidecar_doc), side_path)
     return EXIT_OK
 
 
@@ -386,12 +388,7 @@ def cmd_render(args) -> int:
             chords = [Chord.parse(c) for c in side.get("chords", [])]
         except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
             raise CliInputError(f"cannot read chord sidecar: {exc}") from exc
-    svg = render_svg(poly, chords)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    else:
-        sys.stdout.write(svg)
+    _emit(render_svg(poly, chords), args.out)
     return EXIT_OK
 
 

@@ -50,6 +50,11 @@ the table in O(n^3) ring operations at one of two points:
 
   the second by the deletion identity chi(A - e) = chi(A) + chi(A - N[e]).
 
+A heart of F is a non-crossing H within F that every maximal non-crossing
+set of F meets; then chi(F) = 0.  A maximal non-crossing set of D is a
+triangulation, and one of E is each pocket's hull chord plus a triangulation
+of the pocket, so all maximal sets of D, or of E, have one size.
+
 Two slower routes are kept as independent oracles:
 
 * ``euler_brute``  - alternating sum of a full DFS enumeration
@@ -352,58 +357,28 @@ class EulerEngine:
         return _chi_within_limit(self.adj, mask, self._memo)
 
 
-def _bron_kerbosch(compat: Sequence[int], r: int, p: int, x: int, out: list[int]) -> None:
-    """Append to ``out`` every maximal compatible set r + S with S in p, none of x."""
-    if p == 0 and x == 0:
-        out.append(r)
-        return
-    # Pivot on the u in p | x that leaves the fewest candidates p & ~compat[u].
-    best = p
-    for u in _bits(p | x):
-        cand = p & ~compat[u]
-        if cand.bit_count() < best.bit_count():
-            best = cand
-    for v in _bits(best):
-        _bron_kerbosch(compat, r | 1 << v, p & compat[v], x & compat[v], out)
-        p &= ~(1 << v)
-        x |= 1 << v
+def is_heart(family: ChordSet, heart: ChordSet) -> bool:
+    """Whether every maximal non-crossing subfamily of ``family`` meets ``heart``.
 
-
-def maximal_nc_masks(adj: Sequence[int], live: int) -> list[int]:
-    """All maximal non-crossing subfamilies of ``live`` (Bron-Kerbosch)."""
-    compat = [live & ~a & ~(1 << v) for v, a in enumerate(adj)]
-    out: list[int] = []
-    _bron_kerbosch(compat, 0, live, 0, out)
-    return out
-
-
-def is_heart(family: ChordSet | Sequence[Segment], heart: ChordSet | Sequence[Segment]) -> bool:
-    """Whether every maximal non-crossing subfamily meets ``heart``.
-
-    This is equivalent to the extension form of the definition (every
-    non-crossing family extends to one meeting the heart) because extensions
-    can always be taken maximal.
+    ``family`` must be D or E of its polygon.  Its maximal non-crossing sets
+    are triangulations (module docstring), all of one size top, the degree
+    of its f-polynomial, and a non-crossing set of size top is maximal.  So
+    H is a heart iff F - H has no non-crossing set of size top, which the
+    interval DP reads without crossing masks; H is non-crossing iff its own
+    f-polynomial has degree |H|.  Every non-crossing family extends to a
+    maximal one, so this is also the definition's extension form.
     """
-    if isinstance(family, ChordSet) and isinstance(heart, ChordSet):
-        if heart.universe is not family.universe or heart.mask & ~family.mask:
-            raise ValueError("heart must be a subset of the family")
-        adj = family.universe.crossing_masks
-        live = family.mask
-        hmask = heart.mask
-    else:
-        segs = list(family)  # type: ignore[arg-type]
-        keys = {s.key(): k for k, s in enumerate(segs)}
-        hmask = 0
-        for s in heart:  # type: ignore[union-attr]
-            k = keys.get(s.key())
-            if k is None:
-                raise ValueError("heart must be a subset of the family")
-            hmask |= 1 << k
-        adj = crossing_masks(segs)
-        live = (1 << len(segs)) - 1
-    if any(adj[k] & hmask for k in _bits(hmask)):
+    if not isinstance(family, ChordSet) or not isinstance(heart, ChordSet):
+        raise TypeError("family and heart must be chord sets")
+    uni = family.universe
+    if family.mask not in (uni.kind_mask(ChordKind.DIAGONAL), uni.kind_mask(ChordKind.EPIGONAL)):
+        raise ValueError("family must be the diagonals or the epigonals of its polygon")
+    if heart.universe is not uni or heart.mask & ~family.mask:
+        raise ValueError("heart must be a subset of the family")
+    if len(f_vector(heart)) != len(heart) + 1:
         raise ValueError("heart members must be pairwise non-crossing")
-    return all(m & hmask for m in maximal_nc_masks(adj, live))
+    top = len(f_vector(family)) - 1
+    return f_vector(family - heart)[top] == 0
 
 
 def find_heart(polygon: Polygon, side: str) -> ChordSet | None:

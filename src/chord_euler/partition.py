@@ -405,6 +405,8 @@ def xi(poly: Polygon, j_set: ChordSet, subset: ChordSet) -> int:
         raise PartitionError("xi is defined for non-convex polygons")
     if not convexity_constraints(poly, j_set)[1]:
         raise PartitionError("J does not provide a convex partition")
+    if subset.universe is not j_set.universe:
+        raise PartitionError("chord set belongs to a different polygon")
     if subset.mask & ~j_set.mask:
         raise PartitionError("I must be a subset of J")
     return 1 if subset.mask in (0, j_set.mask) else 0

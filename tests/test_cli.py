@@ -279,3 +279,29 @@ def test_out_of_range_generate_index_is_bad_input(tmp_path, capsys, n, i):
     assert (code, stdout) == (EXIT_INPUT, "")
     assert err == f"error: --i {i} is not in 0..{n - 1}\n"
     assert not out.exists()
+
+
+def _assert_cannot_write(capsys, path, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+
+
+def test_unwritable_generate_out_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    _assert_cannot_write(capsys, path, "generate", "convex", "--n", "5", "--out", str(path))
+
+
+def test_unwritable_generate_sidecar_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    out = tmp_path / "zig.json"
+    _assert_cannot_write(
+        capsys, path, "generate", "zigzag", "--l", "2", "--out", str(out), "--sidecar", str(path)
+    )
+
+
+def test_unwritable_render_out_is_bad_input(tmp_path, capsys, dart):
+    poly = tmp_path / "dart.json"
+    poly.write_text(json.dumps(polygon_to_json(dart)))
+    path = tmp_path / "missing" / "x.json"
+    _assert_cannot_write(capsys, path, "render", str(poly), "--out", str(path))

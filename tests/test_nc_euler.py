@@ -9,6 +9,7 @@ from chord_euler.chords import (
     Chord,
     ChordKind,
     ChordSet,
+    a_diagonals,
     diagonals,
     ear_chord,
     epigonals,
@@ -42,7 +43,6 @@ from chord_euler.nc_euler import (
     hull_edge_in,
     is_heart,
     iter_nc_masks,
-    maximal_nc_masks,
     star_ear_chis,
 )
 from conftest import brute_euler, brute_nc_counts, exemplar_and_zigzag_polygons, pt
@@ -149,6 +149,20 @@ def _iter_nc_masks_recursive(adj, live):
     yield from rec(0, 0, 0)
 
 
+def _maximal(adj, live, masks):
+    """The maximal sets among ``masks``: every chord of ``live`` outside one crosses it."""
+    return [
+        m for m in masks
+        if all(adj[k] & m for k in range(len(adj)) if (live & ~m) >> k & 1)
+    ]
+
+
+def _assert_hearts_match_maximal_sets(fam, heart_masks, maximal):
+    # A heart is a non-crossing set that every maximal non-crossing set meets.
+    for h in heart_masks:
+        assert is_heart(fam, fam.universe.set_of_mask(h)) == all(m & h for m in maximal), (fam, h)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(4, 8), st.integers(0, 2**32))
 def test_iter_nc_masks_matches_the_recursive_order(n, seed):
@@ -160,12 +174,33 @@ def test_iter_nc_masks_matches_the_recursive_order(n, seed):
     for live in (diagonals(poly).mask, epigonals(poly).mask, uni.full_mask()):
         masks = list(iter_nc_masks(adj, live))
         assert masks == list(_iter_nc_masks_recursive(adj, live))
-        # A set is maximal iff every chord of ``live`` outside it crosses it.
-        maximal = [
-            m for m in masks
-            if all(adj[k] & m for k in range(len(adj)) if (live & ~m) >> k & 1)
-        ]
-        assert sorted(maximal_nc_masks(adj, live)) == sorted(maximal)
+    for fam in (diagonals(poly), epigonals(poly)):
+        masks = list(iter_nc_masks(adj, fam.mask))
+        spread = masks[:: max(1, len(masks) // 16)]
+        _assert_hearts_match_maximal_sets(fam, spread, _maximal(adj, fam.mask, masks))
+
+
+_HEART_POLYGONS = exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.builds(random_simple_polygon, st.integers(4, 11), st.integers(0, 2**32)),
+        st.sampled_from(_HEART_POLYGONS),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_is_heart_matches_the_maximal_sets(poly, rnd):
+    # The oracle lists the maximal sets by definition; is_heart reads the DP.
+    adj = universe_of(poly).crossing_masks
+    for side, fam in (("d", diagonals(poly)), ("e", epigonals(poly))):
+        masks = list(iter_nc_masks(adj, fam.mask))
+        hearts = rnd.sample(masks, min(len(masks), 24))
+        found = find_heart(poly, side)
+        if found is not None:
+            hearts.append(found.mask)
+        _assert_hearts_match_maximal_sets(fam, hearts, _maximal(adj, fam.mask, masks))
 
 
 def test_f_vector_reads_no_hull_or_pockets():
@@ -402,6 +437,38 @@ def test_is_heart(square, dart):
     assert not is_heart(diagonals(square), us.set_of([Chord.of(0, 2)]))
     with pytest.raises(ValueError):
         is_heart(diagonals(square), us.set_of([Chord.of(1, 3), Chord.of(0, 2)]))
+    with pytest.raises(ValueError):  # a heart of another polygon
+        is_heart(diagonals(dart), find_heart(dart.rotated(0), "d"))
+
+
+def test_is_heart_takes_chord_sets_only(dart):
+    segs = segs_of(dart, diagonals(dart))
+    with pytest.raises(TypeError):
+        is_heart(segs, segs)
+    with pytest.raises(TypeError):
+        is_heart(diagonals(dart), segs)
+
+
+def test_is_heart_needs_a_whole_kind():
+    # Only D and E have maximal sets of one size, which the DP rule needs.
+    poly = convex_ngon(8)
+    uni = universe_of(poly)
+    for fam in (diagonals(poly) - uni.set_of([Chord.of(0, 2)]), a_diagonals(poly, 2)):
+        with pytest.raises(ValueError):
+            is_heart(fam, uni.set_of_mask(0))
+    poly = random_simple_polygon(8, 1)
+    uni = universe_of(poly)
+    assert uni.kind_mask(ChordKind.BOUNDARY_CROSSING)
+    with pytest.raises(ValueError):
+        is_heart(uni.set_of_mask(uni.full_mask()), find_heart(poly, "d"))
+
+
+def test_is_heart_builds_no_crossing_masks():
+    for seed in range(5):
+        poly = random_simple_polygon(9, seed)
+        assert is_heart(diagonals(poly), find_heart(poly, "d"))
+        assert is_heart(epigonals(poly), find_heart(poly, "e"))
+        assert "crossing_masks" not in vars(universe_of(poly))
 
 
 def test_find_heart(square, dart):

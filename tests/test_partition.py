@@ -416,6 +416,18 @@ def test_xi_and_inclusion_exclusion(dart, square):
         xi(dart, empty(dart), empty(dart))  # J not a convex partition
 
 
+def test_xi_rejects_a_subset_of_another_polygon(dart):
+    j = cs(dart, (0, 2))
+    with pytest.raises(PartitionError):
+        xi(dart, j, cs(dart.rotated(0), (0, 2)))
+    # A one-chord set of another 8-gon, inside J's mask: it used to read 0.
+    poly = random_simple_polygon(8, 3)
+    j = extend_to_triangulation(poly, empty(poly))
+    other = universe_of(random_simple_polygon(8, 4))
+    with pytest.raises(PartitionError):
+        xi(poly, j, other.set_of_mask(j.mask & -j.mask))
+
+
 def test_inclusion_exclusion_agrees_with_direct():
     for seed in range(20):
         poly = random_simple_polygon(6 + seed % 3, seed + 700)
