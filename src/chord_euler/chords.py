@@ -46,8 +46,9 @@ cuts and :func:`a_diagonals`), kinds, crossing masks, incidence, hull and
 pockets, Theorem 3's ``star_ear_rows`` (filled by ``nc_euler.star_ear_chis``)
 and ``class_masks`` (filled by ``classes._class_masks``), and, filled by
 ``partition``, the chi engine of the Theorem-2 routes (``euler_engine``),
-Lemma 1's face chis (``face_chis``) and the last split of a J
-(``last_split``).  It copies the polygon's n, vertices and orientation table
+Lemma 1's dict of face-recurrence values (``lemma1_chis``), the last split of
+a J (``last_split``) and the last J that passed the non-crossing diagonal
+check (``valid_j``).  It copies the polygon's n, vertices and orientation table
 and holds the polygon itself only through a weak reference, so it reads
 nothing through the polygon and a :class:`ChordSet` keeps working after its
 polygon is gone.  No reference cycle forms, and reference counting alone
@@ -85,6 +86,8 @@ class Chord(NamedTuple):
 
 
 class ChordKind(Enum):
+    __hash__ = object.__hash__  # members are singletons, compared by identity
+
     DIAGONAL = "diagonal"
     EPIGONAL = "epigonal"
     BOUNDARY_CROSSING = "boundary-crossing"
@@ -144,10 +147,12 @@ class ChordUniverse:
         # of the i at which the polygon is in that class.
         self.class_masks: tuple[int, ...] | None = None
         # Filled by ``partition``: the Theorem-2 routes' shared chi engine (an
-        # ``nc_euler.EulerEngine``), Lemma 1's face chis and the last J split.
+        # ``nc_euler.EulerEngine``), Lemma 1's memo, the last J split and the
+        # last J mask that passed the non-crossing diagonal check.
         self.euler_engine = None
-        self.face_chis: dict[int, int] | None = None
+        self.lemma1_chis: dict[int, int] | None = None
         self.last_split: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
+        self.valid_j: int | None = None
 
     @cached_property
     def chords(self) -> tuple[Chord, ...]:

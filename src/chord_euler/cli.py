@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalan import (
@@ -94,14 +95,34 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, path: str | None) -> None:
-    """Write ``text`` to the file ``path``, or to stdout when there is none."""
-    if not path:
-        sys.stdout.write(text)
-        return
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path): to the file ``path``, or to stdout when there is none.
+
+    Every file is opened before any text is written, so a path that cannot be
+    opened leaves no output behind: append mode truncates nothing until every
+    open has succeeded, and a file that an earlier open created is removed.
+    """
+    files = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for _, path in outputs:
+            if path:
+                created = not os.path.lexists(path)
+                files.append((open(path, "a", encoding="utf-8"), created))
+    except OSError as exc:
+        for fh, created in files:
+            fh.close()
+            if created:
+                os.remove(fh.name)
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
+    handles = iter(files)
+    try:
+        for text, path in outputs:
+            if not path:
+                sys.stdout.write(text)
+                continue
+            with next(handles)[0] as fh:
+                fh.truncate(0)
+                fh.write(text)
     except OSError as exc:
         raise CliInputError(f"cannot write {path}: {exc}") from exc
 
@@ -363,10 +384,11 @@ def cmd_generate(args) -> int:
         poly = class_exemplar(kind, args.i, args.n, **options)
     else:
         raise CliInputError(f"unknown kind {args.kind}")
-    _emit(_json_text(polygon_to_json(poly)), args.out)
+    outputs = [(_json_text(polygon_to_json(poly)), args.out)]
     if sidecar_doc is not None:
         side_path = args.sidecar or (args.out + ".chords.json" if args.out else None)
-        _emit(_json_text(sidecar_doc), side_path)
+        outputs.append((_json_text(sidecar_doc), side_path))
+    _emit(*outputs)
     return EXIT_OK
 
 
@@ -388,7 +410,7 @@ def cmd_render(args) -> int:
             chords = [Chord.parse(c) for c in side.get("chords", [])]
         except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
             raise CliInputError(f"cannot read chord sidecar: {exc}") from exc
-    _emit(render_svg(poly, chords), args.out)
+    _emit((render_svg(poly, chords), args.out))
     return EXIT_OK
 
 

@@ -300,6 +300,18 @@ def test_unwritable_generate_sidecar_is_bad_input(tmp_path, capsys):
     )
 
 
+def test_failed_generate_writes_nothing(tmp_path, capsys):
+    # The polygon file is not written when its sidecar cannot be, and a file
+    # already at the polygon's path keeps its bytes.
+    out, side = tmp_path / "zig.json", tmp_path / "missing" / "x.json"
+    argv = ("generate", "zigzag", "--l", "2", "--out", str(out), "--sidecar", str(side))
+    _assert_cannot_write(capsys, side, *argv)
+    assert list(tmp_path.iterdir()) == []
+    out.write_text("old")
+    _assert_cannot_write(capsys, side, *argv)
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "old"
+
+
 def test_unwritable_render_out_is_bad_input(tmp_path, capsys, dart):
     poly = tmp_path / "dart.json"
     poly.write_text(json.dumps(polygon_to_json(dart)))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chord_euler.chords import Chord, ChordKind, diagonals, universe_of
-from chord_euler.generators import convex_ngon, random_simple_polygon, zigzag_chi_target
+from chord_euler.generators import class_exemplar, convex_ngon, random_simple_polygon, zigzag_chi_target
 from chord_euler.geometry import Point, Polygon, validate_polygon
 from chord_euler.nc_euler import EulerEngine, euler_brute, euler_recursive, iter_nc_masks
 from chord_euler.partition import (
@@ -336,6 +336,42 @@ def test_lemma1_faces_match_own_geometry():
             assert chi_removed_lemma1(poly, j) == total
 
 
+_LEMMA1_POLYGONS = st.one_of(
+    st.builds(random_simple_polygon, st.integers(4, 10), st.integers(0, 2**32)),
+    st.builds(convex_ngon, st.integers(4, 10)),
+    st.builds(class_exemplar, st.integers(1, 5), st.just(0), st.integers(5, 10)),
+    st.builds(class_exemplar, st.just(6), st.just(0), st.integers(6, 10)),
+    st.sampled_from([2, -2, 3, -3]).map(lambda l: zigzag_chi_target(l).polygon),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_LEMMA1_POLYGONS, st.randoms(use_true_random=False))
+def test_lemma1_warm_memo_matches_face_polygons(poly, rng):
+    # Every J of one polygon, in random order on one universe, so most calls
+    # start from a memo that earlier sets filled.  The oracle sums, over the
+    # I subset of J, the product of the chis of the faces of I, each face cut
+    # by vertex lists and counted by DFS in its own universe.
+    uni = universe_of(poly)
+    js = nc_diagonal_subsets(poly)
+    rng.shuffle(js)
+    cache, products = {}, {}
+    for j in js:
+        want = 0
+        sub = j.mask
+        while True:
+            if sub not in products:
+                prod = 1
+                for part in subdivide_oracle(poly, uni.set_of_mask(sub)):
+                    prod *= _part_chi_oracle(poly, part, [], cache)
+                products[sub] = prod
+            want += products[sub]
+            if sub == 0:
+                break
+            sub = (sub - 1) & j.mask
+        assert chi_removed_lemma1(poly, j) == want, (poly, bin(j.mask))
+
+
 def test_lemma1_face_family_depends_on_the_face_alone():
     # D & ~I & span(F) == D & span(F) & ~edges(F) for every face F of every
     # I: one table entry per face serves every I and every J of the polygon.
@@ -586,26 +622,75 @@ def test_theorem2_routes_warm_equal_cold():
         assert d2_next == cold[m2][3], bin(m2)
 
 
-@pytest.mark.parametrize(
-    "first", [chi_removed_theorem2, chi_removed_lemma_d2, convex_lattice, chi_removed_lemma1]
-)
+THEOREM2_ROUTES = [chi_removed_theorem2, chi_removed_lemma_d2, convex_lattice, chi_removed_lemma1]
+
+
+@pytest.mark.parametrize("first", THEOREM2_ROUTES)
 def test_theorem2_state_cached_on_the_universe(first):
     poly = random_simple_polygon(8, 11)
     uni = universe_of(poly)
-    assert uni.face_chis is None and uni.last_split is None
+    assert uni.lemma1_chis is None and uni.last_split is None
     js = [j for j in nc_diagonal_subsets(poly) if len(j) >= 2]
     first(poly, js[0])
     if first is chi_removed_lemma1:
-        assert uni.face_chis and uni.last_split is None
+        assert uni.lemma1_chis and uni.last_split is None
     else:
-        assert uni.last_split[0] == js[0].mask and uni.face_chis is None
+        assert uni.last_split[0] == js[0].mask and uni.lemma1_chis is None
     chi_removed_lemma1(poly, js[0])
-    faces = uni.face_chis
+    faces = uni.lemma1_chis
     for j in js:
         chi_removed_theorem2(poly, j)
         chi_removed_lemma1(poly, j)
-    assert uni.face_chis is faces and uni.last_split[0] == js[-1].mask
+    assert uni.lemma1_chis is faces and uni.last_split[0] == js[-1].mask
     # A hit still checks J: the same mask over another universe is refused.
     twin = poly.rotated(0)
     with pytest.raises(PartitionError, match="different polygon"):
         chi_removed_theorem2(poly, universe_of(twin).set_of_mask(js[-1].mask))
+
+
+@pytest.mark.parametrize("route", THEOREM2_ROUTES)
+def test_bad_j_is_refused_after_a_validated_one(route):
+    # A J that passed the check is recorded on the universe; a bad J never is,
+    # so each call on it is refused, however often it is asked.
+    poly = random_simple_polygon(8, 11)
+    uni = universe_of(poly)
+    good = next(j for j in nc_diagonal_subsets(poly) if len(j) >= 2)
+    d_mask, epigonal = uni.kind_mask(ChordKind.DIAGONAL), uni.kind_mask(ChordKind.EPIGONAL)
+    assert epigonal  # the polygon is not convex
+    k = next(k for k in range(uni.size) if d_mask >> k & 1 and uni.crossing_masks[k] & good.mask)
+    crossing = uni.set_of_mask(good.mask | 1 << k)
+    with_epigonal = uni.set_of_mask(good.mask | epigonal & -epigonal)
+    twin = universe_of(poly.rotated(0)).set_of_mask(good.mask)
+    route(poly, good)
+    assert uni.valid_j == good.mask
+    for _ in range(2):
+        with pytest.raises(PartitionError, match="crossing pair"):
+            route(poly, crossing)
+        with pytest.raises(PartitionError, match="not a diagonal"):
+            route(poly, with_epigonal)
+        with pytest.raises(PartitionError, match="different polygon"):
+            route(poly, twin)
+        assert uni.valid_j == good.mask
+        route(poly, good)
+
+
+def test_each_j_is_validated_once_across_the_routes():
+    # The check reads J's crossing row once per chord of J.  Counted here by
+    # wrapping the universe's rows after the shared engine has taken its own.
+    poly = random_simple_polygon(8, 11)
+    uni = universe_of(poly)
+    js = [j for j in nc_diagonal_subsets(poly) if len(j) >= 2]
+    chi_removed_direct(poly, js[0], "d")
+    reads = []
+
+    class Rows(tuple):
+        def __getitem__(self, k):
+            reads.append(k)
+            return tuple.__getitem__(self, k)
+
+    uni.crossing_masks = Rows(uni.crossing_masks)
+    for j in js:
+        reads.clear()
+        for route in THEOREM2_ROUTES + THEOREM2_ROUTES:
+            route(poly, j)
+        assert sorted(reads) == sorted(uni.index[c] for c in j), bin(j.mask)
