@@ -1,10 +1,11 @@
 """Removing a prescribed chord set: the convex-partition lattice at work.
 
 chi(M_d minus J) depends only on which subsets of J cut the polygon into
-convex pieces.  This demo evaluates one removed set through five routes
+convex pieces.  This demo evaluates one removed set through four routes
 that must all agree: the direct definition, the signed sum over the
-convex-partition lattice, its complement form, the subdivision convolution,
-and inclusion-exclusion over minimal/maximal lattice elements.
+convex-partition lattice, its complement form and the subdivision sum.  It
+then lists the lattice's members and its minimal convex cuts, the sets that
+inclusion-exclusion sums over, and the faces J cuts the polygon into.
 """
 
 from chord_euler import (

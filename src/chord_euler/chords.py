@@ -8,18 +8,16 @@ chord universe, so set algebra is integer arithmetic and deterministic.
 Geometry enters once per polygon, as the orientation table of its vertex
 triples (``Polygon.left``, the polygon's order type, built by
 ``geometry.orientation_table``): ``left[i*n + j]`` has bit k set iff
-v_i -> v_j -> v_k turns counter-clockwise.  Everything here is read from it.
-The chord kinds and the crossing masks are whole-mask operations on n-bit
-vertex masks and m-bit chord masks, with no loop over chord pairs.
+v_i -> v_j -> v_k turns counter-clockwise.  The kinds, hull and pockets are
+read from it, and the crossing masks from the kinds, all by whole-mask
+operations on n-bit vertex and m-bit chord masks, with no chord-pair loop.
 
 * Two segments with four distinct endpoints in general position cross iff
   each one's endpoints lie on opposite sides of the other's line.  Chord
   (i, w) crosses an edge a -> a+1 that touches neither end iff bit w is set
   in ``left[a*n + i] ^ left[(a+1)*n + i]`` (v_a, v_{a+1} straddle line i-w)
   and in the side of the edge's line away from v_i.  The OR over the edges
-  is the boundary-crossing partners of i.  For two chords it is one endpoint
-  in ``side = left[i*n + j]`` and the other in the rest, and v_i, v_j on
-  opposite sides of the other chord's line (``around[i] ^ around[j]``).
+  is the boundary-crossing partners of i.
 * A chord (i, j) that crosses no edge lies wholly inside or wholly outside
   the polygon, and near v_i it runs along v_i -> v_j.  So it is a diagonal iff
   v_j lies in the interior cone at v_i, the counter-clockwise sweep from
@@ -30,9 +28,19 @@ vertex masks and m-bit chord masks, with no loop over chord pairs.
 * In the lexicographic order, row k holds the chords (k, l), l >= k + 2,
   less (0, n - 1), as one run of bits, so one shift places a vertex mask of
   k's partners: a kind's chord mask is one shift of ``diag[k]`` or ``epi[k]``
-  per row, and ``incidence`` is built from the rows.  ``around[v]``, the
-  chords whose line has v on its left, is the OR over the rows k of the
-  bits l of ``left[v*n + k]``, since ccw(k, l, v) = ccw(v, k, l).
+  per row, and ``incidence`` is built from the rows.
+* Two chords interleave when each has exactly one end strictly between the
+  other's along the boundary cycle.  A diagonal (i, j) cuts the polygon in
+  two, on the arcs i..j and j..i, and another diagonal crosses it iff it
+  joins the two arcs' insides: iff they interleave.  An epigonal is the hull
+  chord or a diagonal of its pocket (the polygon a hull chord closes over a
+  boundary arc), so two epigonals of one pocket cross iff they interleave,
+  and two of different pockets, on arcs sharing at most an end, neither
+  interleave nor cross.  A diagonal (inside) and an epigonal (outside) never
+  cross.  So with ``odd[v]`` the XOR of ``incidence[0..v-1]``, the crossing
+  mask of (i, j) is ``odd[j] ^ odd[i+1]`` (one end strictly between i and
+  j), less the chords at i or j, within its kind.  A boundary-crossing
+  chord's entry is None.
 * a -> b is an edge of the convex hull, traversed counter-clockwise, iff
   every other vertex lies left of it (``geometry.hull_successors``; Knuth,
   *Axioms and Hulls*).  The pockets, the regions between the polygon and its
@@ -61,6 +69,8 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
+from operator import xor
 from typing import Iterable, Iterator, NamedTuple
 
 from .geometry import Polygon, Segment, hull_successors
@@ -127,8 +137,8 @@ def _vertex_kinds(n: int, left: tuple[int, ...]) -> tuple[tuple[int, ...], tuple
 class ChordUniverse:
     """All chords of one polygon, in lexicographic (i, j) order.
 
-    Owns the chord classification and the pairwise crossing masks, both
-    read from its copy of the polygon's orientation table; every
+    Owns the chord classification, read from its copy of the polygon's
+    orientation table, and the crossing masks, read from the kinds; every
     :class:`ChordSet` over the polygon shares this object, which keeps bit
     positions and memo keys stable.
     """
@@ -200,28 +210,20 @@ class ChordUniverse:
         return tuple(next(kind for kind, m in masks if m >> k & 1) for k in range(self.size))
 
     @cached_property
-    def crossing_masks(self) -> tuple[int, ...]:
-        """crossing_masks[k] has bit m set iff chords k and m properly cross."""
-        n, left = self.n, self.left
+    def crossing_masks(self) -> tuple[int | None, ...]:
+        """crossing_masks[k] has bit m set iff chords k and m properly cross.
+
+        By interleaving (module docstring); None for a boundary-crossing k.
+        """
         inc = self.incidence
-        around = [0] * n  # around[v]: the chords whose line has v on its left
-        for k, at, width in _rows(n):
-            low = (1 << width) - 1
-            for v in range(n):
-                around[v] |= (left[v * n + k] >> k + 2 & low) << at
-        masks = []
-        for i, _, width in _rows(n):
+        odd = [0, *accumulate(inc, xor)]
+        d, e = self.kind_mask(ChordKind.DIAGONAL), self.kind_mask(ChordKind.EPIGONAL)
+        masks: list[int | None] = []
+        for i, _, width in _rows(self.n):
+            di, ei, inner = self.diag[i], self.epi[i], odd[i + 1]
             for j in range(i + 2, i + 2 + width):
-                # The XOR of the incidence masks over the vertices left of line ij
-                # holds the chords with exactly one endpoint there; those that do
-                # not touch v_i or v_j have their other endpoint right of it.
-                side = left[i * n + j]
-                odd = 0
-                while side:
-                    low = side & -side
-                    odd ^= inc[low.bit_length() - 1]
-                    side ^= low
-                masks.append(odd & ~(inc[i] | inc[j]) & (around[i] ^ around[j]))
+                kind = d if di >> j & 1 else e if ei >> j & 1 else 0
+                masks.append((odd[j] ^ inner) & ~(inc[i] | inc[j]) & kind if kind else None)
         return tuple(masks)
 
     @cached_property

@@ -32,16 +32,16 @@ from .generators import (
     verify_zigzag_structure,
     zigzag_chi_target,
 )
-from .nc_euler import f_vector
+from .nc_euler import InstanceTooLarge, f_vector, iter_nc_masks
 from .partition import (
-    InstanceTooLarge,
+    PartitionError,
     chi_epigonal_pockets,
     chi_removed_direct,
     chi_removed_lemma1,
     chi_removed_lemma_d2,
     chi_removed_theorem2,
+    subdivide,
 )
-from .nc_euler import iter_nc_masks
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -155,8 +155,6 @@ def cmd_analyze(args) -> int:
         "epigonals": [str(c) for c in epigonals(poly)],
     }
     if args.cut is not None:
-        from .partition import PartitionError, subdivide
-
         try:
             cut = universe_of(poly).set_of(
                 [Chord.parse(tok) for tok in args.cut.split(",") if tok]

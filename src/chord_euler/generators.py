@@ -67,11 +67,9 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
             Point(QSqrt3(rng.randrange(0, 10**6)), QSqrt3(rng.randrange(0, 10**6)))
             for _ in range(n)
         ]
-        if len({(p.x, p.y) for p in pts}) < n:
-            continue
         try:
-            # One orientation table (CollinearTriple if three points are
-            # collinear) serves the untangling and the validation.
+            # One orientation table (CollinearTriple on a collinear triple or
+            # a repeated point) serves the untangling and the validation.
             left = orientation_table(pts)
             order = _untangle(left, n)
             if order is not None:

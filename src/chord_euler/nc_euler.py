@@ -7,12 +7,9 @@ the f-polynomial sum f_i x^i at x = -1.
 
 One interval recurrence gives both the f-polynomials of :func:`f_vector`
 and Theorem 3's chis (:func:`star_ear_chis`).  It needs crossing to be
-interleaving along the boundary cycle.  In general position two diagonals
-of a simple polygon cross iff their endpoints interleave.  So do two
-epigonals: those of different pockets (the regions between the polygon and
-its hull) lie on disjoint boundary arcs, and inside one pocket they are
-chords of the pocket polygon.  A diagonal and an epigonal never cross,
-though they may interleave, so the f-polynomial of a family is the product
+interleaving along the boundary cycle.  It is among the diagonals and among
+the epigonals, and a diagonal and an epigonal never cross (proved in
+:mod:`chord_euler.chords`), so the f-polynomial of a family is the product
 of those of its diagonal part and of its epigonal part.  The recurrence
 reads only, per vertex, the mask of its partners in the family (for a whole
 kind, the universe's ``diag`` or ``epi``): no crossing masks, no coordinates.
@@ -123,9 +120,12 @@ class FVector:
 
 
 def _adjacency(family: ChordSet | Sequence[Segment]) -> tuple[Sequence[int], int]:
-    """The crossing masks of a family and the mask of its members."""
+    """A family's crossing masks and member mask; by segments past a boundary-crossing chord."""
     if isinstance(family, ChordSet):
-        return family.universe.crossing_masks, family.mask
+        uni = family.universe
+        if not family.mask & uni.kind_mask(ChordKind.BOUNDARY_CROSSING):
+            return uni.crossing_masks, family.mask
+        family = [uni.segment(c) for c in family]
     segs = list(family)
     return crossing_masks(segs), (1 << len(segs)) - 1
 
@@ -340,10 +340,10 @@ def euler_recursive(family: ChordSet | Sequence[Segment]) -> int:
 
 
 class EulerEngine:
-    """Caller-owned evaluator sharing one memo across many subfamilies.
+    """Evaluator sharing one memo across many subfamilies of one chord universe.
 
-    Intended for querying many subsets of a single chord universe (for
-    example all the faces of one polygon's Theorem-2 routes); results are
+    The universe owns the one that ``partition`` builds for the faces of its
+    polygon's Theorem-2 routes (``ChordUniverse.euler_engine``); results are
     identical to :func:`euler_recursive`, and so is the size error.  The
     memo holds finished values only, one per component; components come
     first, so a query with an isolated member returns 0 before recursing.

@@ -461,8 +461,10 @@ def chi_inclusion_exclusion(poly: Polygon, j_set: ChordSet, mode: str) -> int:
         raise PartitionError("J does not provide a convex partition")
     if len(j_set) > IE_CAP:
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the cap {IE_CAP}")
+    sets = lat.minimal_c if mode == "minimal" else lat.maximal_nc
+    if len(sets) > IE_CAP:  # the sums walk 2^len(sets) subfamilies
+        raise InstanceTooLarge(f"{len(sets)} {mode} sets exceed the cap {IE_CAP}")
     if mode == "minimal":
-        sets = lat.minimal_c
         total = 0
         for k in range(1, len(sets) + 1):
             for combo in combinations(sets, k):
@@ -472,7 +474,6 @@ def chi_inclusion_exclusion(poly: Polygon, j_set: ChordSet, mode: str) -> int:
                 if u == jm:  # xi(union) over NC_c[J] is the J-indicator
                     total += -1 if k & 1 else 1
         return (-1) ** (poly.n + len(j_set)) * total
-    sets = lat.maximal_nc
     total = 0
     for k in range(1, len(sets) + 1):
         for combo in combinations(sets, k):
@@ -484,58 +485,58 @@ def chi_inclusion_exclusion(poly: Polygon, j_set: ChordSet, mode: str) -> int:
     return (-1) ** poly.n * total
 
 
-def find_diagonal(poly: Polygon) -> Chord:
-    """A diagonal found constructively from the lowest-index convex vertex."""
-    n = poly.n
-    if n < 4:
-        raise PartitionError("a triangle has no diagonals")
-    uni = universe_of(poly)
-    v = min(set(range(n)) - poly.reflex_vertices)
-    prev, nxt = (v - 1) % n, (v + 1) % n
-    if uni.diag[prev] >> nxt & 1:
+def _face_diagonal(poly: Polygon, face: int, start: int) -> Chord:
+    """A diagonal of the face with vertex mask ``face``, listed from ``start``.
+
+    At the list's first convex vertex v: the ear chord if it is a diagonal,
+    else v and the vertex in the ear triangle farthest from the ear chord
+    (the first listed on ties).  A face's diagonals are the parent's on it,
+    less its sides (module docstring); only the distance reads coordinates.
+    """
+    n, left = poly.n, poly.left
+    part = [(start + s) % n for s in range(n) if face >> (start + s) % n & 1]
+    k = len(part)
+    t = next(t for t in range(k) if left[part[t - 1] * n + part[t]] >> part[(t + 1) % k] & 1)
+    prev, v, nxt = part[t - 1], part[t], part[(t + 1) % k]
+    diag = universe_of(poly).diag
+    if diag[prev] >> nxt & 1:
         return Chord.of(prev, nxt)
+    inside = face & left[prev * n + v] & left[v * n + nxt] & left[nxt * n + prev]
     vs = poly.vertices
-    a, b, c = vs[prev], vs[v], vs[nxt]
-    tri_or = cross(a, b, c).sign()
-    best: int | None = None
-    best_dist = None
-    for d in range(n):
-        if d in (prev, v, nxt):
-            continue
-        p = vs[d]
-        if (
-            cross(a, b, p).sign() == tri_or
-            and cross(b, c, p).sign() == tri_or
-            and cross(c, a, p).sign() == tri_or
-        ):
-            dist = cross(a, c, p)
-            if dist.sign() < 0:
-                dist = -dist
+    best, best_dist = None, None
+    for d in part:
+        if inside >> d & 1:
+            dist = cross(vs[nxt], vs[prev], vs[d])  # positive: d is on v's side
             if best is None or (dist - best_dist).sign() > 0:
                 best, best_dist = d, dist
     if best is None:
         raise AssertionError("ear blocked but triangle empty")
     out = Chord.of(v, best)
-    if not uni.diag[v] >> best & 1:
+    if not diag[v] >> best & 1:
         raise AssertionError(f"constructed chord {out} is not a diagonal")
     return out
+
+
+def find_diagonal(poly: Polygon) -> Chord:
+    """A diagonal found constructively from the lowest-index convex vertex."""
+    if poly.n < 4:
+        raise PartitionError("a triangle has no diagonals")
+    return _face_diagonal(poly, (1 << poly.n) - 1, 0)
 
 
 def extend_to_triangulation(poly: Polygon, j_set: ChordSet) -> ChordSet:
     """A triangulation (n-3 pairwise non-crossing diagonals) containing J."""
     _check_noncrossing_diagonals(poly, j_set)
     uni = universe_of(poly)
-    vs, n, mask = poly.vertices, poly.n, j_set.mask
-    # find_diagonal's choice depends on the vertex a face's list starts at:
-    # the least one for a face of J, else an end of the cut that made it.
+    mask = j_set.mask
+    # A face's diagonal depends on the vertex its list starts at: the least
+    # one for a face of J, else an end of the cut that made it.
     stack = [(f, (f & -f).bit_length() - 1) for f in _faces(uni, mask) if f.bit_count() > 3]
     while stack:
         face, start = stack.pop()
-        part = [(start + s) % n for s in range(n) if face >> (start + s) % n & 1]
-        local = find_diagonal(Polygon._trusted([vs[i] for i in part]))
-        lo, hi = sorted((part[local.i], part[local.j]))
-        mask |= 1 << uni.index[Chord(lo, hi)]
-        stack += [(f, v) for f, v in zip(_cut([face], lo, hi), (lo, hi)) if f.bit_count() > 3]
+        c = _face_diagonal(poly, face, start)
+        mask |= 1 << uni.index[c]
+        stack += [(f, v) for f, v in zip(_cut([face], *c), c) if f.bit_count() > 3]
     out = ChordSet(uni, mask)
     if len(out) != poly.n - 3:
         raise AssertionError("triangulation size mismatch")

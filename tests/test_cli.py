@@ -182,6 +182,15 @@ def test_user_value_errors_stay_bad_input(tmp_path, capsys, dart):
     assert code == EXIT_INPUT and err.startswith("error: 'utf-8' codec can't decode")
 
 
+def test_cut_with_a_boundary_crossing_chord_names_it(tmp_path, capsys):
+    # 3-5 is boundary crossing and crosses the diagonal 0-2; the crossing
+    # masks cover the diagonals only, so the non-diagonal is what is reported.
+    path = tmp_path / "r6.json"
+    assert run(capsys, "generate", "random", "--n", "6", "--seed", "0", "--out", str(path))[0] == EXIT_OK
+    code, out, err = run(capsys, "analyze", str(path), "--cut", "0-2,3-5")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: bad cut: chord 3-5 is not a diagonal\n")
+
+
 def test_exit_generator_failure(capsys):
     code, _, _ = run(capsys, "generate", "zigzag", "--l", "1")
     assert code == EXIT_GENERATOR

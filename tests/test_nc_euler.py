@@ -1,5 +1,4 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -171,7 +170,7 @@ def test_iter_nc_masks_matches_the_recursive_order(n, seed):
     poly = random_simple_polygon(n, seed)
     uni = universe_of(poly)
     adj = uni.crossing_masks
-    for live in (diagonals(poly).mask, epigonals(poly).mask, uni.full_mask()):
+    for live in (diagonals(poly).mask, epigonals(poly).mask):
         masks = list(iter_nc_masks(adj, live))
         assert masks == list(_iter_nc_masks_recursive(adj, live))
     for fam in (diagonals(poly), epigonals(poly)):
@@ -216,13 +215,21 @@ def test_f_vector_reads_no_hull_or_pockets():
 
 
 def test_boundary_crossing_sets_use_the_dfs():
+    # The universe's crossing masks stop at the diagonals and epigonals, so a
+    # set holding a boundary-crossing chord is decided on its segments.
+    seen = 0
     for seed in range(10):
         poly = random_simple_polygon(6, seed)
         uni = universe_of(poly)
         full = ChordSet(uni, uni.full_mask())
         if not full.mask & uni.kind_mask(ChordKind.BOUNDARY_CROSSING):
             continue
-        assert f_vector(full) == f_vector(segs_of(poly, full))
+        segs = segs_of(poly, full)
+        assert f_vector(full) == f_vector(segs)
+        assert euler_brute(full) == euler_brute(segs) == f_vector(segs).euler
+        assert euler_recursive(full) == euler_recursive(segs) == f_vector(segs).euler
+        seen += 1
+    assert seen
 
 
 def test_theorem1_tails_past_the_dfs():
@@ -337,8 +344,8 @@ def _dfs_chi(adj, live):
 
 
 def _recursive_chi(adj, live):
-    # euler_recursive reads a chord set's universe only for its crossing masks.
-    return euler_recursive(ChordSet(SimpleNamespace(crossing_masks=adj), live))
+    # euler_recursive on a bare crossing graph: a fresh memo per call.
+    return EulerEngine(adj).chi(live)
 
 
 _densities = st.sampled_from([0.08, 0.15, 0.3, 0.5, 0.8])

@@ -9,6 +9,7 @@ from chord_euler.generators import class_exemplar, convex_ngon, random_simple_po
 from chord_euler.geometry import Point, Polygon, validate_polygon
 from chord_euler.nc_euler import EulerEngine, euler_brute, euler_recursive, iter_nc_masks
 from chord_euler.partition import (
+    IE_CAP,
     InstanceTooLarge,
     PartitionError,
     chi_epigonal_pockets,
@@ -521,6 +522,7 @@ def test_inclusion_exclusion_error_order(monkeypatch):
         if poly.is_convex:
             continue
         uni = universe_of(poly)
+        d_mask = uni.kind_mask(ChordKind.DIAGONAL)
         tri = extend_to_triangulation(poly, uni.set_of_mask(0))
         assert len(tri) > part.IE_CAP
         with pytest.raises(InstanceTooLarge):
@@ -534,11 +536,27 @@ def test_inclusion_exclusion_error_order(monkeypatch):
                     with pytest.raises(PartitionError):
                         chi_inclusion_exclusion(poly, j, "maximal")
                     cases["infeasible"] += 1
-            elif uni.crossing_masks[k] & tri.mask:
+            elif d_mask >> k & 1 and uni.crossing_masks[k] & tri.mask:
                 with pytest.raises(PartitionError):
                     chi_inclusion_exclusion(poly, uni.set_of_mask(tri.mask | bit), "minimal")
                 cases["crossing"] += 1
     assert min(cases.values()) > 0
+
+
+def test_inclusion_exclusion_caps_the_number_of_sets():
+    # |J| = 16 is at the cap, but J has 24 minimal convex sets, and the sum
+    # over them walks 2^24 subfamilies.
+    import time
+
+    poly = random_simple_polygon(19, 296)
+    j = extend_to_triangulation(poly, universe_of(poly).set_of_mask(0))
+    assert j.mask == 0x1C0000001010080200C0000000030300001801 and len(j) == IE_CAP
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLarge, match="24 minimal sets"):
+        chi_inclusion_exclusion(poly, j, "minimal")
+    assert time.perf_counter() - start < 1
+    # Its 6 maximal non-convex sets are under the cap.
+    assert chi_inclusion_exclusion(poly, j, "maximal") == chi_removed_direct(poly, j, "d")
 
 
 def test_find_diagonal(dart):

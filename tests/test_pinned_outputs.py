@@ -1,20 +1,29 @@
-"""Generator, validator and Theorem-3 outputs pinned across commits.
+"""Generator, validator, Theorem-3 and triangulation outputs pinned across commits.
 
 Every benchmark workload, campaign and demo is built from these outputs, so a
 change that alters them changes what is measured and printed.  Each corpus is
-rendered as text and compared by its sha256 digest; the generator and
+rendered as text and compared by its sha256 digest.  The generator and
 validator digests were recorded from the implementation that decided every
-predicate on ``QSqrt3`` coordinates, and the Theorem-3 digest from the one
-that ran the six class detectors at each vertex.  A mismatch names the
-corpus, and the rendering helpers below reproduce it line by line.
+predicate on ``QSqrt3`` coordinates, the Theorem-3 digest from the one that
+ran the six class detectors at each vertex, and the triangulation digest
+from the one that built a polygon and a chord universe for every face in
+``extend_to_triangulation``.  A mismatch names the corpus, and the rendering
+helpers below reproduce it line by line.
 """
 
 import hashlib
 import random
 
+from chord_euler.chords import universe_of
 from chord_euler.classes import class_report, verify_theorem3
-from chord_euler.generators import class_exemplar, random_simple_polygon, zigzag_chi_target
+from chord_euler.generators import (
+    class_exemplar,
+    convex_ngon,
+    random_simple_polygon,
+    zigzag_chi_target,
+)
 from chord_euler.geometry import Point, PolygonError, validate_polygon
+from chord_euler.partition import extend_to_triangulation, find_diagonal
 
 PINNED = {
     "random": "92c609aba757a660853215a7e436b216d7a7732f616b06a7bbfb5e3441ca1a0d",
@@ -22,6 +31,7 @@ PINNED = {
     "zigzags": "d258caa15edfda186218abf6761597ae56b46b6a30c3b0d6f997a3bea2cf76d3",
     "validator": "38e489a53b991b395c47194df7413c0af6fb2e1a2c399e71bf897e748e56ec8c",
     "theorem3": "921158409da94b8b31be0eaad0175d989eae461a7847fee0fc59a3bf2a9bc097",
+    "triangulations": "dfed61d1f594e10684a5818150dafd28f57642c396f6b2634f0933b4764036d1",
 }
 
 
@@ -83,6 +93,32 @@ def theorem3_lines():
             yield f"{label} i={i} {verify_theorem3(poly, i)!r} {sorted(cr.memberships)} {witnesses}"
 
 
+def triangulation_lines():
+    """Per polygon: find_diagonal at every rotation, then extend_to_triangulation
+    from the empty set and from every second chord of that triangulation."""
+    corpus = [
+        (f"n={n} seed={seed}", random_simple_polygon(n, seed))
+        for n in range(4, 17)
+        for seed in range(10)
+    ]
+    corpus += [(f"convex n={n}", convex_ngon(n)) for n in range(4, 17)]
+    corpus += exemplars()
+    corpus += [(f"l={l}", zigzag_chi_target(l).polygon) for l in (2, -2, 3, -3, 4, 5, -5)]
+    for label, poly in corpus:
+        uni = universe_of(poly)
+        found = [str(find_diagonal(poly.rotated(s))) for s in range(poly.n)]
+        tri = extend_to_triangulation(poly, uni.set_of_mask(0))
+        half, rest, keep = 0, tri.mask, True
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if keep:
+                half |= low
+            keep = not keep
+        again = extend_to_triangulation(poly, uni.set_of_mask(half))
+        yield f"{label} find={found} tri={tri} half={uni.set_of_mask(half)} again={again}"
+
+
 def validator_lines():
     for seed in range(1000):
         try:
@@ -108,6 +144,10 @@ def test_zigzags_pinned():
 
 def test_theorem3_reports_pinned():
     assert _digest(theorem3_lines()) == PINNED["theorem3"]
+
+
+def test_triangulations_pinned():
+    assert _digest(triangulation_lines()) == PINNED["triangulations"]
 
 
 def test_validator_errors_pinned():
