@@ -344,7 +344,7 @@ def _lemma1(uni: ChordUniverse, memo: dict[int, int], face: int, cut: int) -> in
     if cut:
         low = cut & -cut
         rest = cut ^ low
-        i, j = uni.chords[low.bit_length() - 1]
+        i, j = uni.order.chords[low.bit_length() - 1]
         inner = (1 << j) - (2 << i)  # the vertices strictly between i and j
         f1 = face & (inner | 1 << i | 1 << j)
         c1 = rest & uni.span_mask(f1)
@@ -354,7 +354,7 @@ def _lemma1(uni: ChordUniverse, memo: dict[int, int], face: int, cut: int) -> in
             val += part * _lemma1(uni, memo, face & ~inner, rest & ~c1)
     else:
         # A side (a, b) of F is a chord iff incidence[a] & incidence[b] holds one.
-        inc = uni.incidence
+        inc = uni.order.incidence
         edges, prev, rem = 0, face.bit_length() - 1, face
         while rem:
             v = (rem & -rem).bit_length() - 1

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chord_euler import geometry
 from chord_euler.chords import (
+    ORDER_CACHE_N,
     Chord,
     ChordKind,
     a_diagonals,
@@ -11,6 +13,7 @@ from chord_euler.chords import (
     ear_chord,
     epigonals,
     forbidden_star,
+    _cached_chord_order,
     universe_of,
 )
 from chord_euler.generators import convex_ngon, random_simple_polygon
@@ -205,14 +208,44 @@ def test_row_built_crossing_masks_match_coordinates():
 
 
 def test_deletion_recursion_builds_no_chord_tuple():
-    # The crossing masks come from the orientation table by rows: no chord
-    # tuple, index or kinds.
+    # The crossing masks come from the kinds and the chord order's
+    # interleaving masks, built by rows: the recursion builds no kinds, and
+    # no chord tuple or index of the chord order.  The orders are shared per
+    # n, so the check starts from fresh ones.
+    _cached_chord_order.cache_clear()
     polys = [random_simple_polygon(5 + k % 8, k + 7100) for k in range(30)]
     polys += [convex_ngon(9)]
     for poly in polys:
         euler_recursive(diagonals(poly))
         euler_recursive(epigonals(poly))
-        assert not {"chords", "index", "kinds"} & vars(universe_of(poly)).keys()
+        uni = universe_of(poly)
+        assert "kinds" not in vars(uni)
+        assert "interleave" in vars(uni.order)
+        assert not {"chords", "index"} & vars(uni.order).keys()
+
+
+def test_universes_of_one_size_share_the_chord_order():
+    one, two = universe_of(random_simple_polygon(9, 1)), universe_of(convex_ngon(9))
+    for name in ("chords", "index", "incidence"):
+        assert getattr(one, name) is getattr(two, name)
+        assert name not in vars(one) and name not in vars(two)
+    assert one.chords == tuple(Chord(i, j) for i in range(9) for j in range(i + 2, 9 - (i == 0)))
+    assert one.crossing_masks is not two.crossing_masks
+
+
+def test_per_n_caches_are_bounded():
+    # Every per-n cache has a finite size, and a size past its bound shares
+    # nothing: each universe builds its own chord order.
+    for cache in (geometry._cached_slots, _cached_chord_order):
+        assert cache.cache_info().maxsize is not None
+    n = ORDER_CACHE_N + 1
+    polys = [random_simple_polygon(n, 1), convex_ngon(n)]
+    before = _cached_chord_order.cache_info()
+    one, two = (universe_of(poly) for poly in polys)
+    assert one.order is not two.order
+    assert one.chords == two.chords and one.chords is not two.chords
+    assert one.incidence == two.incidence and one.incidence is not two.incidence
+    assert _cached_chord_order.cache_info() == before
 
 
 def _assert_vertex_kinds_match_coordinates(poly):

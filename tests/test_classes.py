@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chord_euler.chords import ChordKind, universe_of
+from chord_euler.chords import ChordKind, _cached_chord_order, universe_of
 from chord_euler.classes import (
     class_report,
     is_class1,
@@ -152,13 +152,18 @@ def test_theorem3_random_campaign_small():
 
 def test_theorem3_builds_no_chord_tuple():
     # The chis and the detectors read the orientation table, the vertex kind
-    # masks and the hull: no chord tuple, index, incidence masks or kinds.
+    # masks and the hull: no kinds, and no chord tuple, index, incidence or
+    # interleaving masks of the chord order, which is shared per n, so the
+    # check starts from fresh ones.
+    _cached_chord_order.cache_clear()
     polys = [random_simple_polygon(5 + k % 8, k + 7000) for k in range(40)]
     polys += [class_exemplar(kind, 0, 7) for kind in range(1, 7)] + [convex_ngon(8)]
     for poly in polys:
         for i in range(poly.n):
             verify_theorem3(poly, i)
-        assert not {"chords", "index", "kinds", "incidence"} & vars(universe_of(poly)).keys()
+        uni = universe_of(poly)
+        assert "kinds" not in vars(uni)
+        assert not {"chords", "index", "incidence", "interleave"} & vars(uni.order).keys()
 
 
 def test_star_side_consistency():

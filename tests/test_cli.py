@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from chord_euler import cli
 from chord_euler.chords import universe_of
 from chord_euler.cli import (
     EXIT_CAP,
@@ -255,6 +256,33 @@ def test_reversed_range_is_bad_input(capsys):
     ):
         code, out, err = run(capsys, "verify", *argv)
         assert code == EXIT_INPUT and out == "" and "empty range" in err, argv
+
+
+def test_catalan_range_without_a_pair_is_bad_input(capsys):
+    # n and a start at 1, so these ranges used to be clamped to nothing,
+    # check nothing and pass.
+    for argv in (("--n", "0..0", "--a", "1..1"), ("--n", "1..2", "--a", "0..0"),
+                 ("--n", "-3..0", "--a", "-2..5")):
+        code, out, err = run(capsys, "verify", "catalan", *argv)
+        assert code == EXIT_INPUT and out == "" and "holds no pair" in err, argv
+    code, out, _ = run(capsys, "verify", "catalan", "--n", "0..1", "--a", "0..1")
+    assert code == EXIT_OK and out == "PASS catalan\n"
+
+
+def test_catalan_geometric_check_reaches_past_twelve_vertices(capsys, monkeypatch):
+    # The a-diagonal sets of the convex (a(n+1)+2)-gon are counted up to
+    # CATALAN_GEOMETRIC_SIZE vertices: n = 10, a = 3 is a 35-gon.
+    sizes = []
+    count = cli.brute_a_diagonal_fvector
+
+    def counted(poly, a):
+        sizes.append(poly.n)
+        return count(poly, a)
+
+    monkeypatch.setattr(cli, "brute_a_diagonal_fvector", counted)
+    code, out, _ = run(capsys, "verify", "catalan", "--n", "9..10", "--a", "3")
+    assert code == EXIT_OK and out == "PASS catalan\n"
+    assert sizes == [32, 35]
 
 
 def test_negative_random_is_bad_input(capsys):

@@ -1,8 +1,13 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chord_euler.generators import convex_ngon, random_simple_polygon, zigzag_chi_target
 from chord_euler.geometry import (
+    SLOT_CACHE_N,
     CollinearTriple,
     DuplicateVertex,
     Point,
@@ -21,6 +26,7 @@ from chord_euler.geometry import (
     validate_path,
     validate_polygon,
 )
+from chord_euler import geometry
 from conftest import pt
 
 coords = st.integers(min_value=-20, max_value=20)
@@ -226,3 +232,64 @@ def test_hull_contains_all_inputs(dart):
         if p in set(hull.vertices):
             continue
         assert point_in_polygon(p, hull)
+
+
+def _table_by_predicate(vs):
+    """The orientation table from one ``orientation`` call per triple i < j < k,
+    or the first collinear (i, j, k) in ``combinations`` order."""
+    n = len(vs)
+    left = [0] * (n * n)
+    for i, j, k in combinations(range(n), 3):
+        sign = orientation(vs[i], vs[j], vs[k])
+        if sign == 0:
+            return (i, j, k)
+        # The cyclic shifts of (i, j, k) turn its way, their reversals the other.
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            if sign > 0:
+                left[a * n + b] |= 1 << c
+            else:
+                left[b * n + a] |= 1 << c
+    return tuple(left)
+
+
+def _table_or_collinear(vs):
+    try:
+        return orientation_table(vs)
+    except CollinearTriple as exc:
+        return exc.indices
+
+
+def test_orientation_table_matches_the_predicate_at_every_size():
+    # Every n with cached slots and two past SLOT_CACHE_N (slots generated on
+    # the fly): integer, rational (convex, on the unit circle) and sqrt(3)
+    # (zigzag, n = 6..37) coordinates.
+    sizes = [*range(3, SLOT_CACHE_N + 1), SLOT_CACHE_N + 1, SLOT_CACHE_N + 5]
+    corpus = [random_simple_polygon(n, n + 40).vertices for n in sizes]
+    corpus += [convex_ngon(n).vertices for n in sizes]
+    corpus += [zigzag_chi_target(l).polygon.vertices for l in (2, -2, 3, 5, -10, 11, 12)]
+    for vs in corpus:
+        assert orientation_table(vs) == _table_by_predicate(vs), len(vs)
+
+
+def test_orientation_table_collinear_indices_past_nine_points():
+    # The validation tests stop at 9 points.  Grid samples of 10..16 points
+    # and past SLOT_CACHE_N, with or without a collinear triple.
+    rng = random.Random(11)
+    cells = [(x, y) for x in range(40) for y in range(40)]
+    outcomes = set()
+    for n in [*range(10, 17), SLOT_CACHE_N + 1, SLOT_CACHE_N + 5]:
+        for _ in range(25):
+            vs = [pt(x, y) for x, y in rng.sample(cells, n)]
+            want = _table_by_predicate(vs)
+            assert _table_or_collinear(vs) == want
+            outcomes.add("table" if len(want) > 3 else "late" if want[2] >= 9 else "early")
+    assert {"table", "late"} <= outcomes
+
+
+def test_orientation_table_past_the_bound_adds_no_cache_entry():
+    cache = geometry._cached_slots
+    assert cache.cache_info().maxsize is not None
+    vs = random_simple_polygon(SLOT_CACHE_N + 1, 2).vertices
+    before = cache.cache_info()
+    orientation_table(vs)
+    assert cache.cache_info() == before
