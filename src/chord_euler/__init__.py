@@ -9,11 +9,7 @@ from .geometry import (
     PolygonError,
     Segment,
     SelfIntersection,
-    angle_exceeds_pi,
-    convex_hull,
     orientation,
-    point_in_polygon,
-    segments_properly_cross,
     validate_polygon,
 )
 from .chords import (
@@ -51,7 +47,6 @@ from .partition import (
     convex_lattice,
     extend_to_triangulation,
     find_diagonal,
-    is_convex_partition,
     subdivide,
     xi,
 )

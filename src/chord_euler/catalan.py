@@ -15,7 +15,7 @@ by :func:`nc_euler.f_vector`, which shares no code with the closed form.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .chords import a_diagonals
 from .geometry import Polygon
@@ -64,25 +64,30 @@ def identity14_check(n: int, i: int, a: int) -> bool:
     """Pure-binomial transcription of the recurrence identity.
 
     Kept textually independent of :func:`d_recurrence_check` so that a
-    transcription slip in either one shows up as a disagreement.
+    transcription slip in either one shows up as a disagreement.  The sum's
+    terms have denominators (i1 + 1)(i2 + 1).  They are summed over their
+    least common multiple, and the two sides are compared cross-multiplied,
+    in integers.
     """
     if n < 1 or i < 1 or a < 1:
         raise ValueError("needs n, i, a >= 1")
-    lhs = Fraction(comb(a * (n + 1) + (i + 1), i) * comb(n, i), i + 1)
-    acc = Fraction(0)
+    common = lcm(*((i1 + 1) * (i - i1) for i1 in range(i)))
+    acc = 0  # the sum, times common
     for n1 in range(n):
         n2 = n - 1 - n1
         for i1 in range(i):
             i2 = i - 1 - i1
-            acc += Fraction(
+            acc += (
                 comb(a * (n1 + 1) + (i1 + 1), i1)
                 * comb(a * (n2 + 1) + (i2 + 1), i2)
                 * comb(n1, i1)
-                * comb(n2, i2),
-                (i1 + 1) * (i2 + 1),
+                * comb(n2, i2)
+                * (common // ((i1 + 1) * (i2 + 1)))
             )
-    rhs = Fraction(a * (n + 1) + 2, 2 * i) * acc
-    return lhs == rhs
+    # lhs = C(a(n+1) + i + 1, i) C(n, i) / (i + 1) and rhs = (a(n+1) + 2) acc / (2i common),
+    # each times 2i (i + 1) common.
+    lhs = comb(a * (n + 1) + (i + 1), i) * comb(n, i) * 2 * i * common
+    return lhs == (a * (n + 1) + 2) * acc * (i + 1)
 
 
 def brute_a_diagonal_fvector(poly: Polygon, a: int) -> FVector:

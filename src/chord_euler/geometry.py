@@ -1,10 +1,15 @@
 """Exact planar predicates and simple-polygon structure.
 
-A polygon's geometry enters once, as its :func:`orientation_table`; its
-validation, reflex set and chord universe read that table.  The point and
-segment predicates decide on ``QSqrt3.sign()``.  No decision uses floating
-point.  Polygons are stored counter-clockwise with vertices in general
-position (no three collinear), the standing assumption of the combinatorics.
+Geometry enters once, as the :func:`orientation_table` of a point set.  A
+polygon's validation, reflex set and chord universe read its vertices'
+table.  A segment family's crossings (:func:`straddle_masks`), a point set's
+general position (the table raises :class:`CollinearTriple`) and its hull
+(:func:`hull_successors`) read the table of its points.  The scalar layer,
+``Point``, :func:`cross` and :func:`orientation`, decides on
+``QSqrt3.sign()``; the table lifts the coordinates to integers once.  No
+decision uses floating point.  Polygons are stored counter-clockwise with
+vertices in general position (no three collinear), the standing assumption
+of the combinatorics.
 """
 
 from __future__ import annotations
@@ -47,10 +52,6 @@ class SelfIntersection(PolygonError):
     def __init__(self, e1: tuple[int, int], e2: tuple[int, int]):
         super().__init__(f"self-intersection ({e1[0]}-{e1[1]}, {e2[0]}-{e2[1]})")
         self.edges = (e1, e2)
-
-
-class PointOnBoundary(GeometryError):
-    pass
 
 
 class Point:
@@ -106,44 +107,6 @@ def orientation(p: Point, q: Point, r: Point) -> int:
     return cross(p, q, r).sign()
 
 
-def angle_exceeds_pi(a: Point, x: Point, y: Point) -> bool:
-    """Whether the CCW angle at ``a`` from ray a->x to ray a->y exceeds pi.
-
-    Collinear triples are outside the model (general position) and raise.
-    """
-    o = orientation(a, x, y)
-    if o == 0:
-        raise CollinearTriple(0, 1, 2)
-    return o == -1
-
-
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    # p collinear with a-b assumed checked by caller via orientation == 0.
-    dx, dy = b.x - a.x, b.y - a.y
-    t1 = (p.x - a.x) * dx + (p.y - a.y) * dy
-    t2 = (p.x - b.x) * dx + (p.y - b.y) * dy
-    return t1.sign() >= 0 and t2.sign() <= 0
-
-
-def segments_properly_cross(s1: Segment, s2: Segment) -> bool:
-    """Whether the open segments intersect transversally in one point.
-
-    Segments sharing an endpoint never properly cross.  Collinear contact is
-    excluded by general position and reported as no crossing.
-    """
-    o1 = orientation(s1.a, s1.b, s2.a)
-    o2 = orientation(s1.a, s1.b, s2.b)
-    if o1 * o2 >= 0:
-        return False
-    o3 = orientation(s2.a, s2.b, s1.a)
-    o4 = orientation(s2.a, s2.b, s1.b)
-    return o3 * o4 < 0
-
-
-def no_three_collinear(points: Sequence[Point]) -> bool:
-    return all(orientation(a, b, c) != 0 for a, b, c in combinations(points, 3))
-
-
 class Polygon:
     """A simple polygon, CCW-normalized, vertices in general position."""
 
@@ -167,15 +130,6 @@ class Polygon:
         """Same polygon with vertex ``shift`` relabeled as vertex 0."""
         shift %= self.n
         return Polygon._trusted(self.vertices[shift:] + self.vertices[:shift])
-
-    @cached_property
-    def area2(self) -> QSqrt3:
-        """Twice the signed area (positive: the polygon is CCW)."""
-        total = QSqrt3(0)
-        o = self.vertices[0]
-        for i in range(1, self.n - 1):
-            total = total + cross(o, self.vertices[i], self.vertices[i + 1])
-        return total
 
     @cached_property
     def left(self) -> tuple[int, ...]:
@@ -325,6 +279,29 @@ def first_crossing_edges(left: Sequence[int], order: Sequence[int]) -> tuple[int
     return None
 
 
+def straddle_masks(left: Sequence[int], n: int, ends: Sequence[tuple[int, int]]) -> list[int]:
+    """Bit mask per segment of ``ends`` marking the segments it properly crosses.
+
+    A segment is an index pair over the orientation table ``left`` of n
+    points.  Segments that share an endpoint never cross.  Any other two,
+    (a, b) and (c, d), cross iff each one's endpoints lie on opposite sides
+    of the other's line: iff ``(side_ab >> c ^ side_ab >> d) & (side_cd >> a
+    ^ side_cd >> b) & 1``, with ``side_ab = left[a*n + b]``.
+    """
+    sides = [left[a * n + b] for a, b in ends]
+    masks = [0] * len(ends)
+    for x, (a, b) in enumerate(ends):
+        side = sides[x]
+        for y in range(x + 1, len(ends)):
+            c, d = ends[y]
+            if c in (a, b) or d in (a, b):
+                continue
+            if (side >> c ^ side >> d) & (sides[y] >> a ^ sides[y] >> b) & 1:
+                masks[x] |= 1 << y
+                masks[y] |= 1 << x
+    return masks
+
+
 def _distinct_table(vs: tuple[Point, ...]) -> tuple[int, ...]:
     """The orientation table of three or more distinct points, or the violated invariant."""
     if len(vs) < 3:
@@ -374,81 +351,3 @@ def validate_path(points: Sequence[Point], left: Sequence[int], order: Sequence[
     poly = Polygon._trusted(vs)
     poly.reflex_vertices = reflex
     return poly
-
-
-def point_in_polygon(pt: Point, poly: Polygon) -> bool:
-    """Exact even-odd test; True iff strictly inside.
-
-    Points on the boundary raise :class:`PointOnBoundary`.  The ray starts
-    along +x and is rotated to slope 1/k (k = 1, 2, ...) until it avoids all
-    vertices exactly.
-    """
-    vs = poly.vertices
-    for i in range(poly.n):
-        a, b = vs[i], vs[(i + 1) % poly.n]
-        if orientation(a, b, pt) == 0 and _on_segment(pt, a, b):
-            raise PointOnBoundary(f"point {pt!r} lies on edge {i}")
-    k = 0
-    while True:
-        dx, dy = (QSqrt3(1), QSqrt3(0)) if k == 0 else (QSqrt3(k), QSqrt3(1))
-        clean = True
-        for v in vs:
-            if ((v.x - pt.x) * dy - (v.y - pt.y) * dx).sign() == 0:
-                clean = False
-                break
-        if clean:
-            break
-        k += 1
-    crossings = 0
-    for i in range(poly.n):
-        u, w = vs[i], vs[(i + 1) % poly.n]
-        su = ((u.x - pt.x) * dy - (u.y - pt.y) * dx).sign()
-        sw = ((w.x - pt.x) * dy - (w.y - pt.y) * dx).sign()
-        if su * sw >= 0:
-            continue
-        # The edge straddles the ray line; keep the crossing iff it is ahead.
-        ex, ey = w.x - u.x, w.y - u.y
-        num = (u.x - pt.x) * ey - (u.y - pt.y) * ex
-        den = dx * ey - dy * ex
-        if num.sign() * den.sign() > 0:
-            crossings += 1
-    return crossings % 2 == 1
-
-
-def convex_hull_points(points: Sequence[Point]) -> list[Point]:
-    """CCW hull vertex list (Andrew's monotone chain, exact comparisons)."""
-    if len(points) < 3:
-        raise GeometryError("hull needs at least 3 points")
-    pts = sorted(set(points), key=_numeric_key)
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and orientation(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and orientation(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise GeometryError("all points collinear")
-    return hull
-
-
-class _numeric_key:
-    __slots__ = ("p",)
-
-    def __init__(self, p: Point):
-        self.p = p
-
-    def __lt__(self, other: "_numeric_key") -> bool:
-        dx = (self.p.x - other.p.x).sign()
-        if dx != 0:
-            return dx < 0
-        return (self.p.y - other.p.y).sign() < 0
-
-
-def convex_hull(points: Sequence[Point]) -> Polygon:
-    """Hull as a CCW polygon (general position: no three input points collinear)."""
-    return Polygon._trusted(convex_hull_points(points))

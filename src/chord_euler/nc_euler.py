@@ -61,6 +61,13 @@ Two slower routes are kept as independent oracles:
   memoized per connected component.  chi of a disjoint union is the product
   of its parts' chis, so one pass finds every component first, and an
   isolated member (chi 0) returns 0 before any recursion.
+
+Both read crossing masks.  A chord set with no boundary-crossing chord takes
+its universe's, by interleaving.  A chord set holding one, and a plain list
+of segments, get theirs from the straddle test on an orientation table
+(``geometry.straddle_masks``): the universe's, or for a segment list the
+table of its distinct endpoints, so a segment list must be in general
+position too.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chords import ChordKind, ChordSet, ChordUniverse
-from .geometry import Point, Polygon, Segment, convex_hull_points, no_three_collinear, segments_properly_cross
+from .geometry import Point, Polygon, Segment, hull_successors, orientation_table, straddle_masks
 from . import chords as _chords
 
 
@@ -78,18 +85,6 @@ class InstanceTooLarge(ValueError):
 
     The limits are the caps on |J| and the interpreter's recursion limit.
     """
-
-
-def crossing_masks(segments: Sequence[Segment]) -> list[int]:
-    """Bit mask per segment marking the segments it properly crosses."""
-    m = len(segments)
-    masks = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            if segments_properly_cross(segments[a], segments[b]):
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-    return masks
 
 
 @dataclass(frozen=True)
@@ -120,14 +115,33 @@ class FVector:
 
 
 def _adjacency(family: ChordSet | Sequence[Segment]) -> tuple[Sequence[int], int]:
-    """A family's crossing masks and member mask; by segments past a boundary-crossing chord."""
+    """A family's crossing masks and member mask.
+
+    A chord set with no boundary-crossing chord reads its universe's crossing
+    masks.  Any other family is straddle-tested on an orientation table
+    (:func:`geometry.straddle_masks`): a chord set on its universe's, over its
+    members, and a segment list on the table of its distinct endpoints,
+    indexed in first-seen order, which raises :class:`CollinearTriple` when
+    three of them are collinear.  The table costs O(p^3) in the p endpoints,
+    the test O(m^2) in the m segments.  Measured against coordinate
+    orientations per pair (Python 3.11, one Xeon core, best of 5): every
+    segment over 6 to 18 points is 19 to 37 times as fast (4.4 ms against
+    125 ms at 18 points), but m pairwise disjoint segments (2m endpoints)
+    break even near m = 8 and are slower past it (1.6 ms against 1.0 ms at
+    m = 16, 24 ms against 4.1 ms at m = 32).  Only tests build segment
+    lists.
+    """
     if isinstance(family, ChordSet):
         uni = family.universe
         if not family.mask & uni.kind_mask(ChordKind.BOUNDARY_CROSSING):
             return uni.crossing_masks, family.mask
-        family = [uni.segment(c) for c in family]
-    segs = list(family)
-    return crossing_masks(segs), (1 << len(segs)) - 1
+        left, n, ends = uni.left, uni.n, list(family)
+    else:
+        index: dict[Point, int] = {}
+        ends = [(index.setdefault(s.a, len(index)), index.setdefault(s.b, len(index)))
+                for s in family]
+        left, n = orientation_table(list(index)), len(index)
+    return straddle_masks(left, n, ends), (1 << len(ends)) - 1
 
 
 def _bits(mask: int) -> list[int]:
@@ -405,20 +419,27 @@ def find_heart(polygon: Polygon, side: str) -> ChordSet | None:
 
 
 def chi_point_family(points: Sequence[Point], segments: Sequence[Segment]) -> int:
-    """Euler characteristic of an arbitrary segment family over a point set."""
-    pts = set(points)
+    """Euler characteristic of an arbitrary segment family over a point set.
+
+    The points must be in general position: their orientation table raises
+    :class:`CollinearTriple`, a ``ValueError``, otherwise.
+    """
+    pts = list(points)
+    members = set(pts)
     for s in segments:
-        if s.a not in pts or s.b not in pts:
+        if s.a not in members or s.b not in members:
             raise ValueError(f"segment endpoint outside the point set: {s!r}")
-    if not no_three_collinear(list(points)):
-        raise ValueError("point set not in general position")
+    orientation_table(pts)
     return euler_recursive(list(segments))
 
 
 def hull_edge_in(points: Sequence[Point], segments: Sequence[Segment]) -> bool:
-    """Whether the family contains an edge of the point set's convex hull."""
-    hull = convex_hull_points(list(points))
-    edges = {
-        frozenset((hull[i], hull[(i + 1) % len(hull)])) for i in range(len(hull))
-    }
+    """Whether the family contains an edge of the point set's convex hull.
+
+    The hull is read from the points' orientation table, which raises
+    :class:`CollinearTriple` on three collinear points.
+    """
+    pts = list(points)
+    succ = hull_successors(orientation_table(pts), len(pts))
+    edges = {frozenset((pts[a], pts[b])) for a, b in succ.items()}
     return any(s.key() in edges for s in segments)

@@ -8,8 +8,9 @@ family of hitting sets of the minimal bad windows.  The windows are read from
 the polygon's orientation table: the chords of J at a vertex v, the bits of
 ``J & incidence[v]``, come in the cyclic order of their far endpoints (each
 one cuts off the boundary chain it spans), and a window spans more than pi
-iff its two bounding rays turn clockwise.  The direct subdivide-and-test
-route, on coordinates, is kept as an independent check.
+iff its two bounding rays turn clockwise.  The direct route, subdividing and
+testing each face's convexity on coordinates, is not in the library: it is
+the test suite's oracle (``is_convex_partition`` in ``tests/oracles.py``).
 
 A face of a cut by non-crossing diagonals visits its vertices in increasing
 cyclic order, so a face is its vertex bit mask.  Two faces share at most the
@@ -62,10 +63,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 from .chords import Chord, ChordKind, ChordSet, ChordUniverse, universe_of
-from .geometry import Point, Polygon, cross
+from .geometry import Polygon, cross
 from .nc_euler import EulerEngine, InstanceTooLarge
 
 
@@ -91,10 +91,6 @@ class PartitionResult:
     parent: Polygon
     cut: ChordSet
     parts: tuple[tuple[int, ...], ...]
-
-    def part_polygon(self, k: int) -> Polygon:
-        vs = self.parent.vertices
-        return Polygon._trusted([vs[i] for i in self.parts[k]])
 
 
 def _check_noncrossing_diagonals(poly: Polygon, cut: ChordSet) -> None:
@@ -145,26 +141,6 @@ def subdivide(poly: Polygon, cut: ChordSet) -> PartitionResult:
     faces = _faces(cut.universe, cut.mask)
     parts = sorted(tuple(v for v in range(poly.n) if f >> v & 1) for f in faces)
     return PartitionResult(poly, cut, tuple(parts))
-
-
-def _part_is_convex(vs: Sequence[Point], part: Sequence[int]) -> bool:
-    k = len(part)
-    for t in range(k):
-        a, b, c = vs[part[t - 1]], vs[part[t]], vs[part[(t + 1) % k]]
-        if cross(a, b, c).sign() <= 0:
-            return False
-    return True
-
-
-def is_convex_partition(poly: Polygon, cut: ChordSet) -> bool:
-    """Direct route: subdivide and test each face for convexity.
-
-    The formulas decide the same from the orientation table: J cuts the
-    polygon into convex faces iff ``convexity_constraints(poly, J)`` is
-    feasible.  This coordinate route is kept as their test oracle.
-    """
-    res = subdivide(poly, cut)
-    return all(_part_is_convex(poly.vertices, p) for p in res.parts)
 
 
 def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bool]:

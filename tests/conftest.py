@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 from chord_euler.generators import class_exemplar, zigzag_chi_target
-from chord_euler.geometry import Point, Polygon, Segment, segments_properly_cross, validate_polygon
+from chord_euler.geometry import Point, Polygon, Segment, validate_polygon
+from oracles import coordinate_crossing_masks
 
 
 def pt(x, y) -> Point:
@@ -33,15 +34,17 @@ def exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3, 4, 5, -5, 7)) -> list[
 
 
 def brute_nc_counts(segments: list[Segment]) -> list[int]:
-    """Independent oracle: try all 2^m subsets, test pairwise non-crossing."""
+    """Independent oracle: try all 2^m subsets, test pairwise non-crossing.
+
+    The crossing pairs come from coordinates (``tests/oracles.py``), not from
+    an orientation table.
+    """
     m = len(segments)
+    adj = coordinate_crossing_masks(segments)
     counts = [0] * (m + 1)
     for r in range(m + 1):
         for combo in combinations(range(m), r):
-            if all(
-                not segments_properly_cross(segments[a], segments[b])
-                for a, b in combinations(combo, 2)
-            ):
+            if all(not adj[a] >> b & 1 for a, b in combinations(combo, 2)):
                 counts[r] += 1
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()

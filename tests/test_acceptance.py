@@ -37,7 +37,7 @@ from chord_euler.generators import (
     verify_zigzag_structure,
     zigzag_chi_target,
 )
-from chord_euler.geometry import Point, Segment, no_three_collinear
+from chord_euler.geometry import Point, Segment
 from chord_euler.nc_euler import (
     chi_point_family,
     euler_brute,
@@ -57,6 +57,7 @@ from chord_euler.partition import (
     find_diagonal,
     subdivide,
 )
+from oracles import convex_hull_points, no_three_collinear
 
 EXEMPLAR_SIZES = {1: (5, 7, 9), 2: (5, 7, 8), 3: (5, 7, 9), 4: (6, 7, 9), 5: (5, 6, 8), 6: (7, 8, 9)}
 
@@ -214,8 +215,6 @@ def test_criterion_08_star_sets():
             assert euler_recursive(fam) == 0
             hearts += 1
     rng = random.Random(88)
-    from chord_euler.geometry import convex_hull_points
-
     instances = 0
     while instances < 1000:
         pts = _random_points(rng, rng.randrange(4, 9))

@@ -22,11 +22,10 @@ from chord_euler.geometry import (
     Point,
     Segment,
     orientation,
-    point_in_polygon,
-    segments_properly_cross,
     validate_polygon,
 )
-from chord_euler.nc_euler import crossing_masks, euler_recursive
+from chord_euler.nc_euler import euler_recursive
+from oracles import coordinate_crossing_masks, point_in_polygon, segments_properly_cross
 
 
 def test_classify_dart(dart):
@@ -141,7 +140,7 @@ def _assert_table_matches_coordinates(poly):
     segs = [uni.segment(c) for c in uni.chords]
     assert uni.kinds == tuple(_kind_by_coordinates(poly, s, c) for s, c in zip(segs, uni.chords))
     bc = uni.kind_mask(ChordKind.BOUNDARY_CROSSING)
-    for k, (got, want) in enumerate(zip(uni.crossing_masks, crossing_masks(segs))):
+    for k, (got, want) in enumerate(zip(uni.crossing_masks, coordinate_crossing_masks(segs))):
         assert got == (None if bc >> k & 1 else want & ~bc), uni.chords[k]
 
 

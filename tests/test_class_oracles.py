@@ -21,14 +21,9 @@ from chord_euler.classes import (
     is_class6,
 )
 from chord_euler.generators import GeneratorError, class_exemplar, random_simple_polygon
-from chord_euler.geometry import (
-    Polygon,
-    PolygonError,
-    angle_exceeds_pi,
-    convex_hull_points,
-    orientation,
-)
+from chord_euler.geometry import Polygon, PolygonError, orientation
 from conftest import exemplar_and_zigzag_polygons, pt
+from oracles import angle_exceeds_pi, convex_hull_points
 
 DETECTORS = (is_class1, is_class2, is_class3, is_class4, is_class5, is_class6)
 

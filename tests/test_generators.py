@@ -13,9 +13,10 @@ from chord_euler.generators import (
     zigzag_chi_target,
     _zigzag_raw,
 )
-from chord_euler.geometry import Point, no_three_collinear, orientation, validate_polygon
+from chord_euler.geometry import Point, orientation, validate_polygon
 from chord_euler.partition import chi_removed_direct
 from conftest import pt
+from oracles import no_three_collinear
 
 
 def test_convex_ngon():

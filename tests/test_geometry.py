@@ -11,23 +11,31 @@ from chord_euler.geometry import (
     CollinearTriple,
     DuplicateVertex,
     Point,
-    PointOnBoundary,
     PolygonError,
     Segment,
     SelfIntersection,
     TooFewVertices,
-    angle_exceeds_pi,
-    convex_hull,
     cross,
+    hull_successors,
     orientation,
     orientation_table,
-    point_in_polygon,
-    segments_properly_cross,
+    straddle_masks,
     validate_path,
     validate_polygon,
 )
 from chord_euler import geometry
 from conftest import pt
+from oracles import (
+    PointOnBoundary,
+    angle_exceeds_pi,
+    area2,
+    convex_hull,
+    coordinate_crossing_masks,
+    convex_hull_points,
+    no_three_collinear,
+    point_in_polygon,
+    segments_properly_cross,
+)
 
 coords = st.integers(min_value=-20, max_value=20)
 points = st.builds(pt, coords, coords)
@@ -103,7 +111,7 @@ def test_point_in_polygon(square, dart):
 
 def test_validate_normalizes_cw_input():
     p = validate_polygon([pt(0, 0), pt(0, 2), pt(2, 2), pt(2, 0)])
-    assert p.area2.sign() > 0
+    assert area2(p).sign() > 0
     rev = validate_polygon(list(reversed(p.vertices)))
     assert rev.vertices == p.vertices  # orientation normalization idempotent
 
@@ -293,3 +301,26 @@ def test_orientation_table_past_the_bound_adds_no_cache_entry():
     before = cache.cache_info()
     orientation_table(vs)
     assert cache.cache_info() == before
+
+
+@settings(max_examples=300)
+@given(st.lists(st.builds(pt, grid, grid), min_size=3, max_size=9, unique=True), st.randoms())
+def test_table_routes_match_coordinate_oracles(pts, rng):
+    # General position, the straddle test and the hull, read from one
+    # orientation table, against the coordinate routes of the oracles.
+    try:
+        left = orientation_table(pts)
+    except CollinearTriple:
+        assert not no_three_collinear(pts)
+        return
+    assert no_three_collinear(pts)
+    n = len(pts)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    ends = rng.sample(pairs, rng.randrange(min(len(pairs), 16) + 1))
+    segs = [Segment(pts[a], pts[b]) for a, b in ends]
+    assert straddle_masks(left, n, ends) == coordinate_crossing_masks(segs)
+    succ = hull_successors(left, n)
+    hull = convex_hull_points(pts)
+    assert {pts[a]: pts[b] for a, b in succ.items()} == {
+        p: hull[(t + 1) % len(hull)] for t, p in enumerate(hull)
+    }

@@ -30,7 +30,7 @@ from chord_euler.generators import (
     random_simple_polygon,
     zigzag_chi_target,
 )
-from chord_euler.geometry import Point, Segment
+from chord_euler.geometry import CollinearTriple, Point, Segment
 from chord_euler.nc_euler import (
     EulerEngine,
     _nc_counts,
@@ -45,6 +45,7 @@ from chord_euler.nc_euler import (
     star_ear_chis,
 )
 from conftest import brute_euler, brute_nc_counts, exemplar_and_zigzag_polygons, pt
+from oracles import convex_hull_points, coordinate_crossing_masks, no_three_collinear
 
 
 def segs_of(polygon, chord_set):
@@ -107,7 +108,8 @@ def _dp_families(poly, rng) -> list[ChordSet]:
 def _assert_dp_matches_dfs(poly, rng) -> None:
     # Two routes that share no code with the DP: the DFS on the universe's
     # crossing masks, and the DFS on the plain segment list, whose crossing
-    # masks come from coordinates rather than the orientation table.
+    # masks come from the straddle test on its endpoints' own table rather
+    # than from interleaving.
     uni = universe_of(poly)
     for fam in _dp_families(poly, rng):
         dp = f_vector(fam)
@@ -131,6 +133,30 @@ def test_dp_matches_dfs_exemplars_and_zigzags():
     for poly in [zigzag_chi_target(l).polygon for l in (4, 5, -5, 7)]:
         for fam in (diagonals(poly), epigonals(poly)):
             assert f_vector(fam).euler == euler_recursive(fam)
+
+
+def test_boundary_crossing_sets_match_brute_counts():
+    # A chord set holding a boundary-crossing chord is counted by the DFS on
+    # the straddle test over its universe's table; brute_nc_counts decides
+    # the crossings on the segments' coordinates.  Sets of at most 12 chords.
+    rng = random.Random(21)
+    polys = [random_simple_polygon(n, rng.getrandbits(32)) for n in range(4, 15) for _ in range(3)]
+    polys += [zigzag_chi_target(l).polygon for l in (2, -2, 3, -3, 4)]
+    checked = 0
+    for poly in polys:
+        uni = universe_of(poly)
+        bc = uni.kind_mask(ChordKind.BOUNDARY_CROSSING)
+        if not bc:
+            continue
+        bc_chords = [k for k in range(uni.size) if bc >> k & 1]
+        for _ in range(5):
+            first = rng.choice(bc_chords)
+            others = [k for k in range(uni.size) if k != first]
+            rest = rng.sample(others, min(len(others), rng.randrange(12)))
+            fam = uni.set_of_mask(sum(1 << k for k in (first, *rest)))
+            assert list(f_vector(fam).counts) == brute_nc_counts(segs_of(poly, fam)), fam
+            checked += 1
+    assert checked >= 100
 
 
 
@@ -216,7 +242,8 @@ def test_f_vector_reads_no_hull_or_pockets():
 
 def test_boundary_crossing_sets_use_the_dfs():
     # The universe's crossing masks stop at the diagonals and epigonals, so a
-    # set holding a boundary-crossing chord is decided on its segments.
+    # set holding a boundary-crossing chord is straddle-tested on the
+    # universe's table, as its segment list is on its endpoints' table.
     seen = 0
     for seed in range(10):
         poly = random_simple_polygon(6, seed)
@@ -320,10 +347,38 @@ def test_deep_deletion_recursion_is_a_size_error():
     with pytest.raises(InstanceTooLarge):
         eng.chi((1 << m) - 1)
     # The memo holds only finished values: later answers are still exact.
+    # The same 30-member path as segments in general position: on the
+    # parabola y = x^2, segment v joins the points 2v and 2v + 3, so it
+    # crosses only v - 1 and v + 1.
     short = (1 << 30) - 1
-    assert eng.chi(short) == EulerEngine(path).chi(short) == euler_recursive(
-        [Segment(pt(2 * v, 2 * (v & 1)), pt(2 * v + 3, 2 - 2 * (v & 1))) for v in range(30)]
-    )
+    on_curve = [pt(t, t * t) for t in range(62)]
+    segs = [Segment(on_curve[2 * v], on_curve[2 * v + 3]) for v in range(30)]
+    assert coordinate_crossing_masks(segs) == [mask & short for mask in path[:30]]
+    assert eng.chi(short) == EulerEngine(path).chi(short) == euler_recursive(segs)
+
+
+def test_segment_lists_with_collinear_endpoints_raise():
+    # General position is the model's: a segment list's crossings are read
+    # from the orientation table of its endpoints, which refuses three
+    # collinear ones, even where no two segments meet.  The second family is
+    # the 30-member path with its endpoints on the lines y = 0 and y = 2.
+    apart = [Segment(pt(10 * k, 0), pt(10 * k + 1, 9 - 18 * (k & 1))) for k in range(3)]
+    assert coordinate_crossing_masks(apart) == [0, 0, 0]
+    path = [Segment(pt(2 * v, 2 * (v & 1)), pt(2 * v + 3, 2 - 2 * (v & 1))) for v in range(30)]
+    for segs in (apart, path):
+        for route in (f_vector, euler_brute, euler_recursive):
+            with pytest.raises(CollinearTriple):
+                route(segs)
+
+
+def test_point_families_with_collinear_points_raise(square):
+    # chi_point_family and hull_edge_in read the points' orientation table.
+    corners = list(square.vertices)
+    on_edge = corners + [pt(1, 0)]  # collinear with corners 0 and 1
+    one_edge = [Segment(corners[0], corners[1])]
+    for route in (chi_point_family, hull_edge_in):
+        with pytest.raises(CollinearTriple):
+            route(on_edge, one_edge)
 
 
 def _crossing_graph(m, seed, density):
@@ -419,8 +474,6 @@ def test_brute_equals_recursive_random_families():
                 Point(rng.randrange(0, 1000), rng.randrange(0, 1000))
                 for _ in range(npts)
             ]
-            from chord_euler.geometry import no_three_collinear
-
             if len({(p.x, p.y) for p in points}) == npts and no_three_collinear(points):
                 break
         pairs = [(a, b) for a in range(npts) for b in range(a + 1, npts)]
@@ -534,8 +587,6 @@ def test_chi_point_family_with_center(square):
 
 def test_hull_edge_implies_zero_random():
     rng = random.Random(7)
-    from chord_euler.geometry import convex_hull_points, no_three_collinear
-
     for trial in range(60):
         npts = rng.randrange(4, 8)
         while True:
