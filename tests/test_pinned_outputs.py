@@ -1,4 +1,5 @@
-"""Generator, validator, Theorem-3 and triangulation outputs pinned across commits.
+"""Generator, validator, Theorem-2, Theorem-3, triangulation and demo outputs
+pinned across commits.
 
 Every benchmark workload, campaign and demo is built from these outputs, so a
 change that alters them changes what is measured and printed.  Each corpus is
@@ -7,14 +8,21 @@ validator digests were recorded from the implementation that decided every
 predicate on ``QSqrt3`` coordinates, the Theorem-3 digest from the one that
 ran the six class detectors at each vertex, and the triangulation digest
 from the one that built a polygon and a chord universe for every face in
-``extend_to_triangulation``.  A mismatch names the corpus, and the rendering
-helpers below reproduce it line by line.
+``extend_to_triangulation``.  The Theorem-2 lattice and demo digests were
+recorded from the routes that kept the last split of a J on the chord
+universe and found the maximal non-convex sets by single-bit tests.  A
+mismatch names the corpus, and the rendering helpers below reproduce it line
+by line.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-from chord_euler.chords import universe_of
+from chord_euler.chords import ChordKind, universe_of
 from chord_euler.classes import class_report, verify_theorem3
 from chord_euler.generators import (
     class_exemplar,
@@ -23,7 +31,17 @@ from chord_euler.generators import (
     zigzag_chi_target,
 )
 from chord_euler.geometry import Point, PolygonError, validate_polygon
-from chord_euler.partition import extend_to_triangulation, find_diagonal
+from chord_euler.nc_euler import iter_nc_masks
+from chord_euler.partition import (
+    chi_removed_direct,
+    chi_removed_lemma1,
+    chi_removed_lemma_d2,
+    chi_removed_theorem2,
+    convex_lattice,
+    convexity_constraints,
+    extend_to_triangulation,
+    find_diagonal,
+)
 
 PINNED = {
     "random": "92c609aba757a660853215a7e436b216d7a7732f616b06a7bbfb5e3441ca1a0d",
@@ -32,7 +50,11 @@ PINNED = {
     "validator": "38e489a53b991b395c47194df7413c0af6fb2e1a2c399e71bf897e748e56ec8c",
     "theorem3": "921158409da94b8b31be0eaad0175d989eae461a7847fee0fc59a3bf2a9bc097",
     "triangulations": "dfed61d1f594e10684a5818150dafd28f57642c396f6b2634f0933b4764036d1",
+    "lattices": "fd4c0e0f21c315d43a315746fcb7ab86eebecf219118545b718bc1cf0208563c",
+    "demos": "4c0fc500bf185c716c49b70c19ff36e52be7a400aebbc24c539a324ba85fba24",
 }
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def _digest(lines) -> str:
@@ -119,6 +141,52 @@ def triangulation_lines():
         yield f"{label} find={found} tri={tri} half={uni.set_of_mask(half)} again={again}"
 
 
+def lattice_lines():
+    """Per polygon and non-crossing diagonal set J: the window constraints,
+    the four chi routes and the convex lattice of J."""
+    corpus = [
+        (f"n={n} seed={seed}", random_simple_polygon(n, seed))
+        for n in range(4, 9)
+        for seed in range(30)
+    ]
+    corpus += [
+        (f"class{kind} n={n}", class_exemplar(kind, 0, n))
+        for kind in range(1, 7)
+        for n in range(6, 9)
+    ]
+    for label, poly in corpus:
+        uni = universe_of(poly)
+        d_mask = uni.kind_mask(ChordKind.DIAGONAL)
+        for m in iter_nc_masks(uni.crossing_masks, d_mask):
+            j = uni.set_of_mask(m)
+            constraints, feasible = convexity_constraints(poly, j)
+            chis = [
+                chi_removed_direct(poly, j, "d"),
+                chi_removed_theorem2(poly, j),
+                chi_removed_lemma1(poly, j),
+                chi_removed_lemma_d2(poly, j) if m else None,
+            ]
+            lat = convex_lattice(poly, j)
+            yield (
+                f"{label} J={m:#x} constraints={constraints} feasible={feasible} chis={chis}"
+                f" c={lat.members_c} nc={lat.members_nc}"
+                f" min_c={lat.minimal_c} max_nc={lat.maximal_nc}"
+            )
+
+
+def demo_lines(tmp: Path):
+    """Each demo's exit code and stdout, run under ``-W error`` in ``tmp``."""
+    path = [str(DEMOS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for demo in sorted(DEMOS.glob("*.py")):
+        run = subprocess.run(
+            [sys.executable, "-W", "error", str(demo)],
+            cwd=tmp, env=env, capture_output=True, text=True, timeout=120,
+        )
+        yield f"== {demo.name} exit={run.returncode}"
+        yield run.stdout
+
+
 def validator_lines():
     for seed in range(1000):
         try:
@@ -152,3 +220,11 @@ def test_triangulations_pinned():
 
 def test_validator_errors_pinned():
     assert _digest(validator_lines()) == PINNED["validator"]
+
+
+def test_theorem2_lattices_pinned():
+    assert _digest(lattice_lines()) == PINNED["lattices"]
+
+
+def test_demos_pinned(tmp_path):
+    assert _digest(demo_lines(tmp_path)) == PINNED["demos"]
