@@ -60,17 +60,15 @@ that ``Polygon`` declares.  The universe owns every cache derived from the
 polygon's chords: the vertex kind masks ``diag`` and ``epi``, kinds, crossing
 masks, hull and pockets, Theorem 3's ``star_ear_rows`` (filled by
 ``nc_euler.star_ear_chis``) and ``class_masks`` (filled by
-``classes._class_masks``), and, filled by ``partition``, the chi engine of the
-Theorem-2 routes (``euler_engine``), Lemma 1's dict of face-recurrence values
-(``lemma1_chis``), the last split of a J (``last_split``) and the last J that
-passed the non-crossing diagonal check (``valid_j``).  The chord order is not
-the universe's: it reads it from the :class:`ChordOrder` of its n, shared with
-every universe of that size (its own one past ``ORDER_CACHE_N``).  It copies
-the polygon's n, vertices and orientation table and holds the polygon itself
-only through a weak reference, so it reads nothing through the polygon and a
-:class:`ChordSet` keeps working after its polygon is gone.  No reference cycle
-forms, and reference counting alone frees a polygon together with its universe
-and caches.
+``classes._class_masks``), and ``partition_state``, the state that
+``partition`` owns and fills (its chi engine, Lemma 1's memo and the record of
+the last checked cut).  The chord order is not the universe's: it reads it
+from the :class:`ChordOrder` of its n, shared with every universe of that size
+(its own one past ``ORDER_CACHE_N``).  It copies the polygon's n, vertices and
+orientation table and holds the polygon itself only through a weak reference,
+so it reads nothing through the polygon and a :class:`ChordSet` keeps working
+after its polygon is gone.  No reference cycle forms, and reference counting
+alone frees a polygon together with its universe and caches.
 """
 
 from __future__ import annotations
@@ -226,13 +224,8 @@ class ChordUniverse:
         # Filled by ``classes._class_masks``: per class 1..6, the vertex mask
         # of the i at which the polygon is in that class.
         self.class_masks: tuple[int, ...] | None = None
-        # Filled by ``partition``: the Theorem-2 routes' shared chi engine (an
-        # ``nc_euler.EulerEngine``), Lemma 1's memo, the last J split and the
-        # last J mask that passed the non-crossing diagonal check.
-        self.euler_engine = None
-        self.lemma1_chis: dict[int, int] | None = None
-        self.last_split: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
-        self.valid_j: int | None = None
+        # Filled by ``partition``, which owns it: the Theorem-2 layer's state.
+        self.partition_state = None
 
     @property
     def chords(self) -> tuple[Chord, ...]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from .chords import universe_of
+from .chords import diagonals, epigonals, universe_of
 from .geometry import Polygon
 from .nc_euler import _bits, f_vector, star_ear_chis
 
@@ -261,8 +261,6 @@ class Theorem1Report:
 
 def verify_theorem1(poly: Polygon) -> Theorem1Report:
     """Check the alternating diagonal/epigonal sums against the convexity criterion."""
-    from .chords import diagonals, epigonals
-
     fd = f_vector(diagonals(poly))
     fe = f_vector(epigonals(poly))
     d_sum = fd.alternating_tail()

@@ -113,9 +113,12 @@ class Polygon:
     def __init__(self, vertices: Sequence[Point], _validated: bool = False):
         vs = tuple(vertices)
         if not _validated:
-            # Validation builds the orientation table but keeps only the
-            # reflex set; ``left`` rebuilds the table on first use.
-            vs, self.reflex_vertices = _validate(vs, _distinct_table(vs), range(len(vs)))
+            # Keep the table; reversing the vertices reverses its cells and each cell's bits.
+            n, left = len(vs), _distinct_table(vs)
+            vs, self.reflex_vertices, turned = _validate(vs, left, range(n))
+            if turned:
+                left = tuple(int(f"{c:0{n}b}"[::-1], 2) for c in reversed(left))
+            self.left = left
         self.vertices = vs
         self.n = len(vs)
         # Filled by ``chords.universe_of``; the universe holds this polygon weakly.
@@ -133,7 +136,7 @@ class Polygon:
 
     @cached_property
     def left(self) -> tuple[int, ...]:
-        """The vertices' :func:`orientation_table`."""
+        """The vertices' :func:`orientation_table`, kept from validation or built on first use."""
         return orientation_table(self.vertices)
 
     def ccw(self, i: int, j: int, k: int) -> bool:
@@ -316,8 +319,8 @@ def _distinct_table(vs: tuple[Point, ...]) -> tuple[int, ...]:
 
 def _validate(
     points: Sequence[Point], left: Sequence[int], order: Sequence[int]
-) -> tuple[tuple[Point, ...], frozenset[int]]:
-    """The CCW vertex tuple of the closed path ``order`` and its reflex set.
+) -> tuple[tuple[Point, ...], frozenset[int], bool]:
+    """The CCW vertex tuple of the path ``order``, its reflex set, and whether it was reversed.
 
     ``left`` is the orientation table of ``points``, and the path visits the
     point ``order[v]`` as its vertex v.  Raises the violated invariant.
@@ -332,8 +335,8 @@ def _validate(
     # CCW normalization: at a vertex of its convex hull a simple polygon turns
     # the way it runs round.
     if turns[order.index(min(hull_successors(left, n)))]:
-        return vs, frozenset(v for v in range(n) if not turns[v])
-    return vs[::-1], frozenset(n - 1 - v for v in range(n) if turns[v])
+        return vs, frozenset(v for v in range(n) if not turns[v]), False
+    return vs[::-1], frozenset(n - 1 - v for v in range(n) if turns[v]), True
 
 
 def validate_polygon(vertices: Sequence[Point]) -> Polygon:
@@ -347,7 +350,7 @@ def validate_path(points: Sequence[Point], left: Sequence[int], order: Sequence[
     Equals ``validate_polygon([points[k] for k in order])`` without building
     the orientation table again.
     """
-    vs, reflex = _validate(points, left, order)
+    vs, reflex, _ = _validate(points, left, order)
     poly = Polygon._trusted(vs)
     poly.reflex_vertices = reflex
     return poly

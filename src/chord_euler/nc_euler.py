@@ -55,8 +55,8 @@ of the pocket, so all maximal sets of D, or of E, have one size.
 Two slower routes are kept as independent oracles:
 
 * ``euler_brute``  - alternating sum of a full DFS enumeration
-  (``_nc_counts``) on the crossing masks; :func:`f_vector` also uses the DFS
-  for segment lists and for sets holding a boundary-crossing chord;
+  (:func:`iter_nc_masks`) on the crossing masks; :func:`f_vector` also uses
+  the DFS for segment lists and for sets holding a boundary-crossing chord;
 * ``euler_recursive`` - the deletion identity chi(A) = chi(A - v) - chi(A_v),
   memoized per connected component.  chi of a disjoint union is the product
   of its parts' chis, so one pass finds every component first, and an
@@ -72,6 +72,7 @@ position too.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -153,26 +154,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _nc_counts(adj: Sequence[int], live: int) -> list[int]:
-    """Non-crossing subsets of ``live`` by size, enumerated depth first."""
-    order = _bits(live)
-    bits = [1 << k for k in order]
-    sub_adj = [adj[k] & live for k in order]
-    counts = [0] * (len(order) + 1)
-    stack = [(0, 0, 0)]  # a set: first position it may extend by, size, crossed mask
-    while stack:
-        pos, size, banned = stack.pop()
-        counts[size] += 1
-        for t in range(pos, len(order)):
-            if not banned & bits[t]:
-                stack.append((t + 1, size + 1, banned | sub_adj[t]))
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
-    return counts
-
-
 def _dfs_f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
-    return FVector(tuple(_nc_counts(*_adjacency(family))))
+    """The sizes of the sets :func:`iter_nc_masks` enumerates, counted."""
+    sizes = Counter(map(int.bit_count, iter_nc_masks(*_adjacency(family))))
+    # Every size up to the largest occurs: the sets are closed under subsets.
+    return FVector(tuple(sizes[k] for k in range(len(sizes))))
 
 
 def _neighbours(uni: ChordUniverse, fam: int) -> list[int]:
@@ -356,8 +342,8 @@ def euler_recursive(family: ChordSet | Sequence[Segment]) -> int:
 class EulerEngine:
     """Evaluator sharing one memo across many subfamilies of one chord universe.
 
-    The universe owns the one that ``partition`` builds for the faces of its
-    polygon's Theorem-2 routes (``ChordUniverse.euler_engine``); results are
+    The one that ``partition`` builds for the faces of a polygon's Theorem-2
+    routes lives in the universe's ``partition_state``; results are
     identical to :func:`euler_recursive`, and so is the size error.  The
     memo holds finished values only, one per component; components come
     first, so a query with an isolated member returns 0 before recursing.

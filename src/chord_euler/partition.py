@@ -54,14 +54,19 @@ always the chords of J inside F above the last chord decided, so a face takes
 at most |J| + 1 keys.  Measured: asking every J of a random 10-gon (seeds
 0..19, 352 to 4,156 sets J) fills 601 to 8,646 entries, 1.4 to 2.5 per J, of
 which 69 to 394 are faces; the 20,793 sets J of a convex 10-gon fill 40,779,
-968 of them faces.  ``last_split`` keeps the last split of a J into NC_c[J]
-and NC_nc[J], so the routes asked about one J in turn split it once, and
-``valid_j`` the last J that passed the non-crossing diagonal check.
+968 of them faces.
+
+The universe's ``partition_state`` holds the engine, Lemma 1's memo and the
+record of the last checked cut J, so the routes asked about J in turn check
+it, build its constraints and walk its 2^|J| subsets once, and nothing of
+size 2^|J| outlives the walk.  J is infeasible iff its constraints are
+``[0]``.  NC_nc[J] is the union of the down-sets of J - c over the constraints
+c, which are inclusion-minimal, so its maximal sets are the J - c.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .chords import Chord, ChordKind, ChordSet, ChordUniverse, universe_of
@@ -77,11 +82,36 @@ class PartitionError(ValueError):
     pass
 
 
+@dataclass(slots=True)
+class _Record:
+    """A checked cut J: its constraints and its two signed sums, each filled on first use."""
+
+    mask: int
+    constraints: tuple[int, ...] | None = None
+    sums: tuple[int, int] | None = None
+
+
+@dataclass(slots=True)
+class _State:
+    """The layer's state in a universe's ``partition_state``, with no reference back."""
+
+    engine: EulerEngine | None = None
+    lemma1: dict[int, int] = field(default_factory=dict)
+    record: _Record | None = None
+
+
+def _state(uni: ChordUniverse) -> _State:
+    """The universe's partition state, made on first use."""
+    if uni.partition_state is None:
+        uni.partition_state = _State()
+    return uni.partition_state
+
+
 def _engine(uni: ChordUniverse) -> EulerEngine:
-    eng = uni.euler_engine
-    if eng is None:
-        eng = uni.euler_engine = EulerEngine(uni.crossing_masks)
-    return eng
+    state = uni.partition_state or _state(uni)
+    if state.engine is None:
+        state.engine = EulerEngine(uni.crossing_masks)
+    return state.engine
 
 
 @dataclass(frozen=True)
@@ -93,12 +123,13 @@ class PartitionResult:
     parts: tuple[tuple[int, ...], ...]
 
 
-def _check_noncrossing_diagonals(poly: Polygon, cut: ChordSet) -> None:
+def _check_noncrossing_diagonals(poly: Polygon, cut: ChordSet) -> _Record:
     uni = universe_of(poly)
     if cut.universe is not uni:
         raise PartitionError("cut belongs to a different polygon")
-    if uni.valid_j == cut.mask:  # checked before on this universe
-        return
+    state = uni.partition_state or _state(uni)
+    if state.record is not None and state.record.mask == cut.mask:
+        return state.record
     d_mask = uni.kind_mask(ChordKind.DIAGONAL)
     m = cut.mask
     while m:
@@ -108,7 +139,8 @@ def _check_noncrossing_diagonals(poly: Polygon, cut: ChordSet) -> None:
             raise PartitionError(f"chord {uni.chords[k]} is not a diagonal")
         if uni.crossing_masks[k] & cut.mask:
             raise PartitionError(f"cut contains a crossing pair at {uni.chords[k]}")
-    uni.valid_j = cut.mask
+    state.record = _Record(cut.mask)
+    return state.record
 
 
 def _cut(faces: list[int], i: int, j: int) -> list[int]:
@@ -159,18 +191,22 @@ def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bo
     of (w - v) mod n.  A window from ray s to ray t spans more than pi iff
     v -> w_s -> w_t turns clockwise.
     """
-    _check_noncrossing_diagonals(poly, j_set)
-    uni = j_set.universe
-    n, left, chords, jm = poly.n, poly.left, uni.chords, j_set.mask
+    rec = _check_noncrossing_diagonals(poly, j_set)
+    if rec.constraints is None:
+        rec.constraints = _window_constraints(poly, j_set.universe, rec.mask)
+    return list(rec.constraints), rec.constraints != (0,)
+
+
+def _window_constraints(poly: Polygon, uni: ChordUniverse, jm: int) -> tuple[int, ...]:
+    """The inclusion-minimal windows of :func:`convexity_constraints`."""
+    n, left, chords = poly.n, poly.left, uni.chords
     incidence, reflex = uni.incidence, poly.reflex_vertices
     constraints: list[int] = []
-    feasible = True
     for v in range(n):
         at = jm & incidence[v]
         if not at:
             # The only window is the interior angle at v itself.
             if v in reflex:
-                feasible = False
                 constraints.append(0)
             continue
         # Bit order lists the chords (w, v), w < v, first; (w - v) mod n, last.
@@ -190,8 +226,6 @@ def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bo
             mask = 0
             for wt, bit in rays[s + 1:]:
                 if not row >> wt & 1:
-                    if mask == 0:
-                        feasible = False
                     constraints.append(mask)
                     break
                 mask |= bit
@@ -203,20 +237,15 @@ def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bo
                 break
         else:
             minimal.append(m)
-    return minimal, feasible
+    return tuple(minimal)
 
 
-def _split_subsets(poly: Polygon, j_set: ChordSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _split_subsets(poly: Polygon, j_set: ChordSet) -> tuple[list[int], list[int]]:
     """Masks of NC_c[J] and of NC_nc[J], each in descending submask order."""
-    _check_noncrossing_diagonals(poly, j_set)
+    constraints, _ = convexity_constraints(poly, j_set)
     if len(j_set) > LATTICE_CAP:
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
-    uni, jm = j_set.universe, j_set.mask
-    if uni.last_split is not None and uni.last_split[0] == jm:
-        return uni.last_split[1:]
-    constraints, feasible = convexity_constraints(poly, j_set)
-    if not feasible:
-        constraints = [0]  # no subset meets the empty constraint
+    jm = j_set.mask
     members_c: list[int] = []
     members_nc: list[int] = []
     sub = jm
@@ -228,9 +257,17 @@ def _split_subsets(poly: Polygon, j_set: ChordSet) -> tuple[tuple[int, ...], tup
         else:
             members_c.append(sub)
         if sub == 0:
-            uni.last_split = (jm, tuple(members_c), tuple(members_nc))
-            return uni.last_split[1:]
+            return members_c, members_nc
         sub = (sub - 1) & jm
+
+
+def _signed_sums(poly: Polygon, j_set: ChordSet) -> tuple[int, int]:
+    """(sum over NC_c[J], sum over NC_nc[J]) of (-1)^|I|, on J's record."""
+    rec = _check_noncrossing_diagonals(poly, j_set)
+    if rec.sums is None:
+        rec.sums = tuple(sum(-1 if m.bit_count() & 1 else 1 for m in members)
+                         for members in _split_subsets(poly, j_set))
+    return rec.sums
 
 
 @dataclass(frozen=True)
@@ -247,8 +284,7 @@ class ConvexLattice:
 
 def convex_lattice(poly: Polygon, j_set: ChordSet) -> ConvexLattice:
     members_c, members_nc = _split_subsets(poly, j_set)
-    # members_c is an up-set and members_nc a down-set, so minimality and
-    # maximality reduce to single-bit tests.
+    # members_c is an up-set, so minimality reduces to single-bit tests.
     cset = set(members_c)
     minimal_c = []
     for m in members_c:
@@ -262,18 +298,9 @@ def convex_lattice(poly: Polygon, j_set: ChordSet) -> ConvexLattice:
                 break
         if minimal:
             minimal_c.append(m)
-    maximal_nc = []
-    for m in members_nc:
-        rest = j_set.mask & ~m
-        maximal = True
-        while rest:
-            bit = rest & -rest
-            rest &= rest - 1
-            if m | bit not in cset:
-                maximal = False
-                break
-        if maximal:
-            maximal_nc.append(m)
+    # J - c over the constraints c (module docstring); [J] when infeasible.
+    constraints, _ = convexity_constraints(poly, j_set)
+    maximal_nc = [j_set.mask & ~c for c in constraints]
     return ConvexLattice(
         poly, j_set,
         tuple(sorted(members_c)), tuple(sorted(members_nc)),
@@ -297,18 +324,14 @@ def chi_removed_direct(poly: Polygon, removed: ChordSet, side: str) -> int:
 
 def chi_removed_theorem2(poly: Polygon, j_set: ChordSet) -> int:
     """(-1)^(|P|+1) * sum over NC_c[J] of (-1)^|I|."""
-    members_c, _ = _split_subsets(poly, j_set)
-    total = sum(-1 if m.bit_count() & 1 else 1 for m in members_c)
-    return (-1) ** (poly.n + 1) * total
+    return (-1) ** (poly.n + 1) * _signed_sums(poly, j_set)[0]
 
 
 def chi_removed_lemma_d2(poly: Polygon, j_set: ChordSet) -> int:
     """(-1)^|P| * sum over NC_nc[J] of (-1)^|I|; requires J nonempty."""
     if j_set.mask == 0:
         raise PartitionError("the J = {} case is outside this identity's hypothesis")
-    _, members_nc = _split_subsets(poly, j_set)
-    total = sum(-1 if m.bit_count() & 1 else 1 for m in members_nc)
-    return (-1) ** poly.n * total
+    return (-1) ** poly.n * _signed_sums(poly, j_set)[1]
 
 
 def _lemma1(uni: ChordUniverse, memo: dict[int, int], face: int, cut: int) -> int:
@@ -347,16 +370,15 @@ def chi_removed_lemma1(poly: Polygon, j_set: ChordSet) -> int:
     """Sum over I subset of J of the product of the faces' diagonal chis.
 
     Evaluated as L(P, J) by the face recurrence of the module docstring,
-    memoized in ``ChordUniverse.lemma1_chis`` across every J of the polygon.
+    memoized in the layer's state across every J of the polygon.  The cap
+    still applies: k pairwise disjoint ear chords cut off 2^k different
+    faces, one per subset of them, so the memo can take 2^k keys.
     """
     _check_noncrossing_diagonals(poly, j_set)
     if len(j_set) > LATTICE_CAP:
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
     uni = j_set.universe
-    memo = uni.lemma1_chis
-    if memo is None:
-        memo = uni.lemma1_chis = {}
-    return _lemma1(uni, memo, (1 << poly.n) - 1, j_set.mask)
+    return _lemma1(uni, uni.partition_state.lemma1, (1 << poly.n) - 1, j_set.mask)
 
 
 def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) -> int:
@@ -427,16 +449,12 @@ def chi_inclusion_exclusion(poly: Polygon, j_set: ChordSet, mode: str) -> int:
         raise ValueError("mode must be 'minimal' or 'maximal'")
     if poly.is_convex:
         raise PartitionError("defined for non-convex polygons")
-    jm = j_set.mask
-    if len(j_set) > IE_CAP:  # no 2^|J| split before the cap error
-        feasible = convexity_constraints(poly, j_set)[1]
-    else:  # J is feasible iff J is in NC_c[J]
-        lat = convex_lattice(poly, j_set)
-        feasible = lat.members_c[-1:] == (jm,)
-    if not feasible:
+    if not convexity_constraints(poly, j_set)[1]:
         raise PartitionError("J does not provide a convex partition")
-    if len(j_set) > IE_CAP:
+    if len(j_set) > IE_CAP:  # no 2^|J| split before the cap error
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the cap {IE_CAP}")
+    jm = j_set.mask
+    lat = convex_lattice(poly, j_set)
     sets = lat.minimal_c if mode == "minimal" else lat.maximal_nc
     if len(sets) > IE_CAP:  # the sums walk 2^len(sets) subfamilies
         raise InstanceTooLarge(f"{len(sets)} {mode} sets exceed the cap {IE_CAP}")

@@ -116,6 +116,22 @@ def test_validate_normalizes_cw_input():
     assert rev.vertices == p.vertices  # orientation normalization idempotent
 
 
+def test_validated_polygon_keeps_the_table_it_was_validated_with():
+    # Counter-clockwise input keeps its table; clockwise input keeps it
+    # reversed with the vertices.  Zigzags have sqrt 3 coordinates.
+    shapes = [random_simple_polygon(n, seed).vertices for n in range(3, 15) for seed in range(8)]
+    shapes += [zigzag_chi_target(l).polygon.vertices for l in (2, -2, 3, -3, 4)]
+    turned = 0
+    for ccw in shapes:
+        for vs in (ccw, ccw[::-1], ccw[2:] + ccw[:2]):
+            poly = validate_polygon(vs)
+            assert "left" in vars(poly)  # kept, not rebuilt on first use
+            assert poly.left == orientation_table(poly.vertices)
+            turned += poly.vertices[0] != vs[0]
+        assert "left" not in vars(poly.rotated(0))  # a trusted copy stays lazy
+    assert turned == len(shapes)
+
+
 def test_validate_rejections():
     with pytest.raises(SelfIntersection):
         validate_polygon([pt(0, 0), pt(2, 2), pt(2, 0), pt(0, 2)])

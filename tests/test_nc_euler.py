@@ -33,7 +33,6 @@ from chord_euler.generators import (
 from chord_euler.geometry import CollinearTriple, Point, Segment
 from chord_euler.nc_euler import (
     EulerEngine,
-    _nc_counts,
     chi_point_family,
     euler_brute,
     euler_recursive,
@@ -46,6 +45,16 @@ from chord_euler.nc_euler import (
 )
 from conftest import brute_euler, brute_nc_counts, exemplar_and_zigzag_polygons, pt
 from oracles import convex_hull_points, coordinate_crossing_masks, no_three_collinear
+
+
+def _nc_counts(adj, live):
+    """Non-crossing subsets of ``live`` by size, counted over the DFS enumerator."""
+    counts = [0] * (live.bit_count() + 1)
+    for m in iter_nc_masks(adj, live):
+        counts[m.bit_count()] += 1
+    while len(counts) > 1 and counts[-1] == 0:
+        counts.pop()
+    return counts
 
 
 def segs_of(polygon, chord_set):

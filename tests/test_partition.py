@@ -298,6 +298,51 @@ def test_unique_minimal_cut_values(dart):
                     assert chi_removed_direct(poly, j, "d") == 0
 
 
+def lattice_extremes_oracle(j_mask, members_c, members_nc):
+    """Minimal members of NC_c[J] and maximal members of NC_nc[J], by single bits.
+
+    NC_c[J] is an up-set and NC_nc[J] its complement, a down-set, so a member
+    is extreme iff no one-chord step stays in its family.
+    """
+    cset = set(members_c)
+    minimal_c = [m for m in members_c if all(m & ~(1 << k) not in cset for k in _bit_list(m))]
+    maximal_nc = [m for m in members_nc if all(m | 1 << k in cset for k in _bit_list(j_mask & ~m))]
+    return tuple(sorted(minimal_c)), tuple(sorted(maximal_nc))
+
+
+def _bit_list(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _assert_lattice_extremes_match_definition(poly):
+    # NC_c[J] by subdividing and testing each face's convexity on coordinates.
+    uni = universe_of(poly)
+    for j in nc_diagonal_subsets(poly):
+        members_c, members_nc = [], []
+        for sub in iter_nc_masks(uni.crossing_masks, j.mask):
+            convex = is_convex_partition(poly, uni.set_of_mask(sub))
+            (members_c if convex else members_nc).append(sub)
+        lat = convex_lattice(poly, j)
+        assert lat.members_c == tuple(sorted(members_c)), (poly, j)
+        assert lat.members_nc == tuple(sorted(members_nc)), (poly, j)
+        want = lattice_extremes_oracle(j.mask, members_c, members_nc)
+        assert (lat.minimal_c, lat.maximal_nc) == want, (poly, j)
+
+
+def test_lattice_extremes_match_definition():
+    corpus = [random_simple_polygon(n, seed + 1100) for n in range(4, 9) for seed in range(6)]
+    corpus += [class_exemplar(kind, 0, n) for kind in range(1, 7) for n in (6, 7)]
+    corpus += [zigzag_chi_target(l).polygon for l in (2, -2, 3)]
+    for poly in corpus:
+        _assert_lattice_extremes_match_definition(poly)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(4, 8), st.integers(0, 2**32))
+def test_lattice_extremes_match_definition_random(n, seed):
+    _assert_lattice_extremes_match_definition(random_simple_polygon(n, seed))
+
+
 def _part_chi_oracle(poly, part, removed_chords, cache):
     """chi of a face's own diagonals minus the given parent chords, by DFS.
 
@@ -479,11 +524,13 @@ def test_inclusion_exclusion_agrees_with_direct():
 
 
 def test_inclusion_exclusion_builds_the_constraints_once(monkeypatch):
+    # Counted as builds (fills of J's record), not calls: a call that finds
+    # the constraints on the record builds nothing.
     import chord_euler.partition as part
 
     calls = []
-    real = part.convexity_constraints
-    monkeypatch.setattr(part, "convexity_constraints", lambda *a: calls.append(a) or real(*a))
+    real = part._window_constraints
+    monkeypatch.setattr(part, "_window_constraints", lambda *a: calls.append(a) or real(*a))
     checked = infeasible = 0
     for seed in range(12):
         poly = random_simple_polygon(6 + seed % 3, seed + 700)
@@ -491,7 +538,7 @@ def test_inclusion_exclusion_builds_the_constraints_once(monkeypatch):
             continue
         for j in nc_diagonal_subsets(poly):
             for mode in ("minimal", "maximal"):
-                cold = poly.rotated(0)  # a copy starts with no cached split
+                cold = poly.rotated(0)  # a copy starts with no record
                 cold_j = universe_of(cold).set_of_mask(j.mask)
                 calls.clear()
                 try:
@@ -601,6 +648,35 @@ def test_lattice_cap():
         chi_removed_theorem2(poly, tri)
 
 
+def _held_entries(obj):
+    """Ints held by a partition-state object, counting through containers and slots."""
+    if isinstance(obj, int):
+        return 1
+    if isinstance(obj, dict):
+        return sum(_held_entries(k) + _held_entries(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return sum(_held_entries(x) for x in obj)
+    if obj is None:
+        return 0
+    return sum(_held_entries(getattr(obj, name)) for name in type(obj).__slots__)
+
+
+@pytest.mark.parametrize("poly", [convex_ngon(19), random_simple_polygon(19, 296)],
+                         ids=["convex", "random"])
+def test_theorem2_leaves_nothing_of_size_2_to_the_j(poly):
+    # Each route walks the 2^|J| subsets of a triangulation's J (|J| = 16)
+    # and keeps no more than a few entries per chord of J.
+    uni = universe_of(poly)
+    j = extend_to_triangulation(poly, empty(poly))
+    assert len(j) == 16
+    got = chi_removed_theorem2(poly, j), chi_removed_lemma_d2(poly, j)
+    convex_lattice(poly, j)
+    state = uni.partition_state
+    assert state.record.mask == j.mask and state.record.sums is not None
+    assert _held_entries(state) <= 4 * len(j)
+    assert got == (chi_removed_direct(poly, j, "d"),) * 2
+
+
 def test_bad_j_is_bad_input_before_the_cap():
     # 21 diagonals of a convex 9-gon: past the 2^|J| cap, and crossing.  Every
     # route reports the bad J, which the CLI maps to exit 2, not exit 3.
@@ -647,19 +723,25 @@ THEOREM2_ROUTES = [chi_removed_theorem2, chi_removed_lemma_d2, convex_lattice, c
 def test_theorem2_state_cached_on_the_universe(first):
     poly = random_simple_polygon(8, 11)
     uni = universe_of(poly)
-    assert uni.lemma1_chis is None and uni.last_split is None
+    assert uni.partition_state is None
     js = [j for j in nc_diagonal_subsets(poly) if len(j) >= 2]
     first(poly, js[0])
+    state = uni.partition_state
+    record = state.record
+    assert record.mask == js[0].mask
     if first is chi_removed_lemma1:
-        assert uni.lemma1_chis and uni.last_split is None
+        assert state.lemma1 and record.constraints is None and record.sums is None
     else:
-        assert uni.last_split[0] == js[0].mask and uni.lemma1_chis is None
+        assert not state.lemma1 and record.constraints is not None
+        assert (record.sums is None) == (first is convex_lattice)
     chi_removed_lemma1(poly, js[0])
-    faces = uni.lemma1_chis
+    memo = state.lemma1
+    assert memo and state.record is record  # the same J keeps its record
     for j in js:
         chi_removed_theorem2(poly, j)
         chi_removed_lemma1(poly, j)
-    assert uni.lemma1_chis is faces and uni.last_split[0] == js[-1].mask
+    assert uni.partition_state is state and state.lemma1 is memo
+    assert state.record.mask == js[-1].mask and state.record.sums is not None
     # A hit still checks J: the same mask over another universe is refused.
     twin = poly.rotated(0)
     with pytest.raises(PartitionError, match="different polygon"):
@@ -668,8 +750,9 @@ def test_theorem2_state_cached_on_the_universe(first):
 
 @pytest.mark.parametrize("route", THEOREM2_ROUTES)
 def test_bad_j_is_refused_after_a_validated_one(route):
-    # A J that passed the check is recorded on the universe; a bad J never is,
-    # so each call on it is refused, however often it is asked.
+    # A J that passed the check has a record in the universe's partition
+    # state; a bad J never does, so each call on it is refused, however often
+    # it is asked, and the good J keeps its record.
     poly = random_simple_polygon(8, 11)
     uni = universe_of(poly)
     good = next(j for j in nc_diagonal_subsets(poly) if len(j) >= 2)
@@ -680,7 +763,8 @@ def test_bad_j_is_refused_after_a_validated_one(route):
     with_epigonal = uni.set_of_mask(good.mask | epigonal & -epigonal)
     twin = universe_of(poly.rotated(0)).set_of_mask(good.mask)
     route(poly, good)
-    assert uni.valid_j == good.mask
+    record = uni.partition_state.record
+    assert record.mask == good.mask
     for _ in range(2):
         with pytest.raises(PartitionError, match="crossing pair"):
             route(poly, crossing)
@@ -688,7 +772,7 @@ def test_bad_j_is_refused_after_a_validated_one(route):
             route(poly, with_epigonal)
         with pytest.raises(PartitionError, match="different polygon"):
             route(poly, twin)
-        assert uni.valid_j == good.mask
+        assert uni.partition_state.record is record
         route(poly, good)
 
 
