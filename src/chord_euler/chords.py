@@ -61,14 +61,15 @@ polygon's chords: the vertex kind masks ``diag`` and ``epi``, kinds, crossing
 masks, hull and pockets, Theorem 3's ``star_ear_rows`` (filled by
 ``nc_euler.star_ear_chis``) and ``class_masks`` (filled by
 ``classes._class_masks``), and ``partition_state``, the state that
-``partition`` owns and fills (its chi engine, Lemma 1's memo and the record of
-the last checked cut).  The chord order is not the universe's: it reads it
-from the :class:`ChordOrder` of its n, shared with every universe of that size
-(its own one past ``ORDER_CACHE_N``).  It copies the polygon's n, vertices and
-orientation table and holds the polygon itself only through a weak reference,
-so it reads nothing through the polygon and a :class:`ChordSet` keeps working
-after its polygon is gone.  No reference cycle forms, and reference counting
-alone frees a polygon together with its universe and caches.
+``partition`` owns and fills (its chi engine, Lemma 1's memo, and the last
+checked cut with its constraints and signed sum).  The chord order is not the
+universe's: it reads it from the :class:`ChordOrder` of its n, shared with
+every universe of that size (its own one past ``ORDER_CACHE_N``).  It copies
+the polygon's n, vertices and orientation table and holds the polygon itself
+only through a weak reference, so it reads nothing through the polygon and a
+:class:`ChordSet` keeps working after its polygon is gone.  No reference cycle
+forms, and reference counting alone frees a polygon together with its universe
+and caches.
 """
 
 from __future__ import annotations

@@ -84,7 +84,8 @@ from . import chords as _chords
 class InstanceTooLarge(ValueError):
     """An instance past a size limit; the CLI exits 3 on it.
 
-    The limits are the caps on |J| and the interpreter's recursion limit.
+    The limits are the caps on |J|, ``partition.IE_CAP`` also on the number
+    of inclusion-exclusion sets, and the interpreter's recursion limit.
     """
 
 

@@ -46,7 +46,7 @@ in exactly one of them, since it does not cross c:
 with C1 = (C - c) & span(F1) and C2 the rest of C - c; L(F2, C2) is skipped
 when L(F1, C1) is 0.  The depth is at most |J| + 1.  The value depends on
 (C, F) alone, because F's family does, so one memo keyed by ``C << n | F``,
-``ChordUniverse.lemma1_chis``, serves every J of the polygon; its C = {}
+the state's ``lemma1`` (below), serves every J of the polygon; its C = {}
 entries are the face chis.  Keyed by the subset I instead, as a walk over the
 2^|J| subsets is, no two terms would share work.  Keyed by (C, F), a J reuses
 what earlier sets J filled for the same face and undecided chords, and C is
@@ -56,16 +56,22 @@ at most |J| + 1 keys.  Measured: asking every J of a random 10-gon (seeds
 which 69 to 394 are faces; the 20,793 sets J of a convex 10-gon fill 40,779,
 968 of them faces.
 
-The universe's ``partition_state`` holds the engine, Lemma 1's memo and the
-record of the last checked cut J, so the routes asked about J in turn check
-it, build its constraints and walk its 2^|J| subsets once, and nothing of
-size 2^|J| outlives the walk.  J is infeasible iff its constraints are
-``[0]``.  NC_nc[J] is the union of the down-sets of J - c over the constraints
-c, which are inclusion-minimal, so its maximal sets are the J - c.
+The universe's ``partition_state`` is one :class:`_State`: the ``engine``
+(built on first use) and ``lemma1`` serve every J of the polygon, and
+``mask`` is the last checked cut J, whose ``constraints`` and ``signed``, the
+sum over NC_c[J] of (-1)^|I|, are filled on first use.  So the routes asked
+about J in turn check it, build its constraints and walk its 2^|J| subsets
+once, and :func:`_walk` keeps none of them.  J is infeasible iff its
+constraints are ``[0]``.  NC_c[J] and NC_nc[J] split the subsets of J, whose
+signs sum to 0 for J nonempty, so Lemma D2's sum is minus Theorem 2's.
+NC_nc[J] is the union of the down-sets of J - c over the constraints c, which
+are inclusion-minimal, so its maximal sets are the J - c, and some of them
+meet in nothing iff their c cover J.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -83,21 +89,14 @@ class PartitionError(ValueError):
 
 
 @dataclass(slots=True)
-class _Record:
-    """A checked cut J: its constraints and its two signed sums, each filled on first use."""
-
-    mask: int
-    constraints: tuple[int, ...] | None = None
-    sums: tuple[int, int] | None = None
-
-
-@dataclass(slots=True)
 class _State:
     """The layer's state in a universe's ``partition_state``, with no reference back."""
 
     engine: EulerEngine | None = None
     lemma1: dict[int, int] = field(default_factory=dict)
-    record: _Record | None = None
+    mask: int | None = None
+    constraints: tuple[int, ...] | None = None
+    signed: int | None = None
 
 
 def _state(uni: ChordUniverse) -> _State:
@@ -123,13 +122,13 @@ class PartitionResult:
     parts: tuple[tuple[int, ...], ...]
 
 
-def _check_noncrossing_diagonals(poly: Polygon, cut: ChordSet) -> _Record:
+def _check_noncrossing_diagonals(poly: Polygon, cut: ChordSet) -> _State:
     uni = universe_of(poly)
     if cut.universe is not uni:
         raise PartitionError("cut belongs to a different polygon")
     state = uni.partition_state or _state(uni)
-    if state.record is not None and state.record.mask == cut.mask:
-        return state.record
+    if state.mask == cut.mask:
+        return state
     d_mask = uni.kind_mask(ChordKind.DIAGONAL)
     m = cut.mask
     while m:
@@ -139,8 +138,8 @@ def _check_noncrossing_diagonals(poly: Polygon, cut: ChordSet) -> _Record:
             raise PartitionError(f"chord {uni.chords[k]} is not a diagonal")
         if uni.crossing_masks[k] & cut.mask:
             raise PartitionError(f"cut contains a crossing pair at {uni.chords[k]}")
-    state.record = _Record(cut.mask)
-    return state.record
+    state.mask, state.constraints, state.signed = cut.mask, None, None
+    return state
 
 
 def _cut(faces: list[int], i: int, j: int) -> list[int]:
@@ -191,10 +190,10 @@ def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bo
     of (w - v) mod n.  A window from ray s to ray t spans more than pi iff
     v -> w_s -> w_t turns clockwise.
     """
-    rec = _check_noncrossing_diagonals(poly, j_set)
-    if rec.constraints is None:
-        rec.constraints = _window_constraints(poly, j_set.universe, rec.mask)
-    return list(rec.constraints), rec.constraints != (0,)
+    state = _check_noncrossing_diagonals(poly, j_set)
+    if state.constraints is None:
+        state.constraints = _window_constraints(poly, j_set.universe, state.mask)
+    return list(state.constraints), state.constraints != (0,)
 
 
 def _window_constraints(poly: Polygon, uni: ChordUniverse, jm: int) -> tuple[int, ...]:
@@ -240,34 +239,40 @@ def _window_constraints(poly: Polygon, uni: ChordUniverse, jm: int) -> tuple[int
     return tuple(minimal)
 
 
-def _split_subsets(poly: Polygon, j_set: ChordSet) -> tuple[list[int], list[int]]:
-    """Masks of NC_c[J] and of NC_nc[J], each in descending submask order."""
+def _walk(poly: Polygon, j_set: ChordSet) -> Iterator[tuple[int, int | None]]:
+    """Each subset I of J, in descending submask order, with its sole-hit mask.
+
+    The mask holds the chords that are the only chord of I in some constraint,
+    or is None when I misses a constraint (I is in NC_nc[J]).  A member I of
+    NC_c[J] is minimal iff the mask is I, as dropping a chord leaves NC_c[J]
+    iff some constraint meets I in that chord alone.
+    """
     constraints, _ = convexity_constraints(poly, j_set)
     if len(j_set) > LATTICE_CAP:
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
-    jm = j_set.mask
-    members_c: list[int] = []
-    members_nc: list[int] = []
-    sub = jm
+    sub = jm = j_set.mask
     while True:
+        sole = 0
         for c in constraints:
-            if not sub & c:
-                members_nc.append(sub)
+            hit = sub & c
+            if not hit:
+                sole = None
                 break
-        else:
-            members_c.append(sub)
+            if not hit & (hit - 1):
+                sole |= hit
+        yield sub, sole
         if sub == 0:
-            return members_c, members_nc
+            return
         sub = (sub - 1) & jm
 
 
-def _signed_sums(poly: Polygon, j_set: ChordSet) -> tuple[int, int]:
-    """(sum over NC_c[J], sum over NC_nc[J]) of (-1)^|I|, on J's record."""
-    rec = _check_noncrossing_diagonals(poly, j_set)
-    if rec.sums is None:
-        rec.sums = tuple(sum(-1 if m.bit_count() & 1 else 1 for m in members)
-                         for members in _split_subsets(poly, j_set))
-    return rec.sums
+def _signed_sum(poly: Polygon, j_set: ChordSet) -> int:
+    """Sum over NC_c[J] of (-1)^|I|, kept in the state for J."""
+    state = _check_noncrossing_diagonals(poly, j_set)
+    if state.signed is None:
+        state.signed = sum(-1 if sub.bit_count() & 1 else 1
+                           for sub, sole in _walk(poly, j_set) if sole is not None)
+    return state.signed
 
 
 @dataclass(frozen=True)
@@ -283,21 +288,14 @@ class ConvexLattice:
 
 
 def convex_lattice(poly: Polygon, j_set: ChordSet) -> ConvexLattice:
-    members_c, members_nc = _split_subsets(poly, j_set)
-    # members_c is an up-set, so minimality reduces to single-bit tests.
-    cset = set(members_c)
-    minimal_c = []
-    for m in members_c:
-        mm = m
-        minimal = True
-        while mm:
-            bit = mm & -mm
-            mm &= mm - 1
-            if m & ~bit in cset:
-                minimal = False
-                break
-        if minimal:
-            minimal_c.append(m)
+    members_c, members_nc, minimal_c = [], [], []
+    for sub, sole in _walk(poly, j_set):
+        if sole is None:
+            members_nc.append(sub)
+            continue
+        members_c.append(sub)
+        if sole == sub:
+            minimal_c.append(sub)
     # J - c over the constraints c (module docstring); [J] when infeasible.
     constraints, _ = convexity_constraints(poly, j_set)
     maximal_nc = [j_set.mask & ~c for c in constraints]
@@ -324,14 +322,14 @@ def chi_removed_direct(poly: Polygon, removed: ChordSet, side: str) -> int:
 
 def chi_removed_theorem2(poly: Polygon, j_set: ChordSet) -> int:
     """(-1)^(|P|+1) * sum over NC_c[J] of (-1)^|I|."""
-    return (-1) ** (poly.n + 1) * _signed_sums(poly, j_set)[0]
+    return (-1) ** (poly.n + 1) * _signed_sum(poly, j_set)
 
 
 def chi_removed_lemma_d2(poly: Polygon, j_set: ChordSet) -> int:
-    """(-1)^|P| * sum over NC_nc[J] of (-1)^|I|; requires J nonempty."""
+    """(-1)^|P| * sum over NC_nc[J] of (-1)^|I|, minus NC_c[J]'s; requires J nonempty."""
     if j_set.mask == 0:
         raise PartitionError("the J = {} case is outside this identity's hypothesis")
-    return (-1) ** poly.n * _signed_sums(poly, j_set)[1]
+    return (-1) ** poly.n * -_signed_sum(poly, j_set)
 
 
 def _lemma1(uni: ChordUniverse, memo: dict[int, int], face: int, cut: int) -> int:
@@ -388,7 +386,10 @@ def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) ->
     contained in every member of NC_c[j_set].  The factor of a face F of the
     cut by j_prime is chi of F's diagonals less the chords of J, which is the
     parent-universe mask ``D & span(F) & ~J`` (see the module docstring).
+    Within J's forced chords, j_prime needs no check beyond its universe.
     """
+    if j_prime.universe is not j_set.universe:
+        raise PartitionError("cut belongs to a different polygon")
     constraints, feasible = convexity_constraints(poly, j_set)
     if not feasible:
         raise PartitionError("J does not provide a convex partition")
@@ -401,7 +402,6 @@ def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) ->
     uni = j_set.universe
     eng = _engine(uni)
     fam = uni.kind_mask(ChordKind.DIAGONAL) & ~j_set.mask
-    _check_noncrossing_diagonals(poly, j_prime)
     prod = 1
     for face in _faces(uni, j_prime.mask):
         prod *= eng.chi(fam & uni.span_mask(face))
@@ -444,39 +444,37 @@ def xi(poly: Polygon, j_set: ChordSet, subset: ChordSet) -> int:
 
 
 def chi_inclusion_exclusion(poly: Polygon, j_set: ChordSet, mode: str) -> int:
-    """Inclusion-exclusion over the minimal convex / maximal non-convex sets."""
+    """Inclusion-exclusion over the minimal convex / maximal non-convex sets.
+
+    Both sum over the subfamilies whose union is J: maximal sets J - c meet
+    in nothing iff their c cover J, so maximal mode reads the constraints,
+    with the sign flipped, and walks no subsets.
+    """
     if mode not in ("minimal", "maximal"):
         raise ValueError("mode must be 'minimal' or 'maximal'")
     if poly.is_convex:
         raise PartitionError("defined for non-convex polygons")
-    if not convexity_constraints(poly, j_set)[1]:
+    constraints, feasible = convexity_constraints(poly, j_set)
+    if not feasible:
         raise PartitionError("J does not provide a convex partition")
-    if len(j_set) > IE_CAP:  # no 2^|J| split before the cap error
+    if len(j_set) > IE_CAP:  # no 2^|J| walk before the cap error
         raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the cap {IE_CAP}")
-    jm = j_set.mask
-    lat = convex_lattice(poly, j_set)
-    sets = lat.minimal_c if mode == "minimal" else lat.maximal_nc
-    if len(sets) > IE_CAP:  # the sums walk 2^len(sets) subfamilies
-        raise InstanceTooLarge(f"{len(sets)} {mode} sets exceed the cap {IE_CAP}")
     if mode == "minimal":
-        total = 0
-        for k in range(1, len(sets) + 1):
-            for combo in combinations(sets, k):
-                u = 0
-                for m in combo:
-                    u |= m
-                if u == jm:  # xi(union) over NC_c[J] is the J-indicator
-                    total += -1 if k & 1 else 1
-        return (-1) ** (poly.n + len(j_set)) * total
-    total = 0
+        sets = [sub for sub, sole in _walk(poly, j_set) if sole == sub]
+        sign = (-1) ** (poly.n + len(j_set))
+    else:
+        sets, sign = constraints, (-1) ** (poly.n + 1)
+    if len(sets) > IE_CAP:  # the sum walks 2^len(sets) subfamilies
+        raise InstanceTooLarge(f"{len(sets)} {mode} sets exceed the cap {IE_CAP}")
+    jm, total = j_set.mask, 0
     for k in range(1, len(sets) + 1):
         for combo in combinations(sets, k):
-            u = jm
+            u = 0
             for m in combo:
-                u &= m
-            if u == 0:  # xi(intersection) over NC_nc[J] is the emptyset-indicator
-                total += 1 if k & 1 else -1
-    return (-1) ** poly.n * total
+                u |= m
+            if u == jm:
+                total += -1 if k & 1 else 1
+    return sign * total
 
 
 def _face_diagonal(poly: Polygon, face: int, start: int) -> Chord:

@@ -436,15 +436,24 @@ def test_lemma1_face_family_depends_on_the_face_alone():
                 assert d_mask & ~i_set.mask & span == d_mask & span & ~edges
 
 
-def test_factorized_product():
+def test_factorized_product(monkeypatch):
+    # J's constraints are built once: a forced J' is not checked as a cut of
+    # its own, so it leaves J the last checked cut for the next J'.
+    import chord_euler.partition as part
+
+    builds = []
+    real = part._window_constraints
+    monkeypatch.setattr(part, "_window_constraints", lambda *a: builds.append(a) or real(*a))
+    n_sets = 0
     for seed in range(25):
         poly = random_simple_polygon(6 + seed % 3, seed + 500)
         uni = universe_of(poly)
         cache = {}
         for j in nc_diagonal_subsets(poly):
+            n_sets += 1
+            constraints, _ = convexity_constraints(poly, j)
             if not is_convex_partition(poly, j):
                 continue
-            constraints, feasible = convexity_constraints(poly, j)
             forced = 0
             for c in constraints:
                 if c.bit_count() == 1:
@@ -460,12 +469,22 @@ def test_factorized_product():
                     inside = [c for c in j - jp if c.i in part and c.j in part]
                     want *= _part_chi_oracle(poly, part, inside, cache)
                 assert got == want
+    assert len(builds) == n_sets == 2332
 
 
 def test_factorized_precondition(dart):
     j = cs(dart, (0, 2))
     with pytest.raises(PartitionError):
         chi_removed_factorized(dart, empty(dart), j)
+    # A J' of another polygon is refused as such, within J's forced chords
+    # or not.
+    poly = random_simple_polygon(8, 0)
+    twin = universe_of(poly.rotated(0))
+    for j in nc_diagonal_subsets(poly):
+        if convexity_constraints(poly, j)[1]:
+            for m in (0, j.mask):
+                with pytest.raises(PartitionError, match="different polygon"):
+                    chi_removed_factorized(poly, j, twin.set_of_mask(m))
 
 
 def test_epigonal_pockets(square, dart):
@@ -510,7 +529,14 @@ def test_xi_rejects_a_subset_of_another_polygon(dart):
         xi(poly, j, other.set_of_mask(j.mask & -j.mask))
 
 
-def test_inclusion_exclusion_agrees_with_direct():
+def test_inclusion_exclusion_agrees_with_direct(monkeypatch):
+    # Maximal mode walks no subsets: the maximal sets J - c meet in nothing
+    # iff their constraints c cover J, so it sums over the constraints alone.
+    import chord_euler.partition as part
+
+    def no_walk(*_):
+        raise AssertionError("maximal mode walked the subsets of J")
+
     for seed in range(20):
         poly = random_simple_polygon(6 + seed % 3, seed + 700)
         if poly.is_convex:
@@ -520,12 +546,14 @@ def test_inclusion_exclusion_agrees_with_direct():
                 continue
             direct = chi_removed_direct(poly, j, "d")
             assert chi_inclusion_exclusion(poly, j, "minimal") == direct
-            assert chi_inclusion_exclusion(poly, j, "maximal") == direct
+            with monkeypatch.context() as patched:
+                patched.setattr(part, "_walk", no_walk)
+                assert chi_inclusion_exclusion(poly, j, "maximal") == direct
 
 
 def test_inclusion_exclusion_builds_the_constraints_once(monkeypatch):
-    # Counted as builds (fills of J's record), not calls: a call that finds
-    # the constraints on the record builds nothing.
+    # Counted as builds (fills of J's constraints), not calls: a call that
+    # finds the constraints in the state builds nothing.
     import chord_euler.partition as part
 
     calls = []
@@ -538,7 +566,7 @@ def test_inclusion_exclusion_builds_the_constraints_once(monkeypatch):
             continue
         for j in nc_diagonal_subsets(poly):
             for mode in ("minimal", "maximal"):
-                cold = poly.rotated(0)  # a copy starts with no record
+                cold = poly.rotated(0)  # a copy starts with no state
                 cold_j = universe_of(cold).set_of_mask(j.mask)
                 calls.clear()
                 try:
@@ -555,13 +583,13 @@ def test_inclusion_exclusion_builds_the_constraints_once(monkeypatch):
 
 def test_inclusion_exclusion_error_order(monkeypatch):
     # A bad or infeasible J is reported (PartitionError) before |J| > IE_CAP
-    # (InstanceTooLarge), and no 2^|J| split runs before the cap error.
+    # (InstanceTooLarge), and no 2^|J| walk runs before the cap error.
     import chord_euler.partition as part
 
-    def no_split(*_):
-        raise AssertionError("the 2^|J| split ran past the cap")
+    def no_walk(*_):
+        raise AssertionError("the 2^|J| walk ran past the cap")
 
-    monkeypatch.setattr(part, "_split_subsets", no_split)
+    monkeypatch.setattr(part, "_walk", no_walk)
     n = part.IE_CAP + 5  # a triangulation less one diagonal is still past the cap
     cases = {"feasible": 0, "infeasible": 0, "crossing": 0}
     for seed in range(10):
@@ -665,14 +693,25 @@ def _held_entries(obj):
                          ids=["convex", "random"])
 def test_theorem2_leaves_nothing_of_size_2_to_the_j(poly):
     # Each route walks the 2^|J| subsets of a triangulation's J (|J| = 16)
-    # and keeps no more than a few entries per chord of J.
+    # and keeps no more than a few entries per chord of J.  The signed sums
+    # hold no more than that while they walk: a list of the 2^16 subsets
+    # alone would take more than 2 MiB.
+    import tracemalloc
+
     uni = universe_of(poly)
     j = extend_to_triangulation(poly, empty(poly))
     assert len(j) == 16
-    got = chi_removed_theorem2(poly, j), chi_removed_lemma_d2(poly, j)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = chi_removed_theorem2(poly, j), chi_removed_lemma_d2(poly, j)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024, peak
     convex_lattice(poly, j)
     state = uni.partition_state
-    assert state.record.mask == j.mask and state.record.sums is not None
+    assert state.mask == j.mask and state.signed is not None
     assert _held_entries(state) <= 4 * len(j)
     assert got == (chi_removed_direct(poly, j, "d"),) * 2
 
@@ -727,21 +766,22 @@ def test_theorem2_state_cached_on_the_universe(first):
     js = [j for j in nc_diagonal_subsets(poly) if len(j) >= 2]
     first(poly, js[0])
     state = uni.partition_state
-    record = state.record
-    assert record.mask == js[0].mask
+    assert state.mask == js[0].mask
     if first is chi_removed_lemma1:
-        assert state.lemma1 and record.constraints is None and record.sums is None
+        assert state.lemma1 and state.constraints is None and state.signed is None
     else:
-        assert not state.lemma1 and record.constraints is not None
-        assert (record.sums is None) == (first is convex_lattice)
+        assert not state.lemma1 and state.constraints is not None
+        assert (state.signed is None) == (first is convex_lattice)
+    constraints = state.constraints
     chi_removed_lemma1(poly, js[0])
     memo = state.lemma1
-    assert memo and state.record is record  # the same J keeps its record
+    # The same J keeps its constraints.
+    assert memo and state.mask == js[0].mask and state.constraints is constraints
     for j in js:
         chi_removed_theorem2(poly, j)
         chi_removed_lemma1(poly, j)
     assert uni.partition_state is state and state.lemma1 is memo
-    assert state.record.mask == js[-1].mask and state.record.sums is not None
+    assert state.mask == js[-1].mask and state.signed is not None
     # A hit still checks J: the same mask over another universe is refused.
     twin = poly.rotated(0)
     with pytest.raises(PartitionError, match="different polygon"):
@@ -750,9 +790,9 @@ def test_theorem2_state_cached_on_the_universe(first):
 
 @pytest.mark.parametrize("route", THEOREM2_ROUTES)
 def test_bad_j_is_refused_after_a_validated_one(route):
-    # A J that passed the check has a record in the universe's partition
-    # state; a bad J never does, so each call on it is refused, however often
-    # it is asked, and the good J keeps its record.
+    # A J that passed the check is the last checked cut in the universe's
+    # partition state; a bad J never is, so each call on it is refused,
+    # however often it is asked, and the good J keeps its constraints and sum.
     poly = random_simple_polygon(8, 11)
     uni = universe_of(poly)
     good = next(j for j in nc_diagonal_subsets(poly) if len(j) >= 2)
@@ -763,8 +803,9 @@ def test_bad_j_is_refused_after_a_validated_one(route):
     with_epigonal = uni.set_of_mask(good.mask | epigonal & -epigonal)
     twin = universe_of(poly.rotated(0)).set_of_mask(good.mask)
     route(poly, good)
-    record = uni.partition_state.record
-    assert record.mask == good.mask
+    state = uni.partition_state
+    kept = state.constraints, state.signed
+    assert state.mask == good.mask
     for _ in range(2):
         with pytest.raises(PartitionError, match="crossing pair"):
             route(poly, crossing)
@@ -772,7 +813,8 @@ def test_bad_j_is_refused_after_a_validated_one(route):
             route(poly, with_epigonal)
         with pytest.raises(PartitionError, match="different polygon"):
             route(poly, twin)
-        assert uni.partition_state.record is record
+        assert state.mask == good.mask
+        assert state.constraints is kept[0] and state.signed == kept[1]
         route(poly, good)
 
 
