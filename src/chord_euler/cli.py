@@ -52,8 +52,9 @@ EXIT_GENERATOR = 4
 CAPS = {"theorem2_n": 10, "lemmae_n": 10, "theorem3_n": 12, "theorem1_n": 12,
         "zigzag_l": 10, "catalan_n": 64, "catalan_a": 8}
 # ``verify catalan`` also counts the a-diagonal sets of the convex
-# (a(n+1)+2)-gon up to this size.  Within the caps, the sizes up to 40 take
-# about 2.4 s together; a 45-gon alone takes 0.9 s and a 61-gon 17 s.
+# (a(n+1)+2)-gon up to this size.  On one Xeon core the 92 pairs (n, a) of
+# the caps up to 40 take 0.3 s, the 166 up to 67 (every a = 1) 4.8 s, and
+# the rest of the caps about 31 s.
 CATALAN_GEOMETRIC_SIZE = 40
 
 
@@ -210,92 +211,89 @@ def _theorem3_json(rep) -> dict:
 # verify campaigns
 
 
-def _campaign_polygons(n_lo, n_hi, count, seed, min_n=3):
-    for idx in range(count):
+def _n_range(args, target: str) -> tuple[int, int]:
+    """``--n`` as (lo, hi), checked against the campaign's cap ``CAPS[target_n]``."""
+    n_lo, n_hi = _parse_range(args.n)
+    cap = CAPS[f"{target}_n"]
+    if n_hi > cap:
+        raise CapExceeded(f"{target} cap: n <= {cap}")
+    return n_lo, n_hi
+
+
+def _campaign_polygons(args, target: str, min_n: int = 3):
+    """The ``--random`` seeded polygons (item, polygon), their sizes cycling through ``--n``."""
+    n_lo, n_hi = _n_range(args, target)
+    for idx in range(args.random):
         n = n_lo + idx % (n_hi - n_lo + 1)
         if n < min_n:
             raise CliInputError(f"n = {n} below the minimum {min_n}")
-        yield idx, random_simple_polygon(n, seed + idx)
+        yield idx, random_simple_polygon(n, args.seed + idx)
+
+
+def _failure(args, idx: int, poly: Polygon, detail: str) -> str:
+    """A failure line for a campaign polygon, with the polygon itself to rebuild it."""
+    return (f"item={idx} seed={args.seed + idx} n={poly.n} {detail} "
+            f"polygon={json.dumps(polygon_to_json(poly))}")
 
 
 def _verify_theorem1(args) -> list[str]:
-    n_lo, n_hi = _parse_range(args.n)
-    if n_hi > CAPS["theorem1_n"]:
-        raise CapExceeded(f"theorem1 cap: n <= {CAPS['theorem1_n']}")
+    n_lo, n_hi = _n_range(args, "theorem1")
     failures = []
     for n in range(max(3, n_lo), n_hi + 1):
         rep = verify_theorem1(convex_ngon(n))
         if not rep.ok:
             failures.append(f"convex n={n}: {rep}")
-    for idx, poly in _campaign_polygons(n_lo, n_hi, args.random, args.seed):
+    for idx, poly in _campaign_polygons(args, "theorem1"):
         rep = verify_theorem1(poly)
         if not rep.ok:
-            failures.append(f"random item={idx} seed={args.seed + idx} n={poly.n}")
+            failures.append(_failure(args, idx, poly, f"d_sum={rep.d_sum} e_sum={rep.e_sum}"))
     return failures
 
 
-def _set_failure(args, idx: int, poly: Polygon, j: ChordSet) -> str:
-    """A failure line for a set J, with the polygon and J's mask to rebuild it."""
-    return (f"item={idx} seed={args.seed + idx} n={poly.n} J={j} J_mask={j.mask:#x} "
-            f"polygon={json.dumps(polygon_to_json(poly))}")
+def _verify_sets(args, target: str, kind: ChordKind, agree) -> list[str]:
+    """``agree(poly, J)`` on every non-crossing set J of ``kind`` chords of each campaign polygon."""
+    failures = []
+    for idx, poly in _campaign_polygons(args, target, min_n=4):
+        uni = universe_of(poly)
+        for j_mask in iter_nc_masks(uni.crossing_masks, uni.kind_mask(kind)):
+            j = uni.set_of_mask(j_mask)
+            if not agree(poly, j):
+                failures.append(_failure(args, idx, poly, f"J={j} J_mask={j_mask:#x}"))
+    return failures
 
 
 def _verify_theorem2(args) -> list[str]:
-    n_lo, n_hi = _parse_range(args.n)
-    if n_hi > CAPS["theorem2_n"]:
-        raise CapExceeded(f"theorem2 cap: n <= {CAPS['theorem2_n']}")
-    failures = []
-    for idx, poly in _campaign_polygons(n_lo, n_hi, args.random, args.seed, min_n=4):
-        uni = universe_of(poly)
-        d_mask = uni.kind_mask(ChordKind.DIAGONAL)
-        for j_mask in iter_nc_masks(uni.crossing_masks, d_mask):
-            j = uni.set_of_mask(j_mask)
-            direct = chi_removed_direct(poly, j, "d")
-            ok = chi_removed_theorem2(poly, j) == direct
-            ok = ok and chi_removed_lemma1(poly, j) == direct
-            if j_mask:
-                ok = ok and chi_removed_lemma_d2(poly, j) == direct
-            if not ok:
-                failures.append(_set_failure(args, idx, poly, j))
-    return failures
+    def agree(poly: Polygon, j: ChordSet) -> bool:
+        direct = chi_removed_direct(poly, j, "d")
+        return (chi_removed_theorem2(poly, j) == direct
+                and chi_removed_lemma1(poly, j) == direct
+                and (not j.mask or chi_removed_lemma_d2(poly, j) == direct))
+
+    return _verify_sets(args, "theorem2", ChordKind.DIAGONAL, agree)
 
 
 def _verify_theorem3(args) -> list[str]:
-    n_lo, n_hi = _parse_range(args.n)
-    if n_hi > CAPS["theorem3_n"]:
-        raise CapExceeded(f"theorem3 cap: n <= {CAPS['theorem3_n']}")
     failures = []
-    for idx, poly in _campaign_polygons(n_lo, n_hi, args.random, args.seed, min_n=5):
+    for idx, poly in _campaign_polygons(args, "theorem3", min_n=5):
         for i in range(poly.n):
             rep = verify_theorem3(poly, i)
             if not rep.ok:
-                failures.append(
-                    f"item={idx} seed={args.seed + idx} n={poly.n} i={i} "
-                    f"clauses={rep.failing_clauses()} polygon={json.dumps(polygon_to_json(poly))}"
-                )
+                failures.append(_failure(args, idx, poly, f"i={i} clauses={rep.failing_clauses()}"))
     return failures
 
 
 def _verify_lemmae(args) -> list[str]:
-    n_lo, n_hi = _parse_range(args.n)
-    if n_hi > CAPS["lemmae_n"]:
-        raise CapExceeded(f"lemmae cap: n <= {CAPS['lemmae_n']}")
-    failures = []
-    for idx, poly in _campaign_polygons(n_lo, n_hi, args.random, args.seed, min_n=4):
-        uni = universe_of(poly)
-        e_mask = uni.kind_mask(ChordKind.EPIGONAL)
-        for j_mask in iter_nc_masks(uni.crossing_masks, e_mask):
-            j = uni.set_of_mask(j_mask)
-            if chi_epigonal_pockets(poly, j) != chi_removed_direct(poly, j, "e"):
-                failures.append(_set_failure(args, idx, poly, j))
-    return failures
+    def agree(poly: Polygon, j: ChordSet) -> bool:
+        return chi_epigonal_pockets(poly, j) == chi_removed_direct(poly, j, "e")
+
+    return _verify_sets(args, "lemmae", ChordKind.EPIGONAL, agree)
 
 
 def _verify_catalan(args) -> list[str]:
     n_lo, n_hi = _parse_range(args.n)
     a_lo, a_hi = _parse_range(args.a)
     if n_hi > CAPS["catalan_n"] or a_hi > CAPS["catalan_a"]:
-        raise CapExceeded("catalan caps: n <= 64, a <= 8")
+        raise CapExceeded(f"catalan caps: n <= {CAPS['catalan_n']}, a <= {CAPS['catalan_a']}")
     n_lo, a_lo = max(1, n_lo), max(1, a_lo)
     if n_lo > n_hi or a_lo > a_hi:
         raise CliInputError(f"--n {args.n} --a {args.a} holds no pair with n >= 1 and a >= 1")

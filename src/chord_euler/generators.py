@@ -23,7 +23,7 @@ from fractions import Fraction
 from .chords import Chord, ChordSet, universe_of
 from .exact_scalar import QSqrt3
 from .geometry import Point, Polygon, PolygonError, validate_polygon
-from .geometry import first_crossing_edges, orientation_table, validate_path
+from .geometry import CollinearTriple, first_crossing_edges, orientation_table, validate_path
 from .partition import PartitionError, convexity_constraints
 from . import classes as _classes
 
@@ -105,16 +105,14 @@ def perturb_to_general_position(points: list[Point], structural_check=None) -> P
     starting from eps = ``PERTURB_BUDGET`` and halving eps (and then flipping
     its sign) until the polygon validates and the caller's structural check
     accepts.  Inputs already in general position are returned unchanged.
+    The collinear triples are the zero signs of the points' orientation
+    table; a repeated point makes zero signs too, so it is nudged apart.
     """
-    from .geometry import orientation
-
-    n = len(points)
-    bad: set[int] = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orientation(points[i], points[j], points[k]) == 0:
-                    bad.update((i, j, k))
+    try:
+        orientation_table(points)
+        bad = set()
+    except CollinearTriple as exc:
+        bad = {v for triple in exc.triples for v in triple}
     if not bad:
         poly = validate_polygon(points)
         if structural_check is not None and not structural_check(poly):

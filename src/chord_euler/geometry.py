@@ -43,9 +43,11 @@ class DuplicateVertex(PolygonError):
 
 
 class CollinearTriple(PolygonError):
-    def __init__(self, i: int, j: int, k: int):
+    # ``indices`` is the first collinear triple, ``triples`` every one found.
+    def __init__(self, i: int, j: int, k: int, triples: Sequence[tuple[int, int, int]] = ()):
         super().__init__(f"collinear vertices at indices ({i}, {j}, {k})")
         self.indices = (i, j, k)
+        self.triples = list(triples) or [self.indices]
 
 
 class SelfIntersection(PolygonError):
@@ -169,8 +171,9 @@ def orientation_table(points: Sequence[Point]) -> tuple[int, ...]:
     counter-clockwise.  The coordinates are lifted once to integer pairs over
     Z[sqrt 3] with one common denominator, so each of the C(n, 3) orientations
     is one integer determinant, summed from precomputed 2x2 minors, and the
-    exact sign of a + b*sqrt(3).  Raises :class:`CollinearTriple` at the first
-    collinear (i, j, k) in ``combinations`` order.
+    exact sign of a + b*sqrt(3).  Raises :class:`CollinearTriple` after the
+    scan if a sign is zero: it names the first collinear (i, j, k) in
+    ``combinations`` order, and its ``triples`` lists them all.
 
     The loops read the pairs and triples as :func:`_slots`, which depend on n
     alone, and write only the upper entries (i < j).  With no zero sign,
@@ -194,6 +197,7 @@ def orientation_table(points: Sequence[Point]) -> tuple[int, ...]:
         det_a[ij] = xia * yja + 3 * xib * yjb - xja * yia - 3 * xjb * yib
         det_b[ij] = xia * yjb + xib * yja - xja * yib - xjb * yia
     left = [0] * (n * n)
+    zero = []  # the collinear triples
     for ij, ik, jk, bi, bj, bk in triples:
         # The cross product (p_j - p_i) x (p_k - p_i).
         sign = det_a[jk] - det_a[ik] + det_a[ij]
@@ -206,7 +210,9 @@ def orientation_table(points: Sequence[Point]) -> tuple[int, ...]:
         elif sign < 0:
             left[ik] |= bj
         else:
-            raise CollinearTriple(ij // n, ij % n, jk % n)
+            zero.append((ij // n, ij % n, jk % n))
+    if zero:
+        raise CollinearTriple(*zero[0], triples=zero)
     full = (1 << n) - 1
     for _, _, ij, ji, ends in pairs:
         left[ji] = full ^ ends ^ left[ij]

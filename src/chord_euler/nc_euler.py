@@ -32,10 +32,10 @@ the table in O(n^3) ring operations at one of two points:
 * x = 2^width, for :func:`f_vector`, on the intervals p..q with p < q (the
   cycle cut open between n-1 and 0); V(0, n-1) is the f-polynomial.  A
   polynomial is packed into one integer, the coefficient of x^k in bits
-  [k*width, (k+1)*width).  Every coefficient of every intermediate
-  polynomial counts distinct non-crossing subsets of the family by size, so
-  it is below 2^|family| and ``width = |family| + 1`` bits never carry into
-  the next coefficient.
+  [k*width, (k+1)*width).  The integer arithmetic is exact, so the result
+  is the f-polynomial's value at 2^width, and it unpacks to the f-vector
+  as long as no coefficient reaches 2^width (:func:`_dp_f_vector` bounds
+  them).
 * x = -1, for :func:`star_ear_chis`, on every cyclic interval.  Theorem 3
   asks, at every vertex i, for chi of the diagonals D and of the epigonals
   E less the star of i (the chords at i) and less its ear chord
@@ -200,17 +200,30 @@ def _intervals(nbr: Sequence[int], x: int, cyclic: bool) -> list[list[int]]:
 
 
 def _dp_f_vector(family: ChordSet) -> FVector:
-    """The interval DP of the module docstring; needs no boundary-crossing chord."""
+    """The interval DP of the module docstring; needs no boundary-crossing chord.
+
+    The packing width is ``min(|family|, 3(n - 3) * parts) + 1`` bits, with
+    ``parts`` the number of kinds (D, E) the family meets.  A coefficient
+    counts distinct non-crossing subsets of one size, so it is below
+    2^|family|.  The chords of one kind cross only by interleaving, so a
+    non-crossing set of them is a dissection of a convex n-gon, and there
+    are at most s(n - 2) of those, the little Schroeder number.  Its
+    recurrence (k + 1) s(k) = 3(2k - 1) s(k - 1) - (k - 2) s(k - 2) gives
+    s(k) < 6 s(k - 1), so s(n - 2) <= 6^(n - 3) < 2^(3(n - 3)).  The D part
+    and the E part multiply, so a coefficient is below 2^(3(n - 3) * parts).
+    A convex n-gon's D has s(n - 2) non-crossing sets in all.
+    """
     uni = family.universe
-    width = family.mask.bit_count() + 1
-    total = 1
+    parts = []
     for kind, nbr in ((ChordKind.DIAGONAL, uni.diag), (ChordKind.EPIGONAL, uni.epi)):
         whole = uni.kind_mask(kind)
         part = family.mask & whole
         if part:
-            if part != whole:
-                nbr = _neighbours(uni, part)
-            total *= _intervals(nbr, 1 << width, cyclic=False)[0][-1]
+            parts.append(nbr if part == whole else _neighbours(uni, part))
+    width = min(family.mask.bit_count(), 3 * (uni.n - 3) * len(parts)) + 1
+    total = 1
+    for nbr in parts:
+        total *= _intervals(nbr, 1 << width, cyclic=False)[0][-1]
     counts = []
     low = (1 << width) - 1
     while total:

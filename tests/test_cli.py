@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -212,29 +213,72 @@ def test_exit_property_failure(capsys, monkeypatch):
     assert code == EXIT_FAIL and "planted failure" in out
 
 
+_DETAIL = {
+    "theorem1": r"d_sum=-?\d+ e_sum=-?\d+",
+    "theorem2": r"J=(?P<j>\{.*?\}) J_mask=(?P<mask>0x[0-9a-f]+)",
+    "theorem3": r"i=\d clauses=\[.*?\]",
+    "lemmae": r"J=(?P<j>\{.*?\}) J_mask=(?P<mask>0x[0-9a-f]+)",
+}
+
+
+def _broken(real):
+    """``real`` with its verdict turned: a chi off by one, or a report that fails."""
+
+    def broken(*args):
+        out = real(*args)
+        if isinstance(out, int):
+            return out + 1
+        return out._replace(ok=False) if isinstance(out, tuple) else dataclasses.replace(out, ok=False)
+
+    return broken
+
+
 @pytest.mark.parametrize(
-    "target, route", [("theorem2", "chi_removed_lemma1"), ("lemmae", "chi_epigonal_pockets")]
+    "target, route",
+    [("theorem1", "verify_theorem1"), ("theorem2", "chi_removed_lemma1"),
+     ("theorem3", "verify_theorem3"), ("lemmae", "chi_epigonal_pockets")],
 )
 def test_campaign_failure_lines_rebuild_their_instance(capsys, monkeypatch, target, route):
-    # A failure line carries the polygon and J's mask: they rebuild the
-    # campaign's own instance without rerunning the campaign.
-    import chord_euler.cli as cli
-
-    real = getattr(cli, route)
-    monkeypatch.setattr(cli, route, lambda poly, j: real(poly, j) + 1)
+    # A failure line carries the polygon, and a set J its mask: they rebuild
+    # the campaign's own instance without rerunning the campaign.
+    monkeypatch.setattr(cli, route, _broken(getattr(cli, route)))
     code, out, _ = run(capsys, "verify", target, "--n", "6..7", "--random", "2", "--seed", "5")
     assert code == EXIT_FAIL
     items = set()
     for line in out.splitlines():
+        if target == "theorem1" and re.fullmatch(r"FAIL convex n=\d: .*", line):
+            continue  # rebuilt as convex_ngon(n)
         m = re.fullmatch(
-            r"FAIL item=(\d) seed=(\d+) n=(\d) J=(\{.*?\}) J_mask=(0x[0-9a-f]+) polygon=(.*)", line
+            rf"FAIL item=(?P<item>\d) seed=(?P<seed>\d+) n=(?P<n>\d) {_DETAIL[target]} "
+            r"polygon=(?P<poly>.*)", line
         )
         assert m, line
-        poly = polygon_from_json(json.loads(m[6]))
-        assert poly == random_simple_polygon(int(m[3]), int(m[2])) and int(m[2]) == 5 + int(m[1])
-        assert str(universe_of(poly).set_of_mask(int(m[5], 16))) == m[4]
-        items.add(m[1])
+        poly = polygon_from_json(json.loads(m["poly"]))
+        seed = int(m["seed"])
+        assert poly == random_simple_polygon(int(m["n"]), seed) and seed == 5 + int(m["item"])
+        if "mask" in m.groupdict():
+            assert str(universe_of(poly).set_of_mask(int(m["mask"], 16))) == m["j"]
+        items.add(m["item"])
     assert items == {"0", "1"}
+
+
+_CAP_CASES = [pytest.param(key, 1, id=key) for key in sorted(cli.CAPS)]
+_CAP_CASES.append(pytest.param("zigzag_l", -1, id="zigzag_l-negative"))
+
+
+@pytest.mark.parametrize("key, sign", _CAP_CASES)
+def test_one_past_each_cap_exits_3(capsys, monkeypatch, key, sign):
+    # Every cap, and zigzag's on both sides of zero; the message reads the
+    # cap from CAPS, so it follows a lowered cap too.
+    target, option = key.split("_")
+    for cap in (cli.CAPS[key], 5):
+        monkeypatch.setitem(cli.CAPS, key, cap)
+        argv = ["verify", target, f"--{option}", str(sign * (cap + 1))]
+        if target == "catalan":
+            argv += ["--a" if option == "n" else "--n", "1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_CAP, ""), argv
+        assert err.startswith("cap exceeded: ") and re.search(rf"\b{option}\|? <= {cap}\b", err), argv
 
 
 def test_verify_targets_pass(capsys):

@@ -52,6 +52,15 @@ def test_perturb_fixes_collinear_triples():
     assert poly.n == 5
 
 
+def test_perturb_moves_exactly_the_vertices_of_collinear_triples():
+    line = [pt(0, 0), pt(2, 0), pt(4, 0), pt(4, 4), pt(0, 4)]
+    assert set(perturb_to_general_position(line).vertices) & set(line) == {pt(4, 4), pt(0, 4)}
+    # A repeated point is collinear with every third point: all five move.
+    repeated = [pt(0, 0), pt(4, 0), pt(4, 0), pt(4, 4), pt(0, 4)]
+    poly = perturb_to_general_position(repeated)
+    assert poly.n == 5 and not set(poly.vertices) & set(repeated)
+
+
 def test_perturb_shrinks_until_structural_check_passes():
     points = [pt(0, 0), pt(2, 0), pt(4, 0), pt(4, 4), pt(0, 4)]
     seen = []

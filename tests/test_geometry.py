@@ -310,6 +310,19 @@ def test_orientation_table_collinear_indices_past_nine_points():
     assert {"table", "late"} <= outcomes
 
 
+@settings(max_examples=300)
+@given(st.lists(st.builds(pt, grid, grid), min_size=3, max_size=9))
+def test_orientation_table_reports_every_collinear_triple(vs):
+    # Repeated points too: a repeated point is collinear with any third.
+    want = [t for t in combinations(range(len(vs)), 3) if orientation(*(vs[v] for v in t)) == 0]
+    try:
+        orientation_table(vs)
+    except CollinearTriple as exc:
+        assert exc.indices == want[0] and exc.triples == want
+    else:
+        assert want == []
+
+
 def test_orientation_table_past_the_bound_adds_no_cache_entry():
     cache = geometry._cached_slots
     assert cache.cache_info().maxsize is not None

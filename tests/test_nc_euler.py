@@ -42,6 +42,7 @@ from chord_euler.nc_euler import (
     is_heart,
     iter_nc_masks,
     star_ear_chis,
+    _intervals,
 )
 from conftest import brute_euler, brute_nc_counts, exemplar_and_zigzag_polygons, pt
 from oracles import convex_hull_points, coordinate_crossing_masks, no_three_collinear
@@ -458,6 +459,36 @@ def test_shared_engine_matches_fresh_engines(m, seed, density):
         live = rng.getrandbits(m) | rng.getrandbits(m)
         want = EulerEngine(adj).chi(live)
         assert shared.chi(live) == want == _dfs_chi(adj, live)
+
+
+def _unpack(value: int, width: int) -> tuple[int, ...]:
+    counts = []
+    while value:
+        counts.append(value & (1 << width) - 1)
+        value >>= width
+    return tuple(counts)
+
+
+def test_packing_width_bound_is_attained_by_convex_polygons():
+    # f_vector packs at min(|family|, 3(n - 3) * parts) + 1 bits, from
+    # s(n - 2) <= 6^(n - 3) < 2^(3(n - 3)) non-crossing sets per kind.  A
+    # convex n-gon's D has exactly s(n - 2) of them, and its f-vector is the
+    # one packed at the former width |D| + 1.  The packing needs every bit of
+    # the largest coefficient: one bit fewer unpacks a different f-vector.
+    s = [1, 1]  # little Schroeder numbers
+    for k in range(2, 29):
+        value, rest = divmod(3 * (2 * k - 1) * s[k - 1] - (k - 2) * s[k - 2], k + 1)
+        assert rest == 0 and value < 6 * s[k - 1]
+        s.append(value)
+    for n in range(4, 31):
+        poly = convex_ngon(n)
+        uni = universe_of(poly)
+        want = f_vector(diagonals(poly)).counts
+        assert sum(want) == s[n - 2] <= 6 ** (n - 3) < 2 ** (3 * (n - 3))
+        for width in (uni.kind_mask(ChordKind.DIAGONAL).bit_count() + 1, max(want).bit_length()):
+            assert _unpack(_intervals(uni.diag, 1 << width, cyclic=False)[0][-1], width) == want
+        narrow = max(want).bit_length() - 1
+        assert _unpack(_intervals(uni.diag, 1 << narrow, cyclic=False)[0][-1], narrow) != want
 
 
 def test_euler_values(square, dart):
