@@ -14,7 +14,6 @@ by :func:`nc_euler.f_vector`, which shares no code with the closed form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, lcm
 
 from .chords import a_diagonals
@@ -38,17 +37,17 @@ def d_recurrence_check(n: int, k: int, a: int) -> bool:
 
     d_k(n,a) = (a(n+1)+2)/(2k) * sum_{i1+i2=n-1} sum_{j1+j2=k-1}
                d_{j1}(i1,a) d_{j2}(i2,a)
+
+    Each d_j(i, a) with i < n and j < k is computed once, and the two sides
+    are compared cross-multiplied by 2k, in integers.
     """
     if n < 1 or k < 1 or a < 1:
         raise ValueError("recurrence needs n, k, a >= 1")
-    acc = 0
-    for i1 in range(n):
-        i2 = n - 1 - i1
-        for j1 in range(k):
-            j2 = k - 1 - j1
-            acc += d_closed(i1, j1, a) * d_closed(i2, j2, a)
-    rhs = Fraction(a * (n + 1) + 2, 2 * k) * acc
-    return rhs == d_closed(n, k, a)
+    d = [[d_closed(i, j, a) for j in range(k)] for i in range(n)]
+    acc = sum(
+        d[i1][j1] * d[n - 1 - i1][k - 1 - j1] for i1 in range(n) for j1 in range(k)
+    )
+    return (a * (n + 1) + 2) * acc == 2 * k * d_closed(n, k, a)
 
 
 def alternating_sum_check(n: int, a: int) -> bool:

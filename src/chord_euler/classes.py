@@ -81,7 +81,17 @@ def _pocket_is_class2_shaped(poly: Polygon, path: tuple[int, ...], apex: int) ->
 
 
 def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
-    """The Class-6 split at the reflex vertex i, or None if there is none."""
+    """The Class-6 split at the reflex vertex i, or None if there is none.
+
+    p and q count from i.  The middle fan [i, p..q] turns counter-clockwise
+    at p and at q without a test.  Past the "every chord at i is a diagonal" test and p < q - 1, the
+    chords (i, p+1) and (i, q-1) are diagonals.  So is (i, p), or it is the
+    edge (i, i+1) when p = 1, and so is (i, q), or it is the edge (i, i-1)
+    when q = n - 1.  Then (i, p, p+1) and (i, q-1, q) are faces of the cuts
+    by them.  A face visits its vertices in increasing cyclic order and turns
+    counter-clockwise (see :mod:`~chord_euler.partition`), which gives
+    ccw(p, p+1, i) and ccw(q-1, q, i) = ccw(q, i, q-1).
+    """
     n = poly.n
     rel = lambda t: (i + t) % n  # noqa: E731 - local index relabeling
     rest = {(v - i) % n for v in poly.reflex_vertices} - {0}
@@ -100,9 +110,6 @@ def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
         return None
     ccw = poly.ccw
     if ccw(i, rel(p), rel(q)):
-        return None
-    # The middle fan [i, p..q] must be reflex only at the apex.
-    if not ccw(rel(p), rel(p + 1), i) or not ccw(rel(q), i, rel(q - 1)):
         return None
     if q - p >= 3:
         # Proper middle polygon: the one-reflex-vertex profile at the apex.

@@ -1,5 +1,28 @@
 """Command-line front end: analyze, verify, generate, render, catalan.
 
+Each command, and each ``verify`` target and ``generate`` kind, declares
+exactly the flags it reads; any other flag is a usage error (exit 2).
+Ranges are ``lo..hi`` or one integer.
+
+    analyze FILE [--fvector] [--chi] [--classes --vertex V] [--cut i-j,...] [--json]
+    verify theorem1 [--n 3..8] [--random 100] [--seed 0]
+    verify theorem2 [--n 4..8] [--random 100] [--seed 0]
+    verify theorem3 [--n 5..8] [--random 100] [--seed 0]
+    verify lemmae   [--n 4..8] [--random 100] [--seed 0]
+    verify catalan  [--n 3..8] [--a 1..3]
+    verify zigzag   [--l -5..5]
+    generate convex [--n 6] [--out PATH]
+    generate random [--n 6] [--seed 0] [--out PATH]
+    generate zigzag [--l 2] [--out PATH] [--sidecar PATH]
+    generate class1..class6 [--n 6] [--i 0] [--out PATH]
+        class1 also [--region I|III], class3 also [--pockets 1|2]
+    render FILE [--chords SIDECAR] [--out PATH]
+    catalan --n N --k K --a A
+
+The four random campaigns check ``--random`` seeded polygons, seeds from
+``--seed`` on, their sizes cycling through ``--n``; theorem1 also checks the
+convex n-gon for each n of ``--n``.
+
 Exit codes: 0 all good, 1 a verification property failed, 2 bad input,
 3 a documented size cap was exceeded, 4 a generator could not certify its
 output.  All output is deterministic: identical invocations produce
@@ -211,8 +234,17 @@ def _theorem3_json(rep) -> dict:
 # verify campaigns
 
 
+# The least n of each random campaign, and the start of its default ``--n``.
+MIN_N = {"theorem1": 3, "theorem2": 4, "theorem3": 5, "lemmae": 4}
+
+
 def _n_range(args, target: str) -> tuple[int, int]:
-    """``--n`` as (lo, hi), checked against the campaign's cap ``CAPS[target_n]``."""
+    """A random campaign's ``--n`` as (lo, hi), checked against its cap ``CAPS[target_n]``.
+
+    ``--random`` is checked first: a negative count would check no polygon and pass.
+    """
+    if args.random < 0:
+        raise CliInputError(f"--random must be >= 0, got {args.random}")
     n_lo, n_hi = _parse_range(args.n)
     cap = CAPS[f"{target}_n"]
     if n_hi > cap:
@@ -220,13 +252,13 @@ def _n_range(args, target: str) -> tuple[int, int]:
     return n_lo, n_hi
 
 
-def _campaign_polygons(args, target: str, min_n: int = 3):
+def _campaign_polygons(args, target: str):
     """The ``--random`` seeded polygons (item, polygon), their sizes cycling through ``--n``."""
     n_lo, n_hi = _n_range(args, target)
     for idx in range(args.random):
         n = n_lo + idx % (n_hi - n_lo + 1)
-        if n < min_n:
-            raise CliInputError(f"n = {n} below the minimum {min_n}")
+        if n < MIN_N[target]:
+            raise CliInputError(f"n = {n} below the minimum {MIN_N[target]}")
         yield idx, random_simple_polygon(n, args.seed + idx)
 
 
@@ -239,7 +271,7 @@ def _failure(args, idx: int, poly: Polygon, detail: str) -> str:
 def _verify_theorem1(args) -> list[str]:
     n_lo, n_hi = _n_range(args, "theorem1")
     failures = []
-    for n in range(max(3, n_lo), n_hi + 1):
+    for n in range(max(MIN_N["theorem1"], n_lo), n_hi + 1):
         rep = verify_theorem1(convex_ngon(n))
         if not rep.ok:
             failures.append(f"convex n={n}: {rep}")
@@ -253,7 +285,7 @@ def _verify_theorem1(args) -> list[str]:
 def _verify_sets(args, target: str, kind: ChordKind, agree) -> list[str]:
     """``agree(poly, J)`` on every non-crossing set J of ``kind`` chords of each campaign polygon."""
     failures = []
-    for idx, poly in _campaign_polygons(args, target, min_n=4):
+    for idx, poly in _campaign_polygons(args, target):
         uni = universe_of(poly)
         for j_mask in iter_nc_masks(uni.crossing_masks, uni.kind_mask(kind)):
             j = uni.set_of_mask(j_mask)
@@ -274,7 +306,7 @@ def _verify_theorem2(args) -> list[str]:
 
 def _verify_theorem3(args) -> list[str]:
     failures = []
-    for idx, poly in _campaign_polygons(args, "theorem3", min_n=5):
+    for idx, poly in _campaign_polygons(args, "theorem3"):
         for i in range(poly.n):
             rep = verify_theorem3(poly, i)
             if not rep.ok:
@@ -334,17 +366,8 @@ def _verify_zigzag(args) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    if args.random < 0:
-        raise CliInputError(f"--random must be >= 0, got {args.random}")
-    runners = {
-        "theorem1": _verify_theorem1,
-        "theorem2": _verify_theorem2,
-        "theorem3": _verify_theorem3,
-        "lemmae": _verify_lemmae,
-        "catalan": _verify_catalan,
-        "zigzag": _verify_zigzag,
-    }
-    failures = runners[args.target](args)
+    """Run the target's campaign ``args.run``; print its failures, or one PASS line."""
+    failures = args.run(args)
     if failures:
         for f in failures:
             print(f"FAIL {f}")
@@ -358,40 +381,28 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    sidecar_doc = None
-    if args.kind == "convex":
-        poly = convex_ngon(args.n)
-    elif args.kind == "random":
-        poly = random_simple_polygon(args.n, args.seed)
-    elif args.kind == "zigzag":
-        z = zigzag_chi_target(args.l)
-        poly = z.polygon
-        sidecar_doc = {
-            "chords": [str(c) for c in z.j_set],
-            "labels": {name: str(c) for name, c in sorted(z.labels.items())},
-            "target": z.target,
-        }
-    elif args.kind.startswith("class"):
-        if not 0 <= args.i < args.n:
-            raise CliInputError(f"--i {args.i} is not in 0..{args.n - 1}")
-        kind = int(args.kind[5:])
-        options = {}
-        if args.pockets is not None:
-            if kind != 3:
-                raise CliInputError("--pockets only applies to class3")
-            options["pockets"] = args.pockets
-        if args.region is not None:
-            if kind != 1:
-                raise CliInputError("--region only applies to class1")
-            options["region"] = args.region
-        poly = class_exemplar(kind, args.i, args.n, **options)
-    else:
-        raise CliInputError(f"unknown kind {args.kind}")
-    outputs = [(_json_text(polygon_to_json(poly)), args.out)]
-    if sidecar_doc is not None:
-        side_path = args.sidecar or (args.out + ".chords.json" if args.out else None)
-        outputs.append((_json_text(sidecar_doc), side_path))
-    _emit(*outputs)
+    """Write the kind's polygon ``args.build(args)``."""
+    _emit((_json_text(polygon_to_json(args.build(args))), args.out))
+    return EXIT_OK
+
+
+def _class_polygon(args) -> Polygon:
+    if not 0 <= args.i < args.n:
+        raise CliInputError(f"--i {args.i} is not in 0..{args.n - 1}")
+    options = {key: value for key, value in vars(args).items() if key in ("region", "pockets")}
+    return class_exemplar(int(args.kind[5:]), args.i, args.n, **options)
+
+
+def cmd_generate_zigzag(args) -> int:
+    """Write the zigzag polygon and its chord sidecar, by default beside ``--out``."""
+    z = zigzag_chi_target(args.l)
+    sidecar_doc = {
+        "chords": [str(c) for c in z.j_set],
+        "labels": {name: str(c) for name, c in sorted(z.labels.items())},
+        "target": z.target,
+    }
+    side_path = args.sidecar or (args.out + ".chords.json" if args.out else None)
+    _emit((_json_text(polygon_to_json(z.polygon)), args.out), (_json_text(sidecar_doc), side_path))
     return EXIT_OK
 
 
@@ -500,32 +511,47 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run an identity/property campaign")
-    pv.add_argument(
-        "target",
-        choices=["theorem1", "theorem2", "theorem3", "lemmae", "catalan", "zigzag"],
-    )
-    pv.add_argument("--n", default="3..8")
-    pv.add_argument("--a", default="1..3")
-    pv.add_argument("--l", default="-5..5")
-    pv.add_argument("--random", type=int, default=100)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.set_defaults(func=cmd_verify)
+    targets = pv.add_subparsers(dest="target", required=True)
+    campaign = argparse.ArgumentParser(add_help=False)
+    campaign.add_argument("--random", type=int, default=100)
+    campaign.add_argument("--seed", type=int, default=0)
+    for target, run in (("theorem1", _verify_theorem1), ("theorem2", _verify_theorem2),
+                        ("theorem3", _verify_theorem3), ("lemmae", _verify_lemmae)):
+        pt = targets.add_parser(target, parents=[campaign])
+        pt.add_argument("--n", default=f"{MIN_N[target]}..8")
+        pt.set_defaults(func=cmd_verify, run=run)
+    pt = targets.add_parser("catalan")
+    pt.add_argument("--n", default="3..8")
+    pt.add_argument("--a", default="1..3")
+    pt.set_defaults(func=cmd_verify, run=_verify_catalan)
+    pt = targets.add_parser("zigzag")
+    pt.add_argument("--l", default="-5..5")
+    pt.set_defaults(func=cmd_verify, run=_verify_zigzag)
 
     pg = sub.add_parser("generate", help="emit a polygon JSON file")
-    pg.add_argument(
-        "kind",
-        choices=["convex", "class1", "class2", "class3", "class4", "class5",
-                 "class6", "zigzag", "random"],
-    )
-    pg.add_argument("--n", type=int, default=6)
-    pg.add_argument("--i", type=int, default=0)
-    pg.add_argument("--l", type=int, default=2)
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--pockets", type=int, default=None)
-    pg.add_argument("--region", default=None)
-    pg.add_argument("--out", default=None)
-    pg.add_argument("--sidecar", default=None)
-    pg.set_defaults(func=cmd_generate)
+    kinds = pg.add_subparsers(dest="kind", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    pk = kinds.add_parser("convex", parents=[out])
+    pk.add_argument("--n", type=int, default=6)
+    pk.set_defaults(func=cmd_generate, build=lambda args: convex_ngon(args.n))
+    pk = kinds.add_parser("random", parents=[out])
+    pk.add_argument("--n", type=int, default=6)
+    pk.add_argument("--seed", type=int, default=0)
+    pk.set_defaults(func=cmd_generate, build=lambda args: random_simple_polygon(args.n, args.seed))
+    pk = kinds.add_parser("zigzag", parents=[out])
+    pk.add_argument("--l", type=int, default=2)
+    pk.add_argument("--sidecar", default=None)
+    pk.set_defaults(func=cmd_generate_zigzag)
+    for k in range(1, 7):
+        pk = kinds.add_parser(f"class{k}", parents=[out])
+        pk.add_argument("--n", type=int, default=6)
+        pk.add_argument("--i", type=int, default=0)
+        if k == 1:
+            pk.add_argument("--region", choices=["I", "III"], default="I")
+        if k == 3:
+            pk.add_argument("--pockets", type=int, choices=[1, 2], default=1)
+        pk.set_defaults(func=cmd_generate, build=_class_polygon)
 
     pr = sub.add_parser("render", help="emit a static SVG figure")
     pr.add_argument("file")

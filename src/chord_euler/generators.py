@@ -23,7 +23,7 @@ from fractions import Fraction
 from .chords import Chord, ChordSet, universe_of
 from .exact_scalar import QSqrt3
 from .geometry import Point, Polygon, PolygonError, validate_polygon
-from .geometry import CollinearTriple, first_crossing_edges, orientation_table, validate_path
+from .geometry import CollinearTriple, DuplicateVertex, first_crossing_edges, orientation_table, validate_path
 from .partition import PartitionError, convexity_constraints
 from . import classes as _classes
 
@@ -104,17 +104,18 @@ def perturb_to_general_position(points: list[Point], structural_check=None) -> P
     Offsets vertex k of each collinear triple by (eps/(k+1), eps/(k+2)^2),
     starting from eps = ``PERTURB_BUDGET`` and halving eps (and then flipping
     its sign) until the polygon validates and the caller's structural check
-    accepts.  Inputs already in general position are returned unchanged.
-    The collinear triples are the zero signs of the points' orientation
-    table; a repeated point makes zero signs too, so it is nudged apart.
+    accepts.  Inputs already in general position are returned unchanged,
+    validated on the one orientation table that finds no collinear triple.
+    The collinear triples are that table's zero signs.  A repeated point is
+    collinear with every third point, so then every vertex is nudged.
     """
     try:
-        orientation_table(points)
-        bad = set()
+        poly = validate_polygon(points)
     except CollinearTriple as exc:
         bad = {v for triple in exc.triples for v in triple}
-    if not bad:
-        poly = validate_polygon(points)
+    except DuplicateVertex:
+        bad = set(range(len(points)))
+    else:
         if structural_check is not None and not structural_check(poly):
             raise GeneratorError("input fails the structural check and needs no perturbation")
         return poly

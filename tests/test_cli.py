@@ -398,3 +398,102 @@ def test_unwritable_render_out_is_bad_input(tmp_path, capsys, dart):
     poly.write_text(json.dumps(polygon_to_json(dart)))
     path = tmp_path / "missing" / "x.json"
     _assert_cannot_write(capsys, path, "render", str(poly), "--out", str(path))
+
+
+def test_analyze_text_report_with_a_cut(tmp_path, capsys, dart):
+    # Without --json the keys print sorted, one per line, and a cut's faces
+    # one per indented line.
+    path = tmp_path / "dart.json"
+    path.write_text(json.dumps(polygon_to_json(dart)))
+    code, out, err = run(capsys, "analyze", str(path), "--cut", "0-2")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "convex: False\ndiagonals: ['0-2']\nepigonals: ['1-3']\nn: 4\n"
+        "partition:\n  0 1 2\n  0 2 3\nreflex: [2]\n"
+    )
+
+
+def test_analyze_classes_at_a_vertex(tmp_path, capsys):
+    poly = class_exemplar(6, 0, 8)
+    path = tmp_path / "class6.json"
+    path.write_text(json.dumps(polygon_to_json(poly)))
+    code, out, _ = run(capsys, "analyze", str(path), "--classes", "--vertex", "0", "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["classes"] == ["Class6"]
+    assert doc["theorem3"] == {
+        "vertex": 0, "chi": [1, 0, 0, 0], "detectors": [True, False, False, False],
+        "clauses": [True, True, True, True], "ok": True,
+    }
+
+
+_VERIFY_TARGETS = ("theorem1", "theorem2", "theorem3", "lemmae", "catalan", "zigzag")
+_GENERATE_KINDS = ("convex", "random", "zigzag") + tuple(f"class{k}" for k in range(1, 7))
+
+
+@pytest.mark.parametrize("target", _VERIFY_TARGETS)
+def test_verify_defaults_run(capsys, target):
+    # A shared default --n 3..8 used to stop theorem2, theorem3 and lemmae
+    # below their least n.
+    assert run(capsys, "verify", target) == (EXIT_OK, f"PASS {target}\n", "")
+
+
+@pytest.mark.parametrize("kind", _GENERATE_KINDS)
+def test_generate_defaults_run(capsys, kind):
+    code, out, err = run(capsys, "generate", kind)
+    assert (code, err) == (EXIT_OK, "")
+    doc, _ = json.JSONDecoder().raw_decode(out)  # zigzag's sidecar follows
+    assert polygon_from_json(doc).n >= 6
+
+
+def _usage_error(capsys, *argv) -> str:
+    # Parsing runs before main's handlers: argparse exits 2 itself.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (EXIT_INPUT, ""), argv
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "theorem1", "--a", "1..2"),
+    ("verify", "theorem2", "--l", "2"),
+    ("verify", "theorem3", "--a", "1"),
+    ("verify", "lemmae", "--l", "-3..3"),
+    ("verify", "catalan", "--random", "-1"),
+    ("verify", "zigzag", "--n", "3..5"),
+    ("generate", "convex", "--seed", "7"),
+    ("generate", "random", "--i", "1"),
+    ("generate", "zigzag", "--n", "6"),
+    ("generate", "class1", "--pockets", "2"),
+    ("generate", "class2", "--region", "I"),
+    ("generate", "class3", "--region", "III"),
+    ("generate", "class4", "--sidecar", "side.json"),
+    ("generate", "class5", "--seed", "1"),
+    ("generate", "class6", "--l", "2"),
+    ("analyze", "poly.json", "--random", "3"),
+    ("render", "poly.json", "--n", "5"),
+    ("catalan", "--n", "2", "--k", "1", "--a", "1", "--seed", "0"),
+], ids=" ".join)
+def test_unread_flag_is_a_usage_error(capsys, argv):
+    assert "unrecognized arguments: " in _usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("class1", "--n", "8", "--region", "II"),
+    ("class3", "--n", "9", "--pockets", "3"),
+    ("class3", "--n", "9", "--pockets", "0"),
+])
+def test_bad_exemplar_option_is_a_usage_error(capsys, argv):
+    assert "invalid choice" in _usage_error(capsys, "generate", *argv)
+
+
+@pytest.mark.parametrize("kind, n, flag, options", [
+    (1, 8, ("--region", "III"), {"region": "III"}),
+    (3, 9, ("--pockets", "2"), {"pockets": 2}),
+])
+def test_exemplar_options_reach_the_generator(capsys, kind, n, flag, options):
+    code, out, _ = run(capsys, "generate", f"class{kind}", "--n", str(n), "--i", "1", *flag)
+    assert code == EXIT_OK
+    want = class_exemplar(kind, 1, n, **options)
+    assert polygon_from_json(json.loads(out)) == want != class_exemplar(kind, 1, n)

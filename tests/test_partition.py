@@ -517,6 +517,35 @@ def test_xi_and_inclusion_exclusion(dart, square):
         xi(dart, empty(dart), empty(dart))  # J not a convex partition
 
 
+def test_formula_preconditions(dart):
+    # A set of another polygon, a bad side or mode, convex input, an I
+    # outside J and an unforced J' are each refused, not computed.
+    foreign = cs(dart.rotated(0), (0, 2))
+    with pytest.raises(PartitionError, match="different polygon"):
+        chi_removed_direct(dart, foreign, "d")
+    with pytest.raises(ValueError, match="side must be 'd' or 'e'"):
+        chi_removed_direct(dart, empty(dart), "x")
+    with pytest.raises(PartitionError, match="different polygon"):
+        chi_epigonal_pockets(dart, foreign)
+    with pytest.raises(ValueError, match="mode must be 'minimal' or 'maximal'"):
+        chi_inclusion_exclusion(dart, cs(dart, (0, 2)), "all")
+    hexagon = convex_ngon(6)
+    tri = extend_to_triangulation(hexagon, empty(hexagon))
+    with pytest.raises(PartitionError, match="defined for non-convex polygons"):
+        chi_inclusion_exclusion(hexagon, tri, "minimal")
+    # A convex polygon forces no chord: every subset of J cuts it into convex faces.
+    one_chord = universe_of(hexagon).set_of_mask(tri.mask & -tri.mask)
+    with pytest.raises(PartitionError, match="not contained in every convex-partition subset"):
+        chi_removed_factorized(hexagon, tri, one_chord)
+    poly = random_simple_polygon(8, 3)
+    uni = universe_of(poly)
+    tri = extend_to_triangulation(poly, empty(poly))
+    outside = uni.kind_mask(ChordKind.DIAGONAL) & ~tri.mask
+    assert outside and not poly.is_convex
+    with pytest.raises(PartitionError, match="I must be a subset of J"):
+        xi(poly, tri, uni.set_of_mask(outside & -outside))
+
+
 def test_xi_rejects_a_subset_of_another_polygon(dart):
     j = cs(dart, (0, 2))
     with pytest.raises(PartitionError):
@@ -670,10 +699,9 @@ def test_lattice_cap():
     poly = convex_ngon(30)
     tri = extend_to_triangulation(poly, empty(poly))
     assert len(tri) == 27
-    with pytest.raises(InstanceTooLarge):
-        convex_lattice(poly, tri)
-    with pytest.raises(InstanceTooLarge):
-        chi_removed_theorem2(poly, tri)
+    for route in (convex_lattice, chi_removed_theorem2, chi_removed_lemma1):
+        with pytest.raises(InstanceTooLarge, match="exceeds the 2\\^\\|J\\| cap 20"):
+            route(poly, tri)
 
 
 def _held_entries(obj):
