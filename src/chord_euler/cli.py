@@ -496,8 +496,18 @@ def cmd_catalan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    # Subparsers are made of this class too, so a flag the chosen command does
+    # not read is reported with that command's usage, not the top-level one.
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="chord-euler")
+    p = _Parser(prog="chord-euler")
     sub = p.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="report chord structure of a polygon file")

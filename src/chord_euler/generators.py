@@ -69,7 +69,8 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
         ]
         try:
             # One orientation table (CollinearTriple on a collinear triple or
-            # a repeated point) serves the untangling and the validation.
+            # a repeated point) serves the untangling and the validation, and
+            # the polygon keeps it, relabeled by the untangled order.
             left = orientation_table(pts)
             order = _untangle(left, n)
             if order is not None:

@@ -2,7 +2,10 @@
 
 Geometry enters once, as the :func:`orientation_table` of a point set.  A
 polygon's validation, reflex set and chord universe read its vertices'
-table.  A segment family's crossings (:func:`straddle_masks`), a point set's
+table, and the table is built once per point set: a clockwise input's
+reversal, a path's order (:func:`validate_path`) and a rotation
+(``Polygon.rotated``) relabel the table already built (:func:`_relabel`).
+A segment family's crossings (:func:`straddle_masks`), a point set's
 general position (the table raises :class:`CollinearTriple`) and its hull
 (:func:`hull_successors`) read the table of its points.  The scalar layer,
 ``Point``, :func:`cross` and :func:`orientation`, decides on
@@ -110,16 +113,22 @@ def orientation(p: Point, q: Point, r: Point) -> int:
 
 
 class Polygon:
-    """A simple polygon, CCW-normalized, vertices in general position."""
+    """A simple polygon, CCW-normalized, vertices in general position.
+
+    A validated polygon keeps the orientation table it was validated on
+    (``left``), relabeled if its vertices were reversed, and its reflex set.
+    ``rotated`` copies carry both, relabeled; a copy made by ``_trusted``
+    from vertices alone builds them on first use.  The chord universe is
+    never carried: every copy starts with none.
+    """
 
     def __init__(self, vertices: Sequence[Point], _validated: bool = False):
         vs = tuple(vertices)
         if not _validated:
-            # Keep the table; reversing the vertices reverses its cells and each cell's bits.
             n, left = len(vs), _distinct_table(vs)
-            vs, self.reflex_vertices, turned = _validate(vs, left, range(n))
+            turned, self.reflex_vertices = _validate(left, range(n))
             if turned:
-                left = tuple(int(f"{c:0{n}b}"[::-1], 2) for c in reversed(left))
+                vs, left = vs[::-1], _relabel(left, range(n - 1, -1, -1))
             self.left = left
         self.vertices = vs
         self.n = len(vs)
@@ -127,18 +136,33 @@ class Polygon:
         self._chord_universe = None
 
     @classmethod
-    def _trusted(cls, vertices: Sequence[Point]) -> Polygon:
-        # For sub-polygons whose invariants are inherited from a parent.
-        return cls(vertices, _validated=True)
+    def _trusted(cls, vertices: Sequence[Point], left: tuple[int, ...] | None = None,
+                 reflex: frozenset[int] | None = None) -> Polygon:
+        # For polygons whose invariants are inherited: sub-polygons of a
+        # parent, and relabelings of a table already built, with its reflex set.
+        poly = cls(vertices, _validated=True)
+        if left is not None:
+            poly.left, poly.reflex_vertices = left, reflex
+        return poly
 
     def rotated(self, shift: int) -> Polygon:
-        """Same polygon with vertex ``shift`` relabeled as vertex 0."""
-        shift %= self.n
-        return Polygon._trusted(self.vertices[shift:] + self.vertices[:shift])
+        """Same polygon with vertex ``shift`` relabeled as vertex 0.
+
+        The copy's orientation table and reflex set are this polygon's,
+        relabeled (shift 0 shares them).  It starts with no chord universe,
+        so its universe and engine caches are built cold.
+        """
+        n = self.n
+        shift %= n
+        left, reflex = self.left, self.reflex_vertices
+        if shift:
+            left = _relabel(left, [*range(shift, n), *range(shift)])
+            reflex = frozenset((v - shift) % n for v in reflex)
+        return Polygon._trusted(self.vertices[shift:] + self.vertices[:shift], left, reflex)
 
     @cached_property
     def left(self) -> tuple[int, ...]:
-        """The vertices' :func:`orientation_table`, kept from validation or built on first use."""
+        """The vertices' :func:`orientation_table`, kept or relabeled, else built on first use."""
         return orientation_table(self.vertices)
 
     def ccw(self, i: int, j: int, k: int) -> bool:
@@ -323,13 +347,11 @@ def _distinct_table(vs: tuple[Point, ...]) -> tuple[int, ...]:
     return orientation_table(vs)
 
 
-def _validate(
-    points: Sequence[Point], left: Sequence[int], order: Sequence[int]
-) -> tuple[tuple[Point, ...], frozenset[int], bool]:
-    """The CCW vertex tuple of the path ``order``, its reflex set, and whether it was reversed.
+def _validate(left: Sequence[int], order: Sequence[int]) -> tuple[bool, frozenset[int]]:
+    """Whether the path ``order`` runs clockwise, and the reflex set of it run counter-clockwise.
 
-    ``left`` is the orientation table of ``points``, and the path visits the
-    point ``order[v]`` as its vertex v.  Raises the violated invariant.
+    ``left`` is an orientation table, and the path visits its point
+    ``order[v]`` as vertex v.  Raises the violated invariant.
     """
     n = len(order)
     pair = first_crossing_edges(left, order)
@@ -337,12 +359,48 @@ def _validate(
         i, j = pair
         raise SelfIntersection((i, (i + 1) % n), (j, (j + 1) % n))
     turns = [left[order[v - 1] * n + order[v]] >> order[(v + 1) % n] & 1 for v in range(n)]
-    vs = tuple(points[k] for k in order)
     # CCW normalization: at a vertex of its convex hull a simple polygon turns
-    # the way it runs round.
-    if turns[order.index(min(hull_successors(left, n)))]:
-        return vs, frozenset(v for v in range(n) if not turns[v]), False
-    return vs[::-1], frozenset(n - 1 - v for v in range(n) if turns[v]), True
+    # the way it runs round.  The first point with a hull edge is one.
+    full = (1 << n) - 1
+    hull = next(a for a in range(n)
+                if any(left[a * n + b] | 1 << a | 1 << b == full for b in range(n)))
+    if turns[order.index(hull)]:
+        return False, frozenset(v for v in range(n) if not turns[v])
+    return True, frozenset(n - 1 - v for v in range(n) if turns[v])
+
+
+def _relabel(left: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """The orientation table of the points ``order[0], order[1], ...`` of the table ``left``.
+
+    Entry (v, w) is entry (order[v], order[w]) of ``left`` with bit order[u]
+    moved to bit u.  The n bits are cut into balanced chunks, at least two
+    and each at most 8 bits wide, and move through one lookup table per
+    chunk, so the cost is O(n^2 * ceil(n/8)).  Only the upper entries are
+    moved; a lower one is the complement of its upper one, as in
+    :func:`orientation_table`.
+    """
+    n = len(order)
+    pairs = (_cached_slots(n) if n <= SLOT_CACHE_N else _slots(n))[0]
+    rows = [p * n for p in order]
+    chunks = max(2, -(-n // 8))  # two half-width tables cost less than one of 2^n entries
+    bounds = [n * c // chunks for c in range(chunks + 1)]
+    label = sorted(range(n), key=order.__getitem__)  # point p is vertex label[p]
+    tables = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        spread = [0]  # spread[x]: bit label[p] for each bit p of x << lo
+        for u in label[lo:hi]:
+            bit = 1 << u
+            spread += [x | bit for x in spread]
+        tables.append((lo, (1 << hi - lo) - 1, spread))
+    out = [0] * (n * n)
+    full = (1 << n) - 1
+    for v, w, vw, wv, ends in pairs:
+        cell, moved = left[rows[v] + order[w]], 0
+        for lo, mask, spread in tables:
+            moved |= spread[cell >> lo & mask]
+        out[vw] = moved
+        out[wv] = full ^ ends ^ moved
+    return tuple(out)
 
 
 def validate_polygon(vertices: Sequence[Point]) -> Polygon:
@@ -354,9 +412,10 @@ def validate_path(points: Sequence[Point], left: Sequence[int], order: Sequence[
     """The polygon visiting distinct ``points`` in ``order``, validated on their table ``left``.
 
     Equals ``validate_polygon([points[k] for k in order])`` without building
-    the orientation table again.
+    the orientation table again: the polygon keeps ``left`` relabeled by the
+    order, reversed with it if the path runs clockwise.
     """
-    vs, reflex, _ = _validate(points, left, order)
-    poly = Polygon._trusted(vs)
-    poly.reflex_vertices = reflex
-    return poly
+    turned, reflex = _validate(left, order)
+    if turned:
+        order = order[::-1]
+    return Polygon._trusted([points[k] for k in order], _relabel(left, order), reflex)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chord_euler.generators import convex_ngon, random_simple_polygon, zigzag_chi_target
+from chord_euler.generators import class_exemplar, convex_ngon, random_simple_polygon, zigzag_chi_target
 from chord_euler.geometry import (
     SLOT_CACHE_N,
     CollinearTriple,
     DuplicateVertex,
     Point,
+    Polygon,
     PolygonError,
     Segment,
     SelfIntersection,
@@ -128,8 +129,36 @@ def test_validated_polygon_keeps_the_table_it_was_validated_with():
             assert "left" in vars(poly)  # kept, not rebuilt on first use
             assert poly.left == orientation_table(poly.vertices)
             turned += poly.vertices[0] != vs[0]
-        assert "left" not in vars(poly.rotated(0))  # a trusted copy stays lazy
+        for s in range(len(ccw)):  # a rotated copy relabels the table
+            rotated = poly.rotated(s)
+            assert rotated.left == orientation_table(rotated.vertices)
     assert turned == len(shapes)
+
+
+def _relabeling_cases():
+    yield from (random_simple_polygon(n, seed) for n in range(3, 16) for seed in range(3))
+    yield from (random_simple_polygon(n, 1) for n in (8, 9, 16, 17, 40, 64))  # chunk edges
+    yield from (convex_ngon(n) for n in (3, 8, 9))
+    yield from (class_exemplar(kind, i, n) for kind in range(1, 7) for n in (8, 9) for i in (1, 5))
+    yield from (zigzag_chi_target(l).polygon for l in (2, -2, 3, -3))
+
+
+def test_rotated_copies_relabel_the_table_of_their_polygon():
+    # Differential: the relabeled table and reflex set of every rotation
+    # against a table and a reflex set built afresh from the coordinates.
+    # Sizes cross the lookup chunks' 8-bit edges and SLOT_CACHE_N.
+    for poly in _relabeling_cases():
+        assert "left" in vars(poly)  # kept from validation
+        n = poly.n
+        for s in range(n):
+            rotated = poly.rotated(s)
+            cold = Polygon._trusted(rotated.vertices)  # builds its table on first use
+            assert rotated.vertices == poly.vertices[s:] + poly.vertices[:s]
+            assert rotated.left == cold.left, (poly, s)
+            assert rotated.reflex_vertices == cold.reflex_vertices, (poly, s)
+            assert rotated._chord_universe is None
+        assert poly.rotated(0).left is poly.left
+        assert poly.rotated(n).reflex_vertices is poly.reflex_vertices
 
 
 def test_validate_rejections():
@@ -180,7 +209,7 @@ grid = st.integers(min_value=0, max_value=6)
 @given(st.lists(st.builds(pt, grid, grid), min_size=2, max_size=9))
 def test_validate_matches_coordinate_route(vs):
     # Validation reads one orientation table; the route above shares no code
-    # with it.  A cold copy rebuilds the reflex set from the table.
+    # with it.  A cold copy builds its table and reflex set afresh.
     want = _validate_on_coordinates(vs)
     try:
         poly = validate_polygon(vs)
@@ -188,7 +217,7 @@ def test_validate_matches_coordinate_route(vs):
         got = (type(exc).__name__, getattr(exc, "indices", None) or getattr(exc, "edges", None))
     else:
         got = ("ok", (poly.vertices, set(poly.reflex_vertices)))
-        assert set(poly.rotated(0).reflex_vertices) == got[1][1]
+        assert set(Polygon._trusted(poly.vertices).reflex_vertices) == got[1][1]
     assert got == want
 
 
@@ -197,7 +226,9 @@ def _outcome(make):
         poly = make()
     except PolygonError as exc:
         return type(exc).__name__, getattr(exc, "edges", None)
-    return "ok", poly.vertices, poly.reflex_vertices, poly.rotated(0).reflex_vertices
+    cold = Polygon._trusted(poly.vertices)  # builds its table and reflex set afresh
+    assert poly.left == cold.left
+    return "ok", poly.vertices, poly.reflex_vertices, cold.reflex_vertices
 
 
 @settings(max_examples=300)

@@ -595,7 +595,7 @@ def test_inclusion_exclusion_builds_the_constraints_once(monkeypatch):
             continue
         for j in nc_diagonal_subsets(poly):
             for mode in ("minimal", "maximal"):
-                cold = poly.rotated(0)  # a copy starts with no state
+                cold = poly.rotated(0)  # a copy starts with no chord universe
                 cold_j = universe_of(cold).set_of_mask(j.mask)
                 calls.clear()
                 try:
