@@ -23,7 +23,8 @@ from fractions import Fraction
 from .chords import Chord, ChordSet, universe_of
 from .exact_scalar import QSqrt3
 from .geometry import Point, Polygon, PolygonError, validate_polygon
-from .geometry import CollinearTriple, DuplicateVertex, first_crossing_edges, orientation_table, validate_path
+from .geometry import CollinearTriple, DuplicateVertex, first_crossing_edges, orientation_table
+from .geometry import _path_polygon
 from .partition import PartitionError, convexity_constraints
 from . import classes as _classes
 
@@ -70,11 +71,12 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
         try:
             # One orientation table (CollinearTriple on a collinear triple or
             # a repeated point) serves the untangling and the validation, and
-            # the polygon keeps it, relabeled by the untangled order.
+            # the polygon keeps it, relabeled by the untangled order.  The
+            # untangling's last crossing scan is the validation's.
             left = orientation_table(pts)
             order = _untangle(left, n)
             if order is not None:
-                return validate_path(pts, left, order)
+                return _path_polygon(pts, left, order)
         except PolygonError:
             continue
     raise GeneratorError(f"could not build a random simple polygon (n={n}, seed={seed})")

@@ -126,7 +126,8 @@ class Polygon:
         vs = tuple(vertices)
         if not _validated:
             n, left = len(vs), _distinct_table(vs)
-            turned, self.reflex_vertices = _validate(left, range(n))
+            _check_crossings(left, range(n))
+            turned, self.reflex_vertices = _orient(left, range(n))
             if turned:
                 vs, left = vs[::-1], _relabel(left, range(n - 1, -1, -1))
             self.left = left
@@ -347,17 +348,24 @@ def _distinct_table(vs: tuple[Point, ...]) -> tuple[int, ...]:
     return orientation_table(vs)
 
 
-def _validate(left: Sequence[int], order: Sequence[int]) -> tuple[bool, frozenset[int]]:
-    """Whether the path ``order`` runs clockwise, and the reflex set of it run counter-clockwise.
+def _check_crossings(left: Sequence[int], order: Sequence[int]) -> None:
+    """Raises :class:`SelfIntersection` if the closed path ``order`` crosses itself.
 
-    ``left`` is an orientation table, and the path visits its point
-    ``order[v]`` as vertex v.  Raises the violated invariant.
+    ``order`` visits every point of the orientation table ``left`` once.
     """
-    n = len(order)
     pair = first_crossing_edges(left, order)
     if pair is not None:
-        i, j = pair
+        n, (i, j) = len(order), pair
         raise SelfIntersection((i, (i + 1) % n), (j, (j + 1) % n))
+
+
+def _orient(left: Sequence[int], order: Sequence[int]) -> tuple[bool, frozenset[int]]:
+    """Whether the path ``order`` runs clockwise, and the reflex set of it run counter-clockwise.
+
+    ``left`` is an orientation table, and the closed path, which does not
+    cross itself, visits its point ``order[v]`` as vertex v.
+    """
+    n = len(order)
     turns = [left[order[v - 1] * n + order[v]] >> order[(v + 1) % n] & 1 for v in range(n)]
     # CCW normalization: at a vertex of its convex hull a simple polygon turns
     # the way it runs round.  The first point with a hull edge is one.
@@ -415,7 +423,13 @@ def validate_path(points: Sequence[Point], left: Sequence[int], order: Sequence[
     the orientation table again: the polygon keeps ``left`` relabeled by the
     order, reversed with it if the path runs clockwise.
     """
-    turned, reflex = _validate(left, order)
+    _check_crossings(left, order)
+    return _path_polygon(points, left, order)
+
+
+def _path_polygon(points: Sequence[Point], left: Sequence[int], order: Sequence[int]) -> Polygon:
+    """:func:`validate_path` for an ``order`` already scanned and found not to cross itself."""
+    turned, reflex = _orient(left, order)
     if turned:
         order = order[::-1]
     return Polygon._trusted([points[k] for k in order], _relabel(left, order), reflex)

@@ -5,7 +5,9 @@ segment family's crossings by the straddle test, general position by the
 table's :class:`CollinearTriple`, the hull by ``hull_successors``, chord
 kinds and face convexity from the polygon's table.  The routes below decide
 the same questions on the coordinates alone, with the ``QSqrt3`` predicates
-``orientation`` and ``cross``, and share no code with the tables.
+``orientation`` and ``cross``, and share no code with the tables.  One route
+reads a table: :func:`vertex_kinds_by_edges`, a loop over vertices and edges
+against the library's whole-table mask arithmetic.
 """
 
 from __future__ import annotations
@@ -192,3 +194,29 @@ def is_convex_partition(poly: Polygon, cut: ChordSet) -> bool:
     """
     res = subdivide(poly, cut)
     return all(_part_is_convex(poly.vertices, p) for p in res.parts)
+
+
+def vertex_kinds_by_edges(n: int, left: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``chords._vertex_kinds`` by one loop per vertex and edge.
+
+    Per vertex i, the vertex masks of its diagonal and its epigonal partners,
+    read from the orientation table ``left`` one edge at a time.
+    """
+    full = (1 << n) - 1
+    diag, epi = [], []
+    for i in range(n):
+        p, q = (i - 1) % n, (i + 1) % n
+        into, out = left[p * n + i], left[i * n + q]
+        cone = into & out if into >> q & 1 else into | out
+        crossing = 0
+        for t in range(i + 1, i + n - 1):  # the edges a -> b that miss v_i
+            a, b = t % n, (t + 1) % n
+            # The w with v_a, v_b on both sides of line i-w, across line a-b from v_i.
+            side = left[a * n + b]
+            if side >> i & 1:
+                side ^= full ^ (1 << a | 1 << b)
+            crossing |= (left[a * n + i] ^ left[b * n + i]) & side
+        chord = full & ~(1 << p | 1 << i | 1 << q | crossing)
+        diag.append(chord & cone)
+        epi.append(chord & ~cone)
+    return tuple(diag), tuple(epi)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from chord_euler import geometry
 from chord_euler.chords import (
+    KIND_CACHE_N,
     ORDER_CACHE_N,
     Chord,
     ChordKind,
@@ -14,9 +15,15 @@ from chord_euler.chords import (
     epigonals,
     forbidden_star,
     _cached_chord_order,
+    _cached_kind_masks,
     universe_of,
 )
-from chord_euler.generators import convex_ngon, random_simple_polygon
+from chord_euler.generators import (
+    class_exemplar,
+    convex_ngon,
+    random_simple_polygon,
+    zigzag_chi_target,
+)
 from conftest import exemplar_and_zigzag_polygons, pt
 from chord_euler.geometry import (
     Point,
@@ -25,7 +32,12 @@ from chord_euler.geometry import (
     validate_polygon,
 )
 from chord_euler.nc_euler import euler_recursive
-from oracles import coordinate_crossing_masks, point_in_polygon, segments_properly_cross
+from oracles import (
+    coordinate_crossing_masks,
+    point_in_polygon,
+    segments_properly_cross,
+    vertex_kinds_by_edges,
+)
 
 
 def test_classify_dart(dart):
@@ -234,8 +246,8 @@ def test_universes_of_one_size_share_the_chord_order():
 
 def test_per_n_caches_are_bounded():
     # Every per-n cache has a finite size, and a size past its bound shares
-    # nothing: each universe builds its own chord order.
-    for cache in (geometry._cached_slots, _cached_chord_order):
+    # nothing: each universe builds its own chord order and kind masks.
+    for cache in (geometry._cached_slots, _cached_chord_order, _cached_kind_masks):
         assert cache.cache_info().maxsize is not None
     n = ORDER_CACHE_N + 1
     polys = [random_simple_polygon(n, 1), convex_ngon(n)]
@@ -245,6 +257,9 @@ def test_per_n_caches_are_bounded():
     assert one.chords == two.chords and one.chords is not two.chords
     assert one.incidence == two.incidence and one.incidence is not two.incidence
     assert _cached_chord_order.cache_info() == before
+    before = _cached_kind_masks.cache_info()
+    universe_of(random_simple_polygon(KIND_CACHE_N + 1, 1))
+    assert _cached_kind_masks.cache_info() == before
 
 
 def _assert_vertex_kinds_match_coordinates(poly):
@@ -293,6 +308,41 @@ def test_vertex_kinds_match_coordinates_random(n, seed, shift):
 def test_vertex_kinds_match_coordinates_exemplars_and_zigzags():
     for poly in exemplar_and_zigzag_polygons():
         _assert_vertex_kinds_under_relabeling(poly, poly.n // 2)
+
+
+# Sizes on both sides of each field width of the packed table in
+# ``chords._vertex_kinds``: 1, 2, 4 and 8 bytes, then wider fields past n = 64.
+FIELD_WIDTH_NS = (8, 9, 16, 17, 32, 33, 64, 65, 70, 100)
+# Zigzags (3|l| or 3|l| + 1 vertices, sqrt(3) coordinates) on both sides of
+# the same widths: n = 7, 9, 16, 18, 31, 33, 64, 66, 70 and 100.
+FIELD_WIDTH_ZIGZAGS = (2, 3, -5, -6, 10, 11, -21, -22, -23, -33)
+
+
+def _assert_vertex_kinds_match_edge_loop(poly):
+    # The kinds of the polygon, a rotation and the mirror image against the
+    # per-vertex, per-edge loop on each one's table, and under relabeling.
+    n, shift = poly.n, poly.n // 3
+    mirror = validate_polygon([Point(-p.x, p.y) for p in reversed(poly.vertices)])
+    want = _relabeled_vertex_kinds(poly, lambda v: v)
+    for image, label in ((poly, lambda v: v), (poly.rotated(shift), lambda v: (v + shift) % n),
+                         (mirror, lambda v: n - 1 - v)):
+        uni = universe_of(image)
+        assert (uni.diag, uni.epi) == vertex_kinds_by_edges(n, image.left)
+        assert _relabeled_vertex_kinds(image, label) == want
+
+
+@pytest.mark.parametrize("n", FIELD_WIDTH_NS)
+def test_vertex_kinds_match_edge_loop_at_field_widths(n):
+    # class_exemplar(3, 0, n) fails its validation for n >= 55.
+    kinds = range(1, 7) if n < 55 else (1, 2, 4, 5, 6)
+    polys = [random_simple_polygon(n, n), convex_ngon(n)]
+    for poly in polys + [class_exemplar(kind, 0, n) for kind in kinds]:
+        _assert_vertex_kinds_match_edge_loop(poly)
+
+
+def test_vertex_kinds_match_edge_loop_on_zigzags():
+    for l in FIELD_WIDTH_ZIGZAGS:
+        _assert_vertex_kinds_match_edge_loop(zigzag_chi_target(l).polygon)
 
 
 def test_orientation_table():
