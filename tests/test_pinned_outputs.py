@@ -10,7 +10,9 @@ ran the six class detectors at each vertex, and the triangulation digest
 from the one that built a polygon and a chord universe for every face in
 ``extend_to_triangulation``.  The Theorem-2 lattice and demo digests were
 recorded from the routes that kept the last split of a J on the chord
-universe and found the maximal non-convex sets by single-bit tests.  A
+universe and found the maximal non-convex sets by single-bit tests.  The
+zigzag-table digest holds no coordinates, only each zigzag's order type and
+what is read from it; it was recorded from the zigzags built in Q(sqrt 3).  A
 mismatch names the corpus, and the rendering helpers below reproduce it line
 by line.
 """
@@ -47,6 +49,7 @@ PINNED = {
     "random": "92c609aba757a660853215a7e436b216d7a7732f616b06a7bbfb5e3441ca1a0d",
     "exemplars": "7d1c59421791b317e1ce421b5577f5958adadcb6beccbcf0ce5f19a4c973ba86",
     "zigzags": "d258caa15edfda186218abf6761597ae56b46b6a30c3b0d6f997a3bea2cf76d3",
+    "zigzag_tables": "e0a1a5987459aa3d19d06e3772eef9d36efeb5ab31c2cbcd3fbebae5017dabbf",
     "validator": "38e489a53b991b395c47194df7413c0af6fb2e1a2c399e71bf897e748e56ec8c",
     "theorem3": "921158409da94b8b31be0eaad0175d989eae461a7847fee0fc59a3bf2a9bc097",
     "triangulations": "dfed61d1f594e10684a5818150dafd28f57642c396f6b2634f0933b4764036d1",
@@ -92,6 +95,21 @@ def zigzag_lines():
         z = zigzag_chi_target(l)
         labels = sorted((name, str(c)) for name, c in z.labels.items())
         yield f"l={l} {_render(z.polygon)} J={z.j_set} labels={labels}"
+
+
+def zigzag_table_lines():
+    """Per l: the zigzag's order type and everything read from it, no coordinates."""
+    for l in (*range(2, 11), *range(-10, -1), 20, -20, 30, -30):
+        z = zigzag_chi_target(l)
+        poly = z.polygon
+        table = " ".join(f"{cell:x}" for cell in poly.left)
+        labels = sorted((name, str(c)) for name, c in z.labels.items())
+        constraints = convexity_constraints(poly, z.j_set)
+        chi = chi_removed_direct(poly, z.j_set, "d")
+        yield (
+            f"l={l} n={poly.n} reflex={sorted(poly.reflex_vertices)} table={table}"
+            f" J={z.j_set} labels={labels} constraints={constraints} chi={chi}"
+        )
 
 
 def grid_path(seed: int) -> list[Point]:
@@ -208,6 +226,10 @@ def test_class_exemplars_pinned():
 
 def test_zigzags_pinned():
     assert _digest(zigzag_lines()) == PINNED["zigzags"]
+
+
+def test_zigzag_tables_pinned():
+    assert _digest(zigzag_table_lines()) == PINNED["zigzag_tables"]
 
 
 def test_theorem3_reports_pinned():
