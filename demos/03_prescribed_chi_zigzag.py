@@ -1,8 +1,9 @@
 """Realizing any integer as chi(M_d minus J): the zigzag family.
 
-The construction lives in Q(sqrt 3): unit steps, 30-degree steps, and
-+-60-degree rotations generate a zigzag polygon whose labeled diagonal
-triangles force a rigid convex-partition structure.  An alternating-sum
+The construction is laid out on a lattice in Q(sqrt 3): unit steps,
+30-degree steps, and +-60-degree rotations generate a zigzag polygon whose
+labeled diagonal triangles force a rigid convex-partition structure.  The
+polygon itself has rational coordinates with the lattice's order type.  An alternating-sum
 recurrence then pins chi(M_d minus J) to any requested integer.
 """
 

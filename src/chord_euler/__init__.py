@@ -1,6 +1,5 @@
 """Exact Euler characteristics of non-crossing chord families of simple polygons."""
 
-from .exact_scalar import QSqrt3, Rat
 from .geometry import (
     CollinearTriple,
     DuplicateVertex,

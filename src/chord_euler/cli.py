@@ -19,6 +19,10 @@ Ranges are ``lo..hi`` or one integer.
     render FILE [--chords SIDECAR] [--out PATH]
     catalan --n N --k K --a A
 
+A polygon FILE is JSON, ``{"vertices": [{"x": "p/q", "y": "p/q"}, ...]}``:
+every coordinate an exact rational, written ``p/q`` (read also as ``p``,
+optionally signed).  ``generate`` writes that form.
+
 The four random campaigns check ``--random`` seeded polygons, seeds from
 ``--seed`` on, their sizes cycling through ``--n``; theorem1 also checks the
 convex n-gon for each n of ``--n``.
@@ -34,7 +38,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from fractions import Fraction
 
 from .catalan import (
     alternating_sum_check,
@@ -45,7 +51,6 @@ from .catalan import (
 )
 from .chords import Chord, ChordKind, ChordSet, diagonals, epigonals, universe_of
 from .classes import class_report, verify_theorem1, verify_theorem3
-from .exact_scalar import QSqrt3
 from .geometry import Point, Polygon, PolygonError, validate_polygon
 from .generators import (
     GeneratorError,
@@ -93,16 +98,30 @@ class CapExceeded(Exception):
 # Polygon file format
 
 
+_RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
+
+
+def _ratio(c: Fraction | int) -> str:
+    return f"{c.numerator}/{c.denominator}"
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Inverse of ``_ratio``: "p/q" or "p", optionally signed."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"not a rational scalar: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in scalar: {text!r}") from exc
+
+
 def polygon_to_json(poly: Polygon) -> dict:
-    return {"vertices": [{"x": str(p.x), "y": str(p.y)} for p in poly.vertices]}
+    return {"vertices": [{"x": _ratio(p.x), "y": _ratio(p.y)} for p in poly.vertices]}
 
 
 def polygon_from_json(doc: dict) -> Polygon:
     try:
-        verts = [
-            Point(QSqrt3.parse(v["x"]), QSqrt3.parse(v["y"]))
-            for v in doc["vertices"]
-        ]
+        verts = [Point(_parse_rational(v["x"]), _parse_rational(v["y"])) for v in doc["vertices"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"malformed polygon document: {exc}") from exc
     return validate_polygon(verts)
@@ -410,10 +429,6 @@ def cmd_generate_zigzag(args) -> int:
 # render
 
 
-def _svg_coord(v: QSqrt3) -> float:
-    return float(v)
-
-
 def cmd_render(args) -> int:
     poly = load_polygon(args.file)
     chords: list[Chord] = []
@@ -430,8 +445,8 @@ def cmd_render(args) -> int:
 
 def render_svg(poly: Polygon, chords: list[Chord]) -> str:
     """Static SVG: solid boundary, dashed diagonals, dotted epigonals."""
-    xs = [_svg_coord(p.x) for p in poly.vertices]
-    ys = [_svg_coord(p.y) for p in poly.vertices]
+    xs = [float(p.x) for p in poly.vertices]
+    ys = [float(p.y) for p in poly.vertices]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
@@ -465,8 +480,8 @@ def render_svg(poly: Polygon, chords: list[Chord]) -> str:
         kind = uni.kinds[k]
         a, b = poly.vertices[c.i], poly.vertices[c.j]
         out.append(
-            f'<line x1="{sx(_svg_coord(a.x)):.3f}" y1="{sy(_svg_coord(a.y)):.3f}" '
-            f'x2="{sx(_svg_coord(b.x)):.3f}" y2="{sy(_svg_coord(b.y)):.3f}" '
+            f'<line x1="{sx(float(a.x)):.3f}" y1="{sy(float(a.y)):.3f}" '
+            f'x2="{sx(float(b.x)):.3f}" y2="{sy(float(b.y)):.3f}" '
             f'{styles[kind]} stroke-width="1.5"/>'
         )
     for i, (x, y) in enumerate(zip(xs, ys)):

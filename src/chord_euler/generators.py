@@ -4,8 +4,9 @@
 * exemplars of the six forbidden-position classes (post-verified by the
   exact detectors),
 * the zigzag family realizing any prescribed integer value of
-  chi(M_d minus J), built exactly in Q(sqrt 3) from unit steps, 30-degree
-  steps and +-60-degree rotations,
+  chi(M_d minus J), laid out on a lattice in Q(sqrt 3) from unit steps,
+  30-degree steps and +-60-degree rotations, and carried to rational
+  coordinates with its order type kept,
 * seeded random simple polygons via 2-opt untangling.
 
 Every constructor returns validator-certified polygons; parameter choices may
@@ -21,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chords import Chord, ChordSet, universe_of
-from .exact_scalar import QSqrt3
-from .geometry import Point, Polygon, PolygonError, validate_polygon
+from .geometry import Point, Polygon, PolygonError, orientation, validate_polygon
 from .geometry import CollinearTriple, DuplicateVertex, first_crossing_edges, orientation_table
-from .geometry import _path_polygon
+from .geometry import SLOT_CACHE_N, _cached_slots, _path_polygon, _slots
 from .partition import PartitionError, convexity_constraints
 from . import classes as _classes
 
@@ -36,7 +36,7 @@ class GeneratorError(RuntimeError):
 def _circle_point(t: Fraction, radius: Fraction = Fraction(1)) -> Point:
     # Rational parameterization ((1-t^2)/(1+t^2), 2t/(1+t^2)) of the circle.
     den = 1 + t * t
-    return Point(QSqrt3(radius * (1 - t * t) / den), QSqrt3(radius * 2 * t / den))
+    return Point(radius * (1 - t * t) / den, radius * 2 * t / den)
 
 
 def _t_for_angle(degrees: float) -> Fraction:
@@ -64,10 +64,7 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
         raise GeneratorError("n >= 3 required")
     rng = random.Random(seed)
     for _ in range(64):
-        pts = [
-            Point(QSqrt3(rng.randrange(0, 10**6)), QSqrt3(rng.randrange(0, 10**6)))
-            for _ in range(n)
-        ]
+        pts = [Point(rng.randrange(0, 10**6), rng.randrange(0, 10**6)) for _ in range(n)]
         try:
             # One orientation table (CollinearTriple on a collinear triple or
             # a repeated point) serves the untangling and the validation, and
@@ -122,14 +119,18 @@ def perturb_to_general_position(points: list[Point], structural_check=None) -> P
         if structural_check is not None and not structural_check(poly):
             raise GeneratorError("input fails the structural check and needs no perturbation")
         return poly
+    return _perturb(points, bad, structural_check)
+
+
+def _perturb(points: list[Point], bad: set[int], structural_check) -> Polygon:
+    """:func:`perturb_to_general_position`'s loop, nudging the vertices ``bad``."""
     for sign in (1, -1):
         eps = PERTURB_BUDGET * sign
         for _ in range(10):
             moved = list(points)
             for k in sorted(bad):
-                dx = QSqrt3(Fraction(eps, k + 1))
-                dy = QSqrt3(Fraction(eps, (k + 2) ** 2))
-                moved[k] = Point(points[k].x + dx, points[k].y + dy)
+                p = points[k]
+                moved[k] = Point(p.x + Fraction(eps, k + 1), p.y + Fraction(eps, (k + 2) ** 2))
             try:
                 poly = validate_polygon(moved)
             except PolygonError:
@@ -144,40 +145,87 @@ def perturb_to_general_position(points: list[Point], structural_check=None) -> P
 # ---------------------------------------------------------------------------
 # The zigzag family (prescribed chi)
 
-_E30 = (QSqrt3(0, Fraction(1, 2)), QSqrt3(Fraction(1, 2)))  # e^{i pi/6}
-_ONE = (QSqrt3(1), QSqrt3(0))
+# The zigzag is laid out on a lattice in Q(sqrt 3).  A lattice coordinate
+# a + b*sqrt(3) is the rational pair (a, b) and a lattice point is a pair of
+# those.  The layout needs sums, +-60-degree turns and the shaved corner's
+# midpoints, and asks sqrt(3) one question: which triples are collinear
+# (:func:`_collinear_vertices`).  The polygon's points are rational: each
+# a + b*sqrt(3) becomes a + b*``_SQRT3``.
+_Coord3 = tuple[Fraction, Fraction]
+_Lattice = tuple[_Coord3, _Coord3]
+_ORIGIN: _Lattice = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+_E30: _Lattice = ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)))  # e^{i pi/6}
+_ONE: _Lattice = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
+# A convergent of sqrt(3), 4.7e-7 above it.  With it the zigzags keep the
+# orientation tables of the lattice perturbed exactly in Q(sqrt 3), checked
+# for |l| = 2..40, 45 and 50; the coarser 97/56 changes them from |l| = 8 up.
+_SQRT3 = Fraction(1351, 780)
 
 
-def _rot60(v: tuple[QSqrt3, QSqrt3], parity: int) -> tuple[QSqrt3, QSqrt3]:
-    # Multiply by (1 + (-1)^parity sqrt(3) i)/2: rotation by +-60 degrees.
-    x, y = v
-    h = QSqrt3(Fraction(1, 2))
-    s = QSqrt3(0, Fraction(1, 2))
-    if parity % 2 == 0:
-        return (x * h - y * s, x * s + y * h)
-    return (x * h + y * s, -(x * s) + y * h)
+def _add(p: _Lattice, q: _Lattice) -> _Lattice:
+    (pxa, pxb), (pya, pyb) = p
+    (qxa, qxb), (qya, qyb) = q
+    return ((pxa + qxa, pxb + qxb), (pya + qya, pyb + qyb))
 
 
-def _zigzag_raw(L: int) -> tuple[list[Point], dict[str, tuple[int, int]]]:
-    """Vertices A_1..A_{3L} (1-based) and the e-labels, before perturbation."""
+def _rot60(v: _Lattice, parity: int) -> _Lattice:
+    # Multiply by (1 + (-1)^parity sqrt(3) i)/2: rotation by +-60 degrees,
+    # with (a + b*sqrt(3)) * sqrt(3) = 3b + a*sqrt(3).
+    (xa, xb), (ya, yb) = v
+    t = 1 if parity % 2 == 0 else -1
+    return ((Fraction(xa - 3 * t * yb, 2), Fraction(xb - t * ya, 2)),
+            (Fraction(ya + 3 * t * xb, 2), Fraction(yb + t * xa, 2)))
+
+
+def _midpoint(p: _Lattice, q: _Lattice) -> _Lattice:
+    (xa, xb), (ya, yb) = _add(p, q)
+    return ((xa / 2, xb / 2), (ya / 2, yb / 2))
+
+
+def _collinear_vertices(points: list[_Lattice]) -> set[int]:
+    """The vertices of every collinear triple of the lattice points.
+
+    A cross product A + B*sqrt(3), with A and B rational, is zero iff
+    A = B = 0, so no sign is taken.  As in :func:`orientation_table`, the
+    components are lifted to integers over one common denominator, and each
+    triple sums precomputed 2x2 minors, here a pair (A, B) per point pair.
+    """
+    n = len(points)
+    comps = [c for p in points for xy in p for c in xy]
+    d = math.lcm(*[c.denominator for c in comps])
+    xa, xb, ya, yb = ([c.numerator * (d // c.denominator) for c in comps[r::4]] for r in range(4))
+    pairs, triples = _cached_slots(n) if n <= SLOT_CACHE_N else _slots(n)
+    # det_a[i*n + j] + det_b[i*n + j]*sqrt(3) is x_i*y_j - x_j*y_i (times d
+    # squared), for i < j.
+    det_a = [0] * (n * n)
+    det_b = [0] * (n * n)
+    for i, j, ij, _, _ in pairs:
+        det_a[ij] = xa[i] * ya[j] + 3 * xb[i] * yb[j] - xa[j] * ya[i] - 3 * xb[j] * yb[i]
+        det_b[ij] = xa[i] * yb[j] + xb[i] * ya[j] - xa[j] * yb[i] - xb[j] * ya[i]
+    bad = 0
+    for ij, ik, jk, bi, bj, bk in triples:
+        if det_a[jk] - det_a[ik] + det_a[ij] == 0 and det_b[jk] - det_b[ik] + det_b[ij] == 0:
+            bad |= bi | bj | bk
+    return {v for v in range(n) if bad >> v & 1}
+
+
+def _zigzag_raw(L: int) -> tuple[list[_Lattice], dict[str, tuple[int, int]]]:
+    """Lattice points A_1..A_{3L} (1-based) and the e-labels, before perturbation."""
     top = 2 * L + 4
-    B: dict[int, tuple[QSqrt3, QSqrt3]] = {1: (QSqrt3(0), QSqrt3(0))}
-    for m in range(2, top + 1):
-        step = _ONE if m % 2 == 0 else _E30
-        bx, by = B[m - 1]
-        B[m] = (bx + step[0], by + step[1])
-    C: dict[int, tuple[QSqrt3, QSqrt3]] = {}
-    D: dict[int, tuple[QSqrt3, QSqrt3]] = {}
-    for k in range(1, top - 1):
-        bx, by = B[k]
-        d1 = (B[k + 1][0] - bx, B[k + 1][1] - by)
-        d2 = (B[k + 2][0] - bx, B[k + 2][1] - by)
-        r1 = _rot60(d1, k)
-        r2 = _rot60(d2, k)
-        C[k] = (bx + r1[0], by + r1[1])
-        D[k] = (bx + r2[0], by + r2[1])
 
-    def a0(m: int) -> tuple[QSqrt3, QSqrt3]:
+    def step(m: int) -> _Lattice:  # B_m - B_{m-1}
+        return _ONE if m % 2 == 0 else _E30
+
+    B = {1: _ORIGIN}
+    for m in range(2, top + 1):
+        B[m] = _add(B[m - 1], step(m))
+    C: dict[int, _Lattice] = {}
+    D: dict[int, _Lattice] = {}
+    for k in range(1, top - 1):
+        C[k] = _add(B[k], _rot60(step(k + 1), k))
+        D[k] = _add(B[k], _rot60(_add(step(k + 1), step(k + 2)), k))
+
+    def a0(m: int) -> _Lattice:
         r = m % 3
         if r == 2:
             return B[2 * (m + 1) // 3]
@@ -185,7 +233,7 @@ def _zigzag_raw(L: int) -> tuple[list[Point], dict[str, tuple[int, int]]]:
             return C[2 * m // 3 + 1]
         return D[2 * (m - 1) // 3 + 1]
 
-    def a1(k: int) -> tuple[QSqrt3, QSqrt3]:
+    def a1(k: int) -> _Lattice:
         r = k % 3
         if r == 0:
             return C[2 * (k + 3) // 3]
@@ -193,14 +241,14 @@ def _zigzag_raw(L: int) -> tuple[list[Point], dict[str, tuple[int, int]]]:
             return D[2 * (k + 2) // 3]
         return B[2 * (k + 1) // 3 + 1]
 
-    verts: dict[int, tuple[QSqrt3, QSqrt3]] = {1: B[1]}
+    verts = {1: B[1]}
     for m in range(2, (3 * L + 1) // 2 + 1):
         verts[m] = a0(m)
     for k in range(0, (3 * L - 2) // 2 + 1):
         verts[3 * L - k] = a1(k)
     if sorted(verts) != list(range(1, 3 * L + 1)):
         raise AssertionError("vertex selection did not cover 1..3L")
-    points = [Point(*verts[m]) for m in range(1, 3 * L + 1)]
+    points = [verts[m] for m in range(1, 3 * L + 1)]
 
     labels: dict[str, tuple[int, int]] = {}
     for k in range(L // 2):
@@ -246,11 +294,6 @@ class ZigzagInstance:
     labels: dict[str, Chord]
 
 
-def _midpoint(p: Point, q: Point) -> Point:
-    h = QSqrt3(Fraction(1, 2))
-    return Point((p.x + q.x) * h, (p.y + q.y) * h)
-
-
 def zigzag_chi_target(l: int) -> ZigzagInstance:
     """A polygon and non-crossing diagonal set with chi(M_d minus J) = l.
 
@@ -261,13 +304,12 @@ def zigzag_chi_target(l: int) -> ZigzagInstance:
     L = abs(l)
     if L < 2:
         raise GeneratorError("|l| >= 2 required (smaller values need no construction)")
-    points, labels1 = _zigzag_raw(L)
+    lattice, labels1 = _zigzag_raw(L)
     use_base = (l > 0) == (L % 2 == 1)
     if not use_base:
-        shaved = [_midpoint(points[0], points[1])] + points[1:] + [
-            _midpoint(points[0], points[-1])
-        ]
-        points = shaved
+        lattice = [_midpoint(lattice[0], lattice[1]), *lattice[1:],
+                   _midpoint(lattice[0], lattice[-1])]
+    points = [Point(xa + xb * _SQRT3, ya + yb * _SQRT3) for (xa, xb), (ya, yb) in lattice]
     # A_m keeps 0-based index m-1 in both variants; labels never touch A_1.
     labels0 = {name: Chord.of(a - 1, b - 1) for name, (a, b) in labels1.items()}
 
@@ -279,7 +321,7 @@ def zigzag_chi_target(l: int) -> ZigzagInstance:
         except (KeyError, PartitionError):
             return False
 
-    poly = perturb_to_general_position(points, structural_check=structural)
+    poly = _perturb(points, _collinear_vertices(lattice), structural)
     uni = universe_of(poly)
     j_set = uni.set_of(labels0.values())
     return ZigzagInstance(poly, j_set, l, labels0)
@@ -328,7 +370,7 @@ def verify_zigzag_structure(z: ZigzagInstance) -> ZigzagStructureReport:
 
 def _fan_polygon(ray_specs: list[tuple[float, Fraction]]) -> list[Point]:
     """Apex at the origin plus one vertex per (angle-degrees, radius) ray."""
-    pts = [Point(QSqrt3(0), QSqrt3(0))]
+    pts = [Point(0, 0)]
     for deg, radius in ray_specs:
         pts.append(_circle_point(_t_for_angle(deg), radius))
     return pts
@@ -372,35 +414,43 @@ def _class2_exemplar(n: int) -> Polygon:
     m = n - 3
     if m < 2:
         raise GeneratorError("class 2 needs n >= 5")
-    apex = Point(QSqrt3(0), QSqrt3(8))
-    left = Point(QSqrt3(-4), QSqrt3(0))
-    right = Point(QSqrt3(4), QSqrt3(0))
+    apex = Point(0, 8)
+    left = Point(-4, 0)
+    right = Point(4, 0)
     chain = []
     for k in range(1, m + 1):
         x = Fraction(-4) + Fraction(8 * k, m + 1)
         y = 2 - x * x / 8
-        chain.append(Point(QSqrt3(x), QSqrt3(y)))
+        chain.append(Point(x, y))
     return validate_polygon([apex, left] + chain + [right])
 
 
 def _bitten_path(
     start: Point, end: Point, count: int, toward: Point, eta: Fraction
 ) -> list[Point]:
-    """Interior points of a segment, bowed toward ``toward`` (a convex bite)."""
-    out = []
+    """Interior points of a segment, bowed toward ``toward`` (a convex bite).
+
+    At parameter u the bow is ``eta`` * u(1 - u) times the segment's length,
+    with ``eta`` halved until the points lie inside the triangle (start,
+    end, toward).  Against the triangle's sides at ``start`` and at ``end``
+    the first and the last point are the nearest to crossing, so only they
+    are checked.
+    """
     dx, dy = end.x - start.x, end.y - start.y
     # Normal pointing toward ``toward``.
     nx, ny = dy, -dx
-    side = ((toward.x - start.x) * nx + (toward.y - start.y) * ny).sign()
-    if side < 0:
+    if (toward.x - start.x) * nx + (toward.y - start.y) * ny < 0:
         nx, ny = -nx, -ny
-    for k in range(1, count + 1):
-        u = Fraction(k, count + 1)
-        bump = eta * u * (1 - u)
-        px = start.x + dx * QSqrt3(u) + nx * QSqrt3(bump)
-        py = start.y + dy * QSqrt3(u) + ny * QSqrt3(bump)
-        out.append(Point(px, py))
-    return out
+    while True:
+        out = []
+        for k in range(1, count + 1):
+            u = Fraction(k, count + 1)
+            bump = eta * u * (1 - u)
+            out.append(Point(start.x + dx * u + nx * bump, start.y + dy * u + ny * bump))
+        if (orientation(toward, start, out[0]) == orientation(toward, start, end)
+                and orientation(toward, end, out[-1]) == orientation(toward, end, start)):
+            return out
+        eta /= 2
 
 
 def _class4_exemplar(n: int) -> Polygon:
@@ -409,7 +459,7 @@ def _class4_exemplar(n: int) -> Polygon:
     if m < 2:
         raise GeneratorError("class 4 needs n >= 5")
     r = Fraction(8)
-    apex = Point(QSqrt3(0), QSqrt3(24))
+    apex = Point(0, 24)
     g_l = _circle_point(_t_for_angle(100.0), r)
     g_r = _circle_point(_t_for_angle(80.0), r)
     body = [_circle_point(_t_for_angle(a), r) for a in _spread(112.0, 428.0, m)]
@@ -440,9 +490,8 @@ def _class3_exemplar(n: int, pockets: int = 1) -> Polygon:
     def pocket_chain(a: Point, b: Point, k: int) -> list[Point]:
         # Chain from a to b dipping inside the hull; bite bowed toward the
         # apex ``a`` so the pocket is a triangle minus a convex region at a.
-        h = QSqrt3(Fraction(1, 2))
-        mid = Point((a.x + b.x) * h, (a.y + b.y) * h)
-        deep = Point(mid.x * QSqrt3(Fraction(5, 8)), mid.y * QSqrt3(Fraction(5, 8)))
+        # The chord's midpoint, pulled to 5/8 of its distance from the centre.
+        deep = Point((a.x + b.x) * Fraction(5, 16), (a.y + b.y) * Fraction(5, 16))
         if k == 1:
             return [deep]
         return [deep] + _bitten_path(deep, b, k - 1, a, Fraction(1, 2))

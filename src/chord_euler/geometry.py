@@ -7,10 +7,10 @@ reversal, a path's order (:func:`validate_path`) and a rotation
 (``Polygon.rotated``) relabel the table already built (:func:`_relabel`).
 A segment family's crossings (:func:`straddle_masks`), a point set's
 general position (the table raises :class:`CollinearTriple`) and its hull
-(:func:`hull_successors`) read the table of its points.  The scalar layer,
-``Point``, :func:`cross` and :func:`orientation`, decides on
-``QSqrt3.sign()``; the table lifts the coordinates to integers once.  No
-decision uses floating point.  Polygons are stored counter-clockwise with
+(:func:`hull_successors`) read the table of its points.  Coordinates are
+exact rationals; the scalar layer, ``Point``, :func:`cross` and
+:func:`orientation`, decides on the sign of a rational, and the table lifts
+the coordinates to integers once.  No decision uses floating point.  Polygons are stored counter-clockwise with
 vertices in general position (no three collinear), the standing assumption
 of the combinatorics.
 """
@@ -20,11 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Iterator, Sequence
 
-from .exact_scalar import QSqrt3, lift, sqrt3_sign
-
-Coord = QSqrt3 | int | Fraction
+Coord = int | Fraction
 
 
 class GeometryError(ValueError):
@@ -60,13 +59,13 @@ class SelfIntersection(PolygonError):
 
 
 class Point:
-    """A point of the plane with coordinates in Q(sqrt 3)."""
+    """A point of the plane with rational coordinates: ints, else ``Fraction``s."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x: Coord, y: Coord):
-        self.x = x if isinstance(x, QSqrt3) else QSqrt3(x)
-        self.y = y if isinstance(y, QSqrt3) else QSqrt3(y)
+        self.x = x if type(x) is int else Fraction(x)
+        self.y = y if type(y) is int else Fraction(y)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Point) and self.x == other.x and self.y == other.y
@@ -102,14 +101,15 @@ class Segment:
         return f"Segment({self.a}, {self.b})"
 
 
-def cross(o: Point, p: Point, q: Point) -> QSqrt3:
+def cross(o: Point, p: Point, q: Point) -> Coord:
     """Cross product (p - o) x (q - o)."""
     return (p.x - o.x) * (q.y - o.y) - (p.y - o.y) * (q.x - o.x)
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
     """+1 for a counter-clockwise turn p->q->r, -1 clockwise, 0 collinear."""
-    return cross(p, q, r).sign()
+    c = cross(p, q, r)
+    return (c > 0) - (c < 0)
 
 
 class Polygon:
@@ -193,10 +193,10 @@ def orientation_table(points: Sequence[Point]) -> tuple[int, ...]:
     """The order type of a point sequence, as n*n bit masks.
 
     ``left[i*n + j]`` has bit k set iff p_i -> p_j -> p_k turns
-    counter-clockwise.  The coordinates are lifted once to integer pairs over
-    Z[sqrt 3] with one common denominator, so each of the C(n, 3) orientations
-    is one integer determinant, summed from precomputed 2x2 minors, and the
-    exact sign of a + b*sqrt(3).  Raises :class:`CollinearTriple` after the
+    counter-clockwise.  The coordinates are lifted once to integers over one
+    common denominator, so each of the C(n, 3) orientations is the sign of
+    one integer determinant, summed from one precomputed 2x2 minor per pair.
+    Raises :class:`CollinearTriple` after the
     scan if a sign is zero: it names the first collinear (i, j, k) in
     ``combinations`` order, and its ``triples`` lists them all.
 
@@ -209,26 +209,20 @@ def orientation_table(points: Sequence[Point]) -> tuple[int, ...]:
     triples on the fly, in the same loop.
     """
     n = len(points)
-    lifted = lift([c for p in points for c in (p.x, p.y)])
+    coords = [c for p in points for c in (p.x, p.y)]
+    d = lcm(*[c.denominator for c in coords])
+    lifted = [c.numerator * (d // c.denominator) for c in coords]
     xs, ys = lifted[0::2], lifted[1::2]
     pairs, triples = _cached_slots(n) if n <= SLOT_CACHE_N else _slots(n)
-    # det_a[i*n + j] + det_b[i*n + j]*sqrt(3) is x_i*y_j - x_j*y_i (times the
-    # common denominator squared), for i < j.
-    det_a = [0] * (n * n)
-    det_b = [0] * (n * n)
+    # det[i*n + j] is x_i*y_j - x_j*y_i (times d squared), for i < j.
+    det = [0] * (n * n)
     for i, j, ij, _, _ in pairs:
-        (xia, xib), (yja, yjb) = xs[i], ys[j]
-        (xja, xjb), (yia, yib) = xs[j], ys[i]
-        det_a[ij] = xia * yja + 3 * xib * yjb - xja * yia - 3 * xjb * yib
-        det_b[ij] = xia * yjb + xib * yja - xja * yib - xjb * yia
+        det[ij] = xs[i] * ys[j] - xs[j] * ys[i]
     left = [0] * (n * n)
     zero = []  # the collinear triples
     for ij, ik, jk, bi, bj, bk in triples:
         # The cross product (p_j - p_i) x (p_k - p_i).
-        sign = det_a[jk] - det_a[ik] + det_a[ij]
-        root = det_b[jk] - det_b[ik] + det_b[ij]
-        if root:  # integer and rational coordinates never get here
-            sign = sqrt3_sign(sign, root)
+        sign = det[jk] - det[ik] + det[ij]
         if sign > 0:
             left[ij] |= bk
             left[jk] |= bi

@@ -499,7 +499,7 @@ def _face_diagonal(poly: Polygon, face: int, start: int) -> Chord:
     for d in part:
         if inside >> d & 1:
             dist = cross(vs[nxt], vs[prev], vs[d])  # positive: d is on v's side
-            if best is None or (dist - best_dist).sign() > 0:
+            if best is None or dist > best_dist:
                 best, best_dist = d, dist
     if best is None:
         raise AssertionError("ear blocked but triangle empty")

@@ -24,7 +24,7 @@ def dart() -> Polygon:
 
 
 def exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3, 4, 5, -5, 7)) -> list[Polygon]:
-    """Class exemplars 1-6 for n = 5..10, then zigzag polygons (sqrt 3 coordinates)."""
+    """Class exemplars 1-6 for n = 5..10, then zigzag polygons (laid out in Q(sqrt 3))."""
     polys = [
         class_exemplar(kind, 0, n)
         for kind in range(1, 7)

@@ -4,7 +4,7 @@ The library decides every geometric question from orientation tables: a
 segment family's crossings by the straddle test, general position by the
 table's :class:`CollinearTriple`, the hull by ``hull_successors``, chord
 kinds and face convexity from the polygon's table.  The routes below decide
-the same questions on the coordinates alone, with the ``QSqrt3`` predicates
+the same questions on the rational coordinates alone, with the predicates
 ``orientation`` and ``cross``, and share no code with the tables.  One route
 reads a table: :func:`vertex_kinds_by_edges`, a loop over vertices and edges
 against the library's whole-table mask arithmetic.
@@ -12,11 +12,11 @@ against the library's whole-table mask arithmetic.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from chord_euler.chords import ChordSet
-from chord_euler.exact_scalar import QSqrt3
 from chord_euler.geometry import (
     CollinearTriple,
     GeometryError,
@@ -64,10 +64,32 @@ def no_three_collinear(points: Sequence[Point]) -> bool:
     return all(orientation(a, b, c) != 0 for a, b, c in combinations(points, 3))
 
 
-def area2(poly: Polygon) -> QSqrt3:
+def lattice_collinear_vertices(points: Sequence) -> set[int]:
+    """The vertices of the collinear triples of zigzag lattice points.
+
+    A lattice point is a pair of coordinates a + b*sqrt(3), each the rational
+    pair (a, b); a triple is collinear iff its two cross-product terms are
+    equal in Q(sqrt 3), compared as pairs.
+    """
+
+    def sub(u, v):
+        return (u[0] - v[0], u[1] - v[1])
+
+    def mul(u, v):
+        return (u[0] * v[0] + 3 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+    out: set[int] = set()
+    for i, j, k in combinations(range(len(points)), 3):
+        (ox, oy), (px, py), (qx, qy) = points[i], points[j], points[k]
+        if mul(sub(px, ox), sub(qy, oy)) == mul(sub(py, oy), sub(qx, ox)):
+            out |= {i, j, k}
+    return out
+
+
+def area2(poly: Polygon) -> Fraction:
     """Twice the signed area (positive: the polygon is CCW)."""
     vs = poly.vertices
-    total = QSqrt3(0)
+    total = Fraction(0)
     for i in range(1, poly.n - 1):
         total = total + cross(vs[0], vs[i], vs[i + 1])
     return total
@@ -89,7 +111,7 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
     dx, dy = b.x - a.x, b.y - a.y
     t1 = (p.x - a.x) * dx + (p.y - a.y) * dy
     t2 = (p.x - b.x) * dx + (p.y - b.y) * dy
-    return t1.sign() >= 0 and t2.sign() <= 0
+    return t1 >= 0 and t2 <= 0
 
 
 def point_in_polygon(pt: Point, poly: Polygon) -> bool:
@@ -106,10 +128,10 @@ def point_in_polygon(pt: Point, poly: Polygon) -> bool:
             raise PointOnBoundary(f"point {pt!r} lies on edge {i}")
     k = 0
     while True:
-        dx, dy = (QSqrt3(1), QSqrt3(0)) if k == 0 else (QSqrt3(k), QSqrt3(1))
+        dx, dy = (1, 0) if k == 0 else (k, 1)
         clean = True
         for v in vs:
-            if ((v.x - pt.x) * dy - (v.y - pt.y) * dx).sign() == 0:
+            if (v.x - pt.x) * dy - (v.y - pt.y) * dx == 0:
                 clean = False
                 break
         if clean:
@@ -118,15 +140,15 @@ def point_in_polygon(pt: Point, poly: Polygon) -> bool:
     crossings = 0
     for i in range(poly.n):
         u, w = vs[i], vs[(i + 1) % poly.n]
-        su = ((u.x - pt.x) * dy - (u.y - pt.y) * dx).sign()
-        sw = ((w.x - pt.x) * dy - (w.y - pt.y) * dx).sign()
+        su = (u.x - pt.x) * dy - (u.y - pt.y) * dx
+        sw = (w.x - pt.x) * dy - (w.y - pt.y) * dx
         if su * sw >= 0:
             continue
         # The edge straddles the ray line; keep the crossing iff it is ahead.
         ex, ey = w.x - u.x, w.y - u.y
         num = (u.x - pt.x) * ey - (u.y - pt.y) * ex
         den = dx * ey - dy * ex
-        if num.sign() * den.sign() > 0:
+        if num * den > 0:
             crossings += 1
     return crossings % 2 == 1
 
@@ -135,7 +157,7 @@ def convex_hull_points(points: Sequence[Point]) -> list[Point]:
     """CCW hull vertex list (Andrew's monotone chain, exact comparisons)."""
     if len(points) < 3:
         raise GeometryError("hull needs at least 3 points")
-    pts = sorted(set(points), key=_numeric_key)
+    pts = sorted(set(points), key=lambda p: (p.x, p.y))
     lower: list[Point] = []
     for p in pts:
         while len(lower) >= 2 and orientation(lower[-2], lower[-1], p) <= 0:
@@ -150,19 +172,6 @@ def convex_hull_points(points: Sequence[Point]) -> list[Point]:
     if len(hull) < 3:
         raise GeometryError("all points collinear")
     return hull
-
-
-class _numeric_key:
-    __slots__ = ("p",)
-
-    def __init__(self, p: Point):
-        self.p = p
-
-    def __lt__(self, other: "_numeric_key") -> bool:
-        dx = (self.p.x - other.p.x).sign()
-        if dx != 0:
-            return dx < 0
-        return (self.p.y - other.p.y).sign() < 0
 
 
 def convex_hull(points: Sequence[Point]) -> Polygon:
@@ -180,7 +189,7 @@ def _part_is_convex(vs: Sequence[Point], part: Sequence[int]) -> bool:
     k = len(part)
     for t in range(k):
         a, b, c = vs[part[t - 1]], vs[part[t]], vs[part[(t + 1) % k]]
-        if cross(a, b, c).sign() <= 0:
+        if cross(a, b, c) <= 0:
             return False
     return True
 

@@ -313,7 +313,7 @@ def test_vertex_kinds_match_coordinates_exemplars_and_zigzags():
 # Sizes on both sides of each field width of the packed table in
 # ``chords._vertex_kinds``: 1, 2, 4 and 8 bytes, then wider fields past n = 64.
 FIELD_WIDTH_NS = (8, 9, 16, 17, 32, 33, 64, 65, 70, 100)
-# Zigzags (3|l| or 3|l| + 1 vertices, sqrt(3) coordinates) on both sides of
+# Zigzags (3|l| or 3|l| + 1 vertices, laid out in Q(sqrt 3)) on both sides of
 # the same widths: n = 7, 9, 16, 18, 31, 33, 64, 66, 70 and 100.
 FIELD_WIDTH_ZIGZAGS = (2, 3, -5, -6, 10, 11, -21, -22, -23, -33)
 
@@ -333,10 +333,8 @@ def _assert_vertex_kinds_match_edge_loop(poly):
 
 @pytest.mark.parametrize("n", FIELD_WIDTH_NS)
 def test_vertex_kinds_match_edge_loop_at_field_widths(n):
-    # class_exemplar(3, 0, n) fails its validation for n >= 55.
-    kinds = range(1, 7) if n < 55 else (1, 2, 4, 5, 6)
     polys = [random_simple_polygon(n, n), convex_ngon(n)]
-    for poly in polys + [class_exemplar(kind, 0, n) for kind in kinds]:
+    for poly in polys + [class_exemplar(kind, 0, n) for kind in range(1, 7)]:
         _assert_vertex_kinds_match_edge_loop(poly)
 
 
@@ -346,8 +344,8 @@ def test_vertex_kinds_match_edge_loop_on_zigzags():
 
 
 def test_orientation_table():
-    # Integer, rational (convex n-gons on the unit circle) and sqrt(3)
-    # (zigzags) coordinates, against the QSqrt3 predicate.
+    # Integer and rational coordinates (convex n-gons on the unit circle,
+    # class exemplars, zigzags), against the coordinate predicate.
     corpus = [random_simple_polygon(9, 3)]
     corpus += [convex_ngon(n) for n in range(5, 13)]
     corpus += exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3, 4))

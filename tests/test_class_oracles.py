@@ -1,8 +1,8 @@
 """The class detectors, the hull and the pockets against coordinate routes.
 
 The library reads them from the polygon's orientation table.  The
-oracles below decide the same questions on the coordinates alone, with the
-``QSqrt3`` predicates: ``angle_exceeds_pi``, ``convex_hull_points``, the
+oracles below decide the same questions on the coordinates alone, with
+exact rational predicates: ``angle_exceeds_pi``, ``convex_hull_points``, the
 reflex set of a pocket polygon, and the validation of the polygon left by
 deleting a vertex.
 """

@@ -106,6 +106,16 @@ def test_class3_two_pockets():
     assert verify_theorem3(poly, 0).ok
 
 
+@pytest.mark.parametrize("pockets, sizes", [(1, range(5, 129)), (2, range(7, 129))], ids=["1", "2"])
+def test_class3_exemplars_at_every_size(pockets, sizes):
+    # Past n = 54 a one-pocket exemplar's pocket triangle is thin enough that
+    # the bite, bowed at full depth, would cross the pocket's first edge.
+    for n in sizes:
+        i = n // 3
+        poly = class_exemplar(3, i, n, pockets=pockets)
+        assert poly.n == n and is_class3(poly, i)
+
+
 def test_theorem1_examples(dart):
     hexagon = convex_ngon(6)
     rep = verify_theorem1(hexagon)

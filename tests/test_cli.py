@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chord_euler import cli
 from chord_euler.chords import universe_of
@@ -28,7 +31,7 @@ def run(capsys, *argv):
 def test_polygon_round_trip_exact():
     corpus = [convex_ngon(n) for n in (3, 5, 8)]
     corpus += [random_simple_polygon(7, s) for s in range(5)]
-    corpus.append(zigzag_chi_target(3).polygon)  # sqrt(3) coordinates
+    corpus.append(zigzag_chi_target(3).polygon)
     corpus.append(class_exemplar(6, 0, 8))
     for poly in corpus:
         assert polygon_from_json(polygon_to_json(poly)) == poly
@@ -118,7 +121,54 @@ def test_zero_denominator_is_bad_input(tmp_path, capsys):
     path.write_text(json.dumps({"vertices": [{"x": "1/0", "y": "0/1"}]}))
     code, out, err = run(capsys, "analyze", str(path))
     assert (code, out) == (EXIT_INPUT, "")
-    assert err == "error: malformed polygon document: zero denominator in Q(sqrt3) scalar: '1/0'\n"
+    assert err == "error: malformed polygon document: zero denominator in scalar: '1/0'\n"
+
+
+def test_sqrt3_scalar_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "root.json"
+    path.write_text(json.dumps({"vertices": [{"x": "1/2+1/1*sqrt3", "y": "0/1"}]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: malformed polygon document: not a rational scalar: '1/2+1/1*sqrt3'\n"
+
+
+def test_rational_scalar_forms():
+    assert cli._parse_rational("3/4") == Fraction(3, 4)
+    assert cli._parse_rational("-1/2") == Fraction(-1, 2)
+    assert cli._parse_rational("+6/4") == Fraction(3, 2)
+    assert cli._parse_rational(" 7 ") == 7
+    for text in ("sqrt2", "1.5", "1e3", "3 / 4", "1/2+2/3*sqrt3", "0/1-5/1*sqrt3", ""):
+        with pytest.raises(ValueError, match="not a rational scalar"):
+            cli._parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0"])
+def test_zero_denominator_scalar_is_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator") as info:
+        cli._parse_rational(text)
+    assert not isinstance(info.value, ZeroDivisionError)
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=16))
+def test_rational_scalar_text_round_trip(q):
+    text = cli._ratio(q)
+    assert re.fullmatch(r"-?\d+/\d+", text)
+    assert cli._parse_rational(text) == q
+
+
+def test_generated_polygons_round_trip(tmp_path, capsys):
+    # Every generate kind, with its defaults, through the CLI's own JSON.
+    for kind in ("convex", "random", "class1", "class2", "class3", "class4", "class5", "class6"):
+        code, out, _ = run(capsys, "generate", kind)
+        assert code == EXIT_OK
+        poly = polygon_from_json(json.loads(out))
+        assert cli._json_text(polygon_to_json(poly)) == out
+    for l in (*range(2, 11), *range(-10, -1)):
+        path = tmp_path / f"zigzag{l}.json"
+        assert run(capsys, "generate", "zigzag", "--l", str(l), "--out", str(path))[0] == EXIT_OK
+        poly = zigzag_chi_target(l).polygon
+        assert polygon_from_json(json.loads(path.read_text())) == poly
+        assert polygon_from_json(polygon_to_json(poly)) == poly
 
 
 @pytest.mark.parametrize("n,chord", [(7, "0-1"), (7, "0-6"), (8, "1-8")])

@@ -3,8 +3,7 @@
 Geometry enters once, as orientation tables.  Past the scalar layer only a
 few places may read a coordinate or call a coordinate predicate: the face
 diagonal's distance comparison, the generators, which place points, and the
-CLI's JSON and SVG output.  ``exact_scalar`` is the scalar type itself and
-is not scanned.
+CLI's JSON and SVG output.  Every module is scanned.
 """
 
 import ast
@@ -41,8 +40,6 @@ def _coordinate_reads() -> set[tuple[str, str]]:
     found = set()
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
-        if module == "exact_scalar":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
             scope = getattr(top, "name", "<module>")

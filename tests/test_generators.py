@@ -1,3 +1,4 @@
+from fractions import Fraction
 
 import pytest
 
@@ -11,12 +12,15 @@ from chord_euler.generators import (
     verify_zigzag_structure,
     zigzag_a_sequence,
     zigzag_chi_target,
+    _collinear_vertices,
+    _midpoint,
+    _rot60,
     _zigzag_raw,
 )
 from chord_euler.geometry import Point, orientation, validate_polygon
 from chord_euler.partition import chi_removed_direct
 from conftest import pt
-from oracles import no_three_collinear
+from oracles import lattice_collinear_vertices, no_three_collinear
 
 
 def test_convex_ngon():
@@ -75,9 +79,31 @@ def test_perturb_shrinks_until_structural_check_passes():
 
 def test_zigzag_raw_has_collinear_triples_for_large_l():
     points, _ = _zigzag_raw(4)
-    assert not no_three_collinear(points)
+    assert lattice_collinear_vertices(points)
     points2, _ = _zigzag_raw(2)
-    assert no_three_collinear(points2)
+    assert not lattice_collinear_vertices(points2)
+
+
+def test_collinear_lattice_vertices_match_the_oracle():
+    # Both zigzag variants: the lattice and the one with its corner shaved.
+    for L in range(2, 9):
+        points, _ = _zigzag_raw(L)
+        shaved = [_midpoint(points[0], points[1]), *points[1:], _midpoint(points[0], points[-1])]
+        for pts in (points, shaved):
+            assert _collinear_vertices(pts) == lattice_collinear_vertices(pts)
+
+
+def test_lattice_turns_are_sixtieths_of_a_full_turn():
+    v = ((Fraction(3, 4), Fraction(-1, 2)), (Fraction(5), Fraction(1, 3)))
+    for parity in (0, 1):
+        turned = v
+        for _ in range(6):
+            turned = _rot60(turned, parity)
+        assert turned == v
+        assert _rot60(_rot60(v, parity), parity + 1) == v
+    # (1, 0) turned by +60 degrees is (1/2, sqrt(3)/2).
+    one = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
+    assert _rot60(one, 0) == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
 
 
 def test_zigzag_sizes_and_labels():

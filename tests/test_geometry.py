@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -40,6 +41,16 @@ from oracles import (
 
 coords = st.integers(min_value=-20, max_value=20)
 points = st.builds(pt, coords, coords)
+
+
+def test_point_coordinates_are_canonical_rationals():
+    # An int stays an int, any other rational becomes a reduced Fraction, so
+    # equal points compare and hash equal whatever form they were given in.
+    a = Point(Fraction(2, 4), 3)
+    b = Point(Fraction(1, 2), Fraction(6, 2))
+    assert a == b and hash(a) == hash(b)
+    assert type(a.y) is int and type(b.y) is Fraction
+    assert (b.x.numerator, b.x.denominator) == (1, 2)
 
 
 def test_orientation_basic():
@@ -112,14 +123,14 @@ def test_point_in_polygon(square, dart):
 
 def test_validate_normalizes_cw_input():
     p = validate_polygon([pt(0, 0), pt(0, 2), pt(2, 2), pt(2, 0)])
-    assert area2(p).sign() > 0
+    assert area2(p) > 0
     rev = validate_polygon(list(reversed(p.vertices)))
     assert rev.vertices == p.vertices  # orientation normalization idempotent
 
 
 def test_validated_polygon_keeps_the_table_it_was_validated_with():
     # Counter-clockwise input keeps its table; clockwise input keeps it
-    # reversed with the vertices.  Zigzags have sqrt 3 coordinates.
+    # reversed with the vertices.
     shapes = [random_simple_polygon(n, seed).vertices for n in range(3, 15) for seed in range(8)]
     shapes += [zigzag_chi_target(l).polygon.vertices for l in (2, -2, 3, -3, 4)]
     turned = 0
@@ -174,7 +185,7 @@ def test_validate_rejections():
 
 
 def _validate_on_coordinates(vs):
-    """The validator's outcome decided on QSqrt3 predicates alone."""
+    """The validator's outcome decided on coordinate predicates alone."""
     n = len(vs)
     if n < 3:
         return ("TooFewVertices", None)
@@ -196,7 +207,7 @@ def _validate_on_coordinates(vs):
     area = cross(vs[0], vs[1], vs[2])
     for i in range(2, n - 1):
         area = area + cross(vs[0], vs[i], vs[i + 1])
-    if area.sign() < 0:
+    if area < 0:
         vs = vs[::-1]
     reflex = {i for i in range(n) if orientation(vs[i - 1], vs[i], vs[(i + 1) % n]) < 0}
     return ("ok", (tuple(vs), reflex))
@@ -316,8 +327,8 @@ def _table_or_collinear(vs):
 
 def test_orientation_table_matches_the_predicate_at_every_size():
     # Every n with cached slots and two past SLOT_CACHE_N (slots generated on
-    # the fly): integer, rational (convex, on the unit circle) and sqrt(3)
-    # (zigzag, n = 6..37) coordinates.
+    # the fly): integer coordinates, and rational ones (convex, on the unit
+    # circle; zigzags, n = 6..37).
     sizes = [*range(3, SLOT_CACHE_N + 1), SLOT_CACHE_N + 1, SLOT_CACHE_N + 5]
     corpus = [random_simple_polygon(n, n + 40).vertices for n in sizes]
     corpus += [convex_ngon(n).vertices for n in sizes]

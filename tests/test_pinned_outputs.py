@@ -5,7 +5,8 @@ Every benchmark workload, campaign and demo is built from these outputs, so a
 change that alters them changes what is measured and printed.  Each corpus is
 rendered as text and compared by its sha256 digest.  The generator and
 validator digests were recorded from the implementation that decided every
-predicate on ``QSqrt3`` coordinates, the Theorem-3 digest from the one that
+predicate on coordinates in Q(sqrt 3), save the zigzag digest, recorded
+when the zigzags moved to rational coordinates with their order type kept; the Theorem-3 digest from the one that
 ran the six class detectors at each vertex, and the triangulation digest
 from the one that built a polygon and a chord universe for every face in
 ``extend_to_triangulation``.  The Theorem-2 lattice and demo digests were
@@ -26,6 +27,7 @@ from pathlib import Path
 
 from chord_euler.chords import ChordKind, universe_of
 from chord_euler.classes import class_report, verify_theorem3
+from chord_euler.cli import polygon_to_json
 from chord_euler.generators import (
     class_exemplar,
     convex_ngon,
@@ -48,7 +50,7 @@ from chord_euler.partition import (
 PINNED = {
     "random": "92c609aba757a660853215a7e436b216d7a7732f616b06a7bbfb5e3441ca1a0d",
     "exemplars": "7d1c59421791b317e1ce421b5577f5958adadcb6beccbcf0ce5f19a4c973ba86",
-    "zigzags": "d258caa15edfda186218abf6761597ae56b46b6a30c3b0d6f997a3bea2cf76d3",
+    "zigzags": "c0bf1d8f77035d650da820249e8de5f3193288a009535f9bb5bf7895de211d1f",
     "zigzag_tables": "e0a1a5987459aa3d19d06e3772eef9d36efeb5ab31c2cbcd3fbebae5017dabbf",
     "validator": "38e489a53b991b395c47194df7413c0af6fb2e1a2c399e71bf897e748e56ec8c",
     "theorem3": "921158409da94b8b31be0eaad0175d989eae461a7847fee0fc59a3bf2a9bc097",
@@ -65,7 +67,9 @@ def _digest(lines) -> str:
 
 
 def _render(poly) -> str:
-    coords = " ".join(f"{p.x},{p.y}" for p in poly.vertices)
+    # The scalars as the CLI writes them ("p/q"), so a digest kept proves
+    # byte-identical polygon JSON.
+    coords = " ".join(f"{v['x']},{v['y']}" for v in polygon_to_json(poly)["vertices"])
     return f"{coords} reflex={sorted(poly.reflex_vertices)}"
 
 
