@@ -10,9 +10,9 @@ general position (the table raises :class:`CollinearTriple`) and its hull
 (:func:`hull_successors`) read the table of its points.  Coordinates are
 exact rationals; the scalar layer, ``Point``, :func:`cross` and
 :func:`orientation`, decides on the sign of a rational, and the table lifts
-the coordinates to integers once.  No decision uses floating point.  Polygons are stored counter-clockwise with
-vertices in general position (no three collinear), the standing assumption
-of the combinatorics.
+the coordinates to integers once.  No decision uses floating point.
+Polygons are stored counter-clockwise with vertices in general position (no
+three collinear), the standing assumption of the combinatorics.
 """
 
 from __future__ import annotations
@@ -196,9 +196,9 @@ def orientation_table(points: Sequence[Point]) -> tuple[int, ...]:
     counter-clockwise.  The coordinates are lifted once to integers over one
     common denominator, so each of the C(n, 3) orientations is the sign of
     one integer determinant, summed from one precomputed 2x2 minor per pair.
-    Raises :class:`CollinearTriple` after the
-    scan if a sign is zero: it names the first collinear (i, j, k) in
-    ``combinations`` order, and its ``triples`` lists them all.
+    Raises :class:`CollinearTriple` after the scan if a sign is zero: it
+    names the first collinear (i, j, k) in ``combinations`` order, and its
+    ``triples`` lists them all.
 
     The loops read the pairs and triples as :func:`_slots`, which depend on n
     alone, and write only the upper entries (i < j).  With no zero sign,
