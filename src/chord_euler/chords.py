@@ -63,11 +63,14 @@ with no chord-pair or vertex-edge loop.
 What depends on n alone, the chord order, is a :class:`ChordOrder`: the
 chord tuple and its index (built only for callers that name chords:
 ``ChordSet`` iteration, ``partition``'s cuts and :func:`a_diagonals`),
-``incidence`` and the interleaving masks ``(odd[j] ^ odd[i+1]) & ~(inc[i] |
-inc[j])``, each built on first use.  :func:`chord_order` shares one per n up
-to ``ORDER_CACHE_N`` among every universe of that size, so a polygon visit
-pays only for its geometry; a universe's crossing masks are then one pass,
-each chord's interleaving mask within its own kind.
+``incidence``, the interleaving masks ``(odd[j] ^ odd[i+1]) & ~(inc[i] |
+inc[j])``, and ``sides``, per chord (i, j) the chords with both ends in i..j
+and those with no end strictly between i and j (read by ``partition``'s
+Lemma 1 to hand each face its family), each built on first use.
+:func:`chord_order` shares one per n up to ``ORDER_CACHE_N`` among every
+universe of that size, so a polygon visit pays only for its geometry; a
+universe's crossing masks are then one pass, each chord's interleaving mask
+within its own kind.
 
 Ownership.  A polygon owns its universe: :func:`universe_of` fills the slot
 that ``Polygon`` declares.  The universe owns every cache derived from the
@@ -94,7 +97,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from operator import xor
+from operator import or_, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .geometry import Polygon, Segment, hull_successors
@@ -173,6 +176,25 @@ class ChordOrder:
         return tuple([(odd[j] ^ odd[i + 1]) & ~(inc[i] | inc[j])
                       for i, _, width in _rows(self.n) for j in range(i + 2, i + 2 + width)])
 
+    @cached_property
+    def sides(self) -> tuple[tuple[int, int], ...]:
+        """sides[k] = (inside, outside) for chord k = (i, j).
+
+        ``inside`` holds the chords with both ends in i..j: none at a vertex
+        below i or above j.  ``outside`` holds those with no end strictly
+        between i and j: the chords that neither lie inside nor interleave
+        with k, and k itself.  Each entry is a few whole-mask operations.
+        """
+        n, inc = self.n, self.incidence
+        full = (1 << n * (n - 3) // 2) - 1
+        below = [0, *accumulate(inc, or_)]  # below[v]: the chords at a vertex < v
+        above = [*accumulate(inc[::-1], or_)][::-1] + [0]  # above[v]: at a vertex >= v
+        out = []
+        for k, (i, j) in enumerate(self.chords):
+            inside = full & ~(below[i] | above[j + 1])
+            out.append((inside, full & ~(inside | self.interleave[k]) | 1 << k))
+        return tuple(out)
+
 
 # The largest n whose chord order is shared (:func:`_cached_chord_order`).
 ORDER_CACHE_N = 32
@@ -188,7 +210,8 @@ def _cached_chord_order(n: int) -> ChordOrder:
     """The shared chord order, kept for 16 sizes n <= ``ORDER_CACHE_N``.
 
     Measured with tracemalloc, with every table built, the order of a 32-gon
-    takes 0.10 MiB, and the worst case, the 16 sizes 17..32, 0.81 MiB.
+    takes 0.18 MiB, and the worst case, the 16 sizes 17..32, 1.6 MiB; half of
+    it is ``sides``, which only Lemma 1 builds.
     """
     return ChordOrder(n)
 

@@ -26,12 +26,21 @@ which are F's own edges.  This holds because each cut chord separates P: a
 diagonal of P with both endpoints on one side cannot cross the cut chord and
 come back.  Two diagonals of F cross in F iff they cross in P, since they are
 the same segments.  So a face family is the mask ``D & span(F) & ~I`` over
-the parent universe, with span(F) = ``ChordUniverse.span_mask(F)``, and its
-chi comes from the parent's shared :class:`EulerEngine` memo.
+the parent universe, span(F) being the chords with both ends on F, and its
+chi comes from the parent's shared :class:`EulerEngine` memo.  The
+factorized and pocket products read span(F) from
+``ChordUniverse.span_mask(F)``.
 
-The mask depends on F alone: it is ``D & span(F) & ~edges(F)``, edges(F) being
-the chords between consecutive vertices of F, as each side of F is a polygon
-edge or a chord of I.
+The mask depends on F alone: it is D(F) = ``D & span(F) & ~edges(F)``,
+edges(F) being the chords between consecutive vertices of F, as each side of
+F is a polygon edge or a chord of I.  Lemma 1 does not build it from F: it
+hands each face's family down its recursion, from D(P) = D.  A chord
+c = (i, j) with both ends on F splits F into F1 and F2 (above), whose sides
+are F's sides on their own arcs and c.  The vertices of F1 lie in i..j, and
+those of F2 nowhere strictly between i and j.  With inside[c] and
+outside[c] the chords of those two kinds, the pair ``ChordOrder.sides[c]``
+(it depends on n alone), D(F1) = ``D(F) & inside[c] & ~c`` and
+D(F2) = ``D(F) & outside[c] & ~c``.
 
 Lemma 1 is a recurrence over a face F and the set C of chords of J inside F
 not yet decided.  L(F, C) sums, over the I within C, the product of the chis
@@ -40,10 +49,10 @@ the lowest chord of C.  The I without c sum to L(F, C - c).  An I with c cuts
 F into F1 = F & [i..j] and F2 = F & ~(i..j), and every other chord of C lies
 in exactly one of them, since it does not cross c:
 
-    L(F, {}) = chi(D & span(F) & ~edges(F)),
+    L(F, {}) = chi(D(F)),
     L(F, C)  = L(F, C - c) + L(F1, C1) * L(F2, C2),
 
-with C1 = (C - c) & span(F1) and C2 the rest of C - c; L(F2, C2) is skipped
+with C1 = (C - c) & inside[c] and C2 the rest of C - c; L(F2, C2) is skipped
 when L(F1, C1) is 0.  The depth is at most |J| + 1.  The value depends on
 (C, F) alone, because F's family does, so one memo keyed by ``C << n | F``,
 the state's ``lemma1`` (below), serves every J of the polygon; its C = {}
@@ -62,11 +71,12 @@ The universe's ``partition_state`` is one :class:`_State`: the ``engine``
 sum over NC_c[J] of (-1)^|I|, are filled on first use.  So the routes asked
 about J in turn check it, build its constraints and walk its 2^|J| subsets
 once, and :func:`_walk` keeps none of them.  J is infeasible iff its
-constraints are ``[0]``.  NC_c[J] and NC_nc[J] split the subsets of J, whose
-signs sum to 0 for J nonempty, so Lemma D2's sum is minus Theorem 2's.
-NC_nc[J] is the union of the down-sets of J - c over the constraints c, which
-are inclusion-minimal, so its maximal sets are the J - c, and some of them
-meet in nothing iff their c cover J.
+constraints are ``[0]``, and then NC_c[J] is empty: its signed sum is 0 with
+no walk, once the cap has been checked as the walk would.  NC_c[J] and
+NC_nc[J] split the subsets of J, whose signs sum to 0 for J nonempty, so
+Lemma D2's sum is minus Theorem 2's.  NC_nc[J] is the union of the down-sets
+of J - c over the constraints c, which are inclusion-minimal, so its maximal
+sets are the J - c, and some of them meet in nothing iff their c cover J.
 """
 
 from __future__ import annotations
@@ -197,17 +207,27 @@ def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bo
 
 
 def _window_constraints(poly: Polygon, uni: ChordUniverse, jm: int) -> tuple[int, ...]:
-    """The inclusion-minimal windows of :func:`convexity_constraints`."""
-    n, left, chords = poly.n, poly.left, uni.chords
-    incidence, reflex = uni.incidence, poly.reflex_vertices
+    """The inclusion-minimal windows of :func:`convexity_constraints`.
+
+    At a vertex that no chord of J touches, the only window is the interior
+    angle itself.  So a reflex one gives the empty constraint, which alone is
+    minimal, and a convex one gives none: only the touched vertices are scanned.
+    """
+    n, left, chords, incidence = poly.n, poly.left, uni.chords, uni.incidence
+    touched, m = 0, jm
+    while m:
+        low = m & -m
+        m ^= low
+        i, j = chords[low.bit_length() - 1]
+        touched |= 1 << i | 1 << j
+    for r in poly.reflex_vertices:
+        if not touched >> r & 1:
+            return (0,)
     constraints: list[int] = []
-    for v in range(n):
+    while touched:
+        v = (touched & -touched).bit_length() - 1
+        touched &= touched - 1
         at = jm & incidence[v]
-        if not at:
-            # The only window is the interior angle at v itself.
-            if v in reflex:
-                constraints.append(0)
-            continue
         # Bit order lists the chords (w, v), w < v, first; (w - v) mod n, last.
         below: list[tuple[int, int]] = []
         rays: list[tuple[int, int]] = [((v + 1) % n, 0)]
@@ -248,8 +268,7 @@ def _walk(poly: Polygon, j_set: ChordSet) -> Iterator[tuple[int, int | None]]:
     iff some constraint meets I in that chord alone.
     """
     constraints, _ = convexity_constraints(poly, j_set)
-    if len(j_set) > LATTICE_CAP:
-        raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
+    _check_lattice_cap(j_set)
     sub = jm = j_set.mask
     while True:
         sole = 0
@@ -266,12 +285,21 @@ def _walk(poly: Polygon, j_set: ChordSet) -> Iterator[tuple[int, int | None]]:
         sub = (sub - 1) & jm
 
 
+def _check_lattice_cap(j_set: ChordSet) -> None:
+    if len(j_set) > LATTICE_CAP:
+        raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
+
+
 def _signed_sum(poly: Polygon, j_set: ChordSet) -> int:
-    """Sum over NC_c[J] of (-1)^|I|, kept in the state for J."""
+    """Sum over NC_c[J] of (-1)^|I|, kept in the state for J; 0 for an infeasible J."""
     state = _check_noncrossing_diagonals(poly, j_set)
     if state.signed is None:
-        state.signed = sum(-1 if sub.bit_count() & 1 else 1
-                           for sub, sole in _walk(poly, j_set) if sole is not None)
+        if convexity_constraints(poly, j_set)[1]:
+            state.signed = sum(-1 if sub.bit_count() & 1 else 1
+                               for sub, sole in _walk(poly, j_set) if sole is not None)
+        else:
+            _check_lattice_cap(j_set)  # as the walk would
+            state.signed = 0
     return state.signed
 
 
@@ -332,8 +360,8 @@ def chi_removed_lemma_d2(poly: Polygon, j_set: ChordSet) -> int:
     return (-1) ** poly.n * -_signed_sum(poly, j_set)
 
 
-def _lemma1(uni: ChordUniverse, memo: dict[int, int], face: int, cut: int) -> int:
-    """L(F, C) of the module docstring, for the face mask F and the chord mask C."""
+def _lemma1(uni: ChordUniverse, memo: dict[int, int], face: int, cut: int, fam: int) -> int:
+    """L(F, C) of the module docstring, for the face mask F, the chord mask C and F's family."""
     key = cut << uni.n | face
     val = memo.get(key)
     if val is not None:
@@ -341,25 +369,17 @@ def _lemma1(uni: ChordUniverse, memo: dict[int, int], face: int, cut: int) -> in
     if cut:
         low = cut & -cut
         rest = cut ^ low
-        i, j = uni.order.chords[low.bit_length() - 1]
+        k = low.bit_length() - 1
+        i, j = uni.order.chords[k]
+        inside, outside = uni.order.sides[k]
         inner = (1 << j) - (2 << i)  # the vertices strictly between i and j
-        f1 = face & (inner | 1 << i | 1 << j)
-        c1 = rest & uni.span_mask(f1)
-        val = _lemma1(uni, memo, face, rest)
-        part = _lemma1(uni, memo, f1, c1)
+        c1 = rest & inside
+        val = _lemma1(uni, memo, face, rest, fam)
+        part = _lemma1(uni, memo, face & (inner | 1 << i | 1 << j), c1, fam & inside & ~low)
         if part:
-            val += part * _lemma1(uni, memo, face & ~inner, rest & ~c1)
+            val += part * _lemma1(uni, memo, face & ~inner, rest & ~c1, fam & outside & ~low)
     else:
-        # A side (a, b) of F is a chord iff incidence[a] & incidence[b] holds one.
-        inc = uni.order.incidence
-        edges, prev, rem = 0, face.bit_length() - 1, face
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            edges |= inc[prev] & inc[v]
-            prev = v
-        d_mask = uni.kind_mask(ChordKind.DIAGONAL)
-        val = _engine(uni).chi(d_mask & uni.span_mask(face) & ~edges)
+        val = _engine(uni).chi(fam)
     memo[key] = val
     return val
 
@@ -373,10 +393,10 @@ def chi_removed_lemma1(poly: Polygon, j_set: ChordSet) -> int:
     faces, one per subset of them, so the memo can take 2^k keys.
     """
     _check_noncrossing_diagonals(poly, j_set)
-    if len(j_set) > LATTICE_CAP:
-        raise InstanceTooLarge(f"|J| = {len(j_set)} exceeds the 2^|J| cap {LATTICE_CAP}")
+    _check_lattice_cap(j_set)
     uni = j_set.universe
-    return _lemma1(uni, uni.partition_state.lemma1, (1 << poly.n) - 1, j_set.mask)
+    return _lemma1(uni, uni.partition_state.lemma1, (1 << poly.n) - 1, j_set.mask,
+                   uni.kind_mask(ChordKind.DIAGONAL))
 
 
 def chi_removed_factorized(poly: Polygon, j_set: ChordSet, j_prime: ChordSet) -> int:

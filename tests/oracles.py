@@ -5,9 +5,11 @@ segment family's crossings by the straddle test, general position by the
 table's :class:`CollinearTriple`, the hull by ``hull_successors``, chord
 kinds and face convexity from the polygon's table.  The routes below decide
 the same questions on the rational coordinates alone, with the predicates
-``orientation`` and ``cross``, and share no code with the tables.  One route
-reads a table: :func:`vertex_kinds_by_edges`, a loop over vertices and edges
-against the library's whole-table mask arithmetic.
+``orientation`` and ``cross``, and share no code with the tables.  Two
+routes read a table: :func:`vertex_kinds_by_edges`, a loop over vertices and
+edges against the library's whole-table mask arithmetic, and
+:func:`window_constraints_by_vertices`, a scan of every vertex against the
+library's scan of the vertices that J touches.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from chord_euler.chords import ChordSet
+from chord_euler.chords import ChordSet, universe_of
 from chord_euler.geometry import (
     CollinearTriple,
     GeometryError,
@@ -229,3 +231,51 @@ def vertex_kinds_by_edges(n: int, left: Sequence[int]) -> tuple[tuple[int, ...],
         diag.append(chord & cone)
         epi.append(chord & ~cone)
     return tuple(diag), tuple(epi)
+
+
+def window_constraints_by_vertices(poly: Polygon, jm: int) -> tuple[int, ...]:
+    """``partition._window_constraints`` by a scan of every vertex.
+
+    The windows of every vertex are collected, the empty one at a reflex
+    vertex that no chord of the chord mask ``jm`` touches included, and then
+    reduced to the inclusion-minimal ones, read from the orientation table.
+    """
+    n, left = poly.n, poly.left
+    uni = universe_of(poly)
+    chords, incidence, reflex = uni.chords, uni.incidence, poly.reflex_vertices
+    constraints: list[int] = []
+    for v in range(n):
+        at = jm & incidence[v]
+        if not at:
+            # The only window is the interior angle at v itself.
+            if v in reflex:
+                constraints.append(0)
+            continue
+        # Bit order lists the chords (w, v), w < v, first; (w - v) mod n, last.
+        below: list[tuple[int, int]] = []
+        rays: list[tuple[int, int]] = [((v + 1) % n, 0)]
+        while at:
+            low = at & -at
+            at ^= low
+            i, j = chords[low.bit_length() - 1]
+            if j == v:
+                below.append((i, low))
+            else:
+                rays.append((j, low))
+        rays += [*below, ((v - 1) % n, 0)]
+        for s in range(len(rays) - 1):
+            row = left[v * n + rays[s][0]]
+            mask = 0
+            for wt, bit in rays[s + 1:]:
+                if not row >> wt & 1:
+                    constraints.append(mask)
+                    break
+                mask |= bit
+    minimal: list[int] = []
+    for m in sorted(set(constraints), key=int.bit_count):
+        for q in minimal:
+            if not q & ~m:
+                break
+        else:
+            minimal.append(m)
+    return tuple(minimal)

@@ -209,6 +209,19 @@ def test_row_built_incidence_matches_its_definition():
             assert uni.size == len(uni.chords)
 
 
+def test_chord_sides_match_span_masks():
+    # Per chord (i, j): the span of the vertices i..j, and of those not
+    # strictly between i and j.  Past ORDER_CACHE_N each universe builds its
+    # own table.
+    for n in range(4, 41):
+        uni = universe_of(convex_ngon(n))
+        full = (1 << n) - 1
+        for k, (i, j) in enumerate(uni.chords):
+            between = (1 << j) - (2 << i)
+            want = uni.span_mask(between | 1 << i | 1 << j), uni.span_mask(full & ~between)
+            assert uni.order.sides[k] == want, (n, i, j)
+
+
 def test_row_built_crossing_masks_match_coordinates():
     # Row 0 stops before (0, n - 1); at small n it holds most of the chords.
     polys = [random_simple_polygon(n, seed) for n in (4, 5) for seed in range(30)]

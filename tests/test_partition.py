@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chord_euler.chords import Chord, ChordKind, diagonals, universe_of
+from chord_euler.chords import ORDER_CACHE_N, Chord, ChordKind, diagonals, universe_of
 from chord_euler.generators import class_exemplar, convex_ngon, random_simple_polygon, zigzag_chi_target
 from chord_euler.geometry import Point, Polygon, validate_polygon
 from chord_euler.nc_euler import EulerEngine, euler_brute, euler_recursive, iter_nc_masks
@@ -27,7 +27,7 @@ from chord_euler.partition import (
     xi,
 )
 from conftest import exemplar_and_zigzag_polygons
-from oracles import area2, is_convex_partition, part_polygon
+from oracles import area2, is_convex_partition, part_polygon, window_constraints_by_vertices
 
 
 def cs(poly, *pairs):
@@ -169,6 +169,26 @@ def test_feasible_agrees_with_convex_partition_exemplars():
     for poly in exemplar_and_zigzag_polygons(zigzag_ls=()):
         if poly.n <= 9:
             _assert_feasible_is_convex_partition(poly)
+
+
+def test_window_constraints_match_the_full_scan():
+    # Scanning only the vertices that J touches, and stopping at a reflex
+    # vertex it misses, gives the full scan's tuple, in the same order.
+    # Every J up to 12 vertices; past that, random sets J.
+    import chord_euler.partition as part
+
+    corpus = [random_simple_polygon(n, seed + 9000) for n in range(4, 10) for seed in range(4)]
+    corpus += exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3, 4, -4, 5, -5))
+    rng = random.Random(9000)
+    for poly in corpus:
+        uni = universe_of(poly)
+        if poly.n <= 12:
+            masks = [j.mask for j in nc_diagonal_subsets(poly)]
+        else:
+            masks = [_random_nc_diagonals(poly, rng).mask for _ in range(2000)]
+        for jm in masks:
+            want = window_constraints_by_vertices(poly, jm)
+            assert part._window_constraints(poly, uni, jm) == want, (poly, bin(jm))
 
 
 def test_chi_removed_direct_baselines(dart):
@@ -418,6 +438,17 @@ def test_lemma1_warm_memo_matches_face_polygons(poly, rng):
         assert chi_removed_lemma1(poly, j) == want, (poly, bin(j.mask))
 
 
+def _face_family_oracle(uni, face):
+    """D & span(F) & ~edges(F), each side of F looked up as a chord."""
+    part = [v for v in range(uni.n) if face >> v & 1]
+    edges = 0
+    for a, b in zip(part, part[1:] + part[:1]):
+        k = uni.index.get(Chord.of(a, b))
+        if k is not None:
+            edges |= 1 << k
+    return uni.kind_mask(ChordKind.DIAGONAL) & uni.span_mask(face) & ~edges
+
+
 def test_lemma1_face_family_depends_on_the_face_alone():
     # D & ~I & span(F) == D & span(F) & ~edges(F) for every face F of every
     # I: one table entry per face serves every I and every J of the polygon.
@@ -427,13 +458,32 @@ def test_lemma1_face_family_depends_on_the_face_alone():
         d_mask = uni.kind_mask(ChordKind.DIAGONAL)
         for i_set in nc_diagonal_subsets(poly):
             for part in subdivide_oracle(poly, i_set):
-                edges = 0
-                for a, b in zip(part, part[1:] + part[:1]):
-                    k = uni.index.get(Chord.of(a, b))
-                    if k is not None:
-                        edges |= 1 << k
-                span = uni.span_mask(sum(1 << v for v in part))
-                assert d_mask & ~i_set.mask & span == d_mask & span & ~edges
+                face = sum(1 << v for v in part)
+                want = _face_family_oracle(uni, face)
+                assert d_mask & ~i_set.mask & uni.span_mask(face) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(_LEMMA1_POLYGONS)
+def test_lemma1_passes_each_face_its_family(poly):
+    # Every node of the recursion, over every J of the polygon, is handed
+    # its face's family, narrowed down from D by the chords it split on.
+    import chord_euler.partition as part
+
+    seen = set()
+    real = part._lemma1
+
+    def spy(uni, memo, face, cut, fam):
+        seen.add((face, fam))
+        return real(uni, memo, face, cut, fam)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(part, "_lemma1", spy)
+        for j in nc_diagonal_subsets(poly):
+            chi_removed_lemma1(poly, j)
+    uni = universe_of(poly)
+    for face, fam in seen:
+        assert fam == _face_family_oracle(uni, face), (poly, bin(face))
 
 
 def test_factorized_product(monkeypatch):
@@ -695,13 +745,54 @@ def test_extend_to_triangulation(dart):
         assert half <= tri2 and len(tri2) == poly.n - 3
 
 
+def _untouched_reflex_cut(size):
+    """A non-convex polygon and ``size`` diagonals of a triangulation that miss a reflex vertex."""
+    for seed in range(100):
+        poly = random_simple_polygon(size + 5, seed + 9100)
+        uni = universe_of(poly)
+        tri = extend_to_triangulation(poly, empty(poly))
+        for r in sorted(poly.reflex_vertices):
+            mask = tri.mask & ~uni.incidence[r]
+            if mask.bit_count() >= size:
+                while mask.bit_count() > size:
+                    mask &= mask - 1
+                return poly, uni.set_of_mask(mask)
+    raise AssertionError("no triangulation misses a reflex vertex in enough chords")
+
+
 def test_lattice_cap():
-    poly = convex_ngon(30)
-    tri = extend_to_triangulation(poly, empty(poly))
-    assert len(tri) == 27
-    for route in (convex_lattice, chi_removed_theorem2, chi_removed_lemma1):
-        with pytest.raises(InstanceTooLarge, match="exceeds the 2\\^\\|J\\| cap 20"):
-            route(poly, tri)
+    # Past the cap, J feasible or not, every 2^|J| route is a size error
+    # with the same message; the infeasible J at |J| = 21 is settled by its
+    # untouched reflex vertex before the cap is read.
+    cases = []
+    for n in (30, 24):
+        poly = convex_ngon(n)
+        cases.append((poly, extend_to_triangulation(poly, empty(poly))))
+    cases.append(_untouched_reflex_cut(21))
+    assert [len(j) for _, j in cases] == [27, 21, 21]
+    assert [convexity_constraints(poly, j) for poly, j in cases[1:]] == [([], True), ([0], False)]
+    for poly, j in cases:
+        for route in THEOREM2_ROUTES:
+            with pytest.raises(InstanceTooLarge) as err:
+                route(poly, j)
+            assert str(err.value) == f"|J| = {len(j)} exceeds the 2^|J| cap 20", route.__name__
+    poly, j = cases[-1]
+    for mode in ("minimal", "maximal"):
+        with pytest.raises(PartitionError, match="J does not provide a convex partition"):
+            chi_inclusion_exclusion(poly, j, mode)
+
+
+def test_lemma1_past_the_shared_chord_orders():
+    # A 60-gon's universe builds its own chord order and sides table.
+    for seed in range(1, 4):
+        poly = random_simple_polygon(60, seed)
+        assert poly.n > ORDER_CACHE_N
+        tri = extend_to_triangulation(poly, empty(poly))
+        mask = tri.mask
+        while mask.bit_count() > 20:
+            mask &= mask - 1
+        j = universe_of(poly).set_of_mask(mask)
+        assert chi_removed_lemma1(poly, j) == chi_removed_direct(poly, j, "d")
 
 
 def _held_entries(obj):
