@@ -64,13 +64,14 @@ What depends on n alone, the chord order, is a :class:`ChordOrder`: the
 chord tuple and its index (built only for callers that name chords:
 ``ChordSet`` iteration, ``partition``'s cuts and :func:`a_diagonals`),
 ``incidence``, the interleaving masks ``(odd[j] ^ odd[i+1]) & ~(inc[i] |
-inc[j])``, and ``sides``, per chord (i, j) the chords with both ends in i..j
+inc[j])``, ``sides``, per chord (i, j) the chords with both ends in i..j
 and those with no end strictly between i and j (read by ``partition``'s
-Lemma 1 to hand each face its family), each built on first use.
-:func:`chord_order` shares one per n up to ``ORDER_CACHE_N`` among every
-universe of that size, so a polygon visit pays only for its geometry; a
-universe's crossing masks are then one pass, each chord's interleaving mask
-within its own kind.
+Lemma 1 to hand each face its family), and ``kind_masks``, the packed masks
+that :func:`_vertex_kinds` reads, each built on first use.
+:func:`chord_order` shares one per n up to ``geometry.SHARED_N``, the one
+cap of every per-n table, among every universe of that size, so a polygon
+visit pays only for its geometry; a universe's crossing masks are then one
+pass, each chord's interleaving mask within its own kind.
 
 Ownership.  A polygon owns its universe: :func:`universe_of` fills the slot
 that ``Polygon`` declares.  The universe owns every cache derived from the
@@ -81,7 +82,7 @@ masks, hull and pockets, Theorem 3's ``star_ear_rows`` (filled by
 ``partition`` owns and fills (its chi engine, Lemma 1's memo, and the last
 checked cut with its constraints and signed sum).  The chord order is not the
 universe's: it reads it from the :class:`ChordOrder` of its n, shared with
-every universe of that size (its own one past ``ORDER_CACHE_N``).  It copies
+every universe of that size (its own one past ``SHARED_N``).  It copies
 the polygon's n, vertices and orientation table and holds the polygon itself
 only through a weak reference, so it reads nothing through the polygon and a
 :class:`ChordSet` keeps working after its polygon is gone.  No reference cycle
@@ -100,7 +101,7 @@ from itertools import accumulate, repeat
 from operator import or_, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import Polygon, Segment, hull_successors
+from .geometry import SHARED_N, Polygon, Segment, hull_successors
 
 
 class Chord(NamedTuple):
@@ -143,7 +144,7 @@ class ChordOrder:
     """The lexicographic chord order of an n-gon and the tables read from it.
 
     Each table depends on n alone and is built on first use; every universe
-    of one size shares them through :func:`chord_order`.
+    of one size up to ``SHARED_N`` shares them through :func:`chord_order`.
     """
 
     def __init__(self, n: int):
@@ -195,23 +196,24 @@ class ChordOrder:
             out.append((inside, full & ~(inside | self.interleave[k]) | 1 << k))
         return tuple(out)
 
-
-# The largest n whose chord order is shared (:func:`_cached_chord_order`).
-ORDER_CACHE_N = 32
+    @cached_property
+    def kind_masks(self) -> _KindMasks:
+        """What :func:`_vertex_kinds` reads that depends on n alone."""
+        return _build_kind_masks(self.n)
 
 
 def chord_order(n: int) -> ChordOrder:
-    """The chord order of an n-gon: one shared object per n <= ORDER_CACHE_N."""
-    return _cached_chord_order(n) if n <= ORDER_CACHE_N else ChordOrder(n)
+    """The chord order of an n-gon: one shared object per n <= ``SHARED_N``."""
+    return _cached_chord_order(n) if n <= SHARED_N else ChordOrder(n)
 
 
 @lru_cache(maxsize=16)
 def _cached_chord_order(n: int) -> ChordOrder:
-    """The shared chord order, kept for 16 sizes n <= ``ORDER_CACHE_N``.
+    """The shared chord order, kept for 16 sizes n <= ``SHARED_N``.
 
     Measured with tracemalloc, with every table built, the order of a 32-gon
-    takes 0.18 MiB, and the worst case, the 16 sizes 17..32, 1.6 MiB; half of
-    it is ``sides``, which only Lemma 1 builds.
+    takes 0.22 MiB (15 KiB of it ``kind_masks``), and the worst case, the 16
+    sizes 17..32, 1.8 MiB; half of it is ``sides``, which only Lemma 1 builds.
     """
     return ChordOrder(n)
 
@@ -290,43 +292,28 @@ def _build_kind_masks(n: int) -> _KindMasks:
                       *(int.from_bytes(m, "little") for m in masks))
 
 
-# The largest n whose kind masks are cached (:func:`_cached_kind_masks`).
-KIND_CACHE_N = 64
-
-
-def _kind_masks(n: int) -> _KindMasks:
-    return _cached_kind_masks(n) if n <= KIND_CACHE_N else _build_kind_masks(n)
-
-
-@lru_cache(maxsize=16)
-def _cached_kind_masks(n: int) -> _KindMasks:
-    """:func:`_build_kind_masks`, kept for 16 sizes n <= ``KIND_CACHE_N``.
-
-    Measured with tracemalloc, the masks of a 13-gon take 2 KiB, of a 64-gon
-    0.10 MiB, and the worst case, the 16 sizes 49..64, 1.3 MiB.
-    """
-    return _build_kind_masks(n)
-
-
-def _vertex_kinds(n: int, left: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _vertex_kinds(n: int, left: Sequence[int],
+                  masks: _KindMasks) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per vertex i, the vertex masks of its diagonal and its epigonal partners.
 
-    A fixed number of whole-integer operations on the packed table (module
-    docstring); only packing, unpacking and replicating the edges' sides
-    take n or n*n steps, in ``struct`` and bytes operations.  A field test
-    reads one selected bit, which is at most the field's top bit, so
-    ``top - (x & bit) & top`` sets the top bit of exactly the fields whose
-    bit is clear, with no borrow between fields, and ``(t << 1) - (t >> bits
-    - 1)`` widens each such top bit to its whole field.
+    ``masks`` is the n-gon's ``ChordOrder.kind_masks``.  A fixed number of
+    whole-integer operations on the packed table (module docstring); only
+    packing, unpacking and replicating the edges' sides take n or n*n steps,
+    in ``struct`` and bytes operations.  A field test reads one selected
+    bit, which is at most the field's top bit, so ``top - (x & bit) & top``
+    sets the top bit of exactly the fields whose bit is clear, with no
+    borrow between fields, and ``(t << 1) - (t >> bits - 1)`` widens each
+    such top bit to its whole field.
 
     Measured per call, the best of 9 rounds over 5 random polygons (Python
     3.11, one core of a shared 2-core host), against the per-vertex,
     per-edge loop that it replaced (``tests/oracles.py``): n = 7: 6 us (loop
     13 us); n = 12: 9 us (41 us); n = 30: 38 us (309 us); n = 70: 1.5 ms
-    (3.5 ms); n = 100: 3.0 ms (4.6 ms).  Past n = 64 the masks are built on
-    every call, and at n = 200 the two are level, each 20 to 35 ms here.
+    (3.5 ms); n = 100: 3.0 ms (4.6 ms).  Past the cap, ``SHARED_N``, the
+    masks are built once per universe, and at n = 200 the two are level,
+    each 20 to 35 ms here.
     """
-    width, pack_table, pack_vertices, unpack, top, own, keep, vertex_top, succ, far = _kind_masks(n)
+    width, pack_table, pack_vertices, unpack, top, own, keep, vertex_top, succ, far = masks
     bits = 8 * width
     block = n * bits
     # edges[a] = left[a*n + a+1]: the vertices left of the edge a -> a+1.
@@ -372,7 +359,7 @@ class ChordUniverse:
         # them; recursions read ``order`` directly, saving a call per node.
         self.order = chord_order(n)
         # Per vertex v, the vertex masks of the w with (v, w) a diagonal, an epigonal.
-        self.diag, self.epi = _vertex_kinds(n, polygon.left)
+        self.diag, self.epi = _vertex_kinds(n, polygon.left, self.order.kind_masks)
         # Filled by ``nc_euler.star_ear_chis``: per vertex, Theorem 3's four chis.
         self.star_ear_rows: tuple[tuple[int, int, int, int], ...] | None = None
         # Filled by ``classes._class_masks``: per class 1..6, the vertex mask

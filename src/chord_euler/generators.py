@@ -24,7 +24,7 @@ from fractions import Fraction
 from .chords import Chord, ChordSet, universe_of
 from .geometry import Point, Polygon, PolygonError, orientation, validate_polygon
 from .geometry import CollinearTriple, DuplicateVertex, first_crossing_edges, orientation_table
-from .geometry import SLOT_CACHE_N, _cached_slots, _path_polygon, _slots
+from .geometry import _path_polygon, _slots_of
 from .partition import PartitionError, convexity_constraints
 from . import classes as _classes
 
@@ -194,7 +194,7 @@ def _collinear_vertices(points: list[_Lattice]) -> set[int]:
     comps = [c for p in points for xy in p for c in xy]
     d = math.lcm(*[c.denominator for c in comps])
     xa, xb, ya, yb = ([c.numerator * (d // c.denominator) for c in comps[r::4]] for r in range(4))
-    pairs, triples = _cached_slots(n) if n <= SLOT_CACHE_N else _slots(n)
+    pairs, triples = _slots_of(n)
     # det_a[i*n + j] + det_b[i*n + j]*sqrt(3) is x_i*y_j - x_j*y_i (times d
     # squared), for i < j.
     det_a = [0] * (n * n)

@@ -3,10 +3,12 @@
 Geometry enters once, as the :func:`orientation_table` of a point set.  A
 polygon's validation, reflex set and chord universe read its vertices'
 table, and the table is built once per point set: a clockwise input's
-reversal, a path's order (:func:`validate_path`) and a rotation
+reversal, a path's order (:func:`_path_polygon`) and a rotation
 (``Polygon.rotated``) relabel the table already built (:func:`_relabel`).
-A segment family's crossings (:func:`straddle_masks`), a point set's
-general position (the table raises :class:`CollinearTriple`) and its hull
+Both read per-n slots from :func:`_slots_of`, shared up to ``SHARED_N``
+points, the one cap of every table that depends on n alone.  A segment
+family's crossings (:func:`straddle_masks`), a point set's general position
+(the table raises :class:`CollinearTriple`) and its hull
 (:func:`hull_successors`) read the table of its points.  Coordinates are
 exact rationals; the scalar layer, ``Point``, :func:`cross` and
 :func:`orientation`, decides on the sign of a rational, and the table lifts
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Coord = int | Fraction
 
@@ -200,12 +202,12 @@ def orientation_table(points: Sequence[Point]) -> tuple[int, ...]:
     names the first collinear (i, j, k) in ``combinations`` order, and its
     ``triples`` lists them all.
 
-    The loops read the pairs and triples as :func:`_slots`, which depend on n
-    alone, and write only the upper entries (i < j).  With no zero sign,
-    every point other than p_i and p_j lies on one side of their line, so a
-    lower entry is the complement of its upper one:
+    The loops read the pairs and triples from :func:`_slots_of`, which
+    depend on n alone, and write only the upper entries (i < j).  With no
+    zero sign, every point other than p_i and p_j lies on one side of their
+    line, so a lower entry is the complement of its upper one:
     ``left[j*n + i] = full ^ left[i*n + j] ^ (1 << i | 1 << j)``.  The slots
-    of up to ``SLOT_CACHE_N`` points are cached; larger tables generate the
+    of up to ``SHARED_N`` points are cached; larger tables generate the
     triples on the fly, in the same loop.
     """
     n = len(points)
@@ -213,7 +215,7 @@ def orientation_table(points: Sequence[Point]) -> tuple[int, ...]:
     d = lcm(*[c.denominator for c in coords])
     lifted = [c.numerator * (d // c.denominator) for c in coords]
     xs, ys = lifted[0::2], lifted[1::2]
-    pairs, triples = _cached_slots(n) if n <= SLOT_CACHE_N else _slots(n)
+    pairs, triples = _slots_of(n)
     # det[i*n + j] is x_i*y_j - x_j*y_i (times d squared), for i < j.
     det = [0] * (n * n)
     for i, j, ij, _, _ in pairs:
@@ -238,8 +240,9 @@ def orientation_table(points: Sequence[Point]) -> tuple[int, ...]:
     return tuple(left)
 
 
-# The most points whose slots are cached (:func:`_cached_slots`).
-SLOT_CACHE_N = 32
+# The largest n whose per-n tables are shared: the slots (:func:`_slots_of`)
+# and ``chords.chord_order``.
+SHARED_N = 32
 
 _Pair = tuple[int, int, int, int, int]
 _Triple = tuple[int, int, int, int, int, int]
@@ -261,9 +264,14 @@ def _slots(n: int) -> tuple[tuple[_Pair, ...], Iterator[_Triple]]:
     return pairs, triples
 
 
+def _slots_of(n: int) -> tuple[tuple[_Pair, ...], Iterable[_Triple]]:
+    """The slots of n points: cached tuples up to ``SHARED_N``, else :func:`_slots`."""
+    return _cached_slots(n) if n <= SHARED_N else _slots(n)
+
+
 @lru_cache(maxsize=16)
 def _cached_slots(n: int) -> tuple[tuple[_Pair, ...], tuple[_Triple, ...]]:
-    """:func:`_slots` as tuples, kept for 16 sizes n <= ``SLOT_CACHE_N``.
+    """:func:`_slots` as tuples, kept for 16 sizes n <= ``SHARED_N``.
 
     They make a table 1.3 to 2 times as fast as triples generated on the
     fly.  Measured with tracemalloc, the slots of 32 points take 0.53 MiB,
@@ -382,7 +390,7 @@ def _relabel(left: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     :func:`orientation_table`.
     """
     n = len(order)
-    pairs = (_cached_slots(n) if n <= SLOT_CACHE_N else _slots(n))[0]
+    pairs = _slots_of(n)[0]
     rows = [p * n for p in order]
     chunks = max(2, -(-n // 8))  # two half-width tables cost less than one of 2^n entries
     bounds = [n * c // chunks for c in range(chunks + 1)]
@@ -410,19 +418,14 @@ def validate_polygon(vertices: Sequence[Point]) -> Polygon:
     return Polygon(vertices)
 
 
-def validate_path(points: Sequence[Point], left: Sequence[int], order: Sequence[int]) -> Polygon:
+def _path_polygon(points: Sequence[Point], left: Sequence[int], order: Sequence[int]) -> Polygon:
     """The polygon visiting distinct ``points`` in ``order``, validated on their table ``left``.
 
-    Equals ``validate_polygon([points[k] for k in order])`` without building
-    the orientation table again: the polygon keeps ``left`` relabeled by the
-    order, reversed with it if the path runs clockwise.
+    ``order`` was already scanned (:func:`_check_crossings`) and found not
+    to cross itself.  Equals ``validate_polygon([points[k] for k in order])``
+    without building the orientation table again: the polygon keeps ``left``
+    relabeled by the order, reversed with it if the path runs clockwise.
     """
-    _check_crossings(left, order)
-    return _path_polygon(points, left, order)
-
-
-def _path_polygon(points: Sequence[Point], left: Sequence[int], order: Sequence[int]) -> Polygon:
-    """:func:`validate_path` for an ``order`` already scanned and found not to cross itself."""
     turned, reflex = _orient(left, order)
     if turned:
         order = order[::-1]

@@ -4,8 +4,6 @@ from hypothesis import strategies as st
 
 from chord_euler import geometry
 from chord_euler.chords import (
-    KIND_CACHE_N,
-    ORDER_CACHE_N,
     Chord,
     ChordKind,
     a_diagonals,
@@ -15,7 +13,6 @@ from chord_euler.chords import (
     epigonals,
     forbidden_star,
     _cached_chord_order,
-    _cached_kind_masks,
     universe_of,
 )
 from chord_euler.generators import (
@@ -26,6 +23,7 @@ from chord_euler.generators import (
 )
 from conftest import exemplar_and_zigzag_polygons, pt
 from chord_euler.geometry import (
+    SHARED_N,
     Point,
     Segment,
     orientation,
@@ -211,7 +209,7 @@ def test_row_built_incidence_matches_its_definition():
 
 def test_chord_sides_match_span_masks():
     # Per chord (i, j): the span of the vertices i..j, and of those not
-    # strictly between i and j.  Past ORDER_CACHE_N each universe builds its
+    # strictly between i and j.  Past SHARED_N each universe builds its
     # own table.
     for n in range(4, 41):
         uni = universe_of(convex_ngon(n))
@@ -253,26 +251,30 @@ def test_universes_of_one_size_share_the_chord_order():
     for name in ("chords", "index", "incidence"):
         assert getattr(one, name) is getattr(two, name)
         assert name not in vars(one) and name not in vars(two)
+    assert one.order.kind_masks is two.order.kind_masks
     assert one.chords == tuple(Chord(i, j) for i in range(9) for j in range(i + 2, 9 - (i == 0)))
     assert one.crossing_masks is not two.crossing_masks
 
 
 def test_per_n_caches_are_bounded():
-    # Every per-n cache has a finite size, and a size past its bound shares
-    # nothing: each universe builds its own chord order and kind masks.
-    for cache in (geometry._cached_slots, _cached_chord_order, _cached_kind_masks):
-        assert cache.cache_info().maxsize is not None
-    n = ORDER_CACHE_N + 1
-    polys = [random_simple_polygon(n, 1), convex_ngon(n)]
-    before = _cached_chord_order.cache_info()
-    one, two = (universe_of(poly) for poly in polys)
-    assert one.order is not two.order
-    assert one.chords == two.chords and one.chords is not two.chords
-    assert one.incidence == two.incidence and one.incidence is not two.incidence
-    assert _cached_chord_order.cache_info() == before
-    before = _cached_kind_masks.cache_info()
-    universe_of(random_simple_polygon(KIND_CACHE_N + 1, 1))
-    assert _cached_kind_masks.cache_info() == before
+    # Every per-n cache has a finite size.  Up to SHARED_N the universes of
+    # one size share their chord order's kind masks; past it, at the packed
+    # fields' 8-byte edge too, each universe builds its own chord order and
+    # kind masks, and neither module cache is read.
+    caches = (geometry._cached_slots, _cached_chord_order)
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
+    one, two = (universe_of(poly) for poly in (random_simple_polygon(SHARED_N, 1),
+                                               convex_ngon(SHARED_N)))
+    assert one.order.kind_masks is two.order.kind_masks
+    for n in (SHARED_N + 1, 65):
+        before = [cache.cache_info() for cache in caches]
+        one, two = (universe_of(poly) for poly in (random_simple_polygon(n, 1), convex_ngon(n)))
+        assert one.order is not two.order
+        assert one.chords == two.chords and one.chords is not two.chords
+        assert one.incidence == two.incidence and one.incidence is not two.incidence
+        assert one.order.kind_masks is not two.order.kind_masks
+        assert one.order.kind_masks[4:] == two.order.kind_masks[4:]  # the ints, past the codecs
+        assert [cache.cache_info() for cache in caches] == before
 
 
 def _assert_vertex_kinds_match_coordinates(poly):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chord_euler.generators import class_exemplar, convex_ngon, random_simple_polygon, zigzag_chi_target
 from chord_euler.geometry import (
-    SLOT_CACHE_N,
+    SHARED_N,
     CollinearTriple,
     DuplicateVertex,
     Point,
@@ -22,7 +22,6 @@ from chord_euler.geometry import (
     orientation,
     orientation_table,
     straddle_masks,
-    validate_path,
     validate_polygon,
 )
 from chord_euler import geometry
@@ -157,7 +156,7 @@ def _relabeling_cases():
 def test_rotated_copies_relabel_the_table_of_their_polygon():
     # Differential: the relabeled table and reflex set of every rotation
     # against a table and a reflex set built afresh from the coordinates.
-    # Sizes cross the lookup chunks' 8-bit edges and SLOT_CACHE_N.
+    # Sizes cross the lookup chunks' 8-bit edges and SHARED_N.
     for poly in _relabeling_cases():
         assert "left" in vars(poly)  # kept from validation
         n = poly.n
@@ -244,16 +243,21 @@ def _outcome(make):
 
 @settings(max_examples=300)
 @given(st.lists(st.builds(pt, grid, grid), min_size=3, max_size=8, unique=True), st.randoms())
-def test_validate_path_matches_validate_polygon(pts, rng):
-    # The generator's route: validate an index order on the point set's table.
+def test_path_polygon_matches_validate_polygon(pts, rng):
+    # The generator's route: scan an index order for crossings on the point
+    # set's table, then build the polygon on that table.
     try:
         left = orientation_table(pts)
     except CollinearTriple:
         assume(False)
     order = list(range(len(pts)))
     rng.shuffle(order)
-    got = _outcome(lambda: validate_path(pts, left, order))
-    assert got == _outcome(lambda: validate_polygon([pts[k] for k in order]))
+
+    def path_polygon():
+        geometry._check_crossings(left, order)
+        return geometry._path_polygon(pts, left, order)
+
+    assert _outcome(path_polygon) == _outcome(lambda: validate_polygon([pts[k] for k in order]))
 
 
 def test_reflex_vertices(square, dart):
@@ -326,10 +330,10 @@ def _table_or_collinear(vs):
 
 
 def test_orientation_table_matches_the_predicate_at_every_size():
-    # Every n with cached slots and two past SLOT_CACHE_N (slots generated on
+    # Every n with cached slots and two past SHARED_N (slots generated on
     # the fly): integer coordinates, and rational ones (convex, on the unit
     # circle; zigzags, n = 6..37).
-    sizes = [*range(3, SLOT_CACHE_N + 1), SLOT_CACHE_N + 1, SLOT_CACHE_N + 5]
+    sizes = [*range(3, SHARED_N + 1), SHARED_N + 1, SHARED_N + 5]
     corpus = [random_simple_polygon(n, n + 40).vertices for n in sizes]
     corpus += [convex_ngon(n).vertices for n in sizes]
     corpus += [zigzag_chi_target(l).polygon.vertices for l in (2, -2, 3, 5, -10, 11, 12)]
@@ -339,11 +343,11 @@ def test_orientation_table_matches_the_predicate_at_every_size():
 
 def test_orientation_table_collinear_indices_past_nine_points():
     # The validation tests stop at 9 points.  Grid samples of 10..16 points
-    # and past SLOT_CACHE_N, with or without a collinear triple.
+    # and past SHARED_N, with or without a collinear triple.
     rng = random.Random(11)
     cells = [(x, y) for x in range(40) for y in range(40)]
     outcomes = set()
-    for n in [*range(10, 17), SLOT_CACHE_N + 1, SLOT_CACHE_N + 5]:
+    for n in [*range(10, 17), SHARED_N + 1, SHARED_N + 5]:
         for _ in range(25):
             vs = [pt(x, y) for x, y in rng.sample(cells, n)]
             want = _table_by_predicate(vs)
@@ -368,7 +372,7 @@ def test_orientation_table_reports_every_collinear_triple(vs):
 def test_orientation_table_past_the_bound_adds_no_cache_entry():
     cache = geometry._cached_slots
     assert cache.cache_info().maxsize is not None
-    vs = random_simple_polygon(SLOT_CACHE_N + 1, 2).vertices
+    vs = random_simple_polygon(SHARED_N + 1, 2).vertices
     before = cache.cache_info()
     orientation_table(vs)
     assert cache.cache_info() == before

@@ -4,11 +4,17 @@ A polygon owns its chord universe, the universe owns every cache derived
 from it and holds the polygon only weakly, and the recursions are
 module-level functions or explicit stacks.  So reference counting alone
 frees a polygon visit, and a chord set keeps working after its polygon is
-gone.
+gone.  What depends on n alone has two module caches, geometry's slots and
+chords' orders, under one cap; an AST scan of the package pins them, and
+the private names that one module imports from another.
 """
 
+import ast
 import gc
 from itertools import islice
+from pathlib import Path
+
+import chord_euler
 
 from chord_euler.chords import ChordKind, diagonals, epigonals, universe_of
 from chord_euler.classes import verify_theorem1, verify_theorem3
@@ -80,3 +86,83 @@ def test_chord_sets_outlive_their_polygon():
     assert list(iter_nc_masks(uni.crossing_masks, fam.mask)) == list(
         iter_nc_masks(twin.universe.crossing_masks, twin.mask)
     )
+
+
+SRC = Path(chord_euler.__file__).parent
+# The module-level caches, (module, function), and the one per-n cap.
+MODULE_CACHES = {("geometry", "_cached_slots"), ("chords", "_cached_chord_order")}
+CACHE_MAKERS = ("lru_cache", "cache")
+CAP = ("geometry", "SHARED_N")
+# Every private name that one module takes from another: (importer, owner, name).
+PRIVATE_IMPORTS = {
+    ("classes", "nc_euler", "_bits"),
+    ("generators", "geometry", "_path_polygon"),
+    ("generators", "geometry", "_slots_of"),
+}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _is_n(node: ast.AST) -> bool:
+    # n itself, or an object's n (``poly.n``, ``self.n``).
+    return _name(node) == "n" and not isinstance(node, ast.Call)
+
+
+def test_module_caches_are_the_two_per_n_tables():
+    # Every use of a cache maker decorates one of the two.
+    decorated, uses = set(), 0
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if any(_name(d) in CACHE_MAKERS for d in node.decorator_list):
+                    decorated.add((module, node.name))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                uses += _name(node) in CACHE_MAKERS
+    assert decorated == MODULE_CACHES
+    assert uses == len(MODULE_CACHES)
+
+
+def test_one_cap_for_every_per_n_table():
+    # A name that n is compared with is a cap, and so is a constant named
+    # like one; the only one is SHARED_N, assigned once, in geometry.
+    compared, assigned = set(), []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(map(_is_n, sides)):
+                    compared |= {s.id for s in sides if isinstance(s, ast.Name) and s.id.isupper()}
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+                assigned += [(module, t.id) for t in node.targets
+                             if isinstance(t, ast.Name) and t.id.endswith("_N")]
+    assert compared == {CAP[1]}
+    assert assigned == [CAP]
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = set()
+    for module, tree in _modules().items():
+        aliases = {}  # a sibling module's local name -> the module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        found.add((module, node.module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")):
+                found.add((module, aliases[node.value.id], node.attr))
+    assert found == PRIVATE_IMPORTS

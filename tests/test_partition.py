@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chord_euler.chords import ORDER_CACHE_N, Chord, ChordKind, diagonals, universe_of
+from chord_euler.chords import Chord, ChordKind, diagonals, universe_of
 from chord_euler.generators import class_exemplar, convex_ngon, random_simple_polygon, zigzag_chi_target
-from chord_euler.geometry import Point, Polygon, validate_polygon
+from chord_euler.geometry import SHARED_N, Point, Polygon, validate_polygon
 from chord_euler.nc_euler import EulerEngine, euler_brute, euler_recursive, iter_nc_masks
 from chord_euler.partition import (
     IE_CAP,
@@ -786,7 +786,7 @@ def test_lemma1_past_the_shared_chord_orders():
     # A 60-gon's universe builds its own chord order and sides table.
     for seed in range(1, 4):
         poly = random_simple_polygon(60, seed)
-        assert poly.n > ORDER_CACHE_N
+        assert poly.n > SHARED_N
         tri = extend_to_triangulation(poly, empty(poly))
         mask = tri.mask
         while mask.bit_count() > 20:
