@@ -306,7 +306,8 @@ def _verify_sets(args, target: str, kind: ChordKind, agree) -> list[str]:
     failures = []
     for idx, poly in _campaign_polygons(args, target):
         uni = universe_of(poly)
-        for j_mask in iter_nc_masks(uni.crossing_masks, uni.kind_mask(kind)):
+        # Within one kind, crossing is interleaving.
+        for j_mask in iter_nc_masks(uni.order.interleave, uni.kind_mask(kind)):
             j = uni.set_of_mask(j_mask)
             if not agree(poly, j):
                 failures.append(_failure(args, idx, poly, f"J={j} J_mask={j_mask:#x}"))

@@ -63,8 +63,11 @@ Two slower routes are kept as independent oracles:
   isolated member (chi 0) returns 0 before any recursion.
 
 Both read crossing masks.  A chord set with no boundary-crossing chord takes
-its universe's, by interleaving.  A chord set holding one, and a plain list
-of segments, get theirs from the straddle test on an orientation table
+its universe's, by interleaving; the :class:`EulerEngine` that ``partition``
+builds takes the interleaving masks of its n (``ChordOrder.interleave``)
+as they are, because its families each lie within D or within E.  A chord
+set holding a boundary-crossing chord, and a plain list of segments, get
+theirs from the straddle test on an orientation table
 (``geometry.straddle_masks``): the universe's, or for a segment list the
 table of its distinct endpoints, so a segment list must be in general
 position too.
@@ -120,7 +123,8 @@ def _adjacency(family: ChordSet | Sequence[Segment]) -> tuple[Sequence[int], int
     """A family's crossing masks and member mask.
 
     A chord set with no boundary-crossing chord reads its universe's crossing
-    masks.  Any other family is straddle-tested on an orientation table
+    masks, which keep a diagonal and an epigonal apart even when they
+    interleave.  Any other family is straddle-tested on an orientation table
     (:func:`geometry.straddle_masks`): a chord set on its universe's, over its
     members, and a segment list on the table of its distinct endpoints,
     indexed in first-seen order, which raises :class:`CollinearTriple` when
@@ -357,7 +361,8 @@ class EulerEngine:
     """Evaluator sharing one memo across many subfamilies of one chord universe.
 
     The one that ``partition`` builds for the faces of a polygon's Theorem-2
-    routes lives in the universe's ``partition_state``; results are
+    routes lives in the universe's ``partition_state``, on the interleaving
+    masks of its n, and asks only families within one kind; results are
     identical to :func:`euler_recursive`, and so is the size error.  The
     memo holds finished values only, one per component; components come
     first, so a query with an isolated member returns 0 before recursing.

@@ -8,9 +8,11 @@ family of hitting sets of the minimal bad windows.  The windows are read from
 the polygon's orientation table: the chords of J at a vertex v, the bits of
 ``J & incidence[v]``, come in the cyclic order of their far endpoints (each
 one cuts off the boundary chain it spans), and a window spans more than pi
-iff its two bounding rays turn clockwise.  The direct route, subdividing and
-testing each face's convexity on coordinates, is not in the library: it is
-the test suite's oracle (``is_convex_partition`` in ``tests/oracles.py``).
+iff its two bounding rays turn clockwise.  Only the reflex vertices are
+scanned: at a convex vertex every window lies within an interior angle below
+pi.  The direct route, subdividing and testing each face's convexity on
+coordinates, is not in the library: it is the test suite's oracle
+(``is_convex_partition`` in ``tests/oracles.py``).
 
 A face of a cut by non-crossing diagonals visits its vertices in increasing
 cyclic order, so a face is its vertex bit mask.  Two faces share at most the
@@ -70,13 +72,17 @@ The universe's ``partition_state`` is one :class:`_State`: the ``engine``
 ``mask`` is the last checked cut J, whose ``constraints`` and ``signed``, the
 sum over NC_c[J] of (-1)^|I|, are filled on first use.  So the routes asked
 about J in turn check it, build its constraints and walk its 2^|J| subsets
-once, and :func:`_walk` keeps none of them.  J is infeasible iff its
-constraints are ``[0]``, and then NC_c[J] is empty: its signed sum is 0 with
-no walk, once the cap has been checked as the walk would.  NC_c[J] and
-NC_nc[J] split the subsets of J, whose signs sum to 0 for J nonempty, so
-Lemma D2's sum is minus Theorem 2's.  NC_nc[J] is the union of the down-sets
-of J - c over the constraints c, which are inclusion-minimal, so its maximal
-sets are the J - c, and some of them meet in nothing iff their c cover J.
+once, and :func:`_walk` keeps none of them.  Within one kind two chords
+cross iff they interleave, and every family that the layer asks about lies
+within D or within E, so the check, masked to D, and the engine read the
+per-n ``ChordOrder.interleave``, not the polygon's crossing masks.  J is
+infeasible iff its constraints are ``[0]``, and then NC_c[J] is empty: its
+signed sum is 0 with no walk, once the cap has been checked as the walk
+would.  NC_c[J] and NC_nc[J] split the subsets of J, whose signs sum to 0
+for J nonempty, so Lemma D2's sum is minus Theorem 2's.  NC_nc[J] is the
+union of the down-sets of J - c over the constraints c, which are
+inclusion-minimal, so its maximal sets are the J - c, and some of them meet
+in nothing iff their c cover J.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ def _state(uni: ChordUniverse) -> _State:
 def _engine(uni: ChordUniverse) -> EulerEngine:
     state = uni.partition_state or _state(uni)
     if state.engine is None:
-        state.engine = EulerEngine(uni.crossing_masks)
+        state.engine = EulerEngine(uni.order.interleave)
     return state.engine
 
 
@@ -140,13 +146,16 @@ def _check_noncrossing_diagonals(poly: Polygon, cut: ChordSet) -> _State:
     if state.mask == cut.mask:
         return state
     d_mask = uni.kind_mask(ChordKind.DIAGONAL)
+    interleave = uni.order.interleave
     m = cut.mask
     while m:
         k = (m & -m).bit_length() - 1
         m &= m - 1
         if not d_mask >> k & 1:
             raise PartitionError(f"chord {uni.chords[k]} is not a diagonal")
-        if uni.crossing_masks[k] & cut.mask:
+        # Masked to D, so that a lower diagonal interleaving a higher
+        # non-diagonal of the cut does not report a crossing before it.
+        if interleave[k] & d_mask & cut.mask:
             raise PartitionError(f"cut contains a crossing pair at {uni.chords[k]}")
     state.mask, state.constraints, state.signed = cut.mask, None, None
     return state
@@ -209,24 +218,21 @@ def convexity_constraints(poly: Polygon, j_set: ChordSet) -> tuple[list[int], bo
 def _window_constraints(poly: Polygon, uni: ChordUniverse, jm: int) -> tuple[int, ...]:
     """The inclusion-minimal windows of :func:`convexity_constraints`.
 
-    At a vertex that no chord of J touches, the only window is the interior
-    angle itself.  So a reflex one gives the empty constraint, which alone is
-    minimal, and a convex one gives none: only the touched vertices are scanned.
+    Only the reflex vertices are scanned.  At a convex vertex every window
+    lies inside an interior angle below pi, so none spans more than pi.  At
+    a reflex vertex that no chord of J touches, the only window is the
+    interior angle itself, which gives the empty constraint, alone minimal.
     """
     n, left, chords, incidence = poly.n, poly.left, uni.chords, uni.incidence
-    touched, m = 0, jm
-    while m:
-        low = m & -m
-        m ^= low
-        i, j = chords[low.bit_length() - 1]
-        touched |= 1 << i | 1 << j
+    reflex = 0
     for r in poly.reflex_vertices:
-        if not touched >> r & 1:
+        if not jm & incidence[r]:
             return (0,)
+        reflex |= 1 << r
     constraints: list[int] = []
-    while touched:
-        v = (touched & -touched).bit_length() - 1
-        touched &= touched - 1
+    while reflex:
+        v = (reflex & -reflex).bit_length() - 1
+        reflex &= reflex - 1
         at = jm & incidence[v]
         # Bit order lists the chords (w, v), w < v, first; (w - v) mod n, last.
         below: list[tuple[int, int]] = []

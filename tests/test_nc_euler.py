@@ -571,6 +571,23 @@ def test_is_heart_builds_no_crossing_masks():
         assert "crossing_masks" not in vars(universe_of(poly))
 
 
+def test_mixed_families_keep_the_kinds_apart(dart):
+    # A diagonal and an epigonal may interleave without crossing, as the
+    # dart's 0-2 (inside) and 1-3 (outside) do, so a family of both kinds
+    # cannot take its crossings from the interleaving masks.
+    uni = universe_of(dart)
+    both = diagonals(dart) | epigonals(dart)
+    assert both.chords() == [Chord(0, 2), Chord(1, 3)]
+    assert uni.order.interleave[uni.index[Chord(0, 2)]] >> uni.index[Chord(1, 3)] & 1
+    assert brute_nc_counts([uni.segment(c) for c in both]) == [1, 2, 1]
+    assert f_vector(both).counts == (1, 2, 1)
+    assert euler_recursive(both) == euler_brute(both) == 0
+    for seed in range(12):
+        poly = random_simple_polygon(6 + seed % 4, seed + 3100)
+        both = diagonals(poly) | epigonals(poly)
+        assert euler_recursive(both) == euler_brute(both) == f_vector(both).euler, poly
+
+
 def test_find_heart(square, dart):
     assert find_heart(square, "d") is None
     assert find_heart(convex_ngon(5), "d") is None

@@ -5,8 +5,9 @@ from it and holds the polygon only weakly, and the recursions are
 module-level functions or explicit stacks.  So reference counting alone
 frees a polygon visit, and a chord set keeps working after its polygon is
 gone.  What depends on n alone has two module caches, geometry's slots and
-chords' orders, under one cap; an AST scan of the package pins them, and
-the private names that one module imports from another.
+chords' orders, under one cap; an AST scan of the package pins them, the
+private names that one module imports from another, and the one reader of
+the per-polygon crossing masks outside ``chords``.
 """
 
 import ast
@@ -93,6 +94,10 @@ SRC = Path(chord_euler.__file__).parent
 MODULE_CACHES = {("geometry", "_cached_slots"), ("chords", "_cached_chord_order")}
 CACHE_MAKERS = ("lru_cache", "cache")
 CAP = ("geometry", "SHARED_N")
+# Outside chords, the functions that read ``ChordUniverse.crossing_masks``:
+# within one kind the per-n interleaving masks are the crossings, so only
+# nc_euler's chord sets, which may hold both kinds, need the per-polygon table.
+CROSSING_MASK_READERS = {("nc_euler", "_adjacency")}
 # Every private name that one module takes from another: (importer, owner, name).
 PRIVATE_IMPORTS = {
     ("classes", "nc_euler", "_bits"),
@@ -166,3 +171,30 @@ def test_private_names_cross_modules_only_where_listed():
                     and node.value.id in aliases and node.attr.startswith("_")):
                 found.add((module, aliases[node.value.id], node.attr))
     assert found == PRIVATE_IMPORTS
+
+
+class _Readers(ast.NodeVisitor):
+    """The (module, innermost function) of each read of an attribute; None outside any."""
+
+    def __init__(self, module: str, attr: str):
+        self.module, self.attr, self.scope, self.found = module, attr, [None], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Attribute(self, node):
+        if node.attr == self.attr:
+            self.found.add((self.module, self.scope[-1]))
+        self.generic_visit(node)
+
+
+def test_crossing_masks_are_read_only_by_nc_euler_chord_sets():
+    found = set()
+    for module, tree in _modules().items():
+        if module != "chords":
+            readers = _Readers(module, "crossing_masks")
+            readers.visit(tree)
+            found |= readers.found
+    assert found == CROSSING_MASK_READERS

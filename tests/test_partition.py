@@ -26,7 +26,7 @@ from chord_euler.partition import (
     subdivide,
     xi,
 )
-from conftest import exemplar_and_zigzag_polygons
+from conftest import brute_euler, exemplar_and_zigzag_polygons
 from oracles import area2, is_convex_partition, part_polygon, window_constraints_by_vertices
 
 
@@ -172,9 +172,9 @@ def test_feasible_agrees_with_convex_partition_exemplars():
 
 
 def test_window_constraints_match_the_full_scan():
-    # Scanning only the vertices that J touches, and stopping at a reflex
-    # vertex it misses, gives the full scan's tuple, in the same order.
-    # Every J up to 12 vertices; past that, random sets J.
+    # Scanning only the reflex vertices, and stopping at one that J misses,
+    # gives the tuple of the scan of every vertex, in the same order.  Every
+    # J up to 12 vertices; past that, random sets J.
     import chord_euler.partition as part
 
     corpus = [random_simple_polygon(n, seed + 9000) for n in range(4, 10) for seed in range(4)]
@@ -400,6 +400,38 @@ def test_lemma1_faces_match_own_geometry():
                     prod *= want
                 total += prod
             assert chi_removed_lemma1(poly, j) == total
+
+
+def test_engine_on_interleaving_matches_coordinates():
+    # The shared engine reads the interleaving masks of its n, which are the
+    # crossings only within one kind.  Against the deletion recursion on the
+    # same segments, whose crossings come from the segments' own orientation
+    # table (and, for small families, every subset on coordinate crossings):
+    # D - J and E - J, every Lemma-1 face family D(F) of J's subsets,
+    # and the empty and one-member masks, on one engine per polygon as the
+    # routes share it.
+    rng = random.Random(31)
+    corpus = [random_simple_polygon(n, seed + 3100) for n in range(5, 10) for seed in range(4)]
+    corpus += exemplar_and_zigzag_polygons(zigzag_ls=(2, -2, 3, -3))
+    for poly in corpus:
+        uni = universe_of(poly)
+        d_mask, e_mask = uni.kind_mask(ChordKind.DIAGONAL), uni.kind_mask(ChordKind.EPIGONAL)
+        js = [j.mask for j in nc_diagonal_subsets(poly)]
+        js = rng.sample(js, min(len(js), 10))
+        es = list(iter_nc_masks(uni.order.interleave, e_mask))
+        fams = {0, *(1 << k for k in range(uni.size) if (d_mask | e_mask) >> k & 1)}
+        fams |= {d_mask & ~jm for jm in js} | {e_mask & ~em for em in rng.sample(es, min(len(es), 6))}
+        for jm in js:
+            for sub in iter_nc_masks(uni.order.interleave, jm):
+                for part in subdivide(poly, uni.set_of_mask(sub)).parts:
+                    fams.add(d_mask & uni.span_mask(sum(1 << v for v in part)) & ~sub)
+        eng = EulerEngine(uni.order.interleave)
+        for fam in sorted(fams):
+            segments = [uni.segment(c) for c in uni.set_of_mask(fam)]
+            want = euler_recursive(segments)
+            if len(segments) <= 8:  # every subset, on coordinate crossings
+                assert brute_euler(segments) == want
+            assert eng.chi(fam) == want, (poly, bin(fam))
 
 
 _LEMMA1_POLYGONS = st.one_of(
@@ -937,9 +969,11 @@ def test_bad_j_is_refused_after_a_validated_one(route):
         route(poly, good)
 
 
-def test_each_j_is_validated_once_across_the_routes():
-    # The check reads J's crossing row once per chord of J.  Counted here by
-    # wrapping the universe's rows after the shared engine has taken its own.
+def test_each_j_is_validated_once_across_the_routes(monkeypatch):
+    # The check reads J's interleaving row once per chord of J.  Counted here
+    # by giving this universe a view of its chord order whose rows count
+    # their reads, after the shared engine has taken its own; the order,
+    # shared by every universe of this n, is left as it is.
     poly = random_simple_polygon(8, 11)
     uni = universe_of(poly)
     js = [j for j in nc_diagonal_subsets(poly) if len(j) >= 2]
@@ -951,9 +985,19 @@ def test_each_j_is_validated_once_across_the_routes():
             reads.append(k)
             return tuple.__getitem__(self, k)
 
-    uni.crossing_masks = Rows(uni.crossing_masks)
+    class Order:
+        def __init__(self, order):
+            self.shared = order
+            self.interleave = Rows(order.interleave)
+
+        def __getattr__(self, name):
+            return getattr(self.shared, name)
+
+    shared = uni.order
+    monkeypatch.setattr(uni, "order", Order(shared))
     for j in js:
         reads.clear()
         for route in THEOREM2_ROUTES + THEOREM2_ROUTES:
             route(poly, j)
         assert sorted(reads) == sorted(uni.index[c] for c in j), bin(j.mask)
+    assert type(shared.interleave) is tuple
