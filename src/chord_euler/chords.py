@@ -58,7 +58,12 @@ with no chord-pair or vertex-edge loop.
 * a -> b is an edge of the convex hull, traversed counter-clockwise, iff
   every other vertex lies left of it (``geometry.hull_successors``; Knuth,
   *Axioms and Hulls*).  The pockets, the regions between the polygon and its
-  hull, follow from the hull chords.
+  hull, follow from the hull chords, the hull edges that are not polygon
+  edges.  A hull chord crosses no edge, all of them lying on one side of it,
+  and has the outside of the hull on its other side: it is an epigonal.  So
+  ``pockets`` tests only each a's ``epi`` partners, O(|E|) tests against the
+  hull's O(n^2); sorted by a they are in hull order, in which a simple
+  polygon meets its hull vertices.
 
 What depends on n alone, the chord order, is a :class:`ChordOrder`: the
 chord tuple and its index (built only for callers that name chords:
@@ -402,16 +407,18 @@ class ChordUniverse:
 
     @cached_property
     def pockets(self) -> tuple[Pocket, ...]:
-        """One pocket per hull edge that is not a polygon edge, in hull order."""
-        hull = self.hull
-        n = self.n
+        """One pocket per hull chord, an epigonal (module docstring), in hull order."""
+        n, left = self.n, self.left
+        full = (1 << n) - 1
         out = []
-        for t in range(len(hull)):
-            a, b = hull[t], hull[(t + 1) % len(hull)]
-            if (b - a) % n == 1:
-                continue
-            path = tuple((a + s) % n for s in range((b - a) % n + 1))
-            out.append(Pocket(Chord.of(a, b), path))
+        for a, partners in enumerate(self.epi):
+            while partners:
+                low = partners & -partners
+                partners ^= low
+                b = low.bit_length() - 1
+                if left[a * n + b] | 1 << a | low == full:
+                    path = tuple((a + s) % n for s in range((b - a) % n + 1))
+                    out.append(Pocket(Chord.of(a, b), path))
         return tuple(out)
 
     @cached_property

@@ -17,11 +17,12 @@ The classes are six n-bit vertex masks, built once per polygon by
 the polygon is in Class k at vertex i.  The reflex mask R names the
 candidates, and the full tests run only there.  A convex polygon (R = 0) is
 in no class.  Classes 1 and 5 need R = {r} and are tested at r.  Class 2
-holds at i iff R is every vertex but i-1, i and i+1.  Class 4 is tested at
-the i with R inside {i-1, i+1}, Class 3 at the convex vertices that end every
-pocket's hull chord (at most two), Class 6 at the reflex vertices.  The
-detectors ``is_class1`` .. ``is_class6``, :func:`verify_theorem3` and
-:func:`class_report` read bits.
+holds at i iff R is every vertex but i-1, i and i+1: at the middle one of
+three consecutive convex vertices.  Class 4 needs R inside {i-1, i+1}, so it
+is tested at r-1 and r+1 for the lowest reflex r, Class 3 at the convex
+vertices that end every pocket's hull chord (at most two), Class 6 at the
+reflex vertices.  The detectors ``is_class1`` .. ``is_class6``,
+:func:`verify_theorem3` and :func:`class_report` read bits.
 
 Index conventions: the special vertex is ``i``; all index arithmetic is mod n;
 "angle XAY exceeds pi" is the CCW angle at A from ray A->X to ray A->Y, which
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from .chords import diagonals, epigonals, universe_of
+from .chords import ChordUniverse, diagonals, epigonals, universe_of
 from .geometry import Polygon
 from .nc_euler import _bits, f_vector, star_ear_chis
 
@@ -128,18 +129,17 @@ def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
     }
 
 
-def _class_masks(poly: Polygon) -> tuple[int, ...]:
+def _class_masks(poly: Polygon, uni: ChordUniverse) -> tuple[int, ...]:
     """Per class k = 1..6, the vertex mask of the i at which P is in Class k.
 
-    Built once per polygon and cached on its universe (``class_masks``).
+    Built once per polygon and cached on its universe ``uni`` (``class_masks``).
     """
-    uni = universe_of(poly)
     if uni.class_masks is None:
-        uni.class_masks = _nonconvex_masks(poly) if poly.reflex_vertices else (0,) * 6
+        uni.class_masks = _nonconvex_masks(poly, uni) if poly.reflex_vertices else (0,) * 6
     return uni.class_masks
 
 
-def _nonconvex_masks(poly: Polygon) -> tuple[int, ...]:
+def _nonconvex_masks(poly: Polygon, uni: ChordUniverse) -> tuple[int, ...]:
     """The class masks of a non-convex polygon, tested at the candidates only.
 
     Class 4 needs no ear-chord test.  Let Q be the cycle without i.  Once
@@ -153,26 +153,28 @@ def _nonconvex_masks(poly: Polygon) -> tuple[int, ...]:
     full = (1 << n) - 1
     reflex = sum(1 << r for r in poly.reflex_vertices)
     masks = [0] * 6
+    r = (reflex & -reflex).bit_length() - 1  # the lowest reflex vertex
     if reflex & reflex - 1 == 0:
         # Classes 1 and 5: at the one reflex vertex r.
-        r = reflex.bit_length() - 1
         ccw = poly.ccw
         nxt1, nxt2, prv1, prv2 = (r + 1) % n, (r + 2) % n, (r - 1) % n, (r - 2) % n
         if ccw(r, nxt2, prv2) and ccw(r, nxt2, prv1) == ccw(r, nxt1, prv2):
             masks[0] = reflex
         if _convex_without(poly, r):
             masks[4] = reflex
-    for i in range(n):
-        sides = 1 << (i - 1) % n | 1 << (i + 1) % n
-        # Class 2: reflex everywhere but at i-1, i and i+1.
-        if reflex == full ^ sides ^ 1 << i:
-            masks[1] |= 1 << i
-        # Class 4: only i-1 and i+1 may be reflex, and P less i is convex.
-        if not reflex & ~sides and _convex_without(poly, i):
+    # Class 2: convex only at i-1, i and i+1.
+    convex = full ^ reflex
+    if convex.bit_count() == 3:
+        for i in _bits(convex):
+            if convex == 1 << (i - 1) % n | 1 << i | 1 << (i + 1) % n:
+                masks[1] = 1 << i
+    # Class 4: only i-1 and i+1 may be reflex, and P less i is convex.
+    for i in ((r - 1) % n, (r + 1) % n):
+        if not reflex & ~(1 << (i - 1) % n | 1 << (i + 1) % n) and _convex_without(poly, i):
             masks[3] |= 1 << i
     # Class 3: at a convex end of every pocket's hull chord, at most two vertices.
-    pockets = universe_of(poly).pockets
-    ends = full ^ reflex
+    pockets = uni.pockets
+    ends = convex
     for p in pockets:
         ends &= 1 << p.hull_chord.i | 1 << p.hull_chord.j
     for i in _bits(ends):
@@ -187,7 +189,7 @@ def _nonconvex_masks(poly: Polygon) -> tuple[int, ...]:
 
 def _in_class(poly: Polygon, i: int, k: int) -> bool:
     _require_size(poly, 5)
-    return bool(_class_masks(poly)[k - 1] >> i % poly.n & 1)
+    return bool(_class_masks(poly, universe_of(poly))[k - 1] >> i % poly.n & 1)
 
 
 def is_class1(poly: Polygon, i: int) -> bool:
@@ -239,14 +241,15 @@ class ClassReport:
 def class_report(poly: Polygon, i: int) -> ClassReport:
     _require_size(poly, 5)
     at = i % poly.n
-    memberships = {name for name, m in zip(CLASS_NAMES, _class_masks(poly)) if m >> at & 1}
+    uni = universe_of(poly)
+    memberships = {name for name, m in zip(CLASS_NAMES, _class_masks(poly, uni)) if m >> at & 1}
     witnesses: dict[str, Any] = {"reflex": sorted(poly.reflex_vertices)}
     if poly.is_convex:
         memberships.add("Convex")
     if "Class3" in memberships:
         witnesses["pockets"] = [
             {"hull_chord": str(p.hull_chord), "path": list(p.path)}
-            for p in universe_of(poly).pockets
+            for p in uni.pockets
         ]
     if "Class6" in memberships:
         witnesses["class6"] = _class6_split(poly, at)
@@ -309,8 +312,9 @@ def verify_theorem3(poly: Polygon, i: int) -> Theorem3Report:
     """
     _require_size(poly, 5)
     i %= poly.n
-    d_star, e_star, d_ear, e_ear = star_ear_chis(universe_of(poly))[i]
-    m1, m2, m3, m4, m5, m6 = _class_masks(poly)
+    uni = universe_of(poly)
+    d_star, e_star, d_ear, e_ear = star_ear_chis(uni)[i]
+    m1, m2, m3, m4, m5, m6 = _class_masks(poly, uni)
     convex = poly.is_convex
     det_a = (m1 | m2 | m6) >> i & 1 == 1
     det_b = convex or m3 >> i & 1 == 1

@@ -26,11 +26,14 @@ non-crossing configurations", Discrete Math. 204, 1999):
               of V(p, v) w(v, q) V(v, q),
 
 where w(a, b) is 1 + x if (a, b) is in F and 1 otherwise: a chord that
-spans its whole interval crosses nothing in it.  :func:`_intervals` builds
-the table in O(n^3) ring operations at one of two points:
+spans its whole interval crosses nothing in it.  :func:`_intervals` keeps
+one table, of w(p, q) V(p, q), and each chord (p, v) of F carries its
+V(p, v), the only unweighted V read, in its end at p.  It builds the table
+in O(n^3) ring operations at one of two points:
 
 * x = 2^width, for :func:`f_vector`, on the intervals p..q with p < q (the
-  cycle cut open between n-1 and 0); V(0, n-1) is the f-polynomial.  A
+  cycle cut open between n-1 and 0); V(0, n-1), the f-polynomial, is the
+  cell of the edge (0, n-1).  A
   polynomial is packed into one integer, the coefficient of x^k in bits
   [k*width, (k+1)*width).  The integer arithmetic is exact, so the result
   is the f-polynomial's value at 2^width, and it unpacks to the f-vector
@@ -45,7 +48,8 @@ the table in O(n^3) ring operations at one of two points:
       chi(F - star(i)) = 0 if ear(i) is in F, else inner,
       chi(F - ear(i))  = chi(F) + inner if ear(i) is in F, else chi(F),
 
-  the second by the deletion identity chi(A - e) = chi(A) + chi(A - N[e]).
+  the second by the deletion identity chi(A - e) = chi(A) + chi(A - N[e]);
+  an ear in F has a zero cell, and its end holds inner.
 
 A heart of F is a non-crossing H within F that every maximal non-crossing
 set of F meets; then chi(F) = 0.  A maximal non-crossing set of D is a
@@ -62,11 +66,11 @@ Two slower routes are kept as independent oracles:
   of its parts' chis, so one pass finds every component first, and an
   isolated member (chi 0) returns 0 before any recursion.
 
-Both read crossing masks.  A chord set with no boundary-crossing chord takes
-its universe's, by interleaving; the :class:`EulerEngine` that ``partition``
-builds takes the interleaving masks of its n (``ChordOrder.interleave``)
-as they are, because its families each lie within D or within E.  A chord
-set holding a boundary-crossing chord, and a plain list of segments, get
+Both read crossing masks.  A chord set within D or within E, and the
+:class:`EulerEngine` that ``partition`` builds for such families, take the
+interleaving masks of their n (``ChordOrder.interleave``) as they are; a
+chord set of both kinds takes its universe's, which keep the kinds apart.
+A chord set holding a boundary-crossing chord, and a segment list, get
 theirs from the straddle test on an orientation table
 (``geometry.straddle_masks``): the universe's, or for a segment list the
 table of its distinct endpoints, so a segment list must be in general
@@ -122,9 +126,11 @@ class FVector:
 def _adjacency(family: ChordSet | Sequence[Segment]) -> tuple[Sequence[int], int]:
     """A family's crossing masks and member mask.
 
-    A chord set with no boundary-crossing chord reads its universe's crossing
-    masks, which keep a diagonal and an epigonal apart even when they
-    interleave.  Any other family is straddle-tested on an orientation table
+    A chord set within D or within E reads the interleaving masks of its n
+    (``ChordOrder.interleave``): within one kind, crossing is interleaving.
+    A chord set of both kinds reads its universe's crossing masks, which keep
+    a diagonal and an epigonal apart even when they interleave.  Any other
+    family is straddle-tested on an orientation table
     (:func:`geometry.straddle_masks`): a chord set on its universe's, over its
     members, and a segment list on the table of its distinct endpoints,
     indexed in first-seen order, which raises :class:`CollinearTriple` when
@@ -138,9 +144,10 @@ def _adjacency(family: ChordSet | Sequence[Segment]) -> tuple[Sequence[int], int
     lists.
     """
     if isinstance(family, ChordSet):
-        uni = family.universe
-        if not family.mask & uni.kind_mask(ChordKind.BOUNDARY_CROSSING):
-            return uni.crossing_masks, family.mask
+        uni, mask = family.universe, family.mask
+        if not mask & uni.kind_mask(ChordKind.BOUNDARY_CROSSING):
+            d = mask & uni.kind_mask(ChordKind.DIAGONAL)
+            return uni.order.interleave if d in (0, mask) else uni.crossing_masks, mask
         left, n, ends = uni.left, uni.n, list(family)
     else:
         index: dict[Point, int] = {}
@@ -176,31 +183,32 @@ def _neighbours(uni: ChordUniverse, fam: int) -> list[int]:
     return nbr
 
 
-def _intervals(nbr: Sequence[int], x: int, cyclic: bool) -> list[list[int]]:
-    """``table[p][L]`` = V(p, p + L) of the module docstring, at ``x``.
+def _intervals(nbr: Sequence[int], x: int,
+               cyclic: bool) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
+    """The interval table of the module docstring at ``x``, and the chord ends.
 
-    ``nbr`` is the family's :func:`_neighbours`.  The intervals run over the
-    whole cycle if ``cyclic``, else only those with p + L < n.
+    ``table[p][L]`` = w(p, p + L) V(p, p + L), and ``ends[p]`` lists, by
+    increasing d, the pairs (d, V(p, p + d)) over the family's chords
+    (p, p + d).  ``nbr`` is the family's :func:`_neighbours`.  The intervals
+    run over the whole cycle if ``cyclic``, else only those with p + L < n.
     """
     n = len(nbr)
     table = [[0, 1] + [0] * (n - 2) for _ in range(n)]
-    weighted = [[0, 1] + [0] * (n - 2) for _ in range(n)]  # w(p, p + L) V(p, p + L)
-    rows = weighted * 2  # rows[p + d] is row (p + d) mod n
-    ends: list[list[int]] = [[] for _ in range(n)]  # the d < L with (p, p + d) in F
+    rows = table * 2  # rows[p + d] is row (p + d) mod n
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for length in range(2, n):
         for p in range(n if cyclic else n - length):
-            row = table[p]
             val = rows[p + 1][length - 1]
             if ends[p]:
                 split = 0
-                for d in ends[p]:
-                    split += row[d] * rows[p + d][length - d]
+                for d, v in ends[p]:
+                    split += v * rows[p + d][length - d]
                 val += x * split
-            row[length] = weighted[p][length] = val
             if nbr[p] >> (p + length) % n & 1:
-                weighted[p][length] *= 1 + x
-                ends[p].append(length)
-    return table
+                ends[p].append((length, val))
+                val *= 1 + x
+            table[p][length] = val
+    return table, ends
 
 
 def _dp_f_vector(family: ChordSet) -> FVector:
@@ -227,7 +235,7 @@ def _dp_f_vector(family: ChordSet) -> FVector:
     width = min(family.mask.bit_count(), 3 * (uni.n - 3) * len(parts)) + 1
     total = 1
     for nbr in parts:
-        total *= _intervals(nbr, 1 << width, cyclic=False)[0][-1]
+        total *= _intervals(nbr, 1 << width, cyclic=False)[0][0][-1]  # the edge (0, n - 1)
     counts = []
     low = (1 << width) - 1
     while total:
@@ -255,12 +263,13 @@ def f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
 def _star_ear(nbr: Sequence[int]) -> list[tuple[int, int]]:
     """Per vertex i: chi(F - star(i)) and chi(F - ear(i)) for the family ``nbr``."""
     n = len(nbr)
-    table = _intervals(nbr, -1, cyclic=True)
+    table, ends = _intervals(nbr, -1, cyclic=True)
     out = []
     for i in range(n):
         a = (i + 1) % n
-        inner, whole = table[a][n - 2], table[a][n - 1]
-        out.append((0, whole + inner) if nbr[a] >> (i - 1) % n & 1 else (inner, whole))
+        ear = nbr[a] >> (i - 1) % n & 1  # then (a, a + n - 2) is a's last chord end
+        inner, whole = ends[a][-1][1] if ear else table[a][n - 2], table[a][n - 1]
+        out.append((0, whole + inner) if ear else (inner, whole))
     return out
 
 

@@ -9,7 +9,12 @@ the same questions on the rational coordinates alone, with the predicates
 routes read a table: :func:`vertex_kinds_by_edges`, a loop over vertices and
 edges against the library's whole-table mask arithmetic, and
 :func:`window_constraints_by_vertices`, a scan of every vertex against the
-library's scan of the vertices that J touches.
+library's scan of the vertices that J touches.  Two more are the library's
+former routes, kept against its candidate tests: :func:`pockets_by_hull_walk`
+walks ``ChordUniverse.hull`` (``hull_successors``, O(n^2) tests) where the
+library tests only the epigonals, and :func:`class2_class4_by_vertices`
+tests Classes 2 and 4 at every vertex where the library tests the
+candidates that the reflex mask names.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from chord_euler.chords import ChordSet, universe_of
+from chord_euler.chords import Chord, ChordSet, ChordUniverse, Pocket, universe_of
+from chord_euler.classes import _convex_without
 from chord_euler.geometry import (
     CollinearTriple,
     GeometryError,
@@ -279,3 +285,32 @@ def window_constraints_by_vertices(poly: Polygon, jm: int) -> tuple[int, ...]:
         else:
             minimal.append(m)
     return tuple(minimal)
+
+
+def pockets_by_hull_walk(uni: ChordUniverse) -> tuple[Pocket, ...]:
+    """``ChordUniverse.pockets`` by a walk along the hull, in hull order."""
+    hull, n = uni.hull, uni.n
+    out = []
+    for t in range(len(hull)):
+        a, b = hull[t], hull[(t + 1) % len(hull)]
+        if (b - a) % n != 1:
+            path = tuple((a + s) % n for s in range((b - a) % n + 1))
+            out.append(Pocket(Chord.of(a, b), path))
+    return tuple(out)
+
+
+def class2_class4_by_vertices(poly: Polygon) -> tuple[int, int]:
+    """The Class-2 and Class-4 vertex masks of ``classes._class_masks``, tested at every i."""
+    n = poly.n
+    full = (1 << n) - 1
+    reflex = sum(1 << r for r in poly.reflex_vertices)
+    if not reflex:
+        return 0, 0
+    class2 = class4 = 0
+    for i in range(n):
+        sides = 1 << (i - 1) % n | 1 << (i + 1) % n
+        if reflex == full ^ sides ^ 1 << i:
+            class2 |= 1 << i
+        if not reflex & ~sides and _convex_without(poly, i):
+            class4 |= 1 << i
+    return class2, class4

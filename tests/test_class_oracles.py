@@ -4,7 +4,8 @@ The library reads them from the polygon's orientation table.  The
 oracles below decide the same questions on the coordinates alone, with
 exact rational predicates: ``angle_exceeds_pi``, ``convex_hull_points``, the
 reflex set of a pocket polygon, and the validation of the polygon left by
-deleting a vertex.
+deleting a vertex.  The pockets and the Class-2 and Class-4 masks are also
+checked against the library's former full scans (``tests/oracles.py``).
 """
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from chord_euler.chords import ChordKind, ear_chord, universe_of
 from chord_euler.classes import (
+    _class_masks,
     is_class1,
     is_class2,
     is_class3,
@@ -23,7 +25,12 @@ from chord_euler.classes import (
 from chord_euler.generators import GeneratorError, class_exemplar, random_simple_polygon
 from chord_euler.geometry import Polygon, PolygonError, orientation
 from conftest import exemplar_and_zigzag_polygons, pt
-from oracles import angle_exceeds_pi, convex_hull_points
+from oracles import (
+    angle_exceeds_pi,
+    class2_class4_by_vertices,
+    convex_hull_points,
+    pockets_by_hull_walk,
+)
 
 DETECTORS = (is_class1, is_class2, is_class3, is_class4, is_class5, is_class6)
 
@@ -191,3 +198,38 @@ def test_hull_of_a_path_that_winds_twice():
     # path meets its hull vertices out of their CCW order 0, 3, 1, 4, 2.
     star = Polygon._trusted([pt(0, 10), pt(-6, -8), pt(10, 3), pt(-10, 3), pt(6, -8)])
     assert universe_of(star).hull == hull_oracle(star) == (0, 3, 1, 4, 2)
+
+
+def assert_candidates_match_full_scans(poly):
+    # The pockets from the hull chords among the epigonals, and Classes 2
+    # and 4 at their candidate vertices, against the scans they replaced.
+    uni = universe_of(poly)
+    assert uni.pockets == pockets_by_hull_walk(uni), poly
+    if poly.n >= 5:
+        masks = _class_masks(poly, uni)
+        assert (masks[1], masks[3]) == class2_class4_by_vertices(poly), poly
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 64), st.integers(0, 2**32))
+def test_candidate_routes_match_full_scans_random(n, seed):
+    poly = random_simple_polygon(n, seed)
+    for s in (0, 1, n // 2, n - 1):
+        assert_candidates_match_full_scans(poly.rotated(s))
+
+
+def test_candidate_routes_match_full_scans_exemplars_and_zigzags():
+    hits = [0, 0]
+    for kind in range(1, 7):
+        for n in range(5, 41):
+            for v in (0, 2, n - 1):
+                try:
+                    poly = class_exemplar(kind, v, n)
+                except GeneratorError:
+                    continue
+                assert_candidates_match_full_scans(poly)
+                for t, mask in enumerate(class2_class4_by_vertices(poly)):
+                    hits[t] += mask != 0
+    for poly in exemplar_and_zigzag_polygons():
+        assert_candidates_match_full_scans(poly)
+    assert all(hits)

@@ -461,6 +461,49 @@ def test_shared_engine_matches_fresh_engines(m, seed, density):
         assert shared.chi(live) == want == _dfs_chi(adj, live)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 10), st.integers(0, 2**32))
+def test_interval_kernel_at_a_generic_x(n, seed):
+    # Each cell w(p, p + L) V(p, p + L) of _intervals, and each chord end's
+    # (d, V(p, p + d)), against the DFS f-polynomial of the family's chords
+    # inside the arc p..p + L, less the chord (p, p + L), evaluated at x.  At
+    # x = 2, 3, -2 no product vanishes, unlike at -1.  The families are
+    # random sub-masks of D and of E with every chord at one vertex dropped,
+    # so some rows have no chord end; the DFS reads coordinate crossings.
+    rng = random.Random(seed)
+    poly = random_simple_polygon(n, seed)
+    uni = universe_of(poly)
+    for whole in (diagonals(poly), epigonals(poly)):
+        fam = ChordSet(uni, whole.mask & rng.getrandbits(uni.size)
+                       & ~uni.incidence[rng.randrange(n)])
+        chords = fam.chords()
+        adj = coordinate_crossing_masks([uni.segment(c) for c in chords])
+        nbr = [0] * n
+        for i, j in chords:
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+        counts = {}
+        for p in range(n):
+            for length in range(1, n):
+                arc = {(p + s) % n for s in range(length + 1)}
+                own = Chord.of(p, (p + length) % n)
+                inside = sum(1 << k for k, c in enumerate(chords)
+                             if c != own and c.i in arc and c.j in arc)
+                counts[p, length] = (_nc_counts(adj, inside), own in fam)
+        for x in (2, 3, -2):
+            for cyclic in (False, True):
+                table, ends = _intervals(nbr, x, cyclic)
+                for p in range(n):
+                    want_ends = []
+                    for length in range(1, n if cyclic else n - p):
+                        poly_counts, in_fam = counts[p, length]
+                        value = sum(c * x**k for k, c in enumerate(poly_counts))
+                        assert table[p][length] == value * (1 + x if in_fam else 1)
+                        if in_fam:
+                            want_ends.append((length, value))
+                    assert ends[p] == want_ends, (p, x, cyclic)
+
+
 def _unpack(value: int, width: int) -> tuple[int, ...]:
     counts = []
     while value:
@@ -486,9 +529,9 @@ def test_packing_width_bound_is_attained_by_convex_polygons():
         want = f_vector(diagonals(poly)).counts
         assert sum(want) == s[n - 2] <= 6 ** (n - 3) < 2 ** (3 * (n - 3))
         for width in (uni.kind_mask(ChordKind.DIAGONAL).bit_count() + 1, max(want).bit_length()):
-            assert _unpack(_intervals(uni.diag, 1 << width, cyclic=False)[0][-1], width) == want
+            assert _unpack(_intervals(uni.diag, 1 << width, cyclic=False)[0][0][-1], width) == want
         narrow = max(want).bit_length() - 1
-        assert _unpack(_intervals(uni.diag, 1 << narrow, cyclic=False)[0][-1], narrow) != want
+        assert _unpack(_intervals(uni.diag, 1 << narrow, cyclic=False)[0][0][-1], narrow) != want
 
 
 def test_euler_values(square, dart):
@@ -568,6 +611,16 @@ def test_is_heart_builds_no_crossing_masks():
         poly = random_simple_polygon(9, seed)
         assert is_heart(diagonals(poly), find_heart(poly, "d"))
         assert is_heart(epigonals(poly), find_heart(poly, "e"))
+        assert "crossing_masks" not in vars(universe_of(poly))
+
+
+def test_one_kind_families_build_no_crossing_masks():
+    # Within one kind crossing is interleaving, so the DFS and the deletion
+    # recursion read the per-n interleaving masks on D and on E.
+    for seed in range(5):
+        poly = random_simple_polygon(9, seed)
+        for fam in (diagonals(poly), epigonals(poly)):
+            assert euler_recursive(fam) == euler_brute(fam) == f_vector(fam).euler
         assert "crossing_masks" not in vars(universe_of(poly))
 
 
