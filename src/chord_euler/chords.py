@@ -8,8 +8,8 @@ chord universe, so set algebra is integer arithmetic and deterministic.
 Geometry enters once per polygon, as the orientation table of its vertex
 triples (``Polygon.left``, the polygon's order type, built by
 ``geometry.orientation_table``): ``left[i*n + j]`` has bit k set iff
-v_i -> v_j -> v_k turns counter-clockwise.  The kinds, hull and pockets are
-read from it, and the crossing masks from the kinds, all by whole-mask
+v_i -> v_j -> v_k turns counter-clockwise.  The kinds and pockets are read
+from it, and the crossing masks from the kinds, all by whole-mask
 operations on n-bit vertex masks, m-bit chord masks and the packed table,
 with no chord-pair or vertex-edge loop.
 
@@ -56,14 +56,13 @@ with no chord-pair or vertex-edge loop.
   j), less the chords at i or j, within its kind.  A boundary-crossing
   chord's entry is None.
 * a -> b is an edge of the convex hull, traversed counter-clockwise, iff
-  every other vertex lies left of it (``geometry.hull_successors``; Knuth,
-  *Axioms and Hulls*).  The pockets, the regions between the polygon and its
-  hull, follow from the hull chords, the hull edges that are not polygon
-  edges.  A hull chord crosses no edge, all of them lying on one side of it,
-  and has the outside of the hull on its other side: it is an epigonal.  So
-  ``pockets`` tests only each a's ``epi`` partners, O(|E|) tests against the
-  hull's O(n^2); sorted by a they are in hull order, in which a simple
-  polygon meets its hull vertices.
+  every other vertex lies left of it (Knuth, *Axioms and Hulls*).  The
+  pockets, the regions between the polygon and its hull, follow from the
+  hull chords, the hull edges that are not polygon edges.  A hull chord
+  crosses no edge, all of them lying on one side of it, and has the outside
+  of the hull on its other side: it is an epigonal.  So ``pockets`` tests
+  only each a's ``epi`` partners, O(|E|) tests; sorted by a they are in hull
+  order, in which a simple polygon meets its hull vertices.
 
 What depends on n alone, the chord order, is a :class:`ChordOrder`: the
 chord tuple and its index (built only for callers that name chords:
@@ -83,7 +82,7 @@ they are.
 Ownership.  A polygon owns its universe: :func:`universe_of` fills the slot
 that ``Polygon`` declares.  The universe owns every cache derived from the
 polygon's chords: the vertex kind masks ``diag`` and ``epi``, kinds, crossing
-masks, hull and pockets, Theorem 3's ``star_ear_rows`` (filled by
+masks and pockets, Theorem 3's ``star_ear_rows`` (filled by
 ``nc_euler.star_ear_chis``) and ``class_masks`` (filled by
 ``classes._class_masks``), and ``partition_state``, the state that
 ``partition`` owns and fills (its chi engine, Lemma 1's memo, and the last
@@ -108,7 +107,7 @@ from itertools import accumulate, repeat
 from operator import or_, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import SHARED_N, Polygon, Segment, hull_successors
+from .geometry import SHARED_N, Polygon, Segment
 
 
 class Chord(NamedTuple):
@@ -395,15 +394,6 @@ class ChordUniverse:
 
     def segment(self, c: Chord) -> Segment:
         return Segment(self.vertices[c.i], self.vertices[c.j])
-
-    @cached_property
-    def hull(self) -> tuple[int, ...]:
-        """Convex-hull vertex indices, CCW, starting at the smallest."""
-        succ = hull_successors(self.left, self.n)
-        out = [min(succ)]
-        while (b := succ[out[-1]]) != out[0]:
-            out.append(b)
-        return tuple(out)
 
     @cached_property
     def pockets(self) -> tuple[Pocket, ...]:

