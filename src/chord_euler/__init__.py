@@ -18,15 +18,12 @@ from .chords import (
     a_diagonals,
     classify_chord,
     diagonals,
-    ear_chord,
     epigonals,
-    forbidden_star,
     universe_of,
 )
 from .nc_euler import (
     FVector,
     chi_point_family,
-    euler_brute,
     euler_recursive,
     f_vector,
     find_heart,
@@ -44,8 +41,6 @@ from .partition import (
     chi_removed_lemma_d2,
     chi_removed_theorem2,
     convex_lattice,
-    extend_to_triangulation,
-    find_diagonal,
     subdivide,
     xi,
 )
@@ -73,7 +68,6 @@ from .generators import (
     ZigzagInstance,
     class_exemplar,
     convex_ngon,
-    perturb_to_general_position,
     random_simple_polygon,
     verify_zigzag_structure,
     zigzag_chi_target,

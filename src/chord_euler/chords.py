@@ -89,11 +89,11 @@ masks and pockets, Theorem 3's ``star_ear_rows`` (filled by
 checked cut with its constraints and signed sum).  The chord order is not the
 universe's: it reads it from the :class:`ChordOrder` of its n, shared with
 every universe of that size (its own one past ``SHARED_N``).  It copies
-the polygon's n, vertices and orientation table and holds the polygon itself
-only through a weak reference, so it reads nothing through the polygon and a
-:class:`ChordSet` keeps working after its polygon is gone.  No reference cycle
-forms, and reference counting alone frees a polygon together with its universe
-and caches.
+the polygon's n and orientation table, no coordinate, and holds the polygon
+itself only through a weak reference, so it reads nothing through the
+polygon and a :class:`ChordSet` keeps working after its polygon is gone.  No
+reference cycle forms, and reference counting alone frees a polygon together
+with its universe and caches.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ from itertools import accumulate, repeat
 from operator import or_, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import SHARED_N, Polygon, Segment
+from .geometry import SHARED_N, Polygon
 
 
 class Chord(NamedTuple):
@@ -358,7 +358,6 @@ class ChordUniverse:
     def __init__(self, polygon: Polygon):
         self._polygon = weakref.ref(polygon)
         self.n = n = polygon.n
-        self.vertices = polygon.vertices
         self.left = polygon.left
         self.size = n * (n - 3) // 2
         # The chord order's tables, shared per n.  The properties below read
@@ -391,9 +390,6 @@ class ChordUniverse:
     def polygon(self) -> Polygon | None:
         """The polygon, while it is alive (held through a weak reference)."""
         return self._polygon()
-
-    def segment(self, c: Chord) -> Segment:
-        return Segment(self.vertices[c.i], self.vertices[c.j])
 
     @cached_property
     def pockets(self) -> tuple[Pocket, ...]:
@@ -578,26 +574,3 @@ def a_diagonals(polygon: Polygon, a: int) -> ChordSet:
         if between % a == 0 and 1 <= between // a <= n:
             mask |= 1 << k
     return ChordSet(uni, mask)
-
-
-def forbidden_star(polygon: Polygon, i: int) -> ChordSet:
-    """All chords incident to vertex ``i`` (any kind)."""
-    n = polygon.n
-    if n < 5:
-        raise ValueError("forbidden star needs n >= 5")
-    if not 0 <= i < n:
-        raise IndexError(i)
-    uni = universe_of(polygon)
-    return ChordSet(uni, uni.incidence[i])
-
-
-def ear_chord(polygon: Polygon, i: int) -> ChordSet:
-    """The singleton chord set {(i-1, i+1)}."""
-    n = polygon.n
-    if n < 4:
-        raise ValueError("ear chord needs n >= 4")
-    if not 0 <= i < n:
-        raise IndexError(i)
-    uni = universe_of(polygon)
-    c = Chord.of((i - 1) % n, (i + 1) % n)
-    return ChordSet(uni, 1 << uni.index[c])

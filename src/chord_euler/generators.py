@@ -6,7 +6,9 @@
 * the zigzag family realizing any prescribed integer value of
   chi(M_d minus J), laid out on a lattice in Q(sqrt 3) from unit steps,
   30-degree steps and +-60-degree rotations, and carried to rational
-  coordinates with its order type kept,
+  coordinates with its order type kept, then nudged off the lattice's
+  collinear triples (``_perturb``, which takes the zigzag's structural check;
+  the tests' general-purpose ``perturb_to_general_position`` wraps it),
 * seeded random simple polygons via 2-opt untangling.
 
 Every constructor returns validator-certified polygons; parameter choices may
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from .chords import Chord, ChordSet, universe_of
 from .geometry import Point, Polygon, PolygonError, orientation, validate_polygon
-from .geometry import CollinearTriple, DuplicateVertex, first_crossing_edges, orientation_table
+from .geometry import first_crossing_edges, orientation_table
 from .geometry import _path_polygon, _slots_of
 from .partition import PartitionError, convexity_constraints
 from . import classes as _classes
@@ -98,32 +100,13 @@ def _untangle(left: tuple[int, ...], n: int) -> list[int] | None:
 PERTURB_BUDGET = Fraction(1, 128)  # eps of the first attempt, kept below 1/100
 
 
-def perturb_to_general_position(points: list[Point], structural_check=None) -> Polygon:
-    """Nudge vertices out of collinear triples, deterministically.
-
-    Offsets vertex k of each collinear triple by (eps/(k+1), eps/(k+2)^2),
-    starting from eps = ``PERTURB_BUDGET`` and halving eps (and then flipping
-    its sign) until the polygon validates and the caller's structural check
-    accepts.  Inputs already in general position are returned unchanged,
-    validated on the one orientation table that finds no collinear triple.
-    The collinear triples are that table's zero signs.  A repeated point is
-    collinear with every third point, so then every vertex is nudged.
-    """
-    try:
-        poly = validate_polygon(points)
-    except CollinearTriple as exc:
-        bad = {v for triple in exc.triples for v in triple}
-    except DuplicateVertex:
-        bad = set(range(len(points)))
-    else:
-        if structural_check is not None and not structural_check(poly):
-            raise GeneratorError("input fails the structural check and needs no perturbation")
-        return poly
-    return _perturb(points, bad, structural_check)
-
-
 def _perturb(points: list[Point], bad: set[int], structural_check) -> Polygon:
-    """:func:`perturb_to_general_position`'s loop, nudging the vertices ``bad``."""
+    """Nudge the vertices ``bad`` until the polygon validates and passes the check.
+
+    Offsets vertex k in ``bad`` by (eps/(k+1), eps/(k+2)^2), starting from
+    eps = ``PERTURB_BUDGET`` and halving eps (and then flipping its sign)
+    until the polygon validates and ``structural_check`` accepts it.
+    """
     for sign in (1, -1):
         eps = PERTURB_BUDGET * sign
         for _ in range(10):
@@ -136,7 +119,7 @@ def _perturb(points: list[Point], bad: set[int], structural_check) -> Polygon:
             except PolygonError:
                 eps /= 2
                 continue
-            if structural_check is None or structural_check(poly):
+            if structural_check(poly):
                 return poly
             eps /= 2
     raise GeneratorError("perturbation failed to reach a verified general-position polygon")

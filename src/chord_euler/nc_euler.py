@@ -56,20 +56,21 @@ set of F meets; then chi(F) = 0.  A maximal non-crossing set of D is a
 triangulation, and one of E is each pocket's hull chord plus a triangulation
 of the pocket, so all maximal sets of D, or of E, have one size.
 
-Two slower routes are kept as independent oracles:
+Two slower routes read crossing masks instead:
 
-* ``euler_brute``  - alternating sum of a full DFS enumeration
-  (:func:`iter_nc_masks`) on the crossing masks; :func:`f_vector` also uses
-  the DFS for segment lists and for sets holding a boundary-crossing chord;
+* the DFS enumeration of :func:`iter_nc_masks`, which :func:`f_vector` uses
+  for segment lists and for sets holding a boundary-crossing chord (its
+  alternating sum on every family is the tests' ``euler_brute`` oracle, in
+  ``tests/oracles.py``);
 * ``euler_recursive`` - the deletion identity chi(A) = chi(A - v) - chi(A_v),
   memoized per connected component.  chi of a disjoint union is the product
   of its parts' chis, so one pass finds every component first, and an
   isolated member (chi 0) returns 0 before any recursion.
 
-Both read crossing masks.  A chord set within D or within E, and the
-:class:`EulerEngine` that ``partition`` builds for such families, take the
-interleaving masks of their n (``ChordOrder.interleave``) as they are; a
-chord set of both kinds takes its universe's, which keep the kinds apart.
+A chord set within D or within E, and the :class:`EulerEngine` that
+``partition`` builds for such families, take the interleaving masks of
+their n (``ChordOrder.interleave``) as they are; a chord set of both kinds
+takes its universe's, which keep the kinds apart.
 A chord set holding a boundary-crossing chord, and a segment list, get
 theirs from the straddle test on an orientation table
 (``geometry.straddle_masks``): the universe's, or for a segment list the
@@ -303,15 +304,6 @@ def iter_nc_masks(adj: Sequence[int], live: int):
         for t in range(len(order) - 1, pos - 1, -1):
             if not banned & bits[t]:
                 stack.append((t + 1, chosen | bits[t], banned | sub_adj[t]))
-
-
-def euler_brute(family: ChordSet | Sequence[Segment]) -> int:
-    """Alternating sum of the DFS-enumerated f-vector (the slow oracle).
-
-    It always enumerates, on the crossing masks, and never takes the DP
-    route of :func:`f_vector`, so the two can be compared.
-    """
-    return _dfs_f_vector(family).euler
 
 
 def _chi(adj: Sequence[int], live: int, memo: dict[int, int]) -> int:

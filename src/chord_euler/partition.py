@@ -10,9 +10,11 @@ the polygon's orientation table: the chords of J at a vertex v, the bits of
 one cuts off the boundary chain it spans), and a window spans more than pi
 iff its two bounding rays turn clockwise.  Only the reflex vertices are
 scanned: at a convex vertex every window lies within an interior angle below
-pi.  The direct route, subdividing and testing each face's convexity on
-coordinates, is not in the library: it is the test suite's oracle
-(``is_convex_partition`` in ``tests/oracles.py``).
+pi.  The layer reads no coordinate.  The direct route, subdividing and
+testing each face's convexity on coordinates, is not in the library: it is
+the test suite's oracle (``is_convex_partition`` in ``tests/oracles.py``),
+and so is the constructive triangulation that extends a cut J
+(``extend_to_triangulation``, there too).
 
 A face of a cut by non-crossing diagonals visits its vertices in increasing
 cyclic order, so a face is its vertex bit mask.  Two faces share at most the
@@ -91,8 +93,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .chords import Chord, ChordKind, ChordSet, ChordUniverse, universe_of
-from .geometry import Polygon, cross
+from .chords import ChordKind, ChordSet, ChordUniverse, universe_of
+from .geometry import Polygon
 from .nc_euler import EulerEngine, InstanceTooLarge
 
 
@@ -501,61 +503,3 @@ def chi_inclusion_exclusion(poly: Polygon, j_set: ChordSet, mode: str) -> int:
             if u == jm:
                 total += -1 if k & 1 else 1
     return sign * total
-
-
-def _face_diagonal(poly: Polygon, face: int, start: int) -> Chord:
-    """A diagonal of the face with vertex mask ``face``, listed from ``start``.
-
-    At the list's first convex vertex v: the ear chord if it is a diagonal,
-    else v and the vertex in the ear triangle farthest from the ear chord
-    (the first listed on ties).  A face's diagonals are the parent's on it,
-    less its sides (module docstring); only the distance reads coordinates.
-    """
-    n, left = poly.n, poly.left
-    part = [(start + s) % n for s in range(n) if face >> (start + s) % n & 1]
-    k = len(part)
-    t = next(t for t in range(k) if left[part[t - 1] * n + part[t]] >> part[(t + 1) % k] & 1)
-    prev, v, nxt = part[t - 1], part[t], part[(t + 1) % k]
-    diag = universe_of(poly).diag
-    if diag[prev] >> nxt & 1:
-        return Chord.of(prev, nxt)
-    inside = face & left[prev * n + v] & left[v * n + nxt] & left[nxt * n + prev]
-    vs = poly.vertices
-    best, best_dist = None, None
-    for d in part:
-        if inside >> d & 1:
-            dist = cross(vs[nxt], vs[prev], vs[d])  # positive: d is on v's side
-            if best is None or dist > best_dist:
-                best, best_dist = d, dist
-    if best is None:
-        raise AssertionError("ear blocked but triangle empty")
-    out = Chord.of(v, best)
-    if not diag[v] >> best & 1:
-        raise AssertionError(f"constructed chord {out} is not a diagonal")
-    return out
-
-
-def find_diagonal(poly: Polygon) -> Chord:
-    """A diagonal found constructively from the lowest-index convex vertex."""
-    if poly.n < 4:
-        raise PartitionError("a triangle has no diagonals")
-    return _face_diagonal(poly, (1 << poly.n) - 1, 0)
-
-
-def extend_to_triangulation(poly: Polygon, j_set: ChordSet) -> ChordSet:
-    """A triangulation (n-3 pairwise non-crossing diagonals) containing J."""
-    _check_noncrossing_diagonals(poly, j_set)
-    uni = universe_of(poly)
-    mask = j_set.mask
-    # A face's diagonal depends on the vertex its list starts at: the least
-    # one for a face of J, else an end of the cut that made it.
-    stack = [(f, (f & -f).bit_length() - 1) for f in _faces(uni, mask) if f.bit_count() > 3]
-    while stack:
-        face, start = stack.pop()
-        c = _face_diagonal(poly, face, start)
-        mask |= 1 << uni.index[c]
-        stack += [(f, v) for f, v in zip(_cut([face], *c), c) if f.bit_count() > 3]
-    out = ChordSet(uni, mask)
-    if len(out) != poly.n - 3:
-        raise AssertionError("triangulation size mismatch")
-    return out

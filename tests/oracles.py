@@ -16,18 +16,31 @@ library's former routes, kept against its candidate tests:
 tests) where the library tests only the epigonals, and
 :func:`class2_class4_by_vertices` tests Classes 2 and 4 at every vertex
 where the library tests the candidates that the reflex mask names.
+
+The last residents are test helpers and an oracle that no library route
+calls, moved out of the package unchanged: :func:`euler_brute`, the
+alternating sum of the DFS enumeration, against every chi route;
+:func:`segments`, a chord set's coordinate segments; :func:`forbidden_star`
+and :func:`ear_chord`, Theorem 3's removed sets as chord sets;
+:func:`find_diagonal` and :func:`extend_to_triangulation`, a constructive
+triangulation around a cut (:func:`_face_diagonal`, the one coordinate
+comparison among them, picks the vertex farthest from an ear chord); and
+:func:`perturb_to_general_position`, which nudges any point list off its
+collinear triples through the zigzag's ``generators._perturb``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from chord_euler.chords import Chord, ChordSet, ChordUniverse, Pocket, universe_of
 from chord_euler.classes import _convex_without
+from chord_euler.generators import GeneratorError, _perturb
 from chord_euler.geometry import (
     CollinearTriple,
+    DuplicateVertex,
     GeometryError,
     Point,
     Polygon,
@@ -35,8 +48,17 @@ from chord_euler.geometry import (
     cross,
     hull_successors,
     orientation,
+    validate_polygon,
 )
-from chord_euler.partition import PartitionResult, subdivide
+from chord_euler.nc_euler import _dfs_f_vector
+from chord_euler.partition import (
+    PartitionError,
+    PartitionResult,
+    _check_noncrossing_diagonals,
+    _cut,
+    _faces,
+    subdivide,
+)
 
 
 class PointOnBoundary(GeometryError):
@@ -325,3 +347,124 @@ def class2_class4_by_vertices(poly: Polygon) -> tuple[int, int]:
         if not reflex & ~sides and _convex_without(poly, i):
             class4 |= 1 << i
     return class2, class4
+
+
+def euler_brute(family: ChordSet | Sequence[Segment]) -> int:
+    """Alternating sum of the DFS-enumerated f-vector (the slow oracle).
+
+    It always enumerates, on the crossing masks, and never takes the DP
+    route of ``f_vector``, so the two can be compared.
+    """
+    return _dfs_f_vector(family).euler
+
+
+def segments(poly: Polygon, chords: Iterable[Chord]) -> list[Segment]:
+    """The chords' segments between the polygon's vertices."""
+    vs = poly.vertices
+    return [Segment(vs[i], vs[j]) for i, j in chords]
+
+
+def forbidden_star(polygon: Polygon, i: int) -> ChordSet:
+    """All chords incident to vertex ``i`` (any kind)."""
+    n = polygon.n
+    if n < 5:
+        raise ValueError("forbidden star needs n >= 5")
+    if not 0 <= i < n:
+        raise IndexError(i)
+    uni = universe_of(polygon)
+    return ChordSet(uni, uni.incidence[i])
+
+
+def ear_chord(polygon: Polygon, i: int) -> ChordSet:
+    """The singleton chord set {(i-1, i+1)}."""
+    n = polygon.n
+    if n < 4:
+        raise ValueError("ear chord needs n >= 4")
+    if not 0 <= i < n:
+        raise IndexError(i)
+    uni = universe_of(polygon)
+    c = Chord.of((i - 1) % n, (i + 1) % n)
+    return ChordSet(uni, 1 << uni.index[c])
+
+
+def _face_diagonal(poly: Polygon, face: int, start: int) -> Chord:
+    """A diagonal of the face with vertex mask ``face``, listed from ``start``.
+
+    At the list's first convex vertex v: the ear chord if it is a diagonal,
+    else v and the vertex in the ear triangle farthest from the ear chord
+    (the first listed on ties).  A face's diagonals are the parent's on it,
+    less its sides (``partition``'s module docstring); only the distance
+    reads coordinates.
+    """
+    n, left = poly.n, poly.left
+    part = [(start + s) % n for s in range(n) if face >> (start + s) % n & 1]
+    k = len(part)
+    t = next(t for t in range(k) if left[part[t - 1] * n + part[t]] >> part[(t + 1) % k] & 1)
+    prev, v, nxt = part[t - 1], part[t], part[(t + 1) % k]
+    diag = universe_of(poly).diag
+    if diag[prev] >> nxt & 1:
+        return Chord.of(prev, nxt)
+    inside = face & left[prev * n + v] & left[v * n + nxt] & left[nxt * n + prev]
+    vs = poly.vertices
+    best, best_dist = None, None
+    for d in part:
+        if inside >> d & 1:
+            dist = cross(vs[nxt], vs[prev], vs[d])  # positive: d is on v's side
+            if best is None or dist > best_dist:
+                best, best_dist = d, dist
+    if best is None:
+        raise AssertionError("ear blocked but triangle empty")
+    out = Chord.of(v, best)
+    if not diag[v] >> best & 1:
+        raise AssertionError(f"constructed chord {out} is not a diagonal")
+    return out
+
+
+def find_diagonal(poly: Polygon) -> Chord:
+    """A diagonal found constructively from the lowest-index convex vertex."""
+    if poly.n < 4:
+        raise PartitionError("a triangle has no diagonals")
+    return _face_diagonal(poly, (1 << poly.n) - 1, 0)
+
+
+def extend_to_triangulation(poly: Polygon, j_set: ChordSet) -> ChordSet:
+    """A triangulation (n-3 pairwise non-crossing diagonals) containing J."""
+    _check_noncrossing_diagonals(poly, j_set)
+    uni = universe_of(poly)
+    mask = j_set.mask
+    # A face's diagonal depends on the vertex its list starts at: the least
+    # one for a face of J, else an end of the cut that made it.
+    stack = [(f, (f & -f).bit_length() - 1) for f in _faces(uni, mask) if f.bit_count() > 3]
+    while stack:
+        face, start = stack.pop()
+        c = _face_diagonal(poly, face, start)
+        mask |= 1 << uni.index[c]
+        stack += [(f, v) for f, v in zip(_cut([face], *c), c) if f.bit_count() > 3]
+    out = ChordSet(uni, mask)
+    if len(out) != poly.n - 3:
+        raise AssertionError("triangulation size mismatch")
+    return out
+
+
+def perturb_to_general_position(points: list[Point], structural_check=None) -> Polygon:
+    """Nudge vertices out of collinear triples, deterministically.
+
+    Inputs already in general position are returned unchanged, validated on
+    the one orientation table that finds no collinear triple.  Otherwise the
+    vertices of the table's collinear triples (its zero signs) are nudged by
+    ``generators._perturb`` until the polygon validates and the structural
+    check, if one is given, accepts.  A repeated point is collinear with
+    every third point, so then every vertex is nudged.
+    """
+    check = structural_check or (lambda poly: True)
+    try:
+        poly = validate_polygon(points)
+    except CollinearTriple as exc:
+        bad = {v for triple in exc.triples for v in triple}
+    except DuplicateVertex:
+        bad = set(range(len(points)))
+    else:
+        if not check(poly):
+            raise GeneratorError("input fails the structural check and needs no perturbation")
+        return poly
+    return _perturb(points, bad, check)

@@ -10,8 +10,6 @@ import json
 import random
 import time
 
-import pytest
-
 from chord_euler.catalan import (
     alternating_sum_check,
     brute_a_diagonal_fvector,
@@ -40,9 +38,7 @@ from chord_euler.generators import (
 from chord_euler.geometry import Point, Segment
 from chord_euler.nc_euler import (
     chi_point_family,
-    euler_brute,
     euler_recursive,
-    f_vector,
     find_heart,
     hull_edge_in,
     is_heart,
@@ -53,11 +49,15 @@ from chord_euler.partition import (
     chi_removed_lemma1,
     chi_removed_lemma_d2,
     chi_removed_theorem2,
-    extend_to_triangulation,
-    find_diagonal,
     subdivide,
 )
-from oracles import convex_hull_points, no_three_collinear
+from oracles import (
+    convex_hull_points,
+    euler_brute,
+    extend_to_triangulation,
+    find_diagonal,
+    no_three_collinear,
+)
 
 EXEMPLAR_SIZES = {1: (5, 7, 9), 2: (5, 7, 8), 3: (5, 7, 9), 4: (6, 7, 9), 5: (5, 6, 8), 6: (7, 8, 9)}
 

@@ -9,9 +9,7 @@ from chord_euler.chords import (
     a_diagonals,
     classify_chord,
     diagonals,
-    ear_chord,
     epigonals,
-    forbidden_star,
     _cached_chord_order,
     universe_of,
 )
@@ -32,7 +30,10 @@ from chord_euler.geometry import (
 from chord_euler.nc_euler import euler_recursive
 from oracles import (
     coordinate_crossing_masks,
+    ear_chord,
+    forbidden_star,
     point_in_polygon,
+    segments,
     segments_properly_cross,
     vertex_kinds_by_edges,
 )
@@ -147,7 +148,7 @@ def _assert_table_matches_coordinates(poly):
     # the diagonals and epigonals against the segments' crossings among them,
     # and None for a boundary-crossing chord.
     uni = universe_of(poly)
-    segs = [uni.segment(c) for c in uni.chords]
+    segs = segments(poly, uni.chords)
     assert uni.kinds == tuple(_kind_by_coordinates(poly, s, c) for s, c in zip(segs, uni.chords))
     bc = uni.kind_mask(ChordKind.BOUNDARY_CROSSING)
     for k, (got, want) in enumerate(zip(uni.crossing_masks, coordinate_crossing_masks(segs))):
@@ -284,7 +285,8 @@ def _assert_vertex_kinds_match_coordinates(poly):
     want = {ChordKind.DIAGONAL: [0] * n, ChordKind.EPIGONAL: [0] * n}
     for i in range(n):
         for j in range(i + 2, n - (i == 0)):
-            kind = _kind_by_coordinates(poly, uni.segment(Chord(i, j)), Chord(i, j))
+            (seg,) = segments(poly, [Chord(i, j)])
+            kind = _kind_by_coordinates(poly, seg, Chord(i, j))
             if kind in want:
                 want[kind][i] |= 1 << j
                 want[kind][j] |= 1 << i

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chord_euler.chords import ChordKind, ear_chord, universe_of
+from chord_euler.chords import ChordKind, universe_of
 from chord_euler.classes import (
     _class_masks,
     is_class1,
@@ -30,6 +30,7 @@ from oracles import (
     angle_exceeds_pi,
     class2_class4_by_vertices,
     convex_hull_points,
+    ear_chord,
     hull_by_successors,
     pockets_by_hull_walk,
 )

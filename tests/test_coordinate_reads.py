@@ -1,9 +1,9 @@
 """Where the library reads coordinates.
 
 Geometry enters once, as orientation tables.  Past the scalar layer only a
-few places may read a coordinate or call a coordinate predicate: the face
-diagonal's distance comparison, the generators, which place points, and the
-CLI's JSON and SVG output.  Every module is scanned.
+few places may read a coordinate or call a coordinate predicate: the
+generators, which place points, and the CLI's JSON and SVG output.  Every
+module is scanned.
 """
 
 import ast
@@ -17,7 +17,6 @@ PREDICATES = {"orientation", "cross"}
 # allows the whole module.
 ALLOWED = {
     "geometry": {"Point", "cross", "orientation", "orientation_table"},
-    "partition": {"_face_diagonal"},
     "generators": None,
     "cli": {"polygon_to_json", "render_svg"},
 }

@@ -7,7 +7,6 @@ from chord_euler.generators import (
     GeneratorError,
     class_exemplar,
     convex_ngon,
-    perturb_to_general_position,
     random_simple_polygon,
     verify_zigzag_structure,
     zigzag_a_sequence,
@@ -17,10 +16,9 @@ from chord_euler.generators import (
     _rot60,
     _zigzag_raw,
 )
-from chord_euler.geometry import Point, orientation, validate_polygon
 from chord_euler.partition import chi_removed_direct
 from conftest import pt
-from oracles import lattice_collinear_vertices, no_three_collinear
+from oracles import lattice_collinear_vertices, no_three_collinear, perturb_to_general_position
 
 
 def test_convex_ngon():

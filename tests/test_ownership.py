@@ -7,11 +7,14 @@ frees a polygon visit, and a chord set keeps working after its polygon is
 gone.  What depends on n alone has two module caches, geometry's slots and
 chords' orders, under one cap; an AST scan of the package pins them, the
 private names that one module imports from another, and the one reader of
-the per-polygon crossing masks outside ``chords``.
+the per-polygon crossing masks outside ``chords``.  A second scan, from the
+CLI, the demos and the benchmark, pins the public surface: every export of
+``chord_euler`` is reached from one of them, or waits for a route.
 """
 
 import ast
 import gc
+import inspect
 from itertools import islice
 from pathlib import Path
 
@@ -21,7 +24,6 @@ from chord_euler.chords import ChordKind, diagonals, epigonals, universe_of
 from chord_euler.classes import verify_theorem1, verify_theorem3
 from chord_euler.generators import random_simple_polygon
 from chord_euler.nc_euler import (
-    euler_brute,
     euler_recursive,
     f_vector,
     find_heart,
@@ -35,6 +37,7 @@ from chord_euler.partition import (
     chi_removed_lemma_d2,
     chi_removed_theorem2,
 )
+from oracles import euler_brute, segments
 
 
 def _visit(poly) -> None:
@@ -57,8 +60,8 @@ def _visit(poly) -> None:
         heart = find_heart(poly, side)
         if heart is not None:
             assert is_heart(fam, heart)
-    segments = [uni.segment(c) for c in diagonals(poly)]
-    assert f_vector(segments).euler == euler_brute(segments)
+    segs = segments(poly, diagonals(poly))
+    assert f_vector(segs).euler == euler_brute(segs)
 
 
 def test_polygon_visits_leave_no_reference_cycle():
@@ -90,6 +93,21 @@ def test_chord_sets_outlive_their_polygon():
 
 
 SRC = Path(chord_euler.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
+# The routes into the library: the CLI, the demos and the benchmark.
+ROUTES = (SRC / "cli.py", *sorted((REPO / "demos").glob("*.py")),
+          *sorted((REPO / "perfbench").glob("*.py")))
+# Exports that no route reaches yet, each with the ROADMAP item that gives it one.
+AWAITING_ROUTE = {
+    "chi_inclusion_exclusion": 19,  # verify lemmae
+    "chi_removed_factorized": 19,
+    "xi": 19,
+    "is_heart": 5,  # verify hearts
+    "find_heart": 5,
+    "chi_point_family": 15,  # verify pointsets
+    "hull_edge_in": 15,
+    "classify_chord": 15,
+}
 # The module-level caches, (module, function), and the one per-n cap.
 MODULE_CACHES = {("geometry", "_cached_slots"), ("chords", "_cached_chord_order")}
 CACHE_MAKERS = ("lru_cache", "cache")
@@ -198,3 +216,59 @@ def test_crossing_masks_are_read_only_by_nc_euler_chord_sets():
             readers.visit(tree)
             found |= readers.found
     assert found == CROSSING_MASK_READERS
+
+
+def _references(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """The names a tree refers to, and the prefixes of the names it builds.
+
+    A name is an identifier, an attribute, an imported name or a string that
+    is an identifier (the benchmark's tracer wraps functions by name).  A
+    prefix is the constant head of an f-string passed to ``getattr``, as
+    ``class_exemplar`` reaches the detectors by ``f"is_class{kind}"``.
+    """
+    names, prefixes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+        elif isinstance(node, ast.Call) and _name(node) == "getattr" and len(node.args) == 2:
+            built = node.args[1]
+            if isinstance(built, ast.JoinedStr) and isinstance(built.values[0], ast.Constant):
+                prefixes.add(built.values[0].value)
+    return names, prefixes
+
+
+def _reached() -> set[str]:
+    """The package's top-level names that some route reaches, transitively."""
+    defs: dict[str, list[ast.AST]] = {}
+    for tree in _modules().values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defs.setdefault(name.id, []).append(node)
+    reached: set[str] = set()
+    pending = [ast.parse(path.read_text(encoding="utf-8")) for path in ROUTES]
+    while pending:
+        names, prefixes = _references(pending.pop())
+        names |= {d for d in defs for p in prefixes if d.startswith(p)}
+        for name in names - reached:
+            reached.add(name)
+            pending += defs.get(name, [])
+    return reached
+
+
+def test_every_export_is_reached_from_a_route():
+    exports = {name for name in chord_euler.__all__
+               if not inspect.ismodule(getattr(chord_euler, name))}
+    assert exports - _reached() == set(AWAITING_ROUTE)

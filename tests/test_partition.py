@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from chord_euler.chords import Chord, ChordKind, diagonals, universe_of
 from chord_euler.generators import class_exemplar, convex_ngon, random_simple_polygon, zigzag_chi_target
 from chord_euler.geometry import SHARED_N, Point, Polygon, validate_polygon
-from chord_euler.nc_euler import EulerEngine, euler_brute, euler_recursive, iter_nc_masks
+from chord_euler.nc_euler import EulerEngine, euler_recursive, iter_nc_masks
 from chord_euler.partition import (
     IE_CAP,
     InstanceTooLarge,
@@ -21,13 +21,20 @@ from chord_euler.partition import (
     chi_removed_theorem2,
     convex_lattice,
     convexity_constraints,
-    extend_to_triangulation,
-    find_diagonal,
     subdivide,
     xi,
 )
 from conftest import brute_euler, exemplar_and_zigzag_polygons
-from oracles import area2, is_convex_partition, part_polygon, window_constraints_by_vertices
+from oracles import (
+    area2,
+    euler_brute,
+    extend_to_triangulation,
+    find_diagonal,
+    is_convex_partition,
+    part_polygon,
+    segments,
+    window_constraints_by_vertices,
+)
 
 
 def cs(poly, *pairs):
@@ -427,10 +434,10 @@ def test_engine_on_interleaving_matches_coordinates():
                     fams.add(d_mask & uni.span_mask(sum(1 << v for v in part)) & ~sub)
         eng = EulerEngine(uni.order.interleave)
         for fam in sorted(fams):
-            segments = [uni.segment(c) for c in uni.set_of_mask(fam)]
-            want = euler_recursive(segments)
-            if len(segments) <= 8:  # every subset, on coordinate crossings
-                assert brute_euler(segments) == want
+            segs = segments(poly, uni.set_of_mask(fam))
+            want = euler_recursive(segs)
+            if len(segs) <= 8:  # every subset, on coordinate crossings
+                assert brute_euler(segs) == want
             assert eng.chi(fam) == want, (poly, bin(fam))
 
 
@@ -840,15 +847,15 @@ def _held_entries(obj):
     return sum(_held_entries(getattr(obj, name)) for name in type(obj).__slots__)
 
 
-@pytest.mark.parametrize("poly", [convex_ngon(19), random_simple_polygon(19, 296)],
-                         ids=["convex", "random"])
-def test_theorem2_leaves_nothing_of_size_2_to_the_j(poly):
+@pytest.mark.parametrize("kind", ["convex", "random"])
+def test_theorem2_leaves_nothing_of_size_2_to_the_j(kind):
     # Each route walks the 2^|J| subsets of a triangulation's J (|J| = 16)
     # and keeps no more than a few entries per chord of J.  The signed sums
     # hold no more than that while they walk: a list of the 2^16 subsets
     # alone would take more than 2 MiB.
     import tracemalloc
 
+    poly = convex_ngon(19) if kind == "convex" else random_simple_polygon(19, 296)
     uni = universe_of(poly)
     j = extend_to_triangulation(poly, empty(poly))
     assert len(j) == 16

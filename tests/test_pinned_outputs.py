@@ -43,9 +43,8 @@ from chord_euler.partition import (
     chi_removed_theorem2,
     convex_lattice,
     convexity_constraints,
-    extend_to_triangulation,
-    find_diagonal,
 )
+from oracles import extend_to_triangulation, find_diagonal
 
 PINNED = {
     "random": "92c609aba757a660853215a7e436b216d7a7732f616b06a7bbfb5e3441ca1a0d",
