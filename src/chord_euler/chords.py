@@ -76,8 +76,8 @@ that :func:`_vertex_kinds` reads, each built on first use.
 cap of every per-n table, among every universe of that size, so a polygon
 visit pays only for its geometry; a universe's crossing masks are then one
 pass, each chord's interleaving mask within its own kind.  Within one kind
-the interleaving masks are the crossings, so ``partition`` reads them as
-they are.
+the interleaving masks are the crossings, so ``partition`` and
+``nc_euler`` read them as they are.
 
 Ownership.  A polygon owns its universe: :func:`universe_of` fills the slot
 that ``Polygon`` declares.  The universe owns every cache derived from the
@@ -417,9 +417,10 @@ class ChordUniverse:
         """crossing_masks[k] has bit m set iff chords k and m properly cross.
 
         By interleaving, within k's kind (module docstring); None for a
-        boundary-crossing k.  Within one kind the crossings are the per-n
-        ``order.interleave``, so library code reads this table only for a
-        chord set of ``nc_euler``, which may hold both kinds.
+        boundary-crossing k.  No library function reads it: within one kind
+        the crossings are the per-n ``order.interleave``, and ``nc_euler``
+        straddle-tests any other family.  The benchmark's setup and the
+        tests read it.
         """
         d, e = self.kind_mask(ChordKind.DIAGONAL), self.kind_mask(ChordKind.EPIGONAL)
         return tuple([x & d if d >> k & 1 else x & e if e >> k & 1 else None

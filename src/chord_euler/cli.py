@@ -29,8 +29,10 @@ convex n-gon for each n of ``--n``.
 
 Exit codes: 0 all good, 1 a verification property failed, 2 bad input,
 3 a documented size cap was exceeded, 4 a generator could not certify its
-output.  All output is deterministic: identical invocations produce
-byte-identical bytes.  Floating point appears only in SVG rendering.
+output.  ``generate`` builds, and ``analyze`` and ``render`` load, at most
+``CAPS["polygon_n"]`` vertices.  All output is deterministic: identical
+invocations produce byte-identical bytes.  Floating point appears only in
+SVG rendering.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .catalan import (
     d_recurrence_check,
     identity14_check,
 )
-from .chords import Chord, ChordKind, ChordSet, diagonals, epigonals, universe_of
+from .chords import Chord, ChordKind, ChordSet, classify_chord, diagonals, epigonals, universe_of
 from .classes import class_report, verify_theorem1, verify_theorem3
 from .geometry import Point, Polygon, PolygonError, validate_polygon
 from .generators import (
@@ -78,7 +80,11 @@ EXIT_CAP = 3
 EXIT_GENERATOR = 4
 
 CAPS = {"theorem2_n": 10, "lemmae_n": 10, "theorem3_n": 12, "theorem1_n": 12,
-        "zigzag_l": 10, "catalan_n": 64, "catalan_a": 8}
+        "zigzag_l": 10, "catalan_n": 64, "catalan_a": 8, "polygon_n": 256}
+# ``polygon_n`` caps the vertices that ``generate`` builds and that
+# ``analyze`` and ``render`` load, checked before any table is built.  On one
+# Xeon core a 256-vertex polygon generates in 1.8 s (convex) to 3.2 s
+# (random), and the O(n^3) table makes 512 vertices 19 s and 36 s.
 # ``verify catalan`` also counts the a-diagonal sets of the convex
 # (a(n+1)+2)-gon up to this size.  On one Xeon core the 92 pairs (n, a) of
 # the caps up to 40 take 0.3 s, the 166 up to 67 (every a = 1) 4.8 s, and
@@ -124,7 +130,13 @@ def polygon_from_json(doc: dict) -> Polygon:
         verts = [Point(_parse_rational(v["x"]), _parse_rational(v["y"])) for v in doc["vertices"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"malformed polygon document: {exc}") from exc
+    _check_polygon_size(len(verts))
     return validate_polygon(verts)
+
+
+def _check_polygon_size(n: int) -> None:
+    if n > CAPS["polygon_n"]:
+        raise CapExceeded(f"polygon cap: n <= {CAPS['polygon_n']}, got {n} vertices")
 
 
 def load_polygon(path: str) -> Polygon:
@@ -260,7 +272,8 @@ MIN_N = {"theorem1": 3, "theorem2": 4, "theorem3": 5, "lemmae": 4}
 def _n_range(args, target: str) -> tuple[int, int]:
     """A random campaign's ``--n`` as (lo, hi), checked against its cap ``CAPS[target_n]``.
 
-    ``--random`` is checked first: a negative count would check no polygon and pass.
+    A negative ``--random``, checked first, and a range with no n >=
+    ``MIN_N[target]`` are bad input: either would check no polygon and pass.
     """
     if args.random < 0:
         raise CliInputError(f"--random must be >= 0, got {args.random}")
@@ -268,6 +281,8 @@ def _n_range(args, target: str) -> tuple[int, int]:
     cap = CAPS[f"{target}_n"]
     if n_hi > cap:
         raise CapExceeded(f"{target} cap: n <= {cap}")
+    if n_hi < MIN_N[target]:
+        raise CliInputError(f"empty range {args.n!r}: no n >= {MIN_N[target]}")
     return n_lo, n_hi
 
 
@@ -372,6 +387,8 @@ def _verify_zigzag(args) -> list[str]:
     l_lo, l_hi = _parse_range(args.l)
     if max(abs(l_lo), abs(l_hi)) > CAPS["zigzag_l"]:
         raise CapExceeded(f"zigzag cap: |l| <= {CAPS['zigzag_l']}")
+    if l_lo > -2 and l_hi < 2:
+        raise CliInputError(f"empty range {args.l!r}: no l with |l| >= 2")
     failures = []
     for l in range(l_lo, l_hi + 1):
         if abs(l) < 2:
@@ -402,6 +419,7 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     """Write the kind's polygon ``args.build(args)``."""
+    _check_polygon_size(args.n)
     _emit((_json_text(polygon_to_json(args.build(args))), args.out))
     return EXIT_OK
 
@@ -415,6 +433,7 @@ def _class_polygon(args) -> Polygon:
 
 def cmd_generate_zigzag(args) -> int:
     """Write the zigzag polygon and its chord sidecar, by default beside ``--out``."""
+    _check_polygon_size(3 * abs(args.l) + 1)
     z = zigzag_chi_target(args.l)
     sidecar_doc = {
         "chords": [str(c) for c in z.j_set],
@@ -468,17 +487,16 @@ def render_svg(poly: Polygon, chords: list[Chord]) -> str:
     out.append(
         f'<polygon points="{pts}" fill="none" stroke="black" stroke-width="2"/>'
     )
-    uni = universe_of(poly)
     styles = {
         ChordKind.DIAGONAL: 'stroke="#1f4e9c" stroke-dasharray="8 5"',
         ChordKind.EPIGONAL: 'stroke="#9c1f1f" stroke-dasharray="2 4"',
         ChordKind.BOUNDARY_CROSSING: 'stroke="#777777" stroke-dasharray="8 3 2 3"',
     }
     for c in sorted(chords):
-        k = uni.index.get(Chord.of(c.i, c.j))
-        if k is None:
-            raise CliInputError(f"chord {c} is not a chord of the {poly.n}-gon")
-        kind = uni.kinds[k]
+        try:
+            kind = classify_chord(poly, c)
+        except KeyError:
+            raise CliInputError(f"chord {c} is not a chord of the {poly.n}-gon") from None
         a, b = poly.vertices[c.i], poly.vertices[c.j]
         out.append(
             f'<line x1="{sx(float(a.x)):.3f}" y1="{sy(float(a.y)):.3f}" '

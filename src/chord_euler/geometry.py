@@ -1,8 +1,8 @@
 """Exact planar predicates and simple-polygon structure.
 
-Geometry enters once, as the :func:`orientation_table` of a point set.  A
-polygon's validation, reflex set and chord universe read its vertices'
-table, and the table is built once per point set: a clockwise input's
+Geometry enters once, as the :func:`orientation_table` of a point set.
+Every polygon carries its vertices' table, built once per point set, and
+its validation, reflex set and chord universe read it: a clockwise input's
 reversal, a path's order (:func:`_path_polygon`) and a rotation
 (``Polygon.rotated``) relabel the table already built (:func:`_relabel`).
 Both read per-n slots from :func:`_slots_of`, shared up to ``SHARED_N``
@@ -20,7 +20,7 @@ three collinear), the standing assumption of the combinatorics.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Sequence
@@ -117,35 +117,32 @@ def orientation(p: Point, q: Point, r: Point) -> int:
 class Polygon:
     """A simple polygon, CCW-normalized, vertices in general position.
 
-    A validated polygon keeps the orientation table it was validated on
-    (``left``), relabeled if its vertices were reversed, and its reflex set.
-    ``rotated`` copies carry both, relabeled; a copy made by ``_trusted``
-    from vertices alone builds them on first use.  The chord universe is
-    never carried: every copy starts with none.
+    ``Polygon(vertices)`` validates on the orientation table it builds and
+    keeps it (``left``), relabeled if the vertices were reversed, with its
+    reflex set.  ``_trusted`` copies (``rotated``, :func:`_path_polygon`)
+    are given both, relabeled; no copy builds its table on first use.  The
+    chord universe is never carried: every copy starts with none.
     """
 
-    def __init__(self, vertices: Sequence[Point], _validated: bool = False):
+    # Set by ``chords.universe_of``; the universe holds this polygon weakly.
+    _chord_universe = None
+
+    def __init__(self, vertices: Sequence[Point]):
         vs = tuple(vertices)
-        if not _validated:
-            n, left = len(vs), _distinct_table(vs)
-            _check_crossings(left, range(n))
-            turned, self.reflex_vertices = _orient(left, range(n))
-            if turned:
-                vs, left = vs[::-1], _relabel(left, range(n - 1, -1, -1))
-            self.left = left
-        self.vertices = vs
-        self.n = len(vs)
-        # Filled by ``chords.universe_of``; the universe holds this polygon weakly.
-        self._chord_universe = None
+        n, left = len(vs), _distinct_table(vs)
+        _check_crossings(left, range(n))
+        turned, reflex = _orient(left, range(n))
+        if turned:
+            vs, left = vs[::-1], _relabel(left, range(n - 1, -1, -1))
+        self.vertices, self.n, self.left, self.reflex_vertices = vs, n, left, reflex
 
     @classmethod
-    def _trusted(cls, vertices: Sequence[Point], left: tuple[int, ...] | None = None,
-                 reflex: frozenset[int] | None = None) -> Polygon:
-        # For polygons whose invariants are inherited: sub-polygons of a
-        # parent, and relabelings of a table already built, with its reflex set.
-        poly = cls(vertices, _validated=True)
-        if left is not None:
-            poly.left, poly.reflex_vertices = left, reflex
+    def _trusted(cls, vertices: Sequence[Point], left: tuple[int, ...],
+                 reflex: frozenset[int]) -> Polygon:
+        # For a table already built, with its reflex set: a validated
+        # polygon's, relabeled.
+        poly, vs = cls.__new__(cls), tuple(vertices)
+        poly.vertices, poly.n, poly.left, poly.reflex_vertices = vs, len(vs), left, reflex
         return poly
 
     def rotated(self, shift: int) -> Polygon:
@@ -163,19 +160,9 @@ class Polygon:
             reflex = frozenset((v - shift) % n for v in reflex)
         return Polygon._trusted(self.vertices[shift:] + self.vertices[:shift], left, reflex)
 
-    @cached_property
-    def left(self) -> tuple[int, ...]:
-        """The vertices' :func:`orientation_table`, kept or relabeled, else built on first use."""
-        return orientation_table(self.vertices)
-
     def ccw(self, i: int, j: int, k: int) -> bool:
         """Whether v_i -> v_j -> v_k turns counter-clockwise."""
         return bool(self.left[i * self.n + j] >> k & 1)
-
-    @cached_property
-    def reflex_vertices(self) -> frozenset[int]:
-        n = self.n
-        return frozenset(i for i in range(n) if not self.ccw((i - 1) % n, i, (i + 1) % n))
 
     @property
     def is_convex(self) -> bool:

@@ -67,15 +67,14 @@ Two slower routes read crossing masks instead:
   of its parts' chis, so one pass finds every component first, and an
   isolated member (chi 0) returns 0 before any recursion.
 
-A chord set within D or within E, and the :class:`EulerEngine` that
-``partition`` builds for such families, take the interleaving masks of
-their n (``ChordOrder.interleave``) as they are; a chord set of both kinds
-takes its universe's, which keep the kinds apart.
-A chord set holding a boundary-crossing chord, and a segment list, get
-theirs from the straddle test on an orientation table
-(``geometry.straddle_masks``): the universe's, or for a segment list the
-table of its distinct endpoints, so a segment list must be in general
-position too.
+The crossing masks come from one of two sources.  A chord set within D or
+within E, and the :class:`EulerEngine` that ``partition`` builds for such
+families, take the interleaving masks of their n (``ChordOrder.interleave``)
+as they are.  Every other family is a family of segments, as the paper
+defines chi, and gets its masks from the straddle test on an orientation
+table (``geometry.straddle_masks``): a chord set of both kinds or holding a
+boundary-crossing chord on its universe's, a segment list on the table of
+its distinct endpoints, so a segment list must be in general position too.
 """
 
 from __future__ import annotations
@@ -129,10 +128,9 @@ def _adjacency(family: ChordSet | Sequence[Segment]) -> tuple[Sequence[int], int
 
     A chord set within D or within E reads the interleaving masks of its n
     (``ChordOrder.interleave``): within one kind, crossing is interleaving.
-    A chord set of both kinds reads its universe's crossing masks, which keep
-    a diagonal and an epigonal apart even when they interleave.  Any other
-    family is straddle-tested on an orientation table
-    (:func:`geometry.straddle_masks`): a chord set on its universe's, over its
+    Any other family is straddle-tested on an orientation table
+    (:func:`geometry.straddle_masks`), which keeps a diagonal and an epigonal
+    apart even when they interleave: a chord set on its universe's, over its
     members, and a segment list on the table of its distinct endpoints,
     indexed in first-seen order, which raises :class:`CollinearTriple` when
     three of them are collinear.  The table costs O(p^3) in the p endpoints,
@@ -141,14 +139,12 @@ def _adjacency(family: ChordSet | Sequence[Segment]) -> tuple[Sequence[int], int
     segment over 6 to 18 points is 19 to 37 times as fast (4.4 ms against
     125 ms at 18 points), but m pairwise disjoint segments (2m endpoints)
     break even near m = 8 and are slower past it (1.6 ms against 1.0 ms at
-    m = 16, 24 ms against 4.1 ms at m = 32).  Only tests build segment
-    lists.
+    m = 16, 24 ms against 4.1 ms at m = 32).  Only tests build segment lists.
     """
     if isinstance(family, ChordSet):
         uni, mask = family.universe, family.mask
-        if not mask & uni.kind_mask(ChordKind.BOUNDARY_CROSSING):
-            d = mask & uni.kind_mask(ChordKind.DIAGONAL)
-            return uni.order.interleave if d in (0, mask) else uni.crossing_masks, mask
+        if any(not mask & ~uni.kind_mask(kind) for kind in (ChordKind.DIAGONAL, ChordKind.EPIGONAL)):
+            return uni.order.interleave, mask
         left, n, ends = uni.left, uni.n, list(family)
     else:
         index: dict[Point, int] = {}

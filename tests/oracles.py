@@ -17,6 +17,12 @@ tests) where the library tests only the epigonals, and
 :func:`class2_class4_by_vertices` tests Classes 2 and 4 at every vertex
 where the library tests the candidates that the reflex mask names.
 
+Every library polygon is built with its table and reflex set, by validation
+or relabeled from a table already built.  :func:`cold_polygon` builds one
+cold, unvalidated: a fresh table, and the reflex set read from coordinates.
+The relabeling and validation tests compare against it, and the tests' hull,
+face and pocket polygons, and paths that cross themselves, are made with it.
+
 The last residents are test helpers and an oracle that no library route
 calls, moved out of the package unchanged: :func:`euler_brute`, the
 alternating sum of the DFS enumeration, against every chi route;
@@ -48,6 +54,7 @@ from chord_euler.geometry import (
     cross,
     hull_successors,
     orientation,
+    orientation_table,
     validate_polygon,
 )
 from chord_euler.nc_euler import _dfs_f_vector
@@ -206,15 +213,28 @@ def convex_hull_points(points: Sequence[Point]) -> list[Point]:
     return hull
 
 
+def cold_polygon(vertices: Sequence[Point]) -> Polygon:
+    """A polygon on ``vertices`` in the given order, not validated.
+
+    Its table is a fresh :func:`orientation_table` and its reflex set is
+    read from the coordinates, so it shares no code with a relabeled table
+    or with validation's reflex set.  The vertices must be in general
+    position; the path may cross itself.
+    """
+    vs, n = tuple(vertices), len(vertices)
+    reflex = frozenset(i for i in range(n) if orientation(vs[i - 1], vs[i], vs[(i + 1) % n]) < 0)
+    return Polygon._trusted(vs, orientation_table(vs), reflex)
+
+
 def convex_hull(points: Sequence[Point]) -> Polygon:
     """Hull as a CCW polygon (general position: no three input points collinear)."""
-    return Polygon._trusted(convex_hull_points(points))
+    return cold_polygon(convex_hull_points(points))
 
 
 def part_polygon(res: PartitionResult, k: int) -> Polygon:
     """Face k of a subdivision as a polygon on the parent's vertices."""
     vs = res.parent.vertices
-    return Polygon._trusted([vs[i] for i in res.parts[k]])
+    return cold_polygon([vs[i] for i in res.parts[k]])
 
 
 def _part_is_convex(vs: Sequence[Point], part: Sequence[int]) -> bool:

@@ -29,6 +29,7 @@ from conftest import exemplar_and_zigzag_polygons, pt
 from oracles import (
     angle_exceeds_pi,
     class2_class4_by_vertices,
+    cold_polygon,
     convex_hull_points,
     ear_chord,
     hull_by_successors,
@@ -90,7 +91,7 @@ def class3_oracle(poly, i):
         # The pocket region runs the path backwards; down to the dart, it is
         # reflex everywhere but at the apex i and its two neighbours.
         rev = tuple(reversed(path))
-        sub = Polygon._trusted([poly.vertices[t] for t in rev])
+        sub = cold_polygon([poly.vertices[t] for t in rev])
         k, a = len(rev), rev.index(i)
         if _reflex(sub) != set(range(k)) - {(a - 1) % k, a, (a + 1) % k}:
             return False
@@ -199,7 +200,7 @@ def test_detectors_match_oracles_class_exemplars(kind):
 def test_hull_of_a_path_that_winds_twice():
     # The hull is the point set's, whatever the vertex order: a pentagram
     # path meets its hull vertices out of their CCW order 0, 3, 1, 4, 2.
-    star = Polygon._trusted([pt(0, 10), pt(-6, -8), pt(10, 3), pt(-10, 3), pt(6, -8)])
+    star = cold_polygon([pt(0, 10), pt(-6, -8), pt(10, 3), pt(-10, 3), pt(6, -8)])
     assert hull_by_successors(universe_of(star)) == hull_oracle(star) == (0, 3, 1, 4, 2)
 
 

@@ -17,6 +17,7 @@ from chord_euler.classes import (
 from chord_euler.generators import class_exemplar, convex_ngon, random_simple_polygon
 from chord_euler.geometry import Point, Polygon, SelfIntersection, validate_polygon
 from conftest import pt
+from oracles import cold_polygon
 
 EXEMPLAR_SIZES = {1: (5, 7, 9), 2: (5, 7, 8), 3: (5, 7, 9), 4: (6, 7, 9), 5: (5, 6, 8), 6: (7, 8, 9)}
 DETECTORS = {1: is_class1, 2: is_class2, 3: is_class3, 4: is_class4, 5: is_class5, 6: is_class6}
@@ -73,7 +74,7 @@ def test_class5_reduced_polygon_self_intersects():
     # that vertex leaves a simple polygon, so only a closed path that is not
     # simple reaches this case: a pentagram with one vertex inserted on an
     # edge, the only right turn of the path.
-    path = Polygon._trusted([pt(0, 10), pt(-2, 1), pt(-6, -8), pt(10, 3), pt(-10, 3), pt(6, -8)])
+    path = cold_polygon([pt(0, 10), pt(-2, 1), pt(-6, -8), pt(10, 3), pt(-10, 3), pt(6, -8)])
     assert path.reflex_vertices == frozenset({1})
     with pytest.raises(SelfIntersection):
         Polygon([v for k, v in enumerate(path.vertices) if k != 1])

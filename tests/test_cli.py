@@ -316,19 +316,36 @@ _CAP_CASES = [pytest.param(key, 1, id=key) for key in sorted(cli.CAPS)]
 _CAP_CASES.append(pytest.param("zigzag_l", -1, id="zigzag_l-negative"))
 
 
+def _past_cap(key, sign, cap, tmp_path):
+    """The argument lists that go one past ``CAPS[key] = cap``."""
+    target, option = key.split("_")
+    if target == "polygon":
+        # Every generated kind, and a file of collinear points: the vertex
+        # count is checked before any polygon is built or validated.
+        line = tmp_path / "line.json"
+        line.write_text(json.dumps({"vertices": [{"x": str(k), "y": "0"} for k in range(cap + 1)]}))
+        yield from (["generate", kind, "--n", str(cap + 1)]
+                    for kind in ("convex", "random", *(f"class{k}" for k in range(1, 7))))
+        yield from (["generate", "zigzag", "--l", str(l)] for l in (cap // 3 + 1, -(cap // 3 + 1)))
+        yield from (["analyze", str(line)], ["render", str(line)])
+        return
+    argv = ["verify", target, f"--{option}", str(sign * (cap + 1))]
+    if target == "catalan":
+        argv += ["--a" if option == "n" else "--n", "1"]
+    yield argv
+
+
 @pytest.mark.parametrize("key, sign", _CAP_CASES)
-def test_one_past_each_cap_exits_3(capsys, monkeypatch, key, sign):
+def test_one_past_each_cap_exits_3(capsys, monkeypatch, tmp_path, key, sign):
     # Every cap, and zigzag's on both sides of zero; the message reads the
     # cap from CAPS, so it follows a lowered cap too.
-    target, option = key.split("_")
+    option = key.split("_")[1]
     for cap in (cli.CAPS[key], 5):
         monkeypatch.setitem(cli.CAPS, key, cap)
-        argv = ["verify", target, f"--{option}", str(sign * (cap + 1))]
-        if target == "catalan":
-            argv += ["--a" if option == "n" else "--n", "1"]
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (EXIT_CAP, ""), argv
-        assert err.startswith("cap exceeded: ") and re.search(rf"\b{option}\|? <= {cap}\b", err), argv
+        for argv in _past_cap(key, sign, cap, tmp_path):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_CAP, ""), argv
+            assert err.startswith("cap exceeded: ") and re.search(rf"\b{option}\|? <= {cap}\b", err), argv
 
 
 def test_verify_targets_pass(capsys):
@@ -341,12 +358,15 @@ def test_verify_targets_pass(capsys):
 
 def test_reversed_range_is_bad_input(capsys):
     # lo > hi used to crash (6..5), build a polygon past the cap (30..5) or
-    # check nothing and pass (5..-5).
+    # check nothing and pass (5..-5).  So did a range with no zigzag (|l| < 2)
+    # and, with no random polygon, one below theorem1's convex n = 3.
     for argv in (
         ("theorem3", "--n", "6..5"),
         ("theorem3", "--n", "30..5"),
         ("zigzag", "--l", "5..-5"),
         ("catalan", "--n", "2", "--a", "3..1"),
+        ("zigzag", "--l", "-1..1"),
+        ("theorem1", "--n", "1..2", "--random", "0"),
     ):
         code, out, err = run(capsys, "verify", *argv)
         assert code == EXIT_INPUT and out == "" and "empty range" in err, argv

@@ -12,7 +12,6 @@ from chord_euler.geometry import (
     CollinearTriple,
     DuplicateVertex,
     Point,
-    Polygon,
     PolygonError,
     Segment,
     SelfIntersection,
@@ -25,11 +24,13 @@ from chord_euler.geometry import (
     validate_polygon,
 )
 from chord_euler import geometry
+import oracles
 from conftest import pt
 from oracles import (
     PointOnBoundary,
     angle_exceeds_pi,
     area2,
+    cold_polygon,
     convex_hull,
     coordinate_crossing_masks,
     convex_hull_points,
@@ -162,13 +163,20 @@ def test_rotated_copies_relabel_the_table_of_their_polygon():
         n = poly.n
         for s in range(n):
             rotated = poly.rotated(s)
-            cold = Polygon._trusted(rotated.vertices)  # builds its table on first use
+            cold = cold_polygon(rotated.vertices)
             assert rotated.vertices == poly.vertices[s:] + poly.vertices[:s]
             assert rotated.left == cold.left, (poly, s)
             assert rotated.reflex_vertices == cold.reflex_vertices, (poly, s)
             assert rotated._chord_universe is None
         assert poly.rotated(0).left is poly.left
         assert poly.rotated(n).reflex_vertices is poly.reflex_vertices
+
+
+def test_cold_polygon_reads_its_reflex_set_from_coordinates(dart, monkeypatch):
+    # The cold copy is the relabeling tests' independent route: with its
+    # table broken, its reflex set still comes out of the coordinates.
+    monkeypatch.setattr(oracles, "orientation_table", lambda vs: (0,) * len(vs) ** 2)
+    assert cold_polygon(dart.vertices).reflex_vertices == dart.reflex_vertices == {2}
 
 
 def test_validate_rejections():
@@ -227,7 +235,7 @@ def test_validate_matches_coordinate_route(vs):
         got = (type(exc).__name__, getattr(exc, "indices", None) or getattr(exc, "edges", None))
     else:
         got = ("ok", (poly.vertices, set(poly.reflex_vertices)))
-        assert set(Polygon._trusted(poly.vertices).reflex_vertices) == got[1][1]
+        assert set(cold_polygon(poly.vertices).reflex_vertices) == got[1][1]
     assert got == want
 
 
@@ -236,7 +244,7 @@ def _outcome(make):
         poly = make()
     except PolygonError as exc:
         return type(exc).__name__, getattr(exc, "edges", None)
-    cold = Polygon._trusted(poly.vertices)  # builds its table and reflex set afresh
+    cold = cold_polygon(poly.vertices)
     assert poly.left == cold.left
     return "ok", poly.vertices, poly.reflex_vertices, cold.reflex_vertices
 

@@ -39,6 +39,7 @@ from chord_euler.nc_euler import (
     is_heart,
     iter_nc_masks,
     star_ear_chis,
+    _adjacency,
     _intervals,
 )
 from conftest import brute_euler, brute_nc_counts, exemplar_and_zigzag_polygons, pt
@@ -622,15 +623,19 @@ def test_one_kind_families_build_no_crossing_masks():
     # recursion read the per-n interleaving masks on D and on E.
     for seed in range(5):
         poly = random_simple_polygon(9, seed)
+        uni = universe_of(poly)
         for fam in (diagonals(poly), epigonals(poly)):
+            assert _adjacency(fam)[0] is uni.order.interleave
             assert euler_recursive(fam) == euler_brute(fam) == f_vector(fam).euler
-        assert "crossing_masks" not in vars(universe_of(poly))
+        assert "crossing_masks" not in vars(uni)
 
 
 def test_mixed_families_keep_the_kinds_apart(dart):
     # A diagonal and an epigonal may interleave without crossing, as the
     # dart's 0-2 (inside) and 1-3 (outside) do, so a family of both kinds
-    # cannot take its crossings from the interleaving masks.
+    # cannot take its crossings from the interleaving masks.  It is
+    # straddle-tested, and over its members the masks are the universe's
+    # crossing masks, each kind's interleaving kept within the kind.
     uni = universe_of(dart)
     both = diagonals(dart) | epigonals(dart)
     assert both.chords() == [Chord(0, 2), Chord(1, 3)]
@@ -638,9 +643,14 @@ def test_mixed_families_keep_the_kinds_apart(dart):
     assert brute_nc_counts(segments(dart, both)) == [1, 2, 1]
     assert f_vector(both).counts == (1, 2, 1)
     assert euler_recursive(both) == euler_brute(both) == 0
-    for seed in range(12):
-        poly = random_simple_polygon(6 + seed % 4, seed + 3100)
+    for poly in [dart] + [random_simple_polygon(6 + seed % 4, seed + 3100) for seed in range(12)]:
+        uni = universe_of(poly)
         both = diagonals(poly) | epigonals(poly)
+        if not poly.is_convex:  # so both kinds are present
+            members = [uni.index[c] for c in both]
+            want = [sum(1 << y for y, m in enumerate(members) if uni.crossing_masks[k] >> m & 1)
+                    for k in members]
+            assert _adjacency(both) == (want, (1 << len(members)) - 1), poly
         assert euler_recursive(both) == euler_brute(both) == f_vector(both).euler, poly
 
 

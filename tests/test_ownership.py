@@ -6,10 +6,12 @@ module-level functions or explicit stacks.  So reference counting alone
 frees a polygon visit, and a chord set keeps working after its polygon is
 gone.  What depends on n alone has two module caches, geometry's slots and
 chords' orders, under one cap; an AST scan of the package pins them, the
-private names that one module imports from another, and the one reader of
-the per-polygon crossing masks outside ``chords``.  A second scan, from the
-CLI, the demos and the benchmark, pins the public surface: every export of
-``chord_euler`` is reached from one of them, or waits for a route.
+private names that one module imports from another, and that no module
+outside ``chords`` reads the per-polygon crossing masks: a family within one
+kind reads the per-n interleaving masks, and any other is straddle-tested.
+A second scan, from the CLI, the demos and the benchmark, pins the public
+surface: every export of ``chord_euler`` is reached from one of them, or
+waits for a route.
 """
 
 import ast
@@ -106,16 +108,16 @@ AWAITING_ROUTE = {
     "find_heart": 5,
     "chi_point_family": 15,  # verify pointsets
     "hull_edge_in": 15,
-    "classify_chord": 15,
 }
 # The module-level caches, (module, function), and the one per-n cap.
 MODULE_CACHES = {("geometry", "_cached_slots"), ("chords", "_cached_chord_order")}
 CACHE_MAKERS = ("lru_cache", "cache")
 CAP = ("geometry", "SHARED_N")
 # Outside chords, the functions that read ``ChordUniverse.crossing_masks``:
-# within one kind the per-n interleaving masks are the crossings, so only
-# nc_euler's chord sets, which may hold both kinds, need the per-polygon table.
-CROSSING_MASK_READERS = {("nc_euler", "_adjacency")}
+# none.  Within one kind the per-n interleaving masks are the crossings, and
+# nc_euler straddle-tests every other family; the benchmark's setup and the
+# tests read the per-polygon table.
+CROSSING_MASK_READERS: set[tuple[str, str]] = set()
 # Every private name that one module takes from another: (importer, owner, name).
 PRIVATE_IMPORTS = {
     ("classes", "nc_euler", "_bits"),

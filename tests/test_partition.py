@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from chord_euler.chords import Chord, ChordKind, diagonals, universe_of
 from chord_euler.generators import class_exemplar, convex_ngon, random_simple_polygon, zigzag_chi_target
-from chord_euler.geometry import SHARED_N, Point, Polygon, validate_polygon
+from chord_euler.geometry import SHARED_N, Point, validate_polygon
 from chord_euler.nc_euler import EulerEngine, euler_recursive, iter_nc_masks
 from chord_euler.partition import (
     IE_CAP,
@@ -27,6 +27,7 @@ from chord_euler.partition import (
 from conftest import brute_euler, exemplar_and_zigzag_polygons
 from oracles import (
     area2,
+    cold_polygon,
     euler_brute,
     extend_to_triangulation,
     find_diagonal,
@@ -381,7 +382,7 @@ def _part_chi_oracle(poly, part, removed_chords, cache):
     key = (part, local)
     if key not in cache:
         if part not in cache:
-            cache[part] = Polygon._trusted([poly.vertices[i] for i in part])
+            cache[part] = cold_polygon([poly.vertices[i] for i in part])
         sub_poly = cache[part]
         cache[key] = euler_brute(diagonals(sub_poly) - universe_of(sub_poly).set_of(local))
     return cache[key]
