@@ -6,10 +6,10 @@ the biconditional checks in :func:`verify_theorem3` compare two genuinely
 independent computations.  The reflex set and every other sign are read from
 the polygon's orientation table; the pockets and the per-vertex kind masks
 ``diag`` and ``epi`` come from the chord universe.  The chis come
-from those vertex masks alone, through the x = -1 interval tables of
+from those vertex masks alone, through the x = -1 interval columns of
 :func:`~chord_euler.nc_euler.star_ear_chis`, so Theorem 3 never builds the
 chord tuple, its index or a chord kind.  The tests check each detector
-against its coordinate version and the tables against the DFS and the
+against its coordinate version and the columns against the DFS and the
 deletion recursion.
 
 The classes are six n-bit vertex masks, built once per polygon by
@@ -306,7 +306,7 @@ class Theorem3Report(NamedTuple):
 def verify_theorem3(poly: Polygon, i: int) -> Theorem3Report:
     """Test all four forbidden-position biconditionals at vertex i.
 
-    The four chis are row i of the universe's x = -1 interval tables
+    The four chis are row i of the universe's x = -1 interval columns
     (:func:`~chord_euler.nc_euler.star_ear_chis`); the detectors are bit i of
     the class masks.
     """

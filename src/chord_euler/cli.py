@@ -25,7 +25,7 @@ optionally signed).  ``generate`` writes that form.
 
 The four random campaigns check ``--random`` seeded polygons, seeds from
 ``--seed`` on, their sizes cycling through ``--n``; theorem1 also checks the
-convex n-gon for each n of ``--n``.
+convex n-gon for each n of ``--n``, so it alone takes ``--random 0``.
 
 Exit codes: 0 all good, 1 a verification property failed, 2 bad input,
 3 a documented size cap was exceeded, 4 a generator could not certify its
@@ -272,11 +272,13 @@ MIN_N = {"theorem1": 3, "theorem2": 4, "theorem3": 5, "lemmae": 4}
 def _n_range(args, target: str) -> tuple[int, int]:
     """A random campaign's ``--n`` as (lo, hi), checked against its cap ``CAPS[target_n]``.
 
-    A negative ``--random``, checked first, and a range with no n >=
-    ``MIN_N[target]`` are bad input: either would check no polygon and pass.
+    A ``--random`` below 1 (below 0 for theorem1, which also checks its
+    convex n-gons), checked first, and a range with no n >= ``MIN_N[target]``
+    are bad input: either would check no polygon and pass.
     """
-    if args.random < 0:
-        raise CliInputError(f"--random must be >= 0, got {args.random}")
+    least = 0 if target == "theorem1" else 1
+    if args.random < least:
+        raise CliInputError(f"--random must be >= {least}, got {args.random}")
     n_lo, n_hi = _parse_range(args.n)
     cap = CAPS[f"{target}_n"]
     if n_hi > cap:

@@ -26,30 +26,42 @@ non-crossing configurations", Discrete Math. 204, 1999):
               of V(p, v) w(v, q) V(v, q),
 
 where w(a, b) is 1 + x if (a, b) is in F and 1 otherwise: a chord that
-spans its whole interval crosses nothing in it.  :func:`_intervals` keeps
-one table, of w(p, q) V(p, q), and each chord (p, v) of F carries its
-V(p, v), the only unweighted V read, in its end at p.  It builds the table
-in O(n^3) ring operations at one of two points:
+spans its whole interval crosses nothing in it.  With W(p, q) =
+w(p, q) V(p, q), :func:`_columns` runs the recurrence by columns: for each
+right end q in turn, it computes V(p, q) for p from q-2 downwards, carrying
+W(p+1, q) down the column.  The split term reads the column's own cells
+W(v, q) for the chords (p, v) of F with v < q, and their V(p, v), the only
+unweighted V read, recorded at p when column v ran.  So a column must reach
+the lowest left end of its chords and need go no lower, and a column that
+is the right end of no chord records nothing and is skipped, unless it
+holds an output.  It takes O(n^3) ring operations at one of two points:
 
 * x = 2^width, for :func:`f_vector`, on the intervals p..q with p < q (the
-  cycle cut open between n-1 and 0); V(0, n-1), the f-polynomial, is the
-  cell of the edge (0, n-1).  A
-  polynomial is packed into one integer, the coefficient of x^k in bits
-  [k*width, (k+1)*width).  The integer arithmetic is exact, so the result
-  is the f-polynomial's value at 2^width, and it unpacks to the f-vector
-  as long as no coefficient reaches 2^width (:func:`_dp_f_vector` bounds
-  them).
-* x = -1, for :func:`star_ear_chis`, on every cyclic interval.  Theorem 3
+  cycle cut open between n-1 and 0).  Column n-1 runs down to 0, and its
+  last cell is V(0, n-1), the f-polynomial.  A polynomial is packed into
+  one integer, the coefficient of x^k in bits [k*width, (k+1)*width).  The
+  integer arithmetic is exact, so the result is the f-polynomial's value at
+  2^width, and it unpacks to the f-vector as long as no coefficient
+  reaches 2^width (:func:`_dp_f_vector` bounds them).
+* x = -1, for :func:`star_ear_chis`, on the cyclic intervals.  Theorem 3
   asks, at every vertex i, for chi of the diagonals D and of the epigonals
   E less the star of i (the chords at i) and less its ear chord
   (i-1, i+1).  With inner = V(i+1, i-1) (no chord at i, no ear) and
   chi(F) = V(i+1, i), the ear crosses exactly the chords at i, so
 
-      chi(F - star(i)) = 0 if ear(i) is in F, else inner,
+      chi(F - star(i)) = W(i+1, i-1): 0 if ear(i) is in F, else inner,
       chi(F - ear(i))  = chi(F) + inner if ear(i) is in F, else chi(F),
 
-  the second by the deletion identity chi(A - e) = chi(A) + chi(A - N[e]);
-  an ear in F has a zero cell, and its end holds inner.
+  the second by the deletion identity chi(A - e) = chi(A) + chi(A - N[e]).
+  The columns run on the doubled cycle: index v + n stands for vertex v
+  too, so a vertex mask m becomes m | m << n, and an interval of fewer than
+  n indices holds each chord at most once.  Column n-1 runs down to 0 and
+  gives chi(F) = V(0, n-1).  Columns n..2n-2 run the full length n-2, down
+  to q-n+2.  Their bottom cells, with column n-1's cell at row 1, are the
+  star cells W(a, a+n-2) for a = i+1 = 1..n, and no later column writes
+  them.  Where the ear is in F, the bottom's chord end at a holds inner.
+  Columns 2..n-2 run as for :func:`f_vector`, and no length-(n-1) layer is
+  built.
 
 A heart of F is a non-crossing H within F that every maximal non-crossing
 set of F meets; then chi(F) = 0.  A maximal non-crossing set of D is a
@@ -180,36 +192,47 @@ def _neighbours(uni: ChordUniverse, fam: int) -> list[int]:
     return nbr
 
 
-def _intervals(nbr: Sequence[int], x: int,
-               cyclic: bool) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
-    """The interval table of the module docstring at ``x``, and the chord ends.
+def _columns(nbr: Sequence[int], x: int,
+             stops: Sequence[int]) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The column recurrence of the module docstring at ``x``: cells and chord ends.
 
-    ``table[p][L]`` = w(p, p + L) V(p, p + L), and ``ends[p]`` lists, by
-    increasing d, the pairs (d, V(p, p + d)) over the family's chords
-    (p, p + d).  ``nbr`` is the family's :func:`_neighbours`.  The intervals
-    run over the whole cycle if ``cyclic``, else only those with p + L < n.
+    Column q = 2, 3, ..., len(stops) - 1 runs from row q - 2 down to row
+    ``stops[q]``, or, where that is -1, down to the lowest left end of its
+    chords, and is skipped if it has none.  ``nbr[q]`` is the vertex mask of
+    q's partners in the family (its :func:`_neighbours`).  Returns ``col``,
+    where ``col[p]`` = w(p, q) V(p, q) for the last column q that reached row
+    p, and ``ends``, where ``ends[p]`` lists, by increasing v, the pairs
+    (v, V(p, v)) over the chords (p, v) that a column reached.
     """
-    n = len(nbr)
-    table = [[0, 1] + [0] * (n - 2) for _ in range(n)]
-    rows = table * 2  # rows[p + d] is row (p + d) mod n
-    ends: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for length in range(2, n):
-        for p in range(n if cyclic else n - length):
-            val = rows[p + 1][length - 1]
-            if ends[p]:
+    ends: list[list[tuple[int, int]]] = [[] for _ in stops]
+    col = [0] * len(stops)
+    for q in range(2, len(stops)):
+        left = nbr[q] & (1 << q) - 1
+        stop = stops[q] if stops[q] >= 0 else (left & -left).bit_length() - 1
+        if stop < 0:
+            continue  # q is the right end of no chord
+        carry = col[q - 1] = 1  # W(p + 1, q), carried down the column
+        for p in range(q - 2, stop - 1, -1):
+            chords = ends[p]
+            if chords:
                 split = 0
-                for d, v in ends[p]:
-                    split += v * rows[p + d][length - d]
-                val += x * split
-            if nbr[p] >> (p + length) % n & 1:
-                ends[p].append((length, val))
-                val *= 1 + x
-            table[p][length] = val
-    return table, ends
+                for v, val in chords:
+                    split += val * col[v]
+                carry += x * split
+            if left >> p & 1:
+                chords.append((q, carry))
+                carry *= 1 + x
+            col[p] = carry
+    return col, ends
 
 
 def _dp_f_vector(family: ChordSet) -> FVector:
-    """The interval DP of the module docstring; needs no boundary-crossing chord.
+    """The column recurrence at the packed x; needs no boundary-crossing chord.
+
+    Per kind the family meets, columns 2..n-1 of the module docstring at
+    x = 2^width: a column that is the right end of no chord is skipped, any
+    other runs down to the lowest left end of its chords, and column n-1
+    runs down to 0 for V(0, n-1).
 
     The packing width is ``min(|family|, 3(n - 3) * parts) + 1`` bits, with
     ``parts`` the number of kinds (D, E) the family meets.  A coefficient
@@ -232,7 +255,7 @@ def _dp_f_vector(family: ChordSet) -> FVector:
     width = min(family.mask.bit_count(), 3 * (uni.n - 3) * len(parts)) + 1
     total = 1
     for nbr in parts:
-        total *= _intervals(nbr, 1 << width, cyclic=False)[0][0][-1]  # the edge (0, n - 1)
+        total *= _columns(nbr, 1 << width, [-1] * (uni.n - 1) + [0])[0][0]  # V(0, n - 1)
     counts = []
     low = (1 << width) - 1
     while total:
@@ -244,12 +267,13 @@ def _dp_f_vector(family: ChordSet) -> FVector:
 def f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
     """Exact non-crossing family counts (f_0, f_1, ...).
 
-    A chord set with no boundary-crossing chord is counted by the interval
+    A chord set with no boundary-crossing chord is counted by the column
     recurrence of the module docstring at the packed x: once for its
-    diagonal part and once for its epigonal part, each in O(n^3) polynomial
-    products, and the two polynomials multiply.  Segment lists and chord
-    sets holding a boundary-crossing chord are enumerated by the
-    output-sensitive DFS on their crossing masks.
+    diagonal part and once for its epigonal part, each in at most O(n^3)
+    polynomial products over the columns that end a chord, and the two
+    polynomials multiply.  Segment lists and chord sets holding a
+    boundary-crossing chord are enumerated by the output-sensitive DFS on
+    their crossing masks.
     """
     if isinstance(family, ChordSet):
         if not family.mask & family.universe.kind_mask(ChordKind.BOUNDARY_CROSSING):
@@ -258,24 +282,27 @@ def f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
 
 
 def _star_ear(nbr: Sequence[int]) -> list[tuple[int, int]]:
-    """Per vertex i: chi(F - star(i)) and chi(F - ear(i)) for the family ``nbr``."""
+    """Per vertex i: chi(F - star(i)) and chi(F - ear(i)) for the family ``nbr``.
+
+    From the x = -1 columns on the doubled cycle (module docstring).
+    """
     n = len(nbr)
-    table, ends = _intervals(nbr, -1, cyclic=True)
-    out = []
-    for i in range(n):
-        a = (i + 1) % n
-        ear = nbr[a] >> (i - 1) % n & 1  # then (a, a + n - 2) is a's last chord end
-        inner, whole = ends[a][-1][1] if ear else table[a][n - 2], table[a][n - 1]
-        out.append((0, whole + inner) if ear else (inner, whole))
-    return out
+    nbr = [m | m << n for m in nbr] * 2
+    col, ends = _columns(nbr, -1, [-1] * (n - 1) + [0, *range(2, n + 1)])
+    # a = i + 1; an ear (a, a + n - 2) = (i + 1, i - 1) in F has a zero cell,
+    # and its chord end holds inner.
+    return [(0, col[0] + ends[a][-1][1]) if nbr[a] >> a + n - 2 & 1 else (col[a], col[0])
+            for a in range(1, n + 1)]
 
 
 def star_ear_chis(uni: ChordUniverse) -> tuple[tuple[int, int, int, int], ...]:
     """Per vertex i: chi of D and E less star(i), then of D and E less ear(i).
 
-    Read from one x = -1 interval table per family (module docstring), on
-    the universe's vertex kind masks ``diag`` and ``epi``, and cached on the
-    universe.
+    Read from one run of the x = -1 columns per family on the doubled
+    cycle (module docstring): chi(F) from column n-1, and the star cells
+    from the columns' bottoms and the ears' chord ends.  The families are
+    the universe's vertex kind masks ``diag`` and ``epi``; the rows are
+    cached on the universe.
     """
     if uni.star_ear_rows is None:
         d, e = _star_ear(uni.diag), _star_ear(uni.epi)

@@ -409,6 +409,21 @@ def test_negative_random_is_bad_input(capsys):
     assert code == EXIT_OK and out == "PASS theorem1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("theorem2",),
+    ("theorem3",),
+    ("lemmae", "--n", "4..6"),
+    ("theorem3", "--n", "5..12", "--seed", "1"),
+])
+def test_zero_random_is_bad_input_where_only_random_polygons_are_checked(capsys, argv):
+    # theorem2, theorem3 and lemmae check only their random polygons, so
+    # --random 0 used to check nothing and print PASS.
+    code, out, err = run(capsys, "verify", *argv, "--random", "0")
+    assert code == EXIT_INPUT and out == "" and "--random must be >= 1, got 0" in err, argv
+    code, out, _ = run(capsys, "verify", *argv, "--random", "1")
+    assert code == EXIT_OK and out == f"PASS {argv[0]}\n", argv
+
+
 def test_catalan_subcommand(capsys):
     code, out, _ = run(capsys, "catalan", "--n", "2", "--k", "1", "--a", "1")
     assert code == EXIT_OK and out.strip() == "5"

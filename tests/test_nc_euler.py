@@ -40,7 +40,8 @@ from chord_euler.nc_euler import (
     iter_nc_masks,
     star_ear_chis,
     _adjacency,
-    _intervals,
+    _columns,
+    _star_ear,
 )
 from conftest import brute_euler, brute_nc_counts, exemplar_and_zigzag_polygons, pt
 from oracles import (
@@ -465,47 +466,73 @@ def test_shared_engine_matches_fresh_engines(m, seed, density):
         assert shared.chi(live) == want == _dfs_chi(adj, live)
 
 
+def _value(counts, x):
+    return sum(c * x**k for k, c in enumerate(counts))
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(4, 10), st.integers(0, 2**32))
-def test_interval_kernel_at_a_generic_x(n, seed):
-    # Each cell w(p, p + L) V(p, p + L) of _intervals, and each chord end's
-    # (d, V(p, p + d)), against the DFS f-polynomial of the family's chords
-    # inside the arc p..p + L, less the chord (p, p + L), evaluated at x.  At
-    # x = 2, 3, -2 no product vanishes, unlike at -1.  The families are
-    # random sub-masks of D and of E with every chord at one vertex dropped,
-    # so some rows have no chord end; the DFS reads coordinate crossings.
+@given(st.integers(3, 10), st.integers(0, 2**32))
+def test_column_kernel_at_a_generic_x(n, seed):
+    # Both modes of _columns, every chord end's V(p, v) and every output,
+    # against the DFS f-polynomial on coordinate crossings of the family's
+    # chords inside the arc p..v, less the chord (p, v), evaluated at x.  At
+    # x = 2, 3, -2 no product vanishes, unlike at -1.  The families skip
+    # columns: random sub-masks of D and of E with every chord at one vertex
+    # dropped, the chords of D and of E at n - 1, and the empty family.
     rng = random.Random(seed)
     poly = random_simple_polygon(n, seed)
     uni = universe_of(poly)
+    families = [ChordSet(uni, 0)]
     for whole in (diagonals(poly), epigonals(poly)):
-        fam = ChordSet(uni, whole.mask & rng.getrandbits(uni.size)
-                       & ~uni.incidence[rng.randrange(n)])
+        families.append(ChordSet(uni, whole.mask & rng.getrandbits(uni.size)
+                                 & ~uni.incidence[rng.randrange(n)]))
+        families.append(ChordSet(uni, whole.mask & uni.incidence[n - 1]))
+    for fam in families:
         chords = fam.chords()
+        members = set(chords)
         adj = coordinate_crossing_masks(segments(poly, chords))
         nbr = [0] * n
         for i, j in chords:
             nbr[i] |= 1 << j
             nbr[j] |= 1 << i
-        counts = {}
-        for p in range(n):
-            for length in range(1, n):
-                arc = {(p + s) % n for s in range(length + 1)}
-                own = Chord.of(p, (p + length) % n)
-                inside = sum(1 << k for k, c in enumerate(chords)
-                             if c != own and c.i in arc and c.j in arc)
-                counts[p, length] = (_nc_counts(adj, inside), own in fam)
+
+        def counts(p, v):  # the cyclic arc p..v, less the chord (p, v)
+            arc = {s % n for s in range(p, v + 1)}
+            own = Chord.of(p % n, v % n)
+            return _nc_counts(adj, sum(1 << k for k, c in enumerate(chords)
+                                       if c != own and c.i in arc and c.j in arc))
+
+        def is_chord(p, v):
+            return v - p < n - 1 and Chord.of(p % n, v % n) in members
+
+        whole_counts = counts(0, n - 1)
+        assert f_vector(fam).counts == tuple(whole_counts)
+        doubled = [m | m << n for m in nbr] * 2
+        star_ear = [(counts(a, a + n - 2), is_chord(a, a + n - 2)) for a in range(1, n + 1)]
+        # Theorem 3's chis at vertex i = a - 1, from the cells at x = -1.
+        chi = _value(whole_counts, -1)
+        assert _star_ear(nbr) == [(0, chi + _value(inner, -1)) if ear else (_value(inner, -1), chi)
+                                  for inner, ear in star_ear]
         for x in (2, 3, -2):
-            for cyclic in (False, True):
-                table, ends = _intervals(nbr, x, cyclic)
-                for p in range(n):
-                    want_ends = []
-                    for length in range(1, n if cyclic else n - p):
-                        poly_counts, in_fam = counts[p, length]
-                        value = sum(c * x**k for k, c in enumerate(poly_counts))
-                        assert table[p][length] == value * (1 + x if in_fam else 1)
-                        if in_fam:
-                            want_ends.append((length, value))
-                    assert ends[p] == want_ends, (p, x, cyclic)
+            # Non-cyclic: column n - 1 down to 0 gives the f-polynomial, and
+            # every chord of the family has its end.
+            col, ends = _columns(nbr, x, [-1] * (n - 1) + [0])
+            assert col[0] == _value(whole_counts, x)
+            for p in range(n):
+                assert ends[p] == [(v, _value(counts(p, v), x))
+                                   for v in range(p + 2, n) if is_chord(p, v)], (p, x)
+            # Cyclic, on the doubled indices: column n - 1 down to 0, columns
+            # n..2n - 2 down to q - n + 2.  Every chord (p, v) with
+            # v <= 2n - 2 and v - p <= n - 2 has its end, and the bottom
+            # cells are the star cells w(a, a + n - 2) V(a, a + n - 2).
+            col, ends = _columns(doubled, x, [-1] * (n - 1) + [0, *range(2, n + 1)])
+            assert col[0] == _value(whole_counts, x)
+            for a, (inner, ear) in enumerate(star_ear, 1):
+                assert col[a] == _value(inner, x) * (1 + x if ear else 1), (a, x)
+            for p in range(2 * n - 1):
+                assert ends[p] == [(v, _value(counts(p, v), x))
+                                   for v in range(p + 2, min(p + n - 1, 2 * n - 1))
+                                   if is_chord(p, v)], (p, x)
 
 
 def _unpack(value: int, width: int) -> tuple[int, ...]:
@@ -531,11 +558,12 @@ def test_packing_width_bound_is_attained_by_convex_polygons():
         poly = convex_ngon(n)
         uni = universe_of(poly)
         want = f_vector(diagonals(poly)).counts
+        stops = [-1] * (n - 1) + [0]  # column n - 1 down to 0: V(0, n - 1)
         assert sum(want) == s[n - 2] <= 6 ** (n - 3) < 2 ** (3 * (n - 3))
         for width in (uni.kind_mask(ChordKind.DIAGONAL).bit_count() + 1, max(want).bit_length()):
-            assert _unpack(_intervals(uni.diag, 1 << width, cyclic=False)[0][0][-1], width) == want
+            assert _unpack(_columns(uni.diag, 1 << width, stops)[0][0], width) == want
         narrow = max(want).bit_length() - 1
-        assert _unpack(_intervals(uni.diag, 1 << narrow, cyclic=False)[0][0][-1], narrow) != want
+        assert _unpack(_columns(uni.diag, 1 << narrow, stops)[0][0], narrow) != want
 
 
 def test_euler_values(square, dart):
