@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chords import Chord, ChordSet, universe_of
-from .geometry import Point, Polygon, PolygonError, orientation, validate_polygon
+from .geometry import CollinearTriple, Point, Polygon, PolygonError, orientation, validate_polygon
 from .geometry import first_crossing_edges, orientation_table
 from .geometry import _path_polygon, _slots_of
 from .partition import PartitionError, convexity_constraints
@@ -501,11 +501,17 @@ def _class6_exemplar(n: int) -> Polygon:
         inv = s_lo + (s_hi - s_lo) * u + Fraction(1, 4) * u * (1 - u)
         rays.append((ang, 1 / inv))
     rays.append((169.0, Fraction(4)))
-    mid_angles = (
-        [215.0, 389.0] if s == 3 else [215.0] + _spread(255.0, 345.0, s - 3) + [389.0]
-    )
-    rays += [(a, Fraction(10)) for a in mid_angles]
-    return validate_polygon(_fan_polygon(rays))
+
+    def fan(hi: float) -> Polygon:
+        mid_angles = [215.0] + _spread(255.0, hi, s - 3) + [389.0]  # s = 3: no spread
+        return validate_polygon(_fan_polygon(rays + [(a, Fraction(10)) for a in mid_angles]))
+
+    try:
+        return fan(345.0)
+    except CollinearTriple:
+        # Every n = 8 (mod 18) from 26 on puts a middle ray at 320 degrees,
+        # its point collinear with the apex and the 140-degree ray's.
+        return fan(344.0)
 
 
 def class_exemplar(kind: int, i: int, n: int, **options) -> Polygon:

@@ -75,9 +75,15 @@ Two slower routes read crossing masks instead:
   alternating sum on every family is the tests' ``euler_brute`` oracle, in
   ``tests/oracles.py``);
 * ``euler_recursive`` - the deletion identity chi(A) = chi(A - v) - chi(A_v),
-  memoized per connected component.  chi of a disjoint union is the product
-  of its parts' chis, so one pass finds every component first, and an
-  isolated member (chi 0) returns 0 before any recursion.
+  with A_v = A - N[v], A less v and the members v crosses.  A first pass
+  reads every member's crossings in A.  An isolated member has chi 0, and
+  chi of a disjoint union is the product of its parts' chis, so the pass
+  returns 0 on one before any recursion; it finishes before anything else,
+  so that holds wherever the member sits.  Otherwise a leaf u, crossing
+  only w, folds: at v = w the first term is 0, since u is isolated in
+  A - w, so chi(A) = -chi(A - N[w]), one call on the whole family, not
+  memoized.  Only a family with neither is split into its components, each
+  memoized, with the deletion identity at a member of highest degree.
 
 The crossing masks come from one of two sources.  A chord set within D or
 within E, and the :class:`EulerEngine` that ``partition`` builds for such
@@ -330,7 +336,24 @@ def iter_nc_masks(adj: Sequence[int], live: int):
 
 
 def _chi(adj: Sequence[int], live: int, memo: dict[int, int]) -> int:
-    # Every component first, each with its pivot: highest degree, lowest on ties.
+    # One pass over every member first: an isolated one (chi 0) anywhere
+    # returns 0 before any recursion.  Then a leaf u, whose one neighbour is
+    # w, folds: chi(live - w) = 0, as u crosses nothing there, so the deletion
+    # identity at w leaves -chi(live - N[w]), with no component split.
+    leaf = -1
+    rem = live
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        nbrs = adj[low.bit_length() - 1] & live
+        if not nbrs:
+            return 0
+        if leaf < 0 and not nbrs & (nbrs - 1):
+            leaf = nbrs.bit_length() - 1
+    if leaf >= 0:
+        rest = live & ~adj[leaf] & ~(1 << leaf)
+        return -_chi(adj, rest, memo) if rest else -1
+    # Every component next, each with its pivot: highest degree, lowest on ties.
     comps = []
     rem = live
     while rem:
@@ -350,8 +373,6 @@ def _chi(adj: Sequence[int], live: int, memo: dict[int, int]) -> int:
                 nxt |= nbrs
             frontier = nxt & ~comp
             comp |= frontier
-        if comp & (comp - 1) == 0:
-            return 0  # isolated segment: chi({v}) = 0 kills the product
         rem &= ~comp
         comps.append((comp, best_v))
     total = 1
@@ -388,8 +409,10 @@ class EulerEngine:
     routes lives in the universe's ``partition_state``, on the interleaving
     masks of its n, and asks only families within one kind; results are
     identical to :func:`euler_recursive`, and so is the size error.  The
-    memo holds finished values only, one per component; components come
-    first, so a query with an isolated member returns 0 before recursing.
+    memo holds finished values only, one per component.  A query's first
+    pass returns 0 on an isolated member before any recursion, and a leaf
+    folds it to one unmemoized query on the family less its neighbour's
+    closed neighbourhood (module docstring).
     """
 
     def __init__(self, adj: Sequence[int]):

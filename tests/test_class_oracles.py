@@ -37,6 +37,7 @@ from oracles import (
 )
 
 DETECTORS = (is_class1, is_class2, is_class3, is_class4, is_class5, is_class6)
+MIN_N = {1: 5, 2: 5, 3: 5, 4: 5, 5: 5, 6: 6}  # class_exemplar's smallest sizes
 
 
 def _reflex(poly):
@@ -184,13 +185,12 @@ def test_detectors_match_oracles_exemplars_and_zigzags():
 
 @pytest.mark.parametrize("kind", range(1, 7))
 def test_detectors_match_oracles_class_exemplars(kind):
+    with pytest.raises(GeneratorError):
+        class_exemplar(kind, 0, MIN_N[kind] - 1)
     hits = 0
-    for n in range(5, 17):
+    for n in range(MIN_N[kind], 17):
         for v in (0, 2):
-            try:
-                poly = class_exemplar(kind, v, n)
-            except GeneratorError:
-                continue
+            poly = class_exemplar(kind, v, n)
             assert_matches_oracles(poly)
             assert_hull_follows_rotation(poly)
             hits += DETECTORS[kind - 1](poly, v)
@@ -225,12 +225,9 @@ def test_candidate_routes_match_full_scans_random(n, seed):
 def test_candidate_routes_match_full_scans_exemplars_and_zigzags():
     hits = [0, 0]
     for kind in range(1, 7):
-        for n in range(5, 41):
+        for n in range(MIN_N[kind], 41):
             for v in (0, 2, n - 1):
-                try:
-                    poly = class_exemplar(kind, v, n)
-                except GeneratorError:
-                    continue
+                poly = class_exemplar(kind, v, n)
                 assert_candidates_match_full_scans(poly)
                 for t, mask in enumerate(class2_class4_by_vertices(poly)):
                     hits[t] += mask != 0

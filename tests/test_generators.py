@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from chord_euler.chords import ChordKind, universe_of
+from chord_euler.classes import is_class6
 from chord_euler.generators import (
     GeneratorError,
     class_exemplar,
@@ -153,6 +154,15 @@ def test_class_exemplar_errors():
         class_exemplar(7, 0, 8)
     with pytest.raises(GeneratorError):
         class_exemplar(1, 0, 4)
+
+
+def test_class6_exemplars_where_the_middle_fan_met_the_apex_ray():
+    # At n = 8 (mod 18) from 26 on, the middle fan's even spread puts a ray
+    # at 320 degrees, collinear with the apex and the 140-degree ray; the
+    # construction spreads those sizes' middle rays a degree narrower.
+    for n in range(26, 117, 18):
+        poly = class_exemplar(6, 0, n)
+        assert poly.n == n and is_class6(poly, 0)
 
 
 def test_class_exemplar_rotation_consistency():

@@ -466,6 +466,100 @@ def test_shared_engine_matches_fresh_engines(m, seed, density):
         assert shared.chi(live) == want == _dfs_chi(adj, live)
 
 
+def _path(m):
+    return [(1 << v >> 1 | 1 << v + 1) & (1 << m) - 1 for v in range(m)]
+
+
+def _relabelled(adj, perm):
+    # Member v becomes perm[v].
+    out = [0] * len(adj)
+    for v, mask in enumerate(adj):
+        out[perm[v]] = sum(1 << perm[u] for u in range(len(adj)) if mask >> u & 1)
+    return out
+
+
+def _chi_calls(adj, live):
+    import chord_euler.nc_euler as nc
+
+    calls = []
+    real = nc._chi
+    nc._chi = lambda *a: calls.append(a) or real(*a)
+    try:
+        return EulerEngine(adj).chi(live), len(calls)
+    finally:
+        nc._chi = real
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_chi_closed_forms_on_paths_stars_and_cycles(seed):
+    # Closed forms, each member's crossings as given and relabelled at
+    # random: a path of m members has chi 1, 0, -1, -1, 0, 1 for m = 0..5
+    # (mod 6), a star with k >= 1 leaves -1, and a cycle of m >= 3 members
+    # 2, 1, -1, -2, -1, 1 for m = 0..5 (mod 6).  Paths and stars fold at a
+    # leaf; a cycle has none and takes the component search.
+    def relabel(adj):
+        perm = list(range(len(adj)))
+        if seed is not None:
+            random.Random(seed).shuffle(perm)
+        return _relabelled(adj, perm)
+
+    for m in range(40):
+        adj = relabel(_path(m))
+        assert _recursive_chi(adj, (1 << m) - 1) == (1, 0, -1, -1, 0, 1)[m % 6]
+    for k in range(1, 30):
+        star = relabel([(1 << k + 1) - 2] + [1] * k)
+        assert _recursive_chi(star, (1 << k + 1) - 1) == -1
+    for m in range(3, 40):
+        cycle = relabel([a | (1 << m - 1 if v == 0 else 1 if v == m - 1 else 0)
+                         for v, a in enumerate(_path(m))])
+        assert _recursive_chi(cycle, (1 << m) - 1) == (2, 1, -1, -2, -1, 1)[m % 6]
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_path_folds_three_members_per_call(seed):
+    # Each fold removes a leaf's neighbour and its two neighbours, so an
+    # m-member path takes at most ceil(m / 3) + 1 calls, in any labelling.
+    for m in range(0, 200, 7):
+        perm = list(range(m))
+        if seed is not None:
+            random.Random(seed + m).shuffle(perm)
+        got, calls = _chi_calls(_relabelled(_path(m), perm), (1 << m) - 1)
+        assert got == (1, 0, -1, -1, 0, 1)[m % 6]
+        assert calls <= -(-m // 3) + 1
+
+
+def _tree_on_core(core, extra, seed, density):
+    # A dense random core of ``core`` members, then ``extra`` members each
+    # crossing one earlier member: leaves hang off the core and off each other.
+    rng = random.Random(seed)
+    adj = _crossing_graph(core, seed, density) + [0] * extra
+    for v in range(core, core + extra):
+        u = rng.randrange(v)
+        adj[v] |= 1 << u
+        adj[u] |= 1 << v
+    return adj
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 16), st.integers(0, 2**32), st.sampled_from([0.03, 0.05, 0.1]))
+def test_chi_matches_dfs_on_sparse_crossing_graphs(m, seed, density):
+    # Sparse graphs have leaves, isolated members and paths: the folds fire.
+    adj = _crossing_graph(m, seed, density)
+    live = (1 << m) - 1
+    assert _recursive_chi(adj, live) == _dfs_chi(adj, live)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10), st.integers(0, 2**32), st.sampled_from([0.5, 0.8]))
+def test_chi_matches_dfs_on_trees_with_a_dense_core(core, extra, seed, density):
+    adj = _tree_on_core(core, extra, seed, density)
+    rng = random.Random(seed)
+    shared = EulerEngine(adj)
+    for live in ((1 << core + extra) - 1, rng.getrandbits(core + extra)):
+        want = _dfs_chi(adj, live)
+        assert _recursive_chi(adj, live) == shared.chi(live) == want
+
+
 def _value(counts, x):
     return sum(c * x**k for k, c in enumerate(counts))
 
