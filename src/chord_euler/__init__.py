@@ -6,7 +6,6 @@ from .geometry import (
     Point,
     Polygon,
     PolygonError,
-    Segment,
     SelfIntersection,
     orientation,
     validate_polygon,
@@ -23,11 +22,9 @@ from .chords import (
 )
 from .nc_euler import (
     FVector,
-    chi_point_family,
     euler_recursive,
     f_vector,
     find_heart,
-    hull_edge_in,
     is_heart,
 )
 from .partition import (

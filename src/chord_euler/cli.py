@@ -205,6 +205,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_analyze(args) -> int:
+    if args.vertex is not None and not args.classes:
+        raise CliInputError("--vertex needs --classes")
     poly = load_polygon(args.file)
     report: dict = {
         "n": poly.n,

@@ -6,13 +6,13 @@ its validation, reflex set and chord universe read it: a clockwise input's
 reversal, a path's order (:func:`_path_polygon`) and a rotation
 (``Polygon.rotated``) relabel the table already built (:func:`_relabel`).
 Both read per-n slots from :func:`_slots_of`, shared up to ``SHARED_N``
-points, the one cap of every table that depends on n alone.  A segment
-family's crossings (:func:`straddle_masks`), a point set's general position
-(the table raises :class:`CollinearTriple`) and its hull
-(:func:`hull_successors`) read the table of its points.  Coordinates are
-exact rationals; the scalar layer, ``Point``, :func:`cross` and
-:func:`orientation`, decides on the sign of a rational, and the table lifts
-the coordinates to integers once.  No decision uses floating point.
+points, the one cap of every table that depends on n alone.  A chord
+family's crossings (:func:`straddle_masks`) read its polygon's table, and a
+point set's general position reads its own: the table raises
+:class:`CollinearTriple`.  Coordinates are exact rationals; the scalar
+layer, ``Point``, :func:`cross` and :func:`orientation`, decides on the
+sign of a rational, and the table lifts the coordinates to integers once.
+No decision uses floating point.
 Polygons are stored counter-clockwise with vertices in general position (no
 three collinear), the standing assumption of the combinatorics.
 """
@@ -77,30 +77,6 @@ class Point:
 
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
-
-
-class Segment:
-    """A nondegenerate closed segment."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Point, b: Point):
-        if a == b:
-            raise GeometryError("degenerate segment")
-        self.a = a
-        self.b = b
-
-    def key(self) -> frozenset[Point]:
-        return frozenset((self.a, self.b))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Segment) and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __repr__(self) -> str:
-        return f"Segment({self.a}, {self.b})"
 
 
 def cross(o: Point, p: Point, q: Point) -> Coord:
@@ -266,18 +242,6 @@ def _cached_slots(n: int) -> tuple[tuple[_Pair, ...], tuple[_Triple, ...]]:
     """
     pairs, triples = _slots(n)
     return pairs, tuple(triples)
-
-
-def hull_successors(left: Sequence[int], n: int) -> dict[int, int]:
-    """The counter-clockwise hull edges a -> b as {a: b}: every other point is left of them."""
-    full = (1 << n) - 1
-    succ = {}
-    for a in range(n):
-        for b in range(n):
-            if left[a * n + b] | 1 << a | 1 << b == full:
-                succ[a] = b
-                break
-    return succ
 
 
 def first_crossing_edges(left: Sequence[int], order: Sequence[int]) -> tuple[int, int] | None:

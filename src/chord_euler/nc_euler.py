@@ -1,6 +1,6 @@
-"""Non-crossing families of segments: f-vectors, Euler characteristic, hearts.
+"""Non-crossing chord families: f-vectors, Euler characteristic, hearts.
 
-A family of segments is non-crossing when segment interiors are pairwise
+A family of chords is non-crossing when their interiors are pairwise
 disjoint (shared endpoints allowed).  ``f_i`` counts the i-element
 non-crossing subsets; the Euler characteristic is the alternating sum, i.e.
 the f-polynomial sum f_i x^i at x = -1.
@@ -71,8 +71,8 @@ of the pocket, so all maximal sets of D, or of E, have one size.
 Two slower routes read crossing masks instead:
 
 * the DFS enumeration of :func:`iter_nc_masks`, which :func:`f_vector` uses
-  for segment lists and for sets holding a boundary-crossing chord (its
-  alternating sum on every family is the tests' ``euler_brute`` oracle, in
+  for chord sets holding a boundary-crossing chord (its alternating sum on
+  every family is the tests' ``euler_brute`` oracle, in
   ``tests/oracles.py``);
 * ``euler_recursive`` - the deletion identity chi(A) = chi(A - v) - chi(A_v),
   with A_v = A - N[v], A less v and the members v crosses.  A first pass
@@ -88,11 +88,10 @@ Two slower routes read crossing masks instead:
 The crossing masks come from one of two sources.  A chord set within D or
 within E, and the :class:`EulerEngine` that ``partition`` builds for such
 families, take the interleaving masks of their n (``ChordOrder.interleave``)
-as they are.  Every other family is a family of segments, as the paper
-defines chi, and gets its masks from the straddle test on an orientation
-table (``geometry.straddle_masks``): a chord set of both kinds or holding a
-boundary-crossing chord on its universe's, a segment list on the table of
-its distinct endpoints, so a segment list must be in general position too.
+as they are.  A chord set of both kinds or holding a boundary-crossing chord
+is straddle-tested on its universe's orientation table
+(``geometry.straddle_masks``), which keeps a diagonal and an epigonal apart
+even where they interleave.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chords import ChordKind, ChordSet, ChordUniverse
-from .geometry import Point, Polygon, Segment, hull_successors, orientation_table, straddle_masks
+from .geometry import Polygon, straddle_masks
 from . import chords as _chords
 
 
@@ -141,35 +140,20 @@ class FVector:
         return sum((-1) ** (i - 1) * c for i, c in enumerate(self.counts) if i >= 1)
 
 
-def _adjacency(family: ChordSet | Sequence[Segment]) -> tuple[Sequence[int], int]:
-    """A family's crossing masks and member mask.
+def _adjacency(family: ChordSet) -> tuple[Sequence[int], int]:
+    """A chord set's crossing masks and member mask.
 
     A chord set within D or within E reads the interleaving masks of its n
     (``ChordOrder.interleave``): within one kind, crossing is interleaving.
-    Any other family is straddle-tested on an orientation table
-    (:func:`geometry.straddle_masks`), which keeps a diagonal and an epigonal
-    apart even when they interleave: a chord set on its universe's, over its
-    members, and a segment list on the table of its distinct endpoints,
-    indexed in first-seen order, which raises :class:`CollinearTriple` when
-    three of them are collinear.  The table costs O(p^3) in the p endpoints,
-    the test O(m^2) in the m segments.  Measured against coordinate
-    orientations per pair (Python 3.11, one Xeon core, best of 5): every
-    segment over 6 to 18 points is 19 to 37 times as fast (4.4 ms against
-    125 ms at 18 points), but m pairwise disjoint segments (2m endpoints)
-    break even near m = 8 and are slower past it (1.6 ms against 1.0 ms at
-    m = 16, 24 ms against 4.1 ms at m = 32).  Only tests build segment lists.
+    Any other is straddle-tested over its members on its universe's
+    orientation table (:func:`geometry.straddle_masks`), which keeps a
+    diagonal and an epigonal apart even when they interleave.
     """
-    if isinstance(family, ChordSet):
-        uni, mask = family.universe, family.mask
-        if any(not mask & ~uni.kind_mask(kind) for kind in (ChordKind.DIAGONAL, ChordKind.EPIGONAL)):
-            return uni.order.interleave, mask
-        left, n, ends = uni.left, uni.n, list(family)
-    else:
-        index: dict[Point, int] = {}
-        ends = [(index.setdefault(s.a, len(index)), index.setdefault(s.b, len(index)))
-                for s in family]
-        left, n = orientation_table(list(index)), len(index)
-    return straddle_masks(left, n, ends), (1 << len(ends)) - 1
+    uni, mask = family.universe, family.mask
+    if any(not mask & ~uni.kind_mask(kind) for kind in (ChordKind.DIAGONAL, ChordKind.EPIGONAL)):
+        return uni.order.interleave, mask
+    ends = list(family)
+    return straddle_masks(uni.left, uni.n, ends), (1 << len(ends)) - 1
 
 
 def _bits(mask: int) -> list[int]:
@@ -181,7 +165,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _dfs_f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
+def _dfs_f_vector(family: ChordSet) -> FVector:
     """The sizes of the sets :func:`iter_nc_masks` enumerates, counted."""
     sizes = Counter(map(int.bit_count, iter_nc_masks(*_adjacency(family))))
     # Every size up to the largest occurs: the sets are closed under subsets.
@@ -270,21 +254,20 @@ def _dp_f_vector(family: ChordSet) -> FVector:
     return FVector(tuple(counts))
 
 
-def f_vector(family: ChordSet | Sequence[Segment]) -> FVector:
-    """Exact non-crossing family counts (f_0, f_1, ...).
+def f_vector(family: ChordSet) -> FVector:
+    """Exact non-crossing family counts (f_0, f_1, ...) of a chord set.
 
     A chord set with no boundary-crossing chord is counted by the column
     recurrence of the module docstring at the packed x: once for its
     diagonal part and once for its epigonal part, each in at most O(n^3)
     polynomial products over the columns that end a chord, and the two
-    polynomials multiply.  Segment lists and chord sets holding a
-    boundary-crossing chord are enumerated by the output-sensitive DFS on
-    their crossing masks.
+    polynomials multiply.  A chord set holding a boundary-crossing chord is
+    enumerated by the output-sensitive DFS on its straddle-tested crossing
+    masks.
     """
-    if isinstance(family, ChordSet):
-        if not family.mask & family.universe.kind_mask(ChordKind.BOUNDARY_CROSSING):
-            return _dp_f_vector(family)
-    return _dfs_f_vector(family)
+    if family.mask & family.universe.kind_mask(ChordKind.BOUNDARY_CROSSING):
+        return _dfs_f_vector(family)
+    return _dp_f_vector(family)
 
 
 def _star_ear(nbr: Sequence[int]) -> list[tuple[int, int]]:
@@ -394,8 +377,11 @@ def _chi_within_limit(adj: Sequence[int], live: int, memo: dict[int, int]) -> in
         raise InstanceTooLarge(f"recursion too deep: {live.bit_count()} segments") from None
 
 
-def euler_recursive(family: ChordSet | Sequence[Segment]) -> int:
-    """Deletion-identity evaluation with per-call memoization.
+def euler_recursive(family: ChordSet) -> int:
+    """Deletion-identity evaluation of a chord set, with per-call memoization.
+
+    The crossing masks are :func:`_adjacency`'s: the interleaving masks
+    within one kind, the straddle test otherwise.
 
     Raises :class:`InstanceTooLarge` past the interpreter's recursion limit.
     """
@@ -469,29 +455,3 @@ def find_heart(polygon: Polygon, side: str) -> ChordSet | None:
         raise AssertionError("non-convex polygon without hull-edge epigonal")
     return uni.set_of([uni.pockets[0].hull_chord])
 
-
-def chi_point_family(points: Sequence[Point], segments: Sequence[Segment]) -> int:
-    """Euler characteristic of an arbitrary segment family over a point set.
-
-    The points must be in general position: their orientation table raises
-    :class:`CollinearTriple`, a ``ValueError``, otherwise.
-    """
-    pts = list(points)
-    members = set(pts)
-    for s in segments:
-        if s.a not in members or s.b not in members:
-            raise ValueError(f"segment endpoint outside the point set: {s!r}")
-    orientation_table(pts)
-    return euler_recursive(list(segments))
-
-
-def hull_edge_in(points: Sequence[Point], segments: Sequence[Segment]) -> bool:
-    """Whether the family contains an edge of the point set's convex hull.
-
-    The hull is read from the points' orientation table, which raises
-    :class:`CollinearTriple` on three collinear points.
-    """
-    pts = list(points)
-    succ = hull_successors(orientation_table(pts), len(pts))
-    edges = {frozenset((pts[a], pts[b])) for a, b in succ.items()}
-    return any(s.key() in edges for s in segments)

@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from chord_euler.generators import class_exemplar, zigzag_chi_target
-from chord_euler.geometry import Point, Polygon, Segment, validate_polygon
-from oracles import coordinate_crossing_masks
+from chord_euler.geometry import Point, Polygon, validate_polygon
+from oracles import Segment, coordinate_crossing_masks
 
 
 def pt(x, y) -> Point:

@@ -1,21 +1,26 @@
 """Coordinate routes kept as the tests' independent oracles.
 
 The library decides every geometric question from orientation tables: a
-segment family's crossings by the straddle test, general position by the
-table's :class:`CollinearTriple`, a point set's hull by ``hull_successors``,
-chord kinds, pockets and face convexity from the polygon's table.  The
-routes below decide the same questions on the rational coordinates alone,
-with the predicates ``orientation`` and ``cross``, and share no code with
-the tables.  Two routes read a table: :func:`vertex_kinds_by_edges`, a loop
-over vertices and edges against the library's whole-table mask arithmetic,
-and :func:`window_constraints_by_vertices`, a scan of every vertex against
-the library's scan of the vertices that J touches.  The rest are the
-library's former routes, kept against its candidate tests:
+chord family's crossings by the straddle test, general position by the
+table's :class:`CollinearTriple`, chord kinds, pockets and face convexity
+from the polygon's table.  The routes below decide the same questions on
+the rational coordinates alone, with the predicates ``orientation`` and
+``cross``, and share no code with the tables.  Their data type is the
+:class:`Segment`, a pair of points.  A family of segments, on which the
+paper first defines chi, has its crossings from
+:func:`coordinate_crossing_masks` and its chi from :func:`dfs_chi`, the
+alternating sum of the library's DFS enumeration, or from ``EulerEngine``.
+Two routes read a table: :func:`vertex_kinds_by_edges`, a loop over
+vertices and edges against the library's whole-table mask arithmetic, and
+:func:`window_constraints_by_vertices`, a scan of every vertex against the
+library's scan of the vertices that J touches.  The rest are the library's
+former routes, kept against its candidate tests:
 :func:`pockets_by_hull_walk` walks :func:`hull_by_successors` (the former
-``ChordUniverse.hull``, ``hull_successors`` on the polygon's table, O(n^2)
-tests) where the library tests only the epigonals, and
-:func:`class2_class4_by_vertices` tests Classes 2 and 4 at every vertex
-where the library tests the candidates that the reflex mask names.
+``ChordUniverse.hull``: :func:`hull_successors`, formerly in ``geometry``,
+on the polygon's table, O(n^2) tests) where the library tests only the
+epigonals, and :func:`class2_class4_by_vertices` tests Classes 2 and 4 at
+every vertex where the library tests the candidates that the reflex mask
+names.
 
 Every library polygon is built with its table and reflex set, by validation
 or relabeled from a table already built.  :func:`cold_polygon` builds one
@@ -50,14 +55,12 @@ from chord_euler.geometry import (
     GeometryError,
     Point,
     Polygon,
-    Segment,
     cross,
-    hull_successors,
     orientation,
     orientation_table,
     validate_polygon,
 )
-from chord_euler.nc_euler import _dfs_f_vector
+from chord_euler.nc_euler import _dfs_f_vector, iter_nc_masks
 from chord_euler.partition import (
     PartitionError,
     PartitionResult,
@@ -70,6 +73,30 @@ from chord_euler.partition import (
 
 class PointOnBoundary(GeometryError):
     pass
+
+
+class Segment:
+    """A nondegenerate closed segment."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Point, b: Point):
+        if a == b:
+            raise GeometryError("degenerate segment")
+        self.a = a
+        self.b = b
+
+    def key(self) -> frozenset[Point]:
+        return frozenset((self.a, self.b))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Segment) and self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
+    def __repr__(self) -> str:
+        return f"Segment({self.a}, {self.b})"
 
 
 def segments_properly_cross(s1: Segment, s2: Segment) -> bool:
@@ -331,6 +358,18 @@ def window_constraints_by_vertices(poly: Polygon, jm: int) -> tuple[int, ...]:
     return tuple(minimal)
 
 
+def hull_successors(left: Sequence[int], n: int) -> dict[int, int]:
+    """The counter-clockwise hull edges a -> b as {a: b}: every other point is left of them."""
+    full = (1 << n) - 1
+    succ = {}
+    for a in range(n):
+        for b in range(n):
+            if left[a * n + b] | 1 << a | 1 << b == full:
+                succ[a] = b
+                break
+    return succ
+
+
 def hull_by_successors(uni: ChordUniverse) -> tuple[int, ...]:
     """Convex-hull vertex indices, CCW, starting at the smallest."""
     succ = hull_successors(uni.left, uni.n)
@@ -369,13 +408,18 @@ def class2_class4_by_vertices(poly: Polygon) -> tuple[int, int]:
     return class2, class4
 
 
-def euler_brute(family: ChordSet | Sequence[Segment]) -> int:
+def euler_brute(family: ChordSet) -> int:
     """Alternating sum of the DFS-enumerated f-vector (the slow oracle).
 
     It always enumerates, on the crossing masks, and never takes the DP
     route of ``f_vector``, so the two can be compared.
     """
     return _dfs_f_vector(family).euler
+
+
+def dfs_chi(adj: Sequence[int], live: int) -> int:
+    """chi of the members ``live`` on the crossing masks ``adj``, by the DFS enumeration."""
+    return sum(-1 if m.bit_count() & 1 else 1 for m in iter_nc_masks(adj, live))
 
 
 def segments(poly: Polygon, chords: Iterable[Chord]) -> list[Segment]:

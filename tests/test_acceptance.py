@@ -35,12 +35,11 @@ from chord_euler.generators import (
     verify_zigzag_structure,
     zigzag_chi_target,
 )
-from chord_euler.geometry import Point, Segment
+from chord_euler.geometry import Point
 from chord_euler.nc_euler import (
-    chi_point_family,
+    EulerEngine,
     euler_recursive,
     find_heart,
-    hull_edge_in,
     is_heart,
     iter_nc_masks,
 )
@@ -52,7 +51,10 @@ from chord_euler.partition import (
     subdivide,
 )
 from oracles import (
+    Segment,
     convex_hull_points,
+    coordinate_crossing_masks,
+    dfs_chi,
     euler_brute,
     extend_to_triangulation,
     find_diagonal,
@@ -110,7 +112,8 @@ def test_criterion_03_euler_oracles_agree():
         rng.shuffle(pairs)
         count = rng.randrange(0, 17)
         segs = [Segment(pts[a], pts[b]) for a, b in pairs[:count]]
-        assert euler_brute(segs) == euler_recursive(segs)
+        adj, live = coordinate_crossing_masks(segs), (1 << len(segs)) - 1
+        assert dfs_chi(adj, live) == EulerEngine(adj).chi(live)
         checked += 1
     polys = 0
     for seed in range(60):
@@ -225,8 +228,8 @@ def test_criterion_08_star_sets():
         segs = [Segment(pts[a], pts[b]) for a, b in pairs[: rng.randrange(0, 9)]]
         if edge not in segs:
             segs.append(edge)
-        assert hull_edge_in(pts, segs)
-        assert chi_point_family(pts, segs) == 0
+        adj = coordinate_crossing_masks(segs)
+        assert EulerEngine(adj).chi((1 << len(segs)) - 1) == 0
         instances += 1
     _report(8, 300.0, t0, f"{hearts} hearts all give chi = 0; {instances} hull-edge families give chi = 0")
 

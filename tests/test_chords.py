@@ -23,12 +23,12 @@ from conftest import exemplar_and_zigzag_polygons, pt
 from chord_euler.geometry import (
     SHARED_N,
     Point,
-    Segment,
     orientation,
     validate_polygon,
 )
 from chord_euler.nc_euler import euler_recursive
 from oracles import (
+    Segment,
     coordinate_crossing_masks,
     ear_chord,
     forbidden_star,

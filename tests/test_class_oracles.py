@@ -1,7 +1,8 @@
 """The class detectors, the hull and the pockets against coordinate routes.
 
-The library reads them from the polygon's orientation table, the hull
-through ``geometry.hull_successors`` (``oracles.hull_by_successors``).  The
+The library reads them from the polygon's orientation table.  The hull is
+read the same way by ``oracles.hull_by_successors``, through
+``oracles.hull_successors``, formerly ``geometry.hull_successors``.  The
 oracles below decide the same questions on the coordinates alone, with
 exact rational predicates: ``angle_exceeds_pi``, ``convex_hull_points``, the
 reflex set of a pocket polygon, and the validation of the polygon left by
@@ -24,7 +25,7 @@ from chord_euler.classes import (
     is_class6,
 )
 from chord_euler.generators import GeneratorError, class_exemplar, random_simple_polygon
-from chord_euler.geometry import Polygon, PolygonError, orientation
+from chord_euler.geometry import CollinearTriple, Polygon, PolygonError, orientation, orientation_table
 from conftest import exemplar_and_zigzag_polygons, pt
 from oracles import (
     angle_exceeds_pi,
@@ -33,6 +34,7 @@ from oracles import (
     convex_hull_points,
     ear_chord,
     hull_by_successors,
+    hull_successors,
     pockets_by_hull_walk,
 )
 
@@ -195,6 +197,23 @@ def test_detectors_match_oracles_class_exemplars(kind):
             assert_hull_follows_rotation(poly)
             hits += DETECTORS[kind - 1](poly, v)
     assert hits > 0
+
+
+@settings(max_examples=300)
+@given(st.lists(st.builds(pt, st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=9,
+                unique=True))
+def test_hull_successors_match_the_monotone_chain(pts):
+    # A point set's hull edges, read from its orientation table, against
+    # Andrew's monotone chain on the coordinates.
+    try:
+        left = orientation_table(pts)
+    except CollinearTriple:
+        return
+    succ = hull_successors(left, len(pts))
+    hull = convex_hull_points(pts)
+    assert {pts[a]: pts[b] for a, b in succ.items()} == {
+        p: hull[(t + 1) % len(hull)] for t, p in enumerate(hull)
+    }
 
 
 def test_hull_of_a_path_that_winds_twice():

@@ -438,6 +438,20 @@ def test_out_of_range_vertex_is_bad_input(tmp_path, capsys, vertex):
     assert err == f"error: --vertex {vertex} is not in 0..6\n"
 
 
+@pytest.mark.parametrize("vertex", ["0", "99"])
+def test_vertex_without_classes_is_bad_input(tmp_path, capsys, vertex):
+    # --vertex is read only with --classes, so alone it is bad input, in
+    # range or not, as --classes is without --vertex.
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(polygon_to_json(random_simple_polygon(7, 2))))
+    code, out, err = run(capsys, "analyze", str(path), "--vertex", vertex)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: --vertex needs --classes\n"
+    code, out, err = run(capsys, "analyze", str(path), "--classes")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: --classes needs n >= 5 and --vertex\n"
+
+
 @pytest.mark.parametrize("n, i", [(7, 100), (7, -1), (7, 7)])
 def test_out_of_range_generate_index_is_bad_input(tmp_path, capsys, n, i):
     out = tmp_path / "poly.json"

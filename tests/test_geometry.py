@@ -13,11 +13,9 @@ from chord_euler.geometry import (
     DuplicateVertex,
     Point,
     PolygonError,
-    Segment,
     SelfIntersection,
     TooFewVertices,
     cross,
-    hull_successors,
     orientation,
     orientation_table,
     straddle_masks,
@@ -28,12 +26,12 @@ import oracles
 from conftest import pt
 from oracles import (
     PointOnBoundary,
+    Segment,
     angle_exceeds_pi,
     area2,
     cold_polygon,
     convex_hull,
     coordinate_crossing_masks,
-    convex_hull_points,
     no_three_collinear,
     point_in_polygon,
     segments_properly_cross,
@@ -389,8 +387,8 @@ def test_orientation_table_past_the_bound_adds_no_cache_entry():
 @settings(max_examples=300)
 @given(st.lists(st.builds(pt, grid, grid), min_size=3, max_size=9, unique=True), st.randoms())
 def test_table_routes_match_coordinate_oracles(pts, rng):
-    # General position, the straddle test and the hull, read from one
-    # orientation table, against the coordinate routes of the oracles.
+    # General position and the straddle test, read from one orientation
+    # table, against the coordinate routes of the oracles.
     try:
         left = orientation_table(pts)
     except CollinearTriple:
@@ -402,8 +400,3 @@ def test_table_routes_match_coordinate_oracles(pts, rng):
     ends = rng.sample(pairs, rng.randrange(min(len(pairs), 16) + 1))
     segs = [Segment(pts[a], pts[b]) for a, b in ends]
     assert straddle_masks(left, n, ends) == coordinate_crossing_masks(segs)
-    succ = hull_successors(left, n)
-    hull = convex_hull_points(pts)
-    assert {pts[a]: pts[b] for a, b in succ.items()} == {
-        p: hull[(t + 1) % len(hull)] for t, p in enumerate(hull)
-    }

@@ -28,14 +28,12 @@ from chord_euler.generators import (
     random_simple_polygon,
     zigzag_chi_target,
 )
-from chord_euler.geometry import CollinearTriple, Point, Segment
+from chord_euler.geometry import Point
 from chord_euler.nc_euler import (
     EulerEngine,
-    chi_point_family,
     euler_recursive,
     f_vector,
     find_heart,
-    hull_edge_in,
     is_heart,
     iter_nc_masks,
     star_ear_chis,
@@ -45,8 +43,10 @@ from chord_euler.nc_euler import (
 )
 from conftest import brute_euler, brute_nc_counts, exemplar_and_zigzag_polygons, pt
 from oracles import (
+    Segment,
     convex_hull_points,
     coordinate_crossing_masks,
+    dfs_chi,
     ear_chord,
     euler_brute,
     forbidden_star,
@@ -79,8 +79,6 @@ def test_f_vector_convex_small():
 
 
 def test_f_vector_edge_cases(dart):
-    assert f_vector([Segment(pt(0, 0), pt(1, 0))]).counts == (1, 1)
-    assert f_vector([]).counts == (1,)
     triangle = convex_ngon(3)
     assert f_vector(diagonals(triangle)).counts == (1,)
     assert f_vector(epigonals(triangle)).counts == (1,)
@@ -119,14 +117,14 @@ def _dp_families(poly, rng) -> list[ChordSet]:
 
 def _assert_dp_matches_dfs(poly, rng) -> None:
     # Two routes that share no code with the DP: the DFS on the universe's
-    # crossing masks, and the DFS on the plain segment list, whose crossing
-    # masks come from the straddle test on its endpoints' own table rather
-    # than from interleaving.
+    # crossing masks, and the DFS on the segments' crossings, decided on
+    # their coordinates rather than from interleaving.
     uni = universe_of(poly)
+    adj = coordinate_crossing_masks(segments(poly, uni.chords))
     for fam in _dp_families(poly, rng):
-        dp = f_vector(fam)
-        assert list(dp.counts) == _nc_counts(uni.crossing_masks, fam.mask), fam
-        assert dp == f_vector(segments(poly, fam)), fam
+        counts = list(f_vector(fam).counts)
+        assert counts == _nc_counts(uni.crossing_masks, fam.mask), fam
+        assert counts == _nc_counts(adj, fam.mask), fam
 
 
 @settings(max_examples=30, deadline=None)
@@ -258,7 +256,8 @@ def test_f_vector_reads_no_hull_or_pockets():
 def test_boundary_crossing_sets_use_the_dfs():
     # The universe's crossing masks stop at the diagonals and epigonals, so a
     # set holding a boundary-crossing chord is straddle-tested on the
-    # universe's table, as its segment list is on its endpoints' table.
+    # universe's table; brute_nc_counts decides the crossings of its
+    # segments on their coordinates.
     seen = 0
     for seed in range(10):
         poly = random_simple_polygon(6, seed)
@@ -266,10 +265,10 @@ def test_boundary_crossing_sets_use_the_dfs():
         full = ChordSet(uni, uni.full_mask())
         if not full.mask & uni.kind_mask(ChordKind.BOUNDARY_CROSSING):
             continue
-        segs = segments(poly, full)
-        assert f_vector(full) == f_vector(segs)
-        assert euler_brute(full) == euler_brute(segs) == f_vector(segs).euler
-        assert euler_recursive(full) == euler_recursive(segs) == f_vector(segs).euler
+        want = brute_nc_counts(segments(poly, full))
+        assert list(f_vector(full).counts) == want
+        chi = sum((-1) ** k * c for k, c in enumerate(want))
+        assert euler_brute(full) == euler_recursive(full) == chi
         seen += 1
     assert seen
 
@@ -364,36 +363,13 @@ def test_deep_deletion_recursion_is_a_size_error():
     # The memo holds only finished values: later answers are still exact.
     # The same 30-member path as segments in general position: on the
     # parabola y = x^2, segment v joins the points 2v and 2v + 3, so it
-    # crosses only v - 1 and v + 1.
+    # crosses only v - 1 and v + 1.  A path of 30 members has chi 1.
     short = (1 << 30) - 1
     on_curve = [pt(t, t * t) for t in range(62)]
     segs = [Segment(on_curve[2 * v], on_curve[2 * v + 3]) for v in range(30)]
-    assert coordinate_crossing_masks(segs) == [mask & short for mask in path[:30]]
-    assert eng.chi(short) == EulerEngine(path).chi(short) == euler_recursive(segs)
-
-
-def test_segment_lists_with_collinear_endpoints_raise():
-    # General position is the model's: a segment list's crossings are read
-    # from the orientation table of its endpoints, which refuses three
-    # collinear ones, even where no two segments meet.  The second family is
-    # the 30-member path with its endpoints on the lines y = 0 and y = 2.
-    apart = [Segment(pt(10 * k, 0), pt(10 * k + 1, 9 - 18 * (k & 1))) for k in range(3)]
-    assert coordinate_crossing_masks(apart) == [0, 0, 0]
-    path = [Segment(pt(2 * v, 2 * (v & 1)), pt(2 * v + 3, 2 - 2 * (v & 1))) for v in range(30)]
-    for segs in (apart, path):
-        for route in (f_vector, euler_brute, euler_recursive):
-            with pytest.raises(CollinearTriple):
-                route(segs)
-
-
-def test_point_families_with_collinear_points_raise(square):
-    # chi_point_family and hull_edge_in read the points' orientation table.
-    corners = list(square.vertices)
-    on_edge = corners + [pt(1, 0)]  # collinear with corners 0 and 1
-    one_edge = [Segment(corners[0], corners[1])]
-    for route in (chi_point_family, hull_edge_in):
-        with pytest.raises(CollinearTriple):
-            route(on_edge, one_edge)
+    adj = coordinate_crossing_masks(segs)
+    assert adj == [mask & short for mask in path[:30]]
+    assert eng.chi(short) == EulerEngine(path).chi(short) == EulerEngine(adj).chi(short) == 1
 
 
 def _crossing_graph(m, seed, density):
@@ -409,10 +385,6 @@ def _crossing_graph(m, seed, density):
     return adj
 
 
-def _dfs_chi(adj, live):
-    return sum((-1) ** k * c for k, c in enumerate(_nc_counts(adj, live)))
-
-
 def _recursive_chi(adj, live):
     # euler_recursive on a bare crossing graph: a fresh memo per call.
     return EulerEngine(adj).chi(live)
@@ -426,7 +398,7 @@ _densities = st.sampled_from([0.08, 0.15, 0.3, 0.5, 0.8])
 def test_chi_matches_dfs_on_random_crossing_graphs(m, seed, density):
     adj = _crossing_graph(m, seed, density)
     live = (1 << m) - 1
-    want = _dfs_chi(adj, live)
+    want = dfs_chi(adj, live)
     assert _recursive_chi(adj, live) == EulerEngine(adj).chi(live) == want
 
 
@@ -449,7 +421,7 @@ def test_singleton_after_a_large_component_returns_before_recursing(m, seed, den
         got = EulerEngine(adj).chi(live)
     finally:
         nc._chi = real
-    assert got == 0 == _dfs_chi(adj, live)
+    assert got == 0 == dfs_chi(adj, live)
     assert len(calls) == 1
     assert _recursive_chi(adj, live) == 0
 
@@ -463,7 +435,7 @@ def test_shared_engine_matches_fresh_engines(m, seed, density):
     for _ in range(12):
         live = rng.getrandbits(m) | rng.getrandbits(m)
         want = EulerEngine(adj).chi(live)
-        assert shared.chi(live) == want == _dfs_chi(adj, live)
+        assert shared.chi(live) == want == dfs_chi(adj, live)
 
 
 def _path(m):
@@ -546,7 +518,7 @@ def test_chi_matches_dfs_on_sparse_crossing_graphs(m, seed, density):
     # Sparse graphs have leaves, isolated members and paths: the folds fire.
     adj = _crossing_graph(m, seed, density)
     live = (1 << m) - 1
-    assert _recursive_chi(adj, live) == _dfs_chi(adj, live)
+    assert _recursive_chi(adj, live) == dfs_chi(adj, live)
 
 
 @settings(max_examples=60, deadline=None)
@@ -556,7 +528,7 @@ def test_chi_matches_dfs_on_trees_with_a_dense_core(core, extra, seed, density):
     rng = random.Random(seed)
     shared = EulerEngine(adj)
     for live in ((1 << core + extra) - 1, rng.getrandbits(core + extra)):
-        want = _dfs_chi(adj, live)
+        want = dfs_chi(adj, live)
         assert _recursive_chi(adj, live) == shared.chi(live) == want
 
 
@@ -665,7 +637,7 @@ def test_euler_values(square, dart):
     assert euler_recursive(diagonals(square)) == -1
     assert euler_brute(diagonals(dart)) == 0
     assert euler_brute(epigonals(dart)) == 0
-    assert euler_recursive([]) == 1
+    assert euler_recursive(ChordSet(universe_of(square), 0)) == 1
 
 
 def test_euler_convex_formula():
@@ -688,7 +660,8 @@ def test_brute_equals_recursive_random_families():
         pairs = [(a, b) for a in range(npts) for b in range(a + 1, npts)]
         rng.shuffle(pairs)
         segs = [Segment(points[a], points[b]) for a, b in pairs[: rng.randrange(0, 9)]]
-        assert euler_brute(segs) == euler_recursive(segs) == brute_euler(segs)
+        adj, live = coordinate_crossing_masks(segs), (1 << len(segs)) - 1
+        assert dfs_chi(adj, live) == EulerEngine(adj).chi(live) == brute_euler(segs)
 
 
 def test_brute_equals_recursive_polygon_families():
@@ -800,36 +773,6 @@ def test_heart_implies_zero():
                 assert euler_recursive(fam) == 0
 
 
-def test_chi_point_family(square):
-    corners = list(square.vertices)
-    diag = [Segment(corners[0], corners[2]), Segment(corners[1], corners[3])]
-    assert chi_point_family(corners, diag) == -1
-    assert not hull_edge_in(corners, diag)
-    one_edge = [Segment(corners[0], corners[1])]
-    assert chi_point_family(corners, one_edge) == 0
-    assert hull_edge_in(corners, one_edge)
-    with pytest.raises(ValueError):
-        chi_point_family(corners, [Segment(pt(9, 9), corners[0])])
-
-
-def test_chi_point_family_with_center(square):
-    # The exact center would be collinear with opposite corners, so the
-    # fifth point sits slightly off-center to respect general position.
-    from fractions import Fraction
-
-    pts5 = list(square.vertices) + [pt(1, Fraction(5, 4))]
-    hull_edges = [
-        Segment(square.vertices[i], square.vertices[(i + 1) % 4]) for i in range(4)
-    ]
-    through = [
-        Segment(square.vertices[0], square.vertices[2]),
-        Segment(square.vertices[1], square.vertices[3]),
-    ]
-    fam = hull_edges + through
-    assert hull_edge_in(pts5, fam)
-    assert chi_point_family(pts5, fam) == 0 == brute_euler(fam)
-
-
 def test_hull_edge_implies_zero_random():
     rng = random.Random(7)
     for trial in range(60):
@@ -847,5 +790,5 @@ def test_hull_edge_implies_zero_random():
         segs = [Segment(points[a], points[b]) for a, b in pairs[:6]]
         if forced not in segs:
             segs.append(forced)
-        assert hull_edge_in(points, segs)
-        assert chi_point_family(points, segs) == 0
+        adj, live = coordinate_crossing_masks(segs), (1 << len(segs)) - 1
+        assert EulerEngine(adj).chi(live) == 0 == brute_euler(segs)

@@ -39,7 +39,7 @@ from chord_euler.partition import (
     chi_removed_lemma_d2,
     chi_removed_theorem2,
 )
-from oracles import euler_brute, segments
+from oracles import coordinate_crossing_masks, dfs_chi, euler_brute, segments
 
 
 def _visit(poly) -> None:
@@ -62,8 +62,9 @@ def _visit(poly) -> None:
         heart = find_heart(poly, side)
         if heart is not None:
             assert is_heart(fam, heart)
-    segs = segments(poly, diagonals(poly))
-    assert f_vector(segs).euler == euler_brute(segs)
+    fam = diagonals(poly)
+    adj = coordinate_crossing_masks(segments(poly, fam))
+    assert f_vector(fam).euler == euler_brute(fam) == dfs_chi(adj, (1 << len(adj)) - 1)
 
 
 def test_polygon_visits_leave_no_reference_cycle():
@@ -106,8 +107,6 @@ AWAITING_ROUTE = {
     "xi": 19,
     "is_heart": 5,  # verify hearts
     "find_heart": 5,
-    "chi_point_family": 15,  # verify pointsets
-    "hull_edge_in": 15,
 }
 # The module-level caches, (module, function), and the one per-n cap.
 MODULE_CACHES = {("geometry", "_cached_slots"), ("chords", "_cached_chord_order")}

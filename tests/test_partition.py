@@ -28,6 +28,7 @@ from conftest import brute_euler, exemplar_and_zigzag_polygons
 from oracles import (
     area2,
     cold_polygon,
+    coordinate_crossing_masks,
     euler_brute,
     extend_to_triangulation,
     find_diagonal,
@@ -413,8 +414,8 @@ def test_lemma1_faces_match_own_geometry():
 def test_engine_on_interleaving_matches_coordinates():
     # The shared engine reads the interleaving masks of its n, which are the
     # crossings only within one kind.  Against the deletion recursion on the
-    # same segments, whose crossings come from the segments' own orientation
-    # table (and, for small families, every subset on coordinate crossings):
+    # same segments' coordinate crossings (and, for small families, every
+    # subset on those crossings):
     # D - J and E - J, every Lemma-1 face family D(F) of J's subsets,
     # and the empty and one-member masks, on one engine per polygon as the
     # routes share it.
@@ -434,9 +435,10 @@ def test_engine_on_interleaving_matches_coordinates():
                 for part in subdivide(poly, uni.set_of_mask(sub)).parts:
                     fams.add(d_mask & uni.span_mask(sum(1 << v for v in part)) & ~sub)
         eng = EulerEngine(uni.order.interleave)
+        adj = coordinate_crossing_masks(segments(poly, uni.chords))
         for fam in sorted(fams):
             segs = segments(poly, uni.set_of_mask(fam))
-            want = euler_recursive(segs)
+            want = EulerEngine(adj).chi(fam)
             if len(segs) <= 8:  # every subset, on coordinate crossings
                 assert brute_euler(segs) == want
             assert eng.chi(fam) == want, (poly, bin(fam))
